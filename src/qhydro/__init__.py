@@ -1,8 +1,9 @@
 """qhydro: quantum hydrodynamics and classical diffusion on a 1D spectral grid.
 
-Evolves wavefunctions (split-step spectral) and diffusing densities (exact
-heat kernel), decomposes states into Madelung fluid fields, and measures the
-entropy functionals and production identities that connect the two flows.
+Evolves wavefunctions (exact spectral propagator) and diffusing densities
+(exact heat kernel), decomposes states into Madelung fluid fields, and
+measures the entropy functionals and production identities that connect
+the two flows.
 """
 from .grid import ComplexField, Grid, RealField, derivative, integrate, make_grid
 from .madelung import (
@@ -30,6 +31,7 @@ from .schrodinger import (
     gaussian_packet,
     harmonic_potential,
     plane_wave,
+    propagate,
     step,
     superposition,
     tabulated_potential,

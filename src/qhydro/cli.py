@@ -48,10 +48,10 @@ from .schrodinger import (
     EvolutionConfig,
     NumericsError,
     energy,
-    evolve,
     free_potential,
     gaussian_packet,
     harmonic_potential,
+    propagate,
 )
 from .traces import centered_difference
 
@@ -135,15 +135,12 @@ class ScenarioConfig:
     # grid
     L: float = 40.0
     N: int = 1024
-    precision: str = "double"
     # evolution
     dt: float = 1e-3
     t_final: float = 4.0
     snapshot_stride: int = 50
     # diagnostics
     enable_von_neumann: bool = False
-    vn_max_N: int = 512
-    vn_stride: int = 10
     emit_fields: bool = False
     # output
     directory: str = "out"
@@ -155,14 +152,10 @@ _DEFAULTS = {
         scenario="free_gaussian", sigma0=1.0, L=40.0, N=1024, dt=1e-3, t_final=4.0,
         snapshot_stride=50,
     ),
-    # the stationarity identities probe density deviations at 1e-10 and the
-    # residual velocity at 1e-6 over ~1e6 steps; that needs dt small enough
-    # for the split-step width offset (~dt^2/24) and extended precision for
-    # the velocity noise floor at the density-mask edge
+    # snapshots are exact, so dt and snapshot_stride only place the rows
     "harmonic_ground": dict(
         scenario="harmonic_ground", omega0=1.0, sigma0=float(np.sqrt(0.5)), potential="harmonic",
         L=9.0, N=128, dt=3.2e-5, t_final=float(5 * 2 * np.pi), snapshot_stride=6545,
-        precision="extended",
     ),
     "harmonic_perturbed": dict(
         scenario="harmonic_perturbed", omega0=1.0, sigma0=float(np.sqrt(0.5)),
@@ -181,9 +174,9 @@ _SECTIONS = {
         "hbar", "mass", "k_B", "sigma0", "omega0", "D", "epsilon0",
         "start_time", "width_rate", "potential",
     ],
-    "grid": ["L", "N", "precision"],
+    "grid": ["L", "N"],
     "evolution": ["dt", "t_final", "snapshot_stride"],
-    "diagnostics": ["enable_von_neumann", "vn_max_N", "vn_stride", "emit_fields"],
+    "diagnostics": ["enable_von_neumann", "emit_fields"],
     "output": ["directory", "formats"],
 }
 
@@ -216,8 +209,6 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
         problems.append(f"t_final must be nonnegative, got {cfg.t_final}")
     if cfg.snapshot_stride < 1:
         problems.append(f"snapshot_stride must be >= 1, got {cfg.snapshot_stride}")
-    if cfg.vn_stride < 1:
-        problems.append(f"vn_stride must be >= 1, got {cfg.vn_stride}")
     if cfg.scenario in ("harmonic_ground", "harmonic_perturbed") or cfg.potential == "harmonic":
         if not cfg.omega0 > 0:
             problems.append(f"omega0 must be positive, got {cfg.omega0}")
@@ -228,12 +219,6 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
             problems.append(f"start_time must be nonnegative, got {cfg.start_time}")
     if cfg.potential not in ("free", "harmonic"):
         problems.append(f"potential must be free or harmonic, got {cfg.potential!r}")
-    if cfg.precision not in ("double", "extended"):
-        problems.append(f"precision must be double or extended, got {cfg.precision!r}")
-    if cfg.enable_von_neumann and cfg.N > cfg.vn_max_N:
-        problems.append(
-            f"enable_von_neumann requires N <= vn_max_N, got N={cfg.N}, vn_max_N={cfg.vn_max_N}"
-        )
     for fmt in cfg.formats:
         if fmt not in ("csv", "json"):
             problems.append(f"unknown output format {fmt!r}")
@@ -278,7 +263,7 @@ def parse_config(path: str | Path) -> ScenarioConfig:
 
 def _parse_value(key: str, raw: str):
     raw = raw.strip()
-    if key in ("N", "snapshot_stride", "vn_max_N", "vn_stride"):
+    if key in ("N", "snapshot_stride"):
         return int(raw)
     if key in ("enable_von_neumann", "emit_fields"):
         low = raw.lower()
@@ -289,7 +274,7 @@ def _parse_value(key: str, raw: str):
         raise ValueError(f"expected a boolean, got {raw!r}")
     if key == "formats":
         return tuple(part.strip() for part in raw.split(",") if part.strip())
-    if key in ("directory", "potential", "scenario", "precision"):
+    if key in ("directory", "potential", "scenario"):
         return raw
     return float(raw)
 
@@ -339,6 +324,11 @@ class IdentityCheck:
     measured: float
     passed: bool
 
+    def __post_init__(self):
+        # numpy reductions yield numpy scalars, which report.json cannot encode
+        object.__setattr__(self, "measured", float(self.measured))
+        object.__setattr__(self, "passed", bool(self.passed))
+
 
 @dataclass
 class RunReport:
@@ -381,12 +371,12 @@ def _ground_width(cfg: ScenarioConfig) -> float:
     )
 
 
-def _grid_dtype(cfg: ScenarioConfig):
-    return np.longdouble if cfg.precision == "extended" else np.float64
+def _evolution(cfg: ScenarioConfig) -> EvolutionConfig:
+    return EvolutionConfig(cfg.dt, cfg.t_final, cfg.snapshot_stride)
 
 
 def _run_quantum(cfg: ScenarioConfig) -> tuple[RunReport, list]:
-    grid = make_grid(cfg.L, cfg.N, dtype=_grid_dtype(cfg))
+    grid = make_grid(cfg.L, cfg.N)
     if cfg.scenario == "free_gaussian":
         pot = free_potential()
         state = gaussian_packet(grid, cfg.sigma0, cfg.hbar, cfg.mass, width_rate=cfg.width_rate)
@@ -400,16 +390,14 @@ def _run_quantum(cfg: ScenarioConfig) -> tuple[RunReport, list]:
         pot = harmonic_potential(cfg.omega0) if cfg.potential == "harmonic" else free_potential()
         state = gaussian_packet(grid, cfg.sigma0, cfg.hbar, cfg.mass, width_rate=cfg.width_rate)
 
-    snapshots = evolve(state, pot, EvolutionConfig(cfg.dt, cfg.t_final, cfg.snapshot_stride))
-    refs = _quantum_references(cfg, [s.time for s in snapshots])
+    ev = _evolution(cfg)
+    snapshots = propagate(state, pot, ev)
+    refs = _quantum_references(cfg, ev.snapshot_steps())
 
     rows = []
-    for i, snap in enumerate(snapshots):
+    for snap, (ref_s2, ref_ent, ref_div) in zip(snapshots, refs):
         rho = density(snap)
-        vn = None
-        if cfg.enable_von_neumann and i % cfg.vn_stride == 0:
-            vn = von_neumann_entropy(snap, max_points=cfg.vn_max_N)
-        ref_s2, ref_ent, ref_div = refs[i]
+        vn = von_neumann_entropy(snap) if cfg.enable_von_neumann else None
         rows.append(
             DiagnosticsRow(
                 t=snap.time,
@@ -445,7 +433,8 @@ def _run_quantum(cfg: ScenarioConfig) -> tuple[RunReport, list]:
     return RunReport(cfg.scenario, CSV_COLUMNS, rows, identities, {}, tables), snapshots
 
 
-def _quantum_references(cfg: ScenarioConfig, times: list[float]):
+def _quantum_references(cfg: ScenarioConfig, steps: list[int]):
+    times = [i * cfg.dt for i in steps]
     p_kwargs = dict(hbar=cfg.hbar, mass=cfg.mass)
     if cfg.scenario == "free_gaussian":
         p = GaussianParams(cfg.sigma0, **p_kwargs)
@@ -462,17 +451,15 @@ def _quantum_references(cfg: ScenarioConfig, times: list[float]):
         # time is hit exactly
         s0 = _ground_width(cfg)
         p = GaussianParams(s0, omega0=cfg.omega0, epsilon0=cfg.epsilon0, **p_kwargs)
-        n_steps = int(round(cfg.t_final / cfg.dt))
-        t_grid = np.arange(n_steps + 1) * cfg.dt
+        t_grid = np.arange(steps[-1] + 1) * cfg.dt
         trace = harmonic_sigma(p, t_grid)
-        idx = [int(round(t / cfg.dt)) for t in times]
         return [
             (
                 float(trace.sigma[j] ** 2),
                 float(entropy_of_width(trace.sigma[j], cfg.k_B)),
                 float(trace.dlnsigma_dt[j]),
             )
-            for j in idx
+            for j in steps
         ]
     return [(None, None, None) for _ in times]
 
@@ -548,17 +535,9 @@ def _quantum_identities(cfg: ScenarioConfig, snapshots, rows) -> list[IdentityCh
 
 
 def _run_diffusion(cfg: ScenarioConfig) -> tuple[RunReport, list]:
-    grid = make_grid(cfg.L, cfg.N, dtype=_grid_dtype(cfg))
+    grid = make_grid(cfg.L, cfg.N)
     initial = gaussian_density(grid, cfg.sigma0, cfg.D, time=cfg.start_time)
-    n_steps = int(round(cfg.t_final / cfg.dt))
-    # the kernel is exact, so each snapshot is reached in one application
-    # from the initial density: no roundoff accumulates across steps
-    snapshots = [initial]
-    for i in range(1, n_steps + 1):
-        if i % cfg.snapshot_stride == 0 or i == n_steps:
-            snapshots.append(diffuse_step(initial, i * cfg.dt))
-
-    p = GaussianParams(cfg.sigma0, cfg.hbar, cfg.mass, D=cfg.D)
+    snapshots = _diffuse_snapshots(initial, _evolution(cfg))
     rows = []
     for snap in snapshots:
         elapsed = snap.time - cfg.start_time
@@ -596,6 +575,12 @@ def _run_diffusion(cfg: ScenarioConfig) -> tuple[RunReport, list]:
             for s in snapshots
         ]
     return RunReport(cfg.scenario, CSV_COLUMNS, rows, identities, {}, tables), snapshots
+
+
+def _diffuse_snapshots(initial: DiffusionState, ev: EvolutionConfig) -> list[DiffusionState]:
+    # the kernel is exact, so each snapshot is reached in one application
+    # from the initial density: no roundoff accumulates across steps
+    return [initial] + [diffuse_step(initial, i * ev.dt) for i in ev.snapshot_steps()[1:]]
 
 
 def _diffusion_identities(cfg: ScenarioConfig, rows) -> list[IdentityCheck]:
@@ -673,17 +658,12 @@ def compare_quantum_diffusion(cfg: ScenarioConfig) -> RunReport:
     if problems:
         raise ConfigError(problems)
     started = time.perf_counter()
-    grid = make_grid(cfg.L, cfg.N, dtype=_grid_dtype(cfg))
+    grid = make_grid(cfg.L, cfg.N)
     q_state = gaussian_packet(grid, cfg.sigma0, cfg.hbar, cfg.mass)
     d_state = DiffusionState(density(q_state), cfg.D, time=0.0)
 
-    q_snaps = evolve(q_state, free_potential(), EvolutionConfig(cfg.dt, cfg.t_final, cfg.snapshot_stride))
-    # exact kernel: one application per snapshot, straight from t = 0
-    d_snaps = [d_state]
-    n_steps = int(round(cfg.t_final / cfg.dt))
-    for i in range(1, n_steps + 1):
-        if i % cfg.snapshot_stride == 0 or i == n_steps:
-            d_snaps.append(diffuse_step(d_state, i * cfg.dt))
+    q_snaps = propagate(q_state, free_potential(), _evolution(cfg))
+    d_snaps = _diffuse_snapshots(d_state, _evolution(cfg))
 
     p = GaussianParams(cfg.sigma0, cfg.hbar, cfg.mass, D=cfg.D)
     rows = []
@@ -821,8 +801,6 @@ def main(argv=None) -> int:
         p.add_argument("--output-dir", default=None, help="override the output directory")
         p.add_argument("--format", choices=("csv", "json"), default=None,
                        help="restrict data output to one format")
-        p.add_argument("--seed", type=int, default=None,
-                       help="reserved; recorded but unused (no stochastic components)")
         p.add_argument("--vn", choices=("on", "off"), default=None,
                        help="toggle the von Neumann entropy column")
 
@@ -850,9 +828,6 @@ def main(argv=None) -> int:
             cfg = replace(cfg, formats=(args.format,))
         if args.vn is not None:
             cfg = replace(cfg, enable_von_neumann=(args.vn == "on"))
-            problems = validate_config(cfg)
-            if problems:
-                raise ConfigError(problems)
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
@@ -868,8 +843,6 @@ def main(argv=None) -> int:
         print(f"numeric abort{step_part}: {exc}", file=sys.stderr)
         return 3
 
-    if args.seed is not None:
-        report.provenance["seed"] = args.seed
     try:
         emit_timeseries(report, cfg.directory, cfg.formats)
         write_report(report, cfg.directory)

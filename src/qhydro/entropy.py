@@ -14,10 +14,9 @@ against each other:
 
 The von Neumann functional implemented here is the double-integral real
 form over sqrt(rho) and the unwrapped velocity potential.  It needs the
-global phase branch, costs O(N^2), and is gated behind an explicit budget.
-Masked points are excluded from the double sum; the sqrt(rho rho') weight
-suppresses them.  The sum is evaluated in one fixed order, so results are
-reproducible bit for bit.
+global phase branch.  Its kernel separates into products of single
+integrals, so it costs O(N).  Masked points are excluded; the sqrt(rho rho')
+weight suppresses them.
 """
 from __future__ import annotations
 
@@ -47,8 +46,6 @@ __all__ = [
     "von_neumann_entropy",
     "entropy_report",
 ]
-
-VON_NEUMANN_DEFAULT_BUDGET = 512
 
 
 @dataclass(frozen=True)
@@ -115,45 +112,34 @@ def production_correlation(state: QuantumState, k_B: float = 1.0) -> float:
     return (k_B / half) * _masked_integral(state.grid.dx, integrand, mask)
 
 
-def von_neumann_entropy(state: QuantumState, max_points: int = VON_NEUMANN_DEFAULT_BUDGET) -> float:
+def von_neumann_entropy(state: QuantumState) -> float:
     """Double-integral entropy functional of sqrt(rho) and the phase.
 
     -int int sqrt(rho rho') [ ln sqrt(rho rho') cos(dS/hbar)
                               + (dS/hbar) sin(dS/hbar) ] dx dx'
 
     dS is the difference of the unwrapped velocity potential S = m * (S/m);
-    the branch is fixed by unwrapping from x = -L.  Cost and memory are
-    O(N^2), so grids beyond `max_points` are refused; pass a larger budget
-    explicitly to override.
+    the branch is fixed by unwrapping from x = -L.  With a = sqrt(rho),
+    theta = S/hbar and psi = a exp(i theta), the kernel is
+    Re[(ln a + ln a' + i theta - i theta') exp(-i theta) exp(i theta')], so
+    the double integral equals -2 Re[conj(int psi) * int psi (ln a - i theta)].
     """
-    n = state.grid.num_points
-    if n > max_points:
-        raise ValueError(
-            f"von Neumann entropy on {n} points exceeds the budget {max_points}; "
-            "pass max_points explicitly to allow the O(N^2) evaluation"
-        )
     rho = density(state)
     mask = valid_mask(rho)
     s_per_mass = action_per_mass(state)  # propagates unwrap failures
-    amp = np.where(mask, np.sqrt(rho.values), 0.0)
-    s_over_hbar = (state.mass / state.hbar) * s_per_mass.values
-
-    aa = np.outer(amp, amp)
-    ds = np.subtract.outer(s_over_hbar, s_over_hbar)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        log_aa = np.where(aa > 0, np.log(np.where(aa > 0, aa, 1.0)), 0.0)
-    integrand = -aa * (log_aa * np.cos(ds) + ds * np.sin(ds))
-    off = ~mask
-    integrand[off, :] = 0.0
-    integrand[:, off] = 0.0
-    return float(state.grid.dx**2 * integrand.sum())
+    amp = np.sqrt(rho.values[mask])
+    theta = (state.mass / state.hbar) * s_per_mass.values[mask]
+    psi = amp * np.exp(1j * theta)
+    dx = state.grid.dx
+    total = dx * psi.sum()
+    weighted = dx * np.sum(psi * (np.log(amp) - 1j * theta))
+    return float(-2.0 * (np.conj(total) * weighted).real)
 
 
 def entropy_report(
     state: QuantumState | DiffusionState,
     k_B: float = 1.0,
     include_von_neumann: bool = False,
-    vn_max_points: int = VON_NEUMANN_DEFAULT_BUDGET,
 ) -> EntropyReport:
     """Aggregate the entropy diagnostics that apply to the given state.
 
@@ -171,7 +157,7 @@ def entropy_report(
     rho = density(state)
     vn = None
     if include_von_neumann:
-        vn = von_neumann_entropy(state, max_points=vn_max_points)
+        vn = von_neumann_entropy(state)
     return EntropyReport(
         ent_boltzmann=boltzmann_entropy(rho, k_B),
         fisher_information=fisher_information(rho),

@@ -1,9 +1,9 @@
-"""Unitary time evolution by Strang-split spectral stepping.
+"""Unitary time evolution: exact spectral propagation and Strang stepping.
 
-One step is a half kinetic phase in k-space, a full potential phase in
-x-space, and another half kinetic phase.  Each factor is a unitary diagonal
-multiplication, so the norm is preserved to machine precision and stepping
-with -dt inverts the step exactly (up to FFT roundoff).
+`propagate` reaches every snapshot with one application of exp(-iHt/hbar)
+from the initial state.  `step`/`evolve` are the Strang-split integrator (half
+kinetic phase, potential phase, half kinetic phase); each factor is unitary,
+so stepping with -dt inverts a step, and as dt -> 0 it converges to `propagate`.
 """
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ __all__ = [
     "tabulated_potential",
     "step",
     "evolve",
+    "propagate",
     "energy",
     "gaussian_packet",
     "plane_wave",
@@ -95,6 +96,15 @@ class EvolutionConfig:
         if self.snapshot_stride < 1:
             raise ValueError(f"snapshot_stride must be >= 1, got {self.snapshot_stride}")
 
+    def snapshot_steps(self) -> list[int]:
+        """Step indices of the snapshots: 0, every snapshot_stride-th step, and the last.
+
+        The number of steps is round(t_final/dt), so the final time is within
+        dt/2 of t_final.
+        """
+        n_steps = int(round(self.t_final / self.dt))
+        return [*range(0, n_steps, self.snapshot_stride), n_steps]
+
 
 def _phase_factors(state: QuantumState, pot: Potential, dt: float):
     grid = state.grid
@@ -130,42 +140,62 @@ def step(state: QuantumState, pot: Potential, dt: float) -> QuantumState:
 
 
 def evolve(state: QuantumState, pot: Potential, cfg: EvolutionConfig) -> list[QuantumState]:
-    """Repeated stepping with snapshots every snapshot_stride steps.
+    """Repeated Strang stepping with snapshots at `cfg.snapshot_steps()`.
 
     Consecutive half kicks are fused (K/2 V K/2 composed n times equals
     K/2 V (K V)^{n-1} K/2), so the hot loop costs one transform pair per
     step; snapshots close the palindrome with the trailing half kick.  The
-    snapshot list always contains the initial and the final state, and the
-    number of steps is round(t_final/dt), so the final time is within dt/2
-    of t_final.
+    snapshot list always contains the initial and the final state.
     """
-    n_steps = int(round(cfg.t_final / cfg.dt))
-    snapshots = [state]
-    if n_steps == 0:
-        return snapshots
+    steps = cfg.snapshot_steps()
+    recorded = set(steps[1:])
     _check_resolution(state, cfg.dt)
     k_half, v_full = _phase_factors(state, pot, cfg.dt)
     k_full = k_half * k_half
-    t0 = state.time
-
-    def record(stream, i):
-        psi = np.fft.ifft(k_half * np.fft.fft(stream))
-        snapshots.append(
-            QuantumState(ComplexField(state.grid, psi), state.hbar, state.mass, t0 + i * cfg.dt)
-        )
-
-    # enter mid-stream: leading half kick, then alternate V and full drifts
-    stream = v_full * np.fft.ifft(k_half * np.fft.fft(state.psi.values))
-    if not np.isfinite(stream.sum()):
-        raise NumericsError("non-finite wavefunction at step 1", step_index=1)
-    if cfg.snapshot_stride == 1 or n_steps == 1:
-        record(stream, 1)
-    for i in range(2, n_steps + 1):
-        stream = v_full * np.fft.ifft(k_full * np.fft.fft(stream))
+    snapshots = [state]
+    stream = state.psi.values
+    for i in range(1, steps[-1] + 1):
+        # the first step enters mid-stream with the leading half kick
+        stream = v_full * np.fft.ifft((k_half if i == 1 else k_full) * np.fft.fft(stream))
         if not np.isfinite(stream.sum()):
             raise NumericsError(f"non-finite wavefunction at step {i}", step_index=i)
-        if i % cfg.snapshot_stride == 0 or i == n_steps:
-            record(stream, i)
+        if i in recorded:
+            psi = np.fft.ifft(k_half * np.fft.fft(stream))
+            snapshots.append(QuantumState(
+                ComplexField(state.grid, psi), state.hbar, state.mass, state.time + i * cfg.dt
+            ))
+    return snapshots
+
+
+def propagate(state: QuantumState, pot: Potential, cfg: EvolutionConfig) -> list[QuantumState]:
+    """Exact snapshots at the times of `evolve`, each one application from t0.
+
+    psi(t) = exp(-iHt/hbar) psi(t0), applied in an eigenbasis of H.  A free
+    Hamiltonian is diagonal in k, so the basis is the Fourier transform; any
+    other potential diagonalizes the spectral Hamiltonian H = V diag(E) V^T
+    once, and psi(t) = V exp(-iEt/hbar) V^T psi(t0).
+    """
+    grid, hbar, mass = state.grid, state.hbar, state.mass
+    kinetic = hbar**2 * grid.k**2 / (2 * mass)
+    if pot.kind == "free":
+        energies, coeffs, to_x = kinetic, np.fft.fft(state.psi.values), np.fft.ifft
+    else:
+        # the kinetic symbol is even in k, so its circulant is real and
+        # symmetric (the unpaired Nyquist mode contributes (-1)^(j-l))
+        idx = np.arange(grid.num_points)
+        h = np.fft.ifft(kinetic).real[(idx[:, None] - idx[None, :]) % grid.num_points]
+        h[idx, idx] += mass * pot.per_mass(grid)
+        if not np.all(np.isfinite(h)):
+            raise NumericsError("non-finite Hamiltonian")
+        energies, vecs = np.linalg.eigh(h)
+        vecs = vecs.astype(complex)
+        coeffs, to_x = vecs.T @ state.psi.values, vecs.dot
+    snapshots = [state]
+    for i in cfg.snapshot_steps()[1:]:
+        psi = to_x(np.exp(-1j * energies * (i * cfg.dt / hbar)) * coeffs)
+        if not np.all(np.isfinite(psi)):
+            raise NumericsError(f"non-finite wavefunction at step {i}", step_index=i)
+        snapshots.append(QuantumState(ComplexField(grid, psi), hbar, mass, state.time + i * cfg.dt))
     return snapshots
 
 

@@ -8,7 +8,9 @@ from qhydro import (
     EvolutionConfig,
     QuantumState,
     RealField,
+    action_per_mass,
     boltzmann_entropy,
+    density,
     entropy_report,
     evolve,
     fisher_information,
@@ -21,6 +23,7 @@ from qhydro import (
     production_correlation,
     production_diffusive,
     superposition,
+    valid_mask,
     von_neumann_entropy,
 )
 
@@ -33,6 +36,22 @@ from qhydro import (
 # and the drift between the two is real, not a discretization artifact.
 VN_GAUSSIAN_STATIC = 9.620131169219542
 VN_GAUSSIAN_AT_T1 = 8.17416648
+
+
+def von_neumann_double_sum(state):
+    """O(N^2) reference: the functional's double integral summed as written."""
+    rho = density(state)
+    mask = valid_mask(rho)
+    amp = np.where(mask, np.sqrt(rho.values), 0.0)
+    s_over_hbar = (state.mass / state.hbar) * action_per_mass(state).values
+    aa = np.outer(amp, amp)
+    ds = np.subtract.outer(s_over_hbar, s_over_hbar)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        log_aa = np.where(aa > 0, np.log(np.where(aa > 0, aa, 1.0)), 0.0)
+    integrand = -aa * (log_aa * np.cos(ds) + ds * np.sin(ds))
+    integrand[~mask, :] = 0.0
+    integrand[:, ~mask] = 0.0
+    return float(state.grid.dx**2 * integrand.sum())
 
 
 def gaussian_rho(grid, sigma):
@@ -78,8 +97,6 @@ class TestBoltzmannEntropy:
         # two states with identical rho and different phase
         flat = gaussian_packet(grid256, 1.0)
         moving = gaussian_packet(grid256, 1.0, width_rate=0.4)
-        from qhydro import density
-
         assert np.isclose(
             boltzmann_entropy(density(flat)), boltzmann_entropy(density(moving)), atol=1e-12
         )
@@ -187,8 +204,6 @@ class TestVonNeumannEntropy:
         # -2 (int a)(int a ln a), a = sqrt(rho), over the same valid set
         state = gaussian_packet(grid256, 1.0)
         full = von_neumann_entropy(state)
-        from qhydro import density, valid_mask
-
         rho = density(state)
         mask = valid_mask(rho)
         a = np.sqrt(rho.values[mask])
@@ -200,11 +215,18 @@ class TestVonNeumannEntropy:
         value = von_neumann_entropy(gaussian_packet(grid256, 1.0))
         assert abs(value - VN_GAUSSIAN_STATIC) / VN_GAUSSIAN_STATIC < 1e-4
 
-    def test_budget_refused(self, grid1024):
-        with pytest.raises(ValueError, match="budget"):
-            von_neumann_entropy(gaussian_packet(grid1024, 1.0))
-        # explicit override allows it
-        von_neumann_entropy(gaussian_packet(grid1024, 1.0), max_points=1024)
+    def test_separable_form_matches_double_sum_under_evolution(self, grid256):
+        # the snapshots of acceptance criterion 9
+        state = gaussian_packet(grid256, 1.0)
+        snaps = evolve(state, free_potential(), EvolutionConfig(1e-3, 2.0, 250))
+        for snap in snaps:
+            oracle = von_neumann_double_sum(snap)
+            assert abs(von_neumann_entropy(snap) - oracle) <= 1e-12 * abs(oracle)
+
+    def test_separable_form_matches_double_sum_with_flow(self):
+        state = gaussian_packet(make_grid(20.0, 512), 1.0, width_rate=0.3, center=0.7)
+        oracle = von_neumann_double_sum(state)
+        assert abs(von_neumann_entropy(state) - oracle) <= 1e-12 * abs(oracle)
 
     def test_global_phase_invariance(self, grid256):
         state = gaussian_packet(grid256, 1.0, width_rate=0.2)

@@ -14,6 +14,7 @@ from qhydro import (
     integrate,
     make_grid,
     plane_wave,
+    propagate,
     step,
     superposition,
     tabulated_potential,
@@ -102,6 +103,37 @@ class TestEvolve:
         assert np.abs(s2 - oracle).max() / s2.mean() < 1e-3
         omega, _ = dominant_mode(times, s2)
         assert abs(omega - 2 * w0) / (2 * w0) < 0.01
+
+
+class TestPropagate:
+    def test_free_plane_wave_analytic_phase(self, grid256):
+        state = plane_wave(grid256, 6)
+        k = 6 * np.pi / grid256.half_width
+        snaps = propagate(state, free_potential(), EvolutionConfig(1e-2, 1.0, 25))
+        assert [s.time for s in snaps] == [0.0, 0.25, 0.5, 0.75, 1.0]
+        for snap in snaps:
+            expected = state.psi.values * np.exp(-1j * k**2 * snap.time / 2)
+            assert np.abs(snap.psi.values - expected).max() < 1e-13
+
+    def test_split_step_converges_to_exact(self, trap_grid):
+        # Strang stepping is an independent reference: its distance to the
+        # exact propagator must fall as dt^2
+        state = gaussian_packet(trap_grid, np.sqrt(0.5) * 1.05)
+        pot = harmonic_potential(1.0)
+        t_final = 2.0
+        exact = propagate(state, pot, EvolutionConfig(t_final / 2048, t_final, 512))
+        errs = []
+        for n in (2048, 4096, 8192):
+            split = evolve(state, pot, EvolutionConfig(t_final / n, t_final, n // 4))
+            assert [s.time for s in split] == [s.time for s in exact]
+            errs.append(np.abs(split[-1].psi.values - exact[-1].psi.values).max())
+        ratios = [errs[i] / errs[i + 1] for i in range(2)]
+        assert all(3.0 < r < 5.0 for r in ratios)
+
+    def test_snapshot_steps(self):
+        assert EvolutionConfig(1e-3, 0.0).snapshot_steps() == [0]
+        assert EvolutionConfig(1e-3, 0.009, 3).snapshot_steps() == [0, 3, 6, 9]
+        assert EvolutionConfig(1e-3, 0.01005, 3).snapshot_steps() == [0, 3, 6, 9, 10]
 
 
 class TestEnergy:
