@@ -17,11 +17,11 @@ import numpy as np
 
 from .grid import ComplexField, Grid, RealField, integrate, spectral_derivative
 from .madelung import (
-    DENSITY_FLOOR_RATIO,
     QuantumState,
     advective_velocity,
     density,
     diffusive_velocity,
+    valid_mask,
     _log_density_ratios,
 )
 from .schrodinger import NumericsError
@@ -164,14 +164,14 @@ def entropy_equation_residual(
     if D is None:
         D = before.hbar / (2 * before.mass)
 
-    def entropy_density(rho_vals):
-        mask = rho_vals >= DENSITY_FLOOR_RATIO * rho_vals.max()
+    def entropy_density(rho):
+        mask = valid_mask(rho)
         with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(mask, -rho_vals * np.log(np.where(mask, rho_vals, 1.0)), 0.0), mask
+            return np.where(mask, -rho.values * np.log(np.where(mask, rho.values, 1.0)), 0.0), mask
 
     rho_b, rho_a = density(before), density(after)
-    s_b, mask_b = entropy_density(rho_b.values)
-    s_a, mask_a = entropy_density(rho_a.values)
+    s_b, mask_b = entropy_density(rho_b)
+    s_a, mask_a = entropy_density(rho_a)
     gap = after.time - before.time
     ds_dt = (s_a - s_b) / gap
 

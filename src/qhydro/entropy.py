@@ -25,6 +25,7 @@ excluded; the sqrt(rho rho') weight suppresses them.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,9 @@ from .madelung import (
     diffusive_velocity,
     valid_mask,
     _psi_ratios,
+    _velocity_from_ratio,
 )
+from .schrodinger import NumericsError
 
 __all__ = [
     "EntropyReport",
@@ -75,29 +78,38 @@ def _masked_integral(grid_dx, integrand: np.ndarray, mask: np.ndarray) -> float:
     return float(grid_dx * np.sum(np.where(mask, integrand, 0.0)))
 
 
-def boltzmann_entropy(rho: RealField, k_B: float = 1.0) -> float:
-    """-k_B * integral(rho ln rho) dx, with 0*ln(0) = 0 at masked points."""
-    mask = valid_mask(rho)
+def _boltzmann(rho: RealField, mask: np.ndarray, k_B: float) -> float:
     with np.errstate(invalid="ignore", divide="ignore"):
         integrand = rho.values * np.log(np.where(mask, rho.values, 1.0))
     return -k_B * _masked_integral(rho.grid.dx, integrand, mask)
 
 
-def production_advective(state: QuantumState, k_B: float = 1.0) -> float:
-    """k_B <div u_a>: the density-weighted expansion rate of the flow."""
-    rho = density(state)
-    mask, (r1, r2) = _psi_ratios(state, orders=(1, 2))
+def boltzmann_entropy(rho: RealField, k_B: float = 1.0) -> float:
+    """-k_B * integral(rho ln rho) dx, with 0*ln(0) = 0 at masked points."""
+    return _boltzmann(rho, valid_mask(rho), k_B)
+
+
+def _advective_rate(state: QuantumState, rho: RealField, mask, r1, r2, k_B: float) -> float:
+    # div u_a = (hbar/m) Im(grad^2 psi/psi - (grad psi/psi)^2)
     div_ua = (state.hbar / state.mass) * np.imag(r2 - r1 * r1)
     return k_B * _masked_integral(state.grid.dx, rho.values * div_ua, mask)
 
 
-def fisher_information(rho: RealField) -> float:
-    """integral (grad rho)^2 / rho dx over the valid mask; nonnegative."""
-    mask = valid_mask(rho)
-    grad = spectral_derivative(rho.values, rho.grid)
+def production_advective(state: QuantumState, k_B: float = 1.0) -> float:
+    """k_B <div u_a>: the density-weighted expansion rate of the flow."""
+    rho, mask, (r1, r2) = _psi_ratios(state, orders=(1, 2))
+    return _advective_rate(state, rho, mask, r1, r2, k_B)
+
+
+def _fisher(rho: RealField, grad: np.ndarray, mask: np.ndarray) -> float:
     with np.errstate(invalid="ignore", divide="ignore"):
         integrand = grad * grad / np.where(mask, rho.values, 1.0)
     return _masked_integral(rho.grid.dx, integrand, mask)
+
+
+def fisher_information(rho: RealField) -> float:
+    """integral (grad rho)^2 / rho dx over the valid mask; nonnegative."""
+    return _fisher(rho, spectral_derivative(rho.values, rho.grid), valid_mask(rho))
 
 
 def production_diffusive(rho: RealField, D: float, k_B: float = 1.0) -> float:
@@ -107,15 +119,21 @@ def production_diffusive(rho: RealField, D: float, k_B: float = 1.0) -> float:
     return k_B * D * fisher_information(rho)
 
 
+def _correlation_rate(state: QuantumState, rho: RealField, u_a, u_d, mask, k_B: float) -> float:
+    half = state.hbar / (2 * state.mass)
+    integrand = rho.values * u_a * u_d
+    return (k_B / half) * _masked_integral(state.grid.dx, integrand, mask)
+
+
 def production_correlation(state: QuantumState, k_B: float = 1.0) -> float:
-    """(2m/hbar) k_B <u_a u_d>, with u_d taken at D = hbar/2m."""
+    """(2m/hbar) k_B <u_a u_d>, with u_d taken at D = hbar/2m.
+
+    u_d comes from the transform of rho, independently of psi'/psi.
+    """
     rho = density(state)
     u_a = advective_velocity(state)
-    half = state.hbar / (2 * state.mass)
-    u_d = diffusive_velocity(rho, half)
-    mask = u_a.mask & u_d.mask
-    integrand = rho.values * u_a.values * u_d.values
-    return (k_B / half) * _masked_integral(state.grid.dx, integrand, mask)
+    u_d = diffusive_velocity(rho, state.hbar / (2 * state.mass))
+    return _correlation_rate(state, rho, u_a.values, u_d.values, u_a.mask & u_d.mask, k_B)
 
 
 def von_neumann_entropy(state: QuantumState) -> float:
@@ -169,27 +187,36 @@ def entropy_report(
 ) -> EntropyReport:
     """Aggregate the entropy diagnostics that apply to the given state.
 
-    Quantum states report all production forms with D = hbar/2m; diffusion
-    states report only the Boltzmann entropy and the diffusive production at
-    their own D.
+    Quantum states report all production forms with D = hbar/2m, derived
+    from r1 = psi'/psi and r2 = psi''/psi of one forward transform:
+    div u_a = (hbar/m) Im(r2 - r1^2), rho'/rho = 2 Re r1, and
+    u_a + i u_d = -i (hbar/m) r1.  Diffusion states report the Boltzmann
+    entropy and the diffusive production at their own D.  The Fisher
+    information is computed once and scaled into the diffusive production.
+    Raises NumericsError if any reported value is not finite.
     """
+    quantum = {}
     if isinstance(state, DiffusionState):
-        return EntropyReport(
-            ent_boltzmann=boltzmann_entropy(state.rho, k_B),
-            fisher_information=fisher_information(state.rho),
-            production_diffusive=production_diffusive(state.rho, state.D, k_B),
-            k_B=k_B,
+        rho, D = state.rho, state.D
+        mask = valid_mask(rho)
+        fisher = fisher_information(rho)
+    else:
+        rho, mask, (r1, r2) = _psi_ratios(state, orders=(1, 2))
+        D = state.hbar / (2 * state.mass)
+        v = _velocity_from_ratio(state, r1)
+        fisher = _fisher(rho, 2.0 * rho.values * r1.real, mask)
+        quantum = dict(
+            production_advective=_advective_rate(state, rho, mask, r1, r2, k_B),
+            production_correlation=_correlation_rate(state, rho, v.real, v.imag, mask, k_B),
+            ent_von_neumann=von_neumann_entropy(state) if include_von_neumann else None,
         )
-    rho = density(state)
-    vn = None
-    if include_von_neumann:
-        vn = von_neumann_entropy(state)
-    return EntropyReport(
-        ent_boltzmann=boltzmann_entropy(rho, k_B),
-        fisher_information=fisher_information(rho),
-        production_diffusive=production_diffusive(rho, state.hbar / (2 * state.mass), k_B),
-        production_advective=production_advective(state, k_B),
-        production_correlation=production_correlation(state, k_B),
-        ent_von_neumann=vn,
+    report = EntropyReport(
+        ent_boltzmann=_boltzmann(rho, mask, k_B),
+        fisher_information=fisher,
+        production_diffusive=k_B * D * fisher,
         k_B=k_B,
+        **quantum,
     )
+    if not all(math.isfinite(x) for x in vars(report).values() if x is not None):
+        raise NumericsError(f"non-finite entropy diagnostics at t = {state.time}: {report}")
+    return report

@@ -17,6 +17,8 @@ __all__ = [
     "ComplexField",
     "make_grid",
     "derivative",
+    "spectral_derivative",
+    "spectral_derivatives",
     "integrate",
 ]
 
@@ -150,23 +152,35 @@ class ComplexField:
         return self.valid
 
 
-def spectral_derivative(values: np.ndarray, grid: Grid, order: int = 1) -> np.ndarray:
-    """Spectral derivative of a sample array: transform, multiply by (ik)^order, invert.
+def spectral_derivatives(
+    values: np.ndarray, grid: Grid, orders: tuple[int, ...]
+) -> list[np.ndarray]:
+    """Spectral derivatives of several orders from one forward transform.
 
-    Real input yields real output; the sub-1e-12 imaginary residue of the
-    round trip is truncated.  The Nyquist mode is zeroed for odd orders so
-    that odd derivatives of real fields stay real and symmetric.
+    The samples are transformed once; each order then costs one multiply by
+    (ik)^order and one inverse transform.  Real input yields real output;
+    the sub-1e-12 imaginary residue of the round trip is truncated.  The
+    Nyquist mode is zeroed for odd orders so that odd derivatives of real
+    fields stay real and symmetric.
     """
-    if order < 1:
+    if any(order < 1 for order in orders):
         raise ValueError("derivative order must be a positive integer")
-    mult = (1j * grid.k.astype(np.result_type(grid.k.dtype, np.complex128))) ** order
-    if order % 2 == 1:
-        mult = mult.copy()
-        mult[grid.nyquist_index] = 0.0
-    out = np.fft.ifft(mult * np.fft.fft(values))
-    if np.iscomplexobj(values):
-        return out
-    return out.real
+    ik = 1j * grid.k.astype(np.result_type(grid.k.dtype, np.complex128))
+    spectrum = np.fft.fft(values)
+    out = []
+    for order in orders:
+        mult = ik**order
+        if order % 2 == 1:
+            mult[grid.nyquist_index] = 0.0
+        d = np.fft.ifft(mult * spectrum)
+        out.append(d if np.iscomplexobj(values) else d.real)
+    return out
+
+
+def spectral_derivative(values: np.ndarray, grid: Grid, order: int = 1) -> np.ndarray:
+    """Spectral d^order/dx^order of a sample array; see `spectral_derivatives`."""
+    (out,) = spectral_derivatives(values, grid, (order,))
+    return out
 
 
 def derivative(f, order: int = 1):

@@ -18,7 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ComplexField, Grid, RealField, integrate, spectral_derivative
+from .grid import (
+    ComplexField,
+    Grid,
+    RealField,
+    integrate,
+    spectral_derivative,
+    spectral_derivatives,
+)
 
 __all__ = [
     "DENSITY_FLOOR_RATIO",
@@ -95,17 +102,26 @@ def density(state: QuantumState) -> RealField:
 
 
 def _psi_ratios(state: QuantumState, orders=(1,)):
-    """grad^n(psi)/psi for the requested orders, zeroed off the valid mask."""
+    """rho, its valid mask, and grad^n(psi)/psi for the requested orders.
+
+    All orders come from one forward transform of psi; the ratios are
+    zeroed off the valid mask.
+    """
     psi = state.psi.values
-    rho = np.abs(psi) ** 2
-    mask = (rho >= DENSITY_FLOOR_RATIO * rho.max())
+    rho = density(state)
+    mask = valid_mask(rho)
     safe = np.where(mask, psi, 1.0)
-    out = []
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        for n in orders:
-            dn = spectral_derivative(psi, state.grid, n)
-            out.append(np.where(mask, dn / safe, 0.0))
-    return mask, out
+        ratios = [
+            np.where(mask, dn / safe, 0.0)
+            for dn in spectral_derivatives(psi, state.grid, orders)
+        ]
+    return rho, mask, ratios
+
+
+def _velocity_from_ratio(state: QuantumState, ratio: np.ndarray) -> np.ndarray:
+    """-i (hbar/m) grad(psi)/psi: u_a in the real part, u_d (D = hbar/2m) in the imaginary."""
+    return -1j * (state.hbar / state.mass) * ratio
 
 
 def complex_velocity(state: QuantumState) -> ComplexField:
@@ -115,11 +131,10 @@ def complex_velocity(state: QuantumState) -> ComplexField:
     diffusive velocity -(hbar/2m) grad(ln rho).  Masked points are marked
     invalid and excluded from diagnostics.
     """
-    mask, (ratio,) = _psi_ratios(state)
+    _, mask, (ratio,) = _psi_ratios(state)
     if not mask.any():
         raise ValueError("density below the floor everywhere; no valid points")
-    v = -1j * (state.hbar / state.mass) * ratio
-    return ComplexField(state.grid, v, mask)
+    return ComplexField(state.grid, _velocity_from_ratio(state, ratio), mask)
 
 
 def advective_velocity(state: QuantumState) -> RealField:
@@ -184,11 +199,12 @@ def _log_density_ratios(rho: RealField, orders=(1, 2, 3)):
     """
     mask = valid_mask(rho)
     safe = np.where(mask, rho.values, 1.0)
-    out = []
     with np.errstate(invalid="ignore", divide="ignore"):
-        for n in orders:
-            out.append(np.where(mask, spectral_derivative(rho.values, rho.grid, n) / safe, 0.0))
-    return mask, out
+        ratios = [
+            np.where(mask, dn / safe, 0.0)
+            for dn in spectral_derivatives(rho.values, rho.grid, orders)
+        ]
+    return mask, ratios
 
 
 def diffusive_bohm_force(rho: RealField, D: float) -> RealField:
@@ -213,14 +229,14 @@ def action_per_mass(state: QuantumState) -> RealField:
     disagrees grossly with u_a, which signals a phase jump beyond pi between
     adjacent points (under-resolution).
     """
-    rho = np.abs(state.psi.values) ** 2
-    mask = rho >= DENSITY_FLOOR_RATIO * rho.max()
+    rho = density(state)
+    mask = valid_mask(rho)
     if not mask.any():
         raise ValueError("density below the floor everywhere; no valid points")
     phase = np.angle(state.psi.values[mask])
     unwrapped = np.unwrap(phase)
     scale = state.hbar / state.mass
-    s_tilde = np.zeros_like(rho)
+    s_tilde = np.zeros_like(rho.values)
     s_tilde[mask] = scale * unwrapped
 
     u_a = advective_velocity(state)

@@ -1,11 +1,15 @@
 import json
+import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from qhydro import cli
 from qhydro.cli import (
     CSV_COLUMNS,
     ConfigError,
+    IdentityCheck,
     SCENARIOS,
     compare_quantum_diffusion,
     config_hash,
@@ -128,12 +132,71 @@ class TestRunScenario:
         assert len(report.rows) == 81
         assert all(r.ent_von_neumann is not None for r in report.rows)
 
+    def test_six_transforms_per_row(self, monkeypatch):
+        # 1 in propagate, 3 for the entropy report (psi', psi''), 2 for the energy
+        calls = [0]
+        fft, ifft = np.fft.fft, np.fft.ifft
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls[0] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(np.fft, "fft", counted(fft))
+        monkeypatch.setattr(np.fft, "ifft", counted(ifft))
+        report = run_scenario(default_config("free_gaussian"))
+        assert len(report.rows) == 81
+        assert calls[0] == 6 * 81 == 486
+
     def test_identity_lines_are_parseable(self, quick_free):
         report = run_scenario(quick_free)
         for line in report.identity_lines():
             assert line.startswith("IDENTITY scenario=free_gaussian name=")
             assert "tolerance=" in line and "measured=" in line
             assert line.endswith("PASS") or line.endswith("FAIL")
+
+
+class TestNanIdentities:
+    def test_nan_measurement_never_passes(self):
+        assert IdentityCheck("x", 1.0, math.nan, True).passed is False
+        assert IdentityCheck("x", 1.0, math.inf, True).passed is False
+        assert IdentityCheck("x", 1.0, 0.5, True).passed is True
+
+    def test_nan_in_second_quantum_row_fails(self, quick_free):
+        report, snapshots = cli._run_quantum(quick_free)
+        report.rows[1].norm = math.nan
+        checks = {c.name: c for c in cli._quantum_identities(quick_free, snapshots, report.rows)}
+        assert checks["norm_conservation"].passed is False
+        assert math.isnan(checks["norm_conservation"].measured)
+
+    def test_nan_in_second_quantum_rate_row_fails(self, quick_free):
+        report, snapshots = cli._run_quantum(quick_free)
+        report.rows[1].production_advective = math.nan
+        checks = {c.name: c for c in cli._quantum_identities(quick_free, snapshots, report.rows)}
+        assert checks["production_advective_equals_correlation"].passed is False
+        assert checks["entropy_rate_matches_production"].passed is False
+
+    def test_nan_in_second_diffusion_row_fails(self, quick_diffusion):
+        report, _ = cli._run_diffusion(quick_diffusion)
+        report.rows[1].production_diffusive = math.nan
+        checks = {c.name: c for c in cli._diffusion_identities(quick_diffusion, report.rows)}
+        assert checks["production_is_kB_D_fisher"].passed is False
+
+    def test_nan_in_second_compare_row_fails(self, quick_free, monkeypatch):
+        calls = [0]
+        sigma2 = cli._sigma2
+
+        def nan_on_second_quantum_row(rho):
+            calls[0] += 1
+            return math.nan if calls[0] == 3 else sigma2(rho)
+
+        monkeypatch.setattr(cli, "_sigma2", nan_on_second_quantum_row)
+        report = compare_quantum_diffusion(quick_free)
+        checks = {c.name: c for c in report.identities}
+        assert checks["quantum_width_quadratic_in_time"].passed is False
+        assert report.exit_code == 1
 
 
 class TestEmit:
@@ -248,6 +311,31 @@ class TestMain:
         path.write_text("[scenario]\nname = free_gaussian\n[grid]\nN = 7\n")
         assert main(["run", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "name = free_gaussian\n[evolution]\nt_final = inf\n",
+            "name = free_gaussian\n[evolution]\nt_final = 1e300\ndt = 1e-300\n",
+            "name = harmonic_perturbed\n[evolution]\nt_final = 0\n",
+            "name = harmonic_perturbed\n[physics]\nepsilon0 = 0.2\n",
+            "name = diffusion_gaussian\n[physics]\nstart_time = nan\n",
+        ],
+        ids=[
+            "t_final_inf",
+            "step_count_overflows",
+            "perturbed_no_step",
+            "perturbed_large_epsilon",
+            "start_time_nan",
+        ],
+    )
+    def test_crashing_configs_exit_2(self, tmp_path, capsys, body):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[scenario]\n{body}[output]\ndirectory = {tmp_path / 'out'}\n")
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert not (tmp_path / "out").exists()
 
     def test_identity_failure_exit_code(self, tmp_path, capsys):
         # an unresolved grid cannot hold the spreading-packet references

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 from scipy import integrate as scipy_integrate
 
+from qhydro.cli import _floored_rel
+
 from qhydro import (
     ComplexField,
     DiffusionState,
     EvolutionConfig,
+    NumericsError,
     QuantumState,
     RealField,
     action_per_mass,
@@ -16,6 +19,7 @@ from qhydro import (
     fisher_information,
     free_potential,
     gaussian_packet,
+    harmonic_potential,
     integrate,
     kernel_log_functional,
     make_grid,
@@ -23,6 +27,7 @@ from qhydro import (
     production_advective,
     production_correlation,
     production_diffusive,
+    propagate,
     superposition,
     valid_mask,
     von_neumann_entropy,
@@ -291,3 +296,51 @@ class TestEntropyReport:
     def test_von_neumann_included_on_request(self, grid256):
         report = entropy_report(gaussian_packet(grid256, 1.0), include_von_neumann=True)
         assert report.ent_von_neumann is not None
+
+    def test_diffusion_report_matches_standalone_bitwise(self, grid1024):
+        state = DiffusionState(gaussian_rho(grid1024, 1.3), D=0.7, time=0.5)
+        report = entropy_report(state, k_B=2.0)
+        assert report.ent_boltzmann == boltzmann_entropy(state.rho, 2.0)
+        assert report.fisher_information == fisher_information(state.rho)
+        assert report.production_diffusive == production_diffusive(state.rho, 0.7, 2.0)
+
+    def test_non_finite_value_is_a_numeric_abort(self, unit_gaussian):
+        with pytest.raises(NumericsError, match="non-finite"):
+            entropy_report(unit_gaussian, k_B=np.inf)
+
+
+def _perturbed_trap_snapshot():
+    # the harmonic_perturbed default grid and width, one breathing period in
+    grid = make_grid(12.0, 256)
+    s0 = np.sqrt(0.5)
+    state = gaussian_packet(grid, s0 + 0.01 * s0)
+    return propagate(state, harmonic_potential(1.0), EvolutionConfig(2e-4, 1.1, 5500))[-1]
+
+
+@pytest.mark.parametrize(
+    "make_state",
+    [
+        lambda: gaussian_packet(make_grid(20.0, 256), 1.0),
+        lambda: gaussian_packet(make_grid(20.0, 512), 1.0, width_rate=0.3),
+        _perturbed_trap_snapshot,
+    ],
+    ids=["unit_gaussian", "width_rate_0.3_N512", "harmonic_perturbed"],
+)
+def test_quantum_report_matches_standalone_functions(make_state):
+    """The psi'/psi row path agrees with the independent per-quantity functions."""
+    state = make_state()
+    k_B = 1.5
+    report = entropy_report(state, k_B, include_von_neumann=True)
+    rho = density(state)
+    half = state.hbar / (2 * state.mass)
+    expected = {
+        "ent_boltzmann": boltzmann_entropy(rho, k_B),
+        "fisher_information": fisher_information(rho),
+        "production_diffusive": production_diffusive(rho, half, k_B),
+        "production_advective": production_advective(state, k_B),
+        "production_correlation": production_correlation(state, k_B),
+        "ent_von_neumann": von_neumann_entropy(state),
+    }
+    for name, value in expected.items():
+        assert _floored_rel(getattr(report, name), value) <= 1e-12, name
+    assert report.k_B == k_B

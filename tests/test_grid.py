@@ -3,6 +3,7 @@ import pytest
 from scipy import integrate as scipy_integrate
 
 from qhydro import ComplexField, RealField, derivative, integrate, make_grid
+from qhydro.grid import spectral_derivative, spectral_derivatives
 from conftest import smooth_periodic
 
 
@@ -98,6 +99,42 @@ class TestDerivative:
         direct = derivative(f, order=2).values
         scale = np.abs(direct).max()
         assert np.abs(once_twice - direct).max() < 1e-10 * scale
+
+
+class TestSpectralDerivatives:
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_bit_identical_to_single_order(self, grid256, kind):
+        f = smooth_periodic(grid256, seed=11)
+        if kind == "complex":
+            f = f + 1j * smooth_periodic(grid256, seed=12)
+        # a random field has a nonzero Nyquist mode, so a zeroed odd-order
+        # multiplier leaking into the next order would show
+        f = f + 1e-3 * np.random.default_rng(13).normal(size=grid256.num_points)
+        batch = spectral_derivatives(f, grid256, (1, 2, 3))
+        for order, d in zip((1, 2, 3), batch):
+            single = spectral_derivative(f, grid256, order)
+            assert d.dtype == single.dtype == f.dtype
+            assert np.array_equal(d, single)
+
+    def test_one_forward_transform(self, grid256, monkeypatch):
+        calls = {"fft": 0, "ifft": 0}
+        fft, ifft = np.fft.fft, np.fft.ifft
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(np.fft, "fft", counted("fft", fft))
+        monkeypatch.setattr(np.fft, "ifft", counted("ifft", ifft))
+        spectral_derivatives(smooth_periodic(grid256, seed=14), grid256, (1, 2, 3))
+        assert calls == {"fft": 1, "ifft": 3}
+
+    def test_bad_order_rejected(self, grid256):
+        with pytest.raises(ValueError):
+            spectral_derivatives(np.zeros(grid256.num_points), grid256, (1, 0))
 
 
 class TestIntegrate:
