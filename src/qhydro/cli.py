@@ -34,18 +34,18 @@ from .analytic import (
     harmonic_ground_width,
     harmonic_sigma,
 )
-from .diffusion import DiffusionState, diffuse_step, gaussian_density
-from .entropy import EntropyReport, boltzmann_entropy, entropy_report
-from .grid import RealField, integrate, make_grid
-from .madelung import advective_velocity, density
+from .diffusion import DiffusionState, gaussian_density, _kernel_blocks
+from .entropy import _boltzmann_rows, _diffusion_rows, _quantum_rows
+from .grid import make_grid, spectral_derivatives
+from .madelung import density, _drift
 from .schrodinger import (
     EvolutionConfig,
     NumericsError,
-    energy,
     free_potential,
     gaussian_packet,
     harmonic_potential,
-    propagate,
+    _energy_rows,
+    _snapshot_blocks,
 )
 from .traces import centered_difference
 
@@ -205,13 +205,21 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
         problems.append(f"dt must be positive, got {cfg.dt}")
     if cfg.t_final < 0:
         problems.append(f"t_final must be nonnegative, got {cfg.t_final}")
-    if cfg.dt > 0 and math.isfinite(cfg.t_final) and not math.isfinite(cfg.t_final / cfg.dt):
-        problems.append(f"t_final/dt overflows, got {cfg.t_final}/{cfg.dt}")
+    if cfg.dt > 0 and math.isfinite(cfg.t_final):
+        ratio = cfg.t_final / cfg.dt
+        if not (math.isfinite(ratio) and round(ratio) <= sys.maxsize):
+            problems.append(f"t_final/dt overflows the step count, got {cfg.t_final}/{cfg.dt}")
     if cfg.snapshot_stride < 1:
         problems.append(f"snapshot_stride must be >= 1, got {cfg.snapshot_stride}")
     if cfg.scenario in ("harmonic_ground", "harmonic_perturbed") or cfg.potential == "harmonic":
         if not cfg.omega0 > 0:
             problems.append(f"omega0 must be positive, got {cfg.omega0}")
+    if cfg.scenario in ("harmonic_ground", "harmonic_perturbed") and not problems:
+        if not 0 < _ground_width(cfg) < math.inf:
+            problems.append(
+                f"ground width sqrt(hbar/(2 mass omega0)) is {_ground_width(cfg)}, "
+                "not a positive finite number"
+            )
     if cfg.scenario == "harmonic_perturbed" and not problems:
         # the width-equation reference needs one step and a linearized start
         if round(cfg.t_final / cfg.dt) < 1:
@@ -373,9 +381,15 @@ def _floored_rel(a: float, b: float, floor: float = 1e-3) -> float:
     return abs(a - b) / max(abs(a), abs(b), floor)
 
 
-def _sigma2(rho: RealField) -> float:
-    g = rho.grid
-    return float(g.dx * np.sum(g.x**2 * rho.values))
+def _sigma2(rho: np.ndarray, grid) -> np.ndarray:
+    """Second moment about x = 0 of each row of a (rows, N) block of densities."""
+    return grid.dx * np.sum(grid.x**2 * rho, axis=-1)
+
+
+def _rows_of(columns: dict, count: int) -> list[dict]:
+    """One dict per row from a block's columns (arrays or lists; None where not applicable)."""
+    lists = [[None] * count if c is None else np.asarray(c).tolist() for c in columns.values()]
+    return [dict(zip(columns, values)) for values in zip(*lists)]
 
 
 def _ground_width(cfg: ScenarioConfig) -> float:
@@ -389,7 +403,11 @@ def _evolution(cfg: ScenarioConfig) -> EvolutionConfig:
     return EvolutionConfig(cfg.dt, cfg.t_final, cfg.snapshot_stride)
 
 
-def _run_quantum(cfg: ScenarioConfig) -> tuple[RunReport, list]:
+def _run_quantum(cfg: ScenarioConfig) -> tuple[RunReport, dict]:
+    """The report, and per row the maxima the stationarity identities reduce.
+
+    The maxima are max|u_a| ("ua_max") and max|rho - rho0| ("rho_drift").
+    """
     grid = make_grid(cfg.L, cfg.N)
     if cfg.scenario == "free_gaussian":
         pot = free_potential()
@@ -405,53 +423,49 @@ def _run_quantum(cfg: ScenarioConfig) -> tuple[RunReport, list]:
         state = gaussian_packet(grid, cfg.sigma0, cfg.hbar, cfg.mass, width_rate=cfg.width_rate)
 
     ev = _evolution(cfg)
-    snapshots = propagate(state, pot, ev)
     refs = _quantum_references(cfg, ev.snapshot_steps())
-
-    rows = [
-        _diagnostics_row(
-            density(snap),
-            snap.time,
-            entropy_report(snap, cfg.k_B, cfg.enable_von_neumann),
-            energy(snap, pot),
-            ref,
+    rho0 = np.abs(state.psi.values) ** 2
+    rows, maxima = [], {"ua_max": [], "rho_drift": []}
+    tables = [] if cfg.emit_fields else None
+    for steps, psi in _snapshot_blocks(state, pot, ev):
+        times = [state.time + i * ev.dt for i in steps]
+        derivatives = spectral_derivatives(psi, grid, (1, 2))
+        ent, rho, mask, v = _quantum_rows(
+            psi, derivatives, grid, cfg.hbar, cfg.mass, cfg.k_B, cfg.enable_von_neumann, times
         )
-        for snap, ref in zip(snapshots, refs)
-    ]
+        energies = _energy_rows(psi, derivatives[1], grid, pot, cfg.hbar, cfg.mass, steps)
+        block_refs = refs[len(rows):len(rows) + len(steps)]
+        rows += _diagnostics_rows(times, rho, grid, ent, energies, block_refs)
+        maxima["ua_max"] += np.abs(v.real).max(axis=-1).tolist()
+        maxima["rho_drift"] += np.abs(rho - rho0).max(axis=-1).tolist()
+        if tables is not None:
+            u_a = np.where(mask, v.real, 0.0)
+            tables += [{"x": grid.x, "rho": r, "u_advective": u} for r, u in zip(rho, u_a)]
     _fill_entropy_rate(rows)
-    identities = _quantum_identities(cfg, snapshots, rows)
-    tables = None
-    if cfg.emit_fields:
-        tables = [
-            {
-                "x": grid.x,
-                "rho": density(s).values,
-                "u_advective": advective_velocity(s).values,
-            }
-            for s in snapshots
-        ]
-    return RunReport(cfg.scenario, CSV_COLUMNS, rows, identities, {}, tables), snapshots
+    identities = _quantum_identities(cfg, rows, maxima)
+    return RunReport(cfg.scenario, CSV_COLUMNS, rows, identities, {}, tables), maxima
 
 
-def _diagnostics_row(rho: RealField, t: float, ent: EntropyReport, energy, refs) -> DiagnosticsRow:
-    """One row: norm and width from rho, entropy terms from `ent`, references from `refs`."""
-    ref_s2, ref_ent, ref_div = refs
-    return DiagnosticsRow(
-        t=t,
-        norm=float(integrate(rho)),
-        energy=energy,
-        sigma2_measured=_sigma2(rho),
-        ent_boltzmann=ent.ent_boltzmann,
+def _diagnostics_rows(times, rho, grid, ent: dict, energies, refs) -> list[DiagnosticsRow]:
+    """A block's rows: norm and width from rho, entropy terms from `ent`, references from `refs`."""
+    ref_s2, ref_ent, ref_div = zip(*refs)
+    columns = dict(
+        t=times,
+        norm=grid.dx * np.sum(rho, axis=-1),
+        energy=energies,
+        sigma2_measured=_sigma2(rho, grid),
+        ent_boltzmann=ent["ent_boltzmann"],
         dEntB_dt_fd=None,
-        production_advective=ent.production_advective,
-        production_correlation=ent.production_correlation,
-        fisher=ent.fisher_information,
-        production_diffusive=ent.production_diffusive,
-        ent_von_neumann=ent.ent_von_neumann,
+        production_advective=ent.get("production_advective"),
+        production_correlation=ent.get("production_correlation"),
+        fisher=ent["fisher_information"],
+        production_diffusive=ent["production_diffusive"],
+        ent_von_neumann=ent.get("ent_von_neumann"),
         ref_sigma2=ref_s2,
         ref_entropy=ref_ent,
         ref_divergence=ref_div,
     )
+    return [DiagnosticsRow(**row) for row in _rows_of(columns, len(times))]
 
 
 def _quantum_references(cfg: ScenarioConfig, steps: list[int]):
@@ -496,7 +510,7 @@ def _fill_entropy_rate(rows: list[DiagnosticsRow]):
         row.dEntB_dt_fd = float(value)
 
 
-def _quantum_identities(cfg: ScenarioConfig, snapshots, rows) -> list[IdentityCheck]:
+def _quantum_identities(cfg: ScenarioConfig, rows, maxima: dict) -> list[IdentityCheck]:
     checks = []
     norm_drift = _worst(abs(r.norm - 1.0) for r in rows)
     checks.append(IdentityCheck("norm_conservation", 1e-10, norm_drift, norm_drift < 1e-10))
@@ -530,10 +544,9 @@ def _quantum_identities(cfg: ScenarioConfig, snapshots, rows) -> list[IdentityCh
         ent0 = rows[0].ent_boltzmann
         ent_drift = _worst(abs(r.ent_boltzmann - ent0) for r in rows)
         checks.append(IdentityCheck("entropy_constant", 1e-6, ent_drift, ent_drift < 1e-6))
-        ua_max = _worst(np.abs(advective_velocity(s).values).max() for s in snapshots)
+        ua_max = _worst(maxima["ua_max"])
         checks.append(IdentityCheck("advective_velocity_zero", 1e-6, ua_max, ua_max < 1e-6))
-        rho0 = density(snapshots[0]).values
-        rho_drift = _worst(np.abs(density(s).values - rho0).max() for s in snapshots)
+        rho_drift = _worst(maxima["rho_drift"])
         checks.append(IdentityCheck("density_stationary", 1e-10, rho_drift, rho_drift < 1e-10))
     elif cfg.scenario == "harmonic_perturbed":
         # solver check against the exact oscillator width formula
@@ -553,38 +566,24 @@ def _quantum_identities(cfg: ScenarioConfig, snapshots, rows) -> list[IdentityCh
     return checks
 
 
-def _run_diffusion(cfg: ScenarioConfig) -> tuple[RunReport, list]:
+def _run_diffusion(cfg: ScenarioConfig) -> RunReport:
     grid = make_grid(cfg.L, cfg.N)
     initial = gaussian_density(grid, cfg.sigma0, cfg.D, time=cfg.start_time)
-    snapshots = _diffuse_snapshots(initial, _evolution(cfg))
+    ev = _evolution(cfg)
     rows = []
-    for snap in snapshots:
-        s2_ref = cfg.sigma0**2 + 2 * cfg.D * (snap.time - cfg.start_time)
-        ref = (s2_ref, float(entropy_of_width(np.sqrt(s2_ref), cfg.k_B)), cfg.D / s2_ref)
-        rows.append(
-            _diagnostics_row(snap.rho, snap.time, entropy_report(snap, cfg.k_B), None, ref)
-        )
+    tables = [] if cfg.emit_fields else None
+    for steps, rho in _kernel_blocks(initial, ev):
+        times = [initial.time + i * ev.dt for i in steps]
+        ent, mask, grad = _diffusion_rows(rho, grid, cfg.D, cfg.k_B, times)
+        s2_refs = [cfg.sigma0**2 + 2 * cfg.D * (t - cfg.start_time) for t in times]
+        refs = [(s2, float(entropy_of_width(np.sqrt(s2), cfg.k_B)), cfg.D / s2) for s2 in s2_refs]
+        rows += _diagnostics_rows(times, rho, grid, ent, None, refs)
+        if tables is not None:
+            u_d = _drift(rho, grad, mask, cfg.D)
+            tables += [{"x": grid.x, "rho": r, "u_diffusive": u} for r, u in zip(rho, u_d)]
     _fill_entropy_rate(rows)
     identities = _diffusion_identities(cfg, rows)
-    tables = None
-    if cfg.emit_fields:
-        from .madelung import diffusive_velocity
-
-        tables = [
-            {
-                "x": grid.x,
-                "rho": s.rho.values,
-                "u_diffusive": diffusive_velocity(s.rho, cfg.D).values,
-            }
-            for s in snapshots
-        ]
-    return RunReport(cfg.scenario, CSV_COLUMNS, rows, identities, {}, tables), snapshots
-
-
-def _diffuse_snapshots(initial: DiffusionState, ev: EvolutionConfig) -> list[DiffusionState]:
-    # the kernel is exact, so each snapshot is reached in one application
-    # from the initial density: no roundoff accumulates across steps
-    return [initial] + [diffuse_step(initial, i * ev.dt) for i in ev.snapshot_steps()[1:]]
+    return RunReport(cfg.scenario, CSV_COLUMNS, rows, identities, {}, tables)
 
 
 def _diffusion_identities(cfg: ScenarioConfig, rows) -> list[IdentityCheck]:
@@ -602,9 +601,10 @@ def _diffusion_identities(cfg: ScenarioConfig, rows) -> list[IdentityCheck]:
     )
     checks.append(IdentityCheck("production_is_kB_D_fisher", 1e-12, defn, defn < 1e-12))
 
-    ent = np.array([r.ent_boltzmann for r in rows])
-    monotone = float(np.diff(ent).min())
-    checks.append(IdentityCheck("entropy_nondecreasing", 1e-12, -monotone, -monotone < 1e-12))
+    if len(rows) >= 2:
+        ent = np.array([r.ent_boltzmann for r in rows])
+        monotone = float(np.diff(ent).min())
+        checks.append(IdentityCheck("entropy_nondecreasing", 1e-12, -monotone, -monotone < 1e-12))
 
     rate_errs = [
         abs(r.dEntB_dt_fd - r.production_diffusive) / abs(r.production_diffusive)
@@ -637,7 +637,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
         raise ConfigError(problems)
     started = time.perf_counter()
     if cfg.scenario == "diffusion_gaussian":
-        report, _ = _run_diffusion(cfg)
+        report = _run_diffusion(cfg)
     else:
         report, _ = _run_quantum(cfg)
     report.provenance = {
@@ -659,34 +659,49 @@ def compare_quantum_diffusion(cfg: ScenarioConfig) -> RunReport:
     1.05x that time.
     """
     problems = validate_config(cfg)
+    if cfg.scenario != "diffusion_gaussian" and not cfg.D > 0:
+        # only the diffusion scenario needs D to run; every comparison does
+        problems.append(f"D must be positive, got {cfg.D}")
     if problems:
         raise ConfigError(problems)
     started = time.perf_counter()
     grid = make_grid(cfg.L, cfg.N)
     q_state = gaussian_packet(grid, cfg.sigma0, cfg.hbar, cfg.mass)
     d_state = DiffusionState(density(q_state), cfg.D, time=0.0)
-
-    q_snaps = propagate(q_state, free_potential(), _evolution(cfg))
-    d_snaps = _diffuse_snapshots(d_state, _evolution(cfg))
-
+    ev = _evolution(cfg)
     p = GaussianParams(cfg.sigma0, cfg.hbar, cfg.mass, D=cfg.D)
     rows = []
-    for qs, ds in zip(q_snaps, d_snaps):
-        rho_q, rho_d = density(qs), ds.rho
-        div = float(np.sqrt(grid.dx * np.sum((rho_q.values - rho_d.values) ** 2)))
-        rows.append(
-            {
-                "t": qs.time,
-                "sigma2_quantum": _sigma2(rho_q),
-                "ref_sigma2_quantum": free_sigma(p, qs.time) ** 2,
-                "sigma2_diffusive": _sigma2(rho_d),
-                "ref_sigma2_diffusive": cfg.sigma0**2 + 2 * cfg.D * ds.time,
-                "ent_boltzmann_quantum": boltzmann_entropy(rho_q, cfg.k_B),
-                "ent_boltzmann_diffusive": boltzmann_entropy(rho_d, cfg.k_B),
-                "rho_l2_divergence": div,
-            }
-        )
+    # both runs cut the same steps into the same blocks
+    blocks = zip(_snapshot_blocks(q_state, free_potential(), ev), _kernel_blocks(d_state, ev))
+    for (steps, psi), (_, rho_d) in blocks:
+        rho_q = np.abs(psi) ** 2
+        times = [q_state.time + i * ev.dt for i in steps]
+        columns = {
+            "t": times,
+            "sigma2_quantum": _sigma2(rho_q, grid),
+            "ref_sigma2_quantum": [free_sigma(p, t) ** 2 for t in times],
+            "sigma2_diffusive": _sigma2(rho_d, grid),
+            "ref_sigma2_diffusive": [
+                cfg.sigma0**2 + 2 * cfg.D * (d_state.time + i * ev.dt) for i in steps
+            ],
+            "ent_boltzmann_quantum": _boltzmann_rows(rho_q, grid.dx, cfg.k_B),
+            "ent_boltzmann_diffusive": _boltzmann_rows(rho_d, grid.dx, cfg.k_B),
+            "rho_l2_divergence": np.sqrt(grid.dx * np.sum((rho_q - rho_d) ** 2, axis=-1)),
+        }
+        rows += _rows_of(columns, len(steps))
 
+    report = RunReport(
+        "compare_quantum_diffusion", COMPARE_COLUMNS, rows, _compare_identities(cfg, rows), {}
+    )
+    report.provenance = {
+        "config_hash": config_hash(cfg),
+        "version": __version__,
+        "wall_time_s": time.perf_counter() - started,
+    }
+    return report
+
+
+def _compare_identities(cfg: ScenarioConfig, rows: list[dict]) -> list[IdentityCheck]:
     checks = []
     initial_div = rows[0]["rho_l2_divergence"]
     checks.append(IdentityCheck("matched_initial_density", 1e-13, initial_div, initial_div < 1e-13))
@@ -703,14 +718,7 @@ def compare_quantum_diffusion(cfg: ScenarioConfig) -> RunReport:
     if cfg.t_final > 1.05 * t_cross:
         gap = rows[-1]["ent_boltzmann_diffusive"] - rows[-1]["ent_boltzmann_quantum"]
         checks.append(IdentityCheck("quantum_entropy_overtakes_diffusive", 0.0, gap, gap < 0.0))
-
-    report = RunReport("compare_quantum_diffusion", COMPARE_COLUMNS, rows, checks, {})
-    report.provenance = {
-        "config_hash": config_hash(cfg),
-        "version": __version__,
-        "wall_time_s": time.perf_counter() - started,
-    }
-    return report
+    return checks
 
 
 def _format_value(v) -> str:
@@ -832,18 +840,18 @@ def main(argv=None) -> int:
             cfg = replace(cfg, formats=(args.format,))
         if args.vn is not None:
             cfg = replace(cfg, enable_von_neumann=(args.vn == "on"))
-    except ConfigError as exc:
-        for problem in exc.problems:
-            print(f"config error: {problem}", file=sys.stderr)
-        return 2
-
-    try:
         if args.command == "run":
             report = run_scenario(cfg)
         else:
             report = compare_quantum_diffusion(cfg)
-    except NumericsError as exc:
-        step_part = f" at step {exc.step_index}" if exc.step_index is not None else ""
+    except ConfigError as exc:
+        for problem in exc.problems:
+            print(f"config error: {problem}", file=sys.stderr)
+        return 2
+    except (NumericsError, ArithmeticError) as exc:
+        # an ArithmeticError is Python float arithmetic overflowing or dividing by 0
+        step = getattr(exc, "step_index", None)
+        step_part = f" at step {step}" if step is not None else ""
         print(f"numeric abort{step_part}: {exc}", file=sys.stderr)
         return 3
 

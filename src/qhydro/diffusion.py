@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ComplexField, Grid, RealField, integrate, spectral_derivative
+from .grid import ComplexField, Grid, RealField, _row_blocks, integrate, spectral_derivative
 from .madelung import (
+    NORM_TOLERANCE,
     QuantumState,
     advective_velocity,
     density,
@@ -24,7 +25,7 @@ from .madelung import (
     valid_mask,
     _log_density_ratios,
 )
-from .schrodinger import NumericsError
+from .schrodinger import EvolutionConfig, _check_rows
 
 __all__ = [
     "DiffusionState",
@@ -52,8 +53,8 @@ class DiffusionState:
         if self.rho.values.min() < 0:
             raise ValueError("density must be nonnegative")
         norm = integrate(self.rho)
-        if abs(norm - 1.0) > 1e-8:
-            raise ValueError(f"density norm {norm!r} deviates from 1 by more than 1e-8")
+        if abs(norm - 1.0) > NORM_TOLERANCE:
+            raise ValueError(f"density norm {norm!r} deviates from 1 by more than {NORM_TOLERANCE}")
 
     @property
     def grid(self) -> Grid:
@@ -70,21 +71,54 @@ def gaussian_density(grid: Grid, sigma: float, D: float, center: float = 0.0, ti
     return DiffusionState(RealField(grid, rho), D, time)
 
 
+def _heat_kernel_rows(spectrum, decay, durations, steps=None) -> np.ndarray:
+    """Densities exp(decay * t) * spectrum mapped back to x, one row per duration t.
+
+    `spectrum` is the transform of the initial density and `decay` is -D k^2.
+    Raises NumericsError at the first row that goes negative beyond rounding
+    or is not finite; rounding-level negatives are clipped to 0.
+    """
+    rho = np.fft.ifft(spectrum * np.exp(decay * np.asarray(durations)[:, None])).real
+    floor = -NEGATIVITY_TOLERANCE * np.fmax(1.0, rho.max(axis=-1))
+    worst = rho.min(axis=-1)
+    _check_rows(
+        worst >= floor, steps,
+        lambda r: f"density went negative ({worst[r]:.3g}); the initial condition is unresolved",
+    )
+    return np.where(rho < 0, 0.0, rho)
+
+
+def _kernel_blocks(initial: DiffusionState, cfg: EvolutionConfig):
+    """Yield (steps, rho) for consecutive row blocks of the heat-kernel snapshots.
+
+    The steps are cfg.snapshot_steps() and rho is a (rows, N) array.  The
+    first block is the initial density itself; every later row is one
+    application of the exact kernel to one forward transform of it, so no
+    roundoff accumulates across steps.
+    Raises NumericsError at the first row whose mass misses 1 by more than
+    NORM_TOLERANCE.
+    """
+    grid = initial.grid
+    steps = cfg.snapshot_steps()
+    yield steps[:1], initial.rho.values[None]
+    spectrum = np.fft.fft(initial.rho.values)
+    decay = -initial.D * grid.k**2
+    for block in _row_blocks(steps[1:], grid.num_points):
+        rho = _heat_kernel_rows(spectrum, decay, [i * cfg.dt for i in block], block)
+        norm = grid.dx * np.sum(rho, axis=-1)
+        _check_rows(
+            ~(np.abs(norm - 1.0) > NORM_TOLERANCE), block,
+            lambda r: f"density norm {norm[r]!r} deviates from 1 by more than {NORM_TOLERANCE}",
+        )
+        yield block, rho
+
+
 def diffuse_step(state: DiffusionState, dt: float) -> DiffusionState:
     """Exact heat-kernel step: rho_k -> rho_k * exp(-D k^2 dt)."""
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     grid = state.grid
-    rho_k = np.fft.fft(state.rho.values)
-    rho_k = rho_k * np.exp(-state.D * grid.k**2 * dt)
-    rho = np.fft.ifft(rho_k).real
-    floor = -NEGATIVITY_TOLERANCE * max(1.0, float(rho.max()))
-    worst = rho.min()
-    if worst < floor:
-        raise NumericsError(
-            f"density went negative ({worst:.3g}); the initial condition is unresolved"
-        )
-    rho = np.where(rho < 0, 0.0, rho)  # clip rounding-level negatives only
+    rho = _heat_kernel_rows(np.fft.fft(state.rho.values), -state.D * grid.k**2, [dt])[0]
     return DiffusionState(RealField(grid, rho), state.D, state.time + dt)
 
 

@@ -25,13 +25,12 @@ excluded; the sqrt(rho rho') weight suppresses them.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .diffusion import DiffusionState
-from .grid import RealField, spectral_derivative
+from .grid import RealField, spectral_derivative, spectral_derivatives
 from .madelung import (
     QuantumState,
     action_per_mass,
@@ -39,6 +38,7 @@ from .madelung import (
     density,
     diffusive_velocity,
     valid_mask,
+    _floor_mask,
     _psi_ratios,
     _velocity_from_ratio,
 )
@@ -74,42 +74,50 @@ class EntropyReport:
     k_B: float = 1.0
 
 
-def _masked_integral(grid_dx, integrand: np.ndarray, mask: np.ndarray) -> float:
-    return float(grid_dx * np.sum(np.where(mask, integrand, 0.0)))
+def _masked_integral(dx, integrand: np.ndarray, mask: np.ndarray):
+    """dx * sum of the integrand over the valid points of each row (last axis)."""
+    return dx * np.sum(np.where(mask, integrand, 0.0), axis=-1)
 
 
-def _boltzmann(rho: RealField, mask: np.ndarray, k_B: float) -> float:
+def _boltzmann(rho: np.ndarray, mask: np.ndarray, dx, k_B: float):
     with np.errstate(invalid="ignore", divide="ignore"):
-        integrand = rho.values * np.log(np.where(mask, rho.values, 1.0))
-    return -k_B * _masked_integral(rho.grid.dx, integrand, mask)
+        integrand = rho * np.log(np.where(mask, rho, 1.0))
+    return -k_B * _masked_integral(dx, integrand, mask)
+
+
+def _boltzmann_rows(rho: np.ndarray, dx, k_B: float) -> np.ndarray:
+    """Boltzmann entropy of each row of a (rows, N) block of densities."""
+    return _boltzmann(rho, _floor_mask(rho), dx, k_B)
 
 
 def boltzmann_entropy(rho: RealField, k_B: float = 1.0) -> float:
     """-k_B * integral(rho ln rho) dx, with 0*ln(0) = 0 at masked points."""
-    return _boltzmann(rho, valid_mask(rho), k_B)
+    return float(_boltzmann(rho.values, valid_mask(rho), rho.grid.dx, k_B))
 
 
-def _advective_rate(state: QuantumState, rho: RealField, mask, r1, r2, k_B: float) -> float:
+def _advective_rate(rho, mask, r1, r2, dx, hbar: float, mass: float, k_B: float):
     # div u_a = (hbar/m) Im(grad^2 psi/psi - (grad psi/psi)^2)
-    div_ua = (state.hbar / state.mass) * np.imag(r2 - r1 * r1)
-    return k_B * _masked_integral(state.grid.dx, rho.values * div_ua, mask)
+    div_ua = (hbar / mass) * np.imag(r2 - r1 * r1)
+    return k_B * _masked_integral(dx, rho * div_ua, mask)
 
 
 def production_advective(state: QuantumState, k_B: float = 1.0) -> float:
     """k_B <div u_a>: the density-weighted expansion rate of the flow."""
-    rho, mask, (r1, r2) = _psi_ratios(state, orders=(1, 2))
-    return _advective_rate(state, rho, mask, r1, r2, k_B)
+    psi = state.psi.values
+    rho, mask, (r1, r2) = _psi_ratios(psi, spectral_derivatives(psi, state.grid, (1, 2)))
+    return float(_advective_rate(rho, mask, r1, r2, state.grid.dx, state.hbar, state.mass, k_B))
 
 
-def _fisher(rho: RealField, grad: np.ndarray, mask: np.ndarray) -> float:
+def _fisher(rho: np.ndarray, grad: np.ndarray, mask: np.ndarray, dx):
     with np.errstate(invalid="ignore", divide="ignore"):
-        integrand = grad * grad / np.where(mask, rho.values, 1.0)
-    return _masked_integral(rho.grid.dx, integrand, mask)
+        integrand = grad * grad / np.where(mask, rho, 1.0)
+    return _masked_integral(dx, integrand, mask)
 
 
 def fisher_information(rho: RealField) -> float:
     """integral (grad rho)^2 / rho dx over the valid mask; nonnegative."""
-    return _fisher(rho, spectral_derivative(rho.values, rho.grid), valid_mask(rho))
+    grad = spectral_derivative(rho.values, rho.grid)
+    return float(_fisher(rho.values, grad, valid_mask(rho), rho.grid.dx))
 
 
 def production_diffusive(rho: RealField, D: float, k_B: float = 1.0) -> float:
@@ -119,10 +127,10 @@ def production_diffusive(rho: RealField, D: float, k_B: float = 1.0) -> float:
     return k_B * D * fisher_information(rho)
 
 
-def _correlation_rate(state: QuantumState, rho: RealField, u_a, u_d, mask, k_B: float) -> float:
-    half = state.hbar / (2 * state.mass)
-    integrand = rho.values * u_a * u_d
-    return (k_B / half) * _masked_integral(state.grid.dx, integrand, mask)
+def _correlation_rate(rho, u_a, u_d, mask, dx, hbar: float, mass: float, k_B: float):
+    half = hbar / (2 * mass)
+    integrand = rho * u_a * u_d
+    return (k_B / half) * _masked_integral(dx, integrand, mask)
 
 
 def production_correlation(state: QuantumState, k_B: float = 1.0) -> float:
@@ -133,7 +141,16 @@ def production_correlation(state: QuantumState, k_B: float = 1.0) -> float:
     rho = density(state)
     u_a = advective_velocity(state)
     u_d = diffusive_velocity(rho, state.hbar / (2 * state.mass))
-    return _correlation_rate(state, rho, u_a.values, u_d.values, u_a.mask & u_d.mask, k_B)
+    return float(_correlation_rate(
+        rho.values, u_a.values, u_d.values, u_a.mask & u_d.mask,
+        state.grid.dx, state.hbar, state.mass, k_B,
+    ))
+
+
+def _von_neumann(psi: np.ndarray, dx) -> np.ndarray:
+    # one BLAS dot per row, exactly as for a lone state
+    n = dx * np.array([np.vdot(row, row).real for row in psi])
+    return -n * np.log(n)
 
 
 def von_neumann_entropy(state: QuantumState) -> float:
@@ -144,9 +161,7 @@ def von_neumann_entropy(state: QuantumState) -> float:
     -n ln n: zero for a normalized pure state, and unchanged by any unitary
     evolution.  Costs O(N) and needs no phase unwrap.
     """
-    psi = state.psi.values
-    n = state.grid.dx * np.vdot(psi, psi).real
-    return float(-n * np.log(n))
+    return float(_von_neumann(state.psi.values[None], state.grid.dx)[0])
 
 
 def kernel_log_functional(state: QuantumState) -> float:
@@ -180,6 +195,62 @@ def kernel_log_functional(state: QuantumState) -> float:
     return float(-2.0 * (np.conj(total) * weighted).real)
 
 
+def _require_finite(columns: dict, times):
+    """NumericsError at the first row of the block with a non-finite value."""
+    present = {name: col for name, col in columns.items() if col is not None}
+    finite = np.logical_and.reduce([np.isfinite(col) for col in present.values()])
+    if not finite.all():
+        row = int(np.argmin(finite))
+        values = ", ".join(f"{name}={col[row]!r}" for name, col in present.items())
+        raise NumericsError(f"non-finite entropy diagnostics at t = {times[row]}: {values}")
+
+
+def _quantum_rows(psi, derivatives, grid, hbar, mass, k_B, include_von_neumann, times):
+    """Entropy columns of a (rows, N) block of wavefunctions, one value per row.
+
+    `derivatives` holds psi' and psi'' of the block from one forward
+    transform.  With r1 = psi'/psi and r2 = psi''/psi: div u_a =
+    (hbar/m) Im(r2 - r1^2), rho'/rho = 2 Re r1, and u_a + i u_d =
+    -i (hbar/m) r1.  Returns the columns (keyed like EntropyReport; None
+    where a value does not apply) with rho, its valid mask and u_a + i u_d,
+    which the runners reuse.  Raises NumericsError at the first row with a
+    non-finite value; `times` names it.
+    """
+    rho, mask, (r1, r2) = _psi_ratios(psi, derivatives)
+    dx = grid.dx
+    v = _velocity_from_ratio(r1, hbar, mass)
+    fisher = _fisher(rho, 2.0 * rho * r1.real, mask, dx)
+    columns = dict(
+        ent_boltzmann=_boltzmann(rho, mask, dx, k_B),
+        fisher_information=fisher,
+        production_diffusive=k_B * (hbar / (2 * mass)) * fisher,
+        production_advective=_advective_rate(rho, mask, r1, r2, dx, hbar, mass, k_B),
+        production_correlation=_correlation_rate(rho, v.real, v.imag, mask, dx, hbar, mass, k_B),
+        ent_von_neumann=_von_neumann(psi, dx) if include_von_neumann else None,
+    )
+    _require_finite(columns, times)
+    return columns, rho, mask, v
+
+
+def _diffusion_rows(rho, grid, D, k_B, times):
+    """Entropy columns of a (rows, N) block of densities diffusing at D.
+
+    The Fisher information is computed once and scaled into the diffusive
+    production.  Returns the columns with the valid mask and grad(rho);
+    raises NumericsError at the first row with a non-finite value.
+    """
+    mask = _floor_mask(rho)
+    (grad,) = spectral_derivatives(rho, grid, (1,))
+    fisher = _fisher(rho, grad, mask, grid.dx)
+    columns = dict(
+        ent_boltzmann=_boltzmann(rho, mask, grid.dx, k_B),
+        fisher_information=fisher,
+        production_diffusive=k_B * D * fisher,
+    )
+    _require_finite(columns, times)
+    return columns, mask, grad
+
+
 def entropy_report(
     state: QuantumState | DiffusionState,
     k_B: float = 1.0,
@@ -193,30 +264,18 @@ def entropy_report(
     u_a + i u_d = -i (hbar/m) r1.  Diffusion states report the Boltzmann
     entropy and the diffusive production at their own D.  The Fisher
     information is computed once and scaled into the diffusive production.
+    The report is the one-row case of the block computation the runners use.
     Raises NumericsError if any reported value is not finite.
     """
-    quantum = {}
     if isinstance(state, DiffusionState):
-        rho, D = state.rho, state.D
-        mask = valid_mask(rho)
-        fisher = fisher_information(rho)
-    else:
-        rho, mask, (r1, r2) = _psi_ratios(state, orders=(1, 2))
-        D = state.hbar / (2 * state.mass)
-        v = _velocity_from_ratio(state, r1)
-        fisher = _fisher(rho, 2.0 * rho.values * r1.real, mask)
-        quantum = dict(
-            production_advective=_advective_rate(state, rho, mask, r1, r2, k_B),
-            production_correlation=_correlation_rate(state, rho, v.real, v.imag, mask, k_B),
-            ent_von_neumann=von_neumann_entropy(state) if include_von_neumann else None,
+        columns, _, _ = _diffusion_rows(
+            state.rho.values[None], state.grid, state.D, k_B, [state.time]
         )
-    report = EntropyReport(
-        ent_boltzmann=_boltzmann(rho, mask, k_B),
-        fisher_information=fisher,
-        production_diffusive=k_B * D * fisher,
-        k_B=k_B,
-        **quantum,
-    )
-    if not all(math.isfinite(x) for x in vars(report).values() if x is not None):
-        raise NumericsError(f"non-finite entropy diagnostics at t = {state.time}: {report}")
-    return report
+    else:
+        psi = state.psi.values[None]
+        columns, *_ = _quantum_rows(
+            psi, spectral_derivatives(psi, state.grid, (1, 2)), state.grid,
+            state.hbar, state.mass, k_B, include_von_neumann, [state.time],
+        )
+    first = {name: None if col is None else float(col[0]) for name, col in columns.items()}
+    return EntropyReport(k_B=k_B, **first)

@@ -23,6 +23,20 @@ __all__ = [
 ]
 
 
+# Snapshots are computed and diagnosed in (rows, N) blocks of about this many
+# bytes of complex samples (32 rows at N = 1024): enough rows to amortise the
+# per-call cost of each transform and reduction, few enough that a block stays
+# in cache between them and that the dozen temporaries of a block's diagnostics
+# add only a few MB to peak memory.
+_BLOCK_BYTES = 1 << 19
+
+
+def _row_blocks(steps: list[int], num_points: int) -> list[list[int]]:
+    """`steps` cut into consecutive runs of at most _BLOCK_BYTES of complex rows."""
+    rows = max(1, _BLOCK_BYTES // (16 * num_points))
+    return [steps[i:i + rows] for i in range(0, len(steps), rows)]
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
@@ -157,11 +171,13 @@ def spectral_derivatives(
 ) -> list[np.ndarray]:
     """Spectral derivatives of several orders from one forward transform.
 
-    The samples are transformed once; each order then costs one multiply by
-    (ik)^order and one inverse transform.  Real input yields real output;
-    the sub-1e-12 imaginary residue of the round trip is truncated.  The
-    Nyquist mode is zeroed for odd orders so that odd derivatives of real
-    fields stay real and symmetric.
+    `values` is (..., N): a block of rows is transformed along its last
+    axis, each row exactly as it would be alone.  The samples are transformed
+    once; each order then costs one multiply by (ik)^order and one inverse
+    transform.  Real input yields real output; the sub-1e-12 imaginary
+    residue of the round trip is truncated.  The Nyquist mode is zeroed for
+    odd orders so that odd derivatives of real fields stay real and
+    symmetric.
     """
     if any(order < 1 for order in orders):
         raise ValueError("derivative order must be a positive integer")

@@ -88,12 +88,17 @@ class MadelungFields:
     valid_mask: np.ndarray
 
 
+def _floor_mask(rho: np.ndarray, floor_ratio: float = DENSITY_FLOOR_RATIO) -> np.ndarray:
+    """Row by row over the last axis: points at or above floor_ratio times the row's peak."""
+    peak = rho.max(axis=-1, keepdims=True)
+    if not np.all(peak > 0):
+        raise ValueError("density is identically zero")
+    return rho >= floor_ratio * peak
+
+
 def valid_mask(rho: RealField, floor_ratio: float = DENSITY_FLOOR_RATIO) -> np.ndarray:
     """Points where the density is large enough for pointwise diagnostics."""
-    peak = rho.values.max()
-    if not peak > 0:
-        raise ValueError("density is identically zero")
-    return (rho.values >= floor_ratio * peak) & rho.mask
+    return _floor_mask(rho.values, floor_ratio) & rho.mask
 
 
 def density(state: QuantumState) -> RealField:
@@ -101,27 +106,24 @@ def density(state: QuantumState) -> RealField:
     return RealField(state.grid, np.abs(state.psi.values) ** 2)
 
 
-def _psi_ratios(state: QuantumState, orders=(1,)):
-    """rho, its valid mask, and grad^n(psi)/psi for the requested orders.
+def _psi_ratios(psi: np.ndarray, derivatives):
+    """rho = |psi|^2, its valid mask, and each derivative of psi divided by psi.
 
-    All orders come from one forward transform of psi; the ratios are
+    psi is (..., N) and every row is masked against its own peak; the
+    derivatives come from one `spectral_derivatives` call and the ratios are
     zeroed off the valid mask.
     """
-    psi = state.psi.values
-    rho = density(state)
-    mask = valid_mask(rho)
+    rho = np.abs(psi) ** 2
+    mask = _floor_mask(rho)
     safe = np.where(mask, psi, 1.0)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        ratios = [
-            np.where(mask, dn / safe, 0.0)
-            for dn in spectral_derivatives(psi, state.grid, orders)
-        ]
+        ratios = [np.where(mask, dn / safe, 0.0) for dn in derivatives]
     return rho, mask, ratios
 
 
-def _velocity_from_ratio(state: QuantumState, ratio: np.ndarray) -> np.ndarray:
+def _velocity_from_ratio(ratio: np.ndarray, hbar: float, mass: float) -> np.ndarray:
     """-i (hbar/m) grad(psi)/psi: u_a in the real part, u_d (D = hbar/2m) in the imaginary."""
-    return -1j * (state.hbar / state.mass) * ratio
+    return -1j * (hbar / mass) * ratio
 
 
 def complex_velocity(state: QuantumState) -> ComplexField:
@@ -131,10 +133,11 @@ def complex_velocity(state: QuantumState) -> ComplexField:
     diffusive velocity -(hbar/2m) grad(ln rho).  Masked points are marked
     invalid and excluded from diagnostics.
     """
-    _, mask, (ratio,) = _psi_ratios(state)
+    psi = state.psi.values
+    _, mask, (ratio,) = _psi_ratios(psi, spectral_derivatives(psi, state.grid, (1,)))
     if not mask.any():
         raise ValueError("density below the floor everywhere; no valid points")
-    return ComplexField(state.grid, _velocity_from_ratio(state, ratio), mask)
+    return ComplexField(state.grid, _velocity_from_ratio(ratio, state.hbar, state.mass), mask)
 
 
 def advective_velocity(state: QuantumState) -> RealField:
@@ -153,9 +156,13 @@ def diffusive_velocity(rho: RealField, D: float) -> RealField:
     if not mask.any():
         raise ValueError("density below the floor everywhere; no valid points")
     grad = spectral_derivative(rho.values, rho.grid)
+    return RealField(rho.grid, _drift(rho.values, grad, mask, D), mask)
+
+
+def _drift(rho: np.ndarray, grad: np.ndarray, mask: np.ndarray, D: float) -> np.ndarray:
+    """-D grad(rho)/rho on the mask, 0 elsewhere; rows of (..., N) blocks alike."""
     with np.errstate(invalid="ignore", divide="ignore"):
-        u = np.where(mask, -D * grad / np.where(mask, rho.values, 1.0), 0.0)
-    return RealField(rho.grid, u, mask)
+        return np.where(mask, -D * grad / np.where(mask, rho, 1.0), 0.0)
 
 
 def _sqrt_curvature(rho: RealField) -> tuple[np.ndarray, np.ndarray]:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ComplexField, Grid, RealField, integrate, spectral_derivative
-from .madelung import QuantumState
+from .grid import ComplexField, Grid, RealField, _row_blocks, spectral_derivatives
+from .madelung import NORM_TOLERANCE, QuantumState
 
 __all__ = [
     "Potential",
@@ -38,6 +38,17 @@ class NumericsError(RuntimeError):
     def __init__(self, message: str, step_index: int | None = None):
         super().__init__(message)
         self.step_index = step_index
+
+
+def _check_rows(ok: np.ndarray, steps, describe):
+    """NumericsError at the first row of a block where `ok` is False.
+
+    `steps` holds the step index of each row (None when unknown) and
+    `describe(row)` words the failure.
+    """
+    if not ok.all():
+        row = int(np.argmin(ok))
+        raise NumericsError(describe(row), None if steps is None else steps[row])
 
 
 @dataclass(frozen=True)
@@ -167,6 +178,62 @@ def evolve(state: QuantumState, pot: Potential, cfg: EvolutionConfig) -> list[Qu
     return snapshots
 
 
+def _eigenbasis(state: QuantumState, pot: Potential):
+    """Energies, the initial state's coefficients, and the map from coefficient rows to x."""
+    grid, hbar, mass = state.grid, state.hbar, state.mass
+    kinetic = hbar**2 * grid.k**2 / (2 * mass)
+    if pot.kind == "free":
+        return kinetic, np.fft.fft(state.psi.values), np.fft.ifft
+    # the kinetic symbol is even in k, so its circulant is real and
+    # symmetric (the unpaired Nyquist mode contributes (-1)^(j-l))
+    idx = np.arange(grid.num_points)
+    h = np.fft.ifft(kinetic).real[(idx[:, None] - idx[None, :]) % grid.num_points]
+    h[idx, idx] += mass * pot.per_mass(grid)
+    if not np.all(np.isfinite(h)):
+        raise NumericsError("non-finite Hamiltonian")
+    energies, vecs = np.linalg.eigh(h)
+    vecs = vecs.astype(complex)
+
+    def to_x(table):
+        # one matrix-vector product per row: a single matrix product over the
+        # block would change the last bits of each row
+        psi = np.empty_like(table)
+        for row, coeffs in zip(psi, table):
+            np.dot(vecs, coeffs, out=row)
+        return psi
+
+    return energies, vecs.T @ state.psi.values, to_x
+
+
+def _snapshot_blocks(state: QuantumState, pot: Potential, cfg: EvolutionConfig):
+    """Yield (steps, psi) for consecutive row blocks of the snapshots of `propagate`.
+
+    psi is a (rows, N) array.  The first block is the initial state itself;
+    each later block is one table of phases exp(-iEt/hbar) mapped back to x
+    (for a free potential, one batched inverse transform).  Every row is
+    checked: NumericsError at the first non-finite row, or at the first row
+    whose norm misses 1 by more than NORM_TOLERANCE.
+    """
+    grid, hbar = state.grid, state.hbar
+    psi0 = state.psi.values
+    steps = cfg.snapshot_steps()
+    energies, coeffs, to_x = _eigenbasis(state, pot)
+    yield steps[:1], psi0[None]
+    phase = -1j * energies
+    for block in _row_blocks(steps[1:], grid.num_points):
+        psi = to_x(np.exp(phase * (np.array(block)[:, None] * cfg.dt / hbar)) * coeffs)
+        _check_rows(
+            np.isfinite(psi).all(axis=-1), block,
+            lambda r: f"non-finite wavefunction at step {block[r]}",
+        )
+        norm = grid.dx * np.sum(np.abs(psi) ** 2, axis=-1)
+        _check_rows(
+            ~(np.abs(norm - 1.0) > NORM_TOLERANCE), block,
+            lambda r: f"state norm {norm[r]!r} deviates from 1 by more than {NORM_TOLERANCE}",
+        )
+        yield block, psi
+
+
 def propagate(state: QuantumState, pot: Potential, cfg: EvolutionConfig) -> list[QuantumState]:
     """Exact snapshots at the times of `evolve`, each one application from t0.
 
@@ -176,44 +243,44 @@ def propagate(state: QuantumState, pot: Potential, cfg: EvolutionConfig) -> list
     once, and psi(t) = V exp(-iEt/hbar) V^T psi(t0).
     """
     grid, hbar, mass = state.grid, state.hbar, state.mass
-    kinetic = hbar**2 * grid.k**2 / (2 * mass)
-    if pot.kind == "free":
-        energies, coeffs, to_x = kinetic, np.fft.fft(state.psi.values), np.fft.ifft
-    else:
-        # the kinetic symbol is even in k, so its circulant is real and
-        # symmetric (the unpaired Nyquist mode contributes (-1)^(j-l))
-        idx = np.arange(grid.num_points)
-        h = np.fft.ifft(kinetic).real[(idx[:, None] - idx[None, :]) % grid.num_points]
-        h[idx, idx] += mass * pot.per_mass(grid)
-        if not np.all(np.isfinite(h)):
-            raise NumericsError("non-finite Hamiltonian")
-        energies, vecs = np.linalg.eigh(h)
-        vecs = vecs.astype(complex)
-        coeffs, to_x = vecs.T @ state.psi.values, vecs.dot
+    blocks = _snapshot_blocks(state, pot, cfg)
+    next(blocks)  # the initial state itself
     snapshots = [state]
-    for i in cfg.snapshot_steps()[1:]:
-        psi = to_x(np.exp(-1j * energies * (i * cfg.dt / hbar)) * coeffs)
-        if not np.all(np.isfinite(psi)):
-            raise NumericsError(f"non-finite wavefunction at step {i}", step_index=i)
-        snapshots.append(QuantumState(ComplexField(grid, psi), hbar, mass, state.time + i * cfg.dt))
+    for steps, psi in blocks:
+        snapshots += [
+            QuantumState(ComplexField(grid, row), hbar, mass, state.time + i * cfg.dt)
+            for i, row in zip(steps, psi)
+        ]
     return snapshots
+
+
+def _energy_rows(psi, laplacian, grid: Grid, pot: Potential, hbar: float, mass: float, steps=None):
+    """Energy of each row of a (rows, N) block of wavefunctions, given their psi''.
+
+    Raises NumericsError at the first row whose integral keeps an imaginary
+    part above 1e-10 of max(1, |E|).
+    """
+    u = mass * pot.per_mass(grid)
+    integrand = np.conj(psi) * (-(hbar**2) / (2 * mass) * laplacian + u * psi)
+    total = grid.dx * integrand.sum(axis=-1)
+    _check_rows(
+        ~(np.abs(total.imag) > 1e-10 * np.fmax(1.0, np.abs(total.real))), steps,
+        lambda r: f"energy has imaginary residue {total.imag[r]:.3g}",
+    )
+    return total.real
 
 
 def energy(state: QuantumState, pot: Potential) -> float:
     """Total energy integral psi* (-(hbar^2/2m) d2/dx2 + U) psi dx."""
-    psi = state.psi.values
-    lap = spectral_derivative(psi, state.grid, 2)
-    u = state.mass * pot.per_mass(state.grid)
-    integrand = np.conj(psi) * (-(state.hbar**2) / (2 * state.mass) * lap + u * psi)
-    total = complex(state.grid.dx * integrand.sum())
-    scale = max(1.0, abs(total.real))
-    if abs(total.imag) > 1e-10 * scale:
-        raise NumericsError(f"energy has imaginary residue {total.imag:.3g}")
-    return total.real
+    psi = state.psi.values[None]
+    (lap,) = spectral_derivatives(psi, state.grid, (2,))
+    return float(_energy_rows(psi, lap, state.grid, pot, state.hbar, state.mass)[0])
 
 
 def _normalized_state(grid: Grid, psi: np.ndarray, hbar: float, mass: float, time: float) -> QuantumState:
-    norm = np.sqrt(integrate(RealField(grid, np.abs(psi) ** 2)))
+    norm = np.sqrt(grid.dx * np.sum(np.abs(psi) ** 2))
+    if not (np.all(np.isfinite(psi)) and 0 < norm < np.inf):
+        raise NumericsError(f"the wavefunction has no finite positive norm on the grid ({norm})")
     return QuantumState(ComplexField(grid, psi / norm), hbar, mass, time)
 
 

@@ -132,15 +132,17 @@ class TestRunScenario:
         assert len(report.rows) == 81
         assert all(r.ent_von_neumann is not None for r in report.rows)
 
-    def test_six_transforms_per_row(self, monkeypatch):
-        # 1 in propagate, 3 for the entropy report (psi', psi''), 2 for the energy
-        calls = [0]
+    def test_four_transforms_per_row(self, monkeypatch):
+        # rows transformed, not calls (a block is one call): psi0 once in
+        # propagate, 1 per later snapshot, 3 per row for the entropy report
+        # (psi', psi''), whose psi'' also serves the energy
+        rows = [0]
         fft, ifft = np.fft.fft, np.fft.ifft
 
         def counted(fn):
-            def wrapper(*args, **kwargs):
-                calls[0] += 1
-                return fn(*args, **kwargs)
+            def wrapper(a, *args, **kwargs):
+                rows[0] += np.size(a) // np.shape(a)[-1]
+                return fn(a, *args, **kwargs)
 
             return wrapper
 
@@ -148,7 +150,7 @@ class TestRunScenario:
         monkeypatch.setattr(np.fft, "ifft", counted(ifft))
         report = run_scenario(default_config("free_gaussian"))
         assert len(report.rows) == 81
-        assert calls[0] == 6 * 81 == 486
+        assert rows[0] == 1 + 80 + 3 * 81 == 324
 
     def test_identity_lines_are_parseable(self, quick_free):
         report = run_scenario(quick_free)
@@ -165,35 +167,29 @@ class TestNanIdentities:
         assert IdentityCheck("x", 1.0, 0.5, True).passed is True
 
     def test_nan_in_second_quantum_row_fails(self, quick_free):
-        report, snapshots = cli._run_quantum(quick_free)
+        report, maxima = cli._run_quantum(quick_free)
         report.rows[1].norm = math.nan
-        checks = {c.name: c for c in cli._quantum_identities(quick_free, snapshots, report.rows)}
+        checks = {c.name: c for c in cli._quantum_identities(quick_free, report.rows, maxima)}
         assert checks["norm_conservation"].passed is False
         assert math.isnan(checks["norm_conservation"].measured)
 
     def test_nan_in_second_quantum_rate_row_fails(self, quick_free):
-        report, snapshots = cli._run_quantum(quick_free)
+        report, maxima = cli._run_quantum(quick_free)
         report.rows[1].production_advective = math.nan
-        checks = {c.name: c for c in cli._quantum_identities(quick_free, snapshots, report.rows)}
+        checks = {c.name: c for c in cli._quantum_identities(quick_free, report.rows, maxima)}
         assert checks["production_advective_equals_correlation"].passed is False
         assert checks["entropy_rate_matches_production"].passed is False
 
     def test_nan_in_second_diffusion_row_fails(self, quick_diffusion):
-        report, _ = cli._run_diffusion(quick_diffusion)
+        report = cli._run_diffusion(quick_diffusion)
         report.rows[1].production_diffusive = math.nan
         checks = {c.name: c for c in cli._diffusion_identities(quick_diffusion, report.rows)}
         assert checks["production_is_kB_D_fisher"].passed is False
 
-    def test_nan_in_second_compare_row_fails(self, quick_free, monkeypatch):
-        calls = [0]
-        sigma2 = cli._sigma2
-
-        def nan_on_second_quantum_row(rho):
-            calls[0] += 1
-            return math.nan if calls[0] == 3 else sigma2(rho)
-
-        monkeypatch.setattr(cli, "_sigma2", nan_on_second_quantum_row)
+    def test_nan_in_second_compare_row_fails(self, quick_free):
         report = compare_quantum_diffusion(quick_free)
+        report.rows[1]["sigma2_quantum"] = math.nan
+        report.identities = cli._compare_identities(quick_free, report.rows)
         checks = {c.name: c for c in report.identities}
         assert checks["quantum_width_quadratic_in_time"].passed is False
         assert report.exit_code == 1
@@ -317,16 +313,20 @@ class TestMain:
         [
             "name = free_gaussian\n[evolution]\nt_final = inf\n",
             "name = free_gaussian\n[evolution]\nt_final = 1e300\ndt = 1e-300\n",
+            "name = free_gaussian\n[evolution]\nt_final = 1e300\n",
             "name = harmonic_perturbed\n[evolution]\nt_final = 0\n",
             "name = harmonic_perturbed\n[physics]\nepsilon0 = 0.2\n",
             "name = diffusion_gaussian\n[physics]\nstart_time = nan\n",
+            "name = harmonic_ground\n[physics]\nhbar = 1e300\nmass = 1.7e308\n",
         ],
         ids=[
             "t_final_inf",
             "step_count_overflows",
+            "step_count_above_maxsize",
             "perturbed_no_step",
             "perturbed_large_epsilon",
             "start_time_nan",
+            "ground_width_underflows",
         ],
     )
     def test_crashing_configs_exit_2(self, tmp_path, capsys, body):
@@ -336,6 +336,48 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert not (tmp_path / "out").exists()
+
+    def test_single_row_diffusion_run(self, tmp_path, capsys):
+        # t_final = 0 leaves one row: no entropy difference to check
+        path = tmp_path / "one.ini"
+        out_dir = tmp_path / "out"
+        path.write_text(
+            "[scenario]\nname = diffusion_gaussian\n"
+            "[grid]\nL = 20.0\nN = 256\n"
+            "[evolution]\nt_final = 0\n"
+            f"[output]\ndirectory = {out_dir}\n"
+        )
+        assert main(["run", str(path)]) == 0
+        payload = json.loads((out_dir / "report.json").read_text())
+        names = {c["name"] for c in payload["identities"]}
+        assert "mass_conservation" in names and "entropy_nondecreasing" not in names
+        assert len((out_dir / "timeseries.csv").read_text().splitlines()) == 2
+
+    def test_compare_needs_a_positive_diffusivity(self, tmp_path, capsys):
+        # D is unused by a quantum `run`, but `compare` diffuses at D
+        path = tmp_path / "cfg.ini"
+        path.write_text(
+            "[scenario]\nname = free_gaussian\n[physics]\nD = 0\n"
+            f"[output]\ndirectory = {tmp_path / 'out'}\n"
+        )
+        assert main(["compare", str(path)]) == 2
+        assert capsys.readouterr().err == "config error: D must be positive, got 0.0\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "physics",
+        ["hbar = 1e300", "mass = 1.7e308", "width_rate = 1.7e308"],
+        ids=["hbar_squared_overflows", "hbar_over_2m_is_zero", "phase_overflows"],
+    )
+    def test_overflowing_constants_exit_3(self, tmp_path, capsys, physics):
+        path = tmp_path / "cfg.ini"
+        path.write_text(
+            f"[scenario]\nname = custom\n[physics]\n{physics}\n"
+            "[grid]\nL = 4.0\nN = 8\n[evolution]\nt_final = 0\n"
+            f"[output]\ndirectory = {tmp_path / 'out'}\n"
+        )
+        assert main(["run", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("numeric abort: ")
 
     def test_identity_failure_exit_code(self, tmp_path, capsys):
         # an unresolved grid cannot hold the spreading-packet references

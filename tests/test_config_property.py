@@ -1,0 +1,91 @@
+"""Property test over INI values: `qhydro` exits 0, 1, 2 or 3 and never raises.
+
+Finite in-range draws are bounded (N <= 64, at most 200 steps) so that every
+example runs in milliseconds.  Non-finite, zero, negative and overflowing
+values are drawn from their own pool, for up to two keys per example, so
+that most examples are valid configurations that run to the end.
+"""
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from qhydro.cli import SCENARIOS, main
+
+BAD_FLOATS = st.sampled_from(
+    [float("nan"), float("inf"), float("-inf"), 0.0, -0.0, -1.0, -1e300, 1e300, 1.7e308]
+)
+
+
+def _in_range(low, high):
+    return st.floats(low, high, allow_nan=False, allow_infinity=False)
+
+
+PHYSICS = {
+    "hbar": _in_range(0.2, 5.0),
+    "mass": _in_range(0.2, 5.0),
+    "k_B": _in_range(0.1, 10.0),
+    "sigma0": _in_range(0.3, 3.0),
+    "omega0": _in_range(0.2, 3.0),
+    "D": _in_range(0.05, 2.0),
+    "epsilon0": _in_range(-0.05, 0.05),
+    "start_time": _in_range(0.0, 2.0),
+    "width_rate": _in_range(-1.0, 1.0),
+}
+
+
+GRID_AND_EVOLUTION = ("L", "N", "dt", "t_final", "snapshot_stride")
+
+
+@st.composite
+def ini_text(draw):
+    scenario = draw(st.sampled_from(sorted(SCENARIOS)))
+    # most examples are valid configs; up to two keys take a bad value
+    bad = draw(st.sets(st.sampled_from([*PHYSICS, "potential", *GRID_AND_EVOLUTION]), max_size=2))
+
+    def value(key, good):
+        return draw(BAD_FLOATS if key in bad else good)
+
+    physics = {
+        key: value(key, good)
+        for key, good in PHYSICS.items()
+        if key in bad or draw(st.booleans())
+    }
+    potentials = ["quartic"] if "potential" in bad else ["free", "harmonic"]
+    physics["potential"] = draw(st.sampled_from(potentials))
+    # an in-range dt and t_final give at most 200 steps; a bad dt or t_final
+    # either fails validation or leaves at most 200 steps too
+    dt = value("dt", _in_range(1e-3, 0.1))
+    t_final = value("t_final", st.integers(0, 200).map(lambda n: n * dt))
+    sections = {
+        "physics": physics,
+        "grid": {
+            "L": value("L", _in_range(4.0, 40.0)),
+            "N": draw(st.sampled_from([7, 6, 0, -8]) if "N" in bad
+                      else st.integers(4, 32).map(lambda n: 2 * n)),
+        },
+        "evolution": {
+            "dt": dt,
+            "t_final": t_final,
+            "snapshot_stride": draw(st.sampled_from([0, -3]) if "snapshot_stride" in bad
+                                    else st.integers(1, 50)),
+        },
+        "diagnostics": {
+            "enable_von_neumann": draw(st.booleans()),
+            "emit_fields": draw(st.booleans()),
+        },
+    }
+    lines = ["[scenario]", f"name = {scenario}"]
+    for section, values in sections.items():
+        lines.append(f"[{section}]")
+        lines += [f"{key} = {value}" for key, value in values.items()]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(text=ini_text(), command=st.sampled_from(["run", "compare"]))
+def test_any_config_exits_with_a_documented_code(text, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.ini"
+        path.write_text(text + f"[output]\ndirectory = {Path(tmp) / 'out'}\n")
+        assert main([command, str(path)]) in (0, 1, 2, 3)
