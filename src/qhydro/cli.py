@@ -1,10 +1,11 @@
 """Config-driven scenario runner with CSV/JSON time-series output.
 
 Scenarios are described by an INI file (sections: scenario, physics, grid,
-evolution, diagnostics, output).  A run evolves the configured state,
-records one diagnostics row per snapshot, compares the traces against the
-closed-form references, writes the data files, and exits nonzero when an
-asserted identity misses its tolerance.
+evolution, diagnostics, output) and declared as entries of `_ENTRIES`;
+`compare` is one more entry.  One loop runs any entry: it builds one table
+of column arrays from the snapshot blocks, derives the reference columns,
+reduces every identity over the table, writes the data files from it, and
+exits nonzero when an asserted identity misses its tolerance.
 
 Exit codes: 0 all identities pass, 1 identity failure, 2 configuration
 error, 3 numeric abort.  Data files are byte-identical across runs with the
@@ -21,6 +22,7 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -52,7 +54,6 @@ from .traces import centered_difference
 __all__ = [
     "ScenarioConfig",
     "ConfigError",
-    "DiagnosticsRow",
     "IdentityCheck",
     "RunReport",
     "SCENARIOS",
@@ -66,14 +67,6 @@ __all__ = [
     "emit_timeseries",
     "main",
 ]
-
-SCENARIOS = {
-    "free_gaussian": "spreading Gaussian packet, no potential",
-    "harmonic_ground": "stationary Gaussian in a harmonic trap",
-    "harmonic_perturbed": "harmonic trap with a 1% width perturbation",
-    "diffusion_gaussian": "classical Fickian spreading of a Gaussian density",
-    "custom": "Gaussian initial state with a free or harmonic potential",
-}
 
 CSV_COLUMNS = [
     "t",
@@ -141,28 +134,6 @@ class ScenarioConfig:
     formats: tuple[str, ...] = ("csv", "json")
 
 
-_DEFAULTS = {
-    "free_gaussian": dict(
-        scenario="free_gaussian", sigma0=1.0, L=40.0, N=1024, dt=1e-3, t_final=4.0,
-        snapshot_stride=50,
-    ),
-    # snapshots are exact, so dt and snapshot_stride only place the rows
-    "harmonic_ground": dict(
-        scenario="harmonic_ground", omega0=1.0, sigma0=float(np.sqrt(0.5)), potential="harmonic",
-        L=9.0, N=128, dt=3.2e-5, t_final=float(5 * 2 * np.pi), snapshot_stride=6545,
-    ),
-    "harmonic_perturbed": dict(
-        scenario="harmonic_perturbed", omega0=1.0, sigma0=float(np.sqrt(0.5)),
-        epsilon0=float(0.01 * np.sqrt(0.5)), potential="harmonic",
-        L=12.0, N=256, dt=2e-4, t_final=float(5 * 2 * np.pi / np.sqrt(2)), snapshot_stride=250,
-    ),
-    "diffusion_gaussian": dict(
-        scenario="diffusion_gaussian", D=0.5, sigma0=1.0, start_time=0.0,
-        L=40.0, N=1024, dt=1e-3, t_final=2.0, snapshot_stride=10,
-    ),
-    "custom": dict(scenario="custom", potential="free"),
-}
-
 _SECTIONS = {
     "physics": [
         "hbar", "mass", "k_B", "sigma0", "omega0", "D", "epsilon0",
@@ -178,7 +149,7 @@ _SECTIONS = {
 def default_config(scenario: str) -> ScenarioConfig:
     if scenario not in SCENARIOS:
         raise ConfigError([f"unknown scenario {scenario!r}; choose from {sorted(SCENARIOS)}"])
-    return ScenarioConfig(**_DEFAULTS[scenario])
+    return ScenarioConfig(scenario=scenario, **_ENTRIES[scenario].defaults)
 
 
 def validate_config(cfg: ScenarioConfig) -> list[str]:
@@ -187,22 +158,16 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
         for name, value in vars(cfg).items()
         if isinstance(value, float) and not math.isfinite(value)
     ]
-    if cfg.scenario not in SCENARIOS:
+    entry = _ENTRIES.get(cfg.scenario)
+    if entry is None:
         problems.append(f"unknown scenario {cfg.scenario!r}")
-    if not cfg.hbar > 0:
-        problems.append(f"hbar must be positive, got {cfg.hbar}")
-    if not cfg.mass > 0:
-        problems.append(f"mass must be positive, got {cfg.mass}")
-    if not cfg.k_B > 0:
-        problems.append(f"k_B must be positive, got {cfg.k_B}")
-    if not cfg.sigma0 > 0:
-        problems.append(f"sigma0 must be positive, got {cfg.sigma0}")
-    if not cfg.L > 0:
-        problems.append(f"L must be positive, got {cfg.L}")
+    problems += [
+        f"{name} must be positive, got {getattr(cfg, name)}"
+        for name in ("hbar", "mass", "k_B", "sigma0", "L", "dt")
+        if not getattr(cfg, name) > 0
+    ]
     if cfg.N % 2 != 0 or cfg.N < 8:
         problems.append(f"N must be an even integer >= 8, got {cfg.N}")
-    if not cfg.dt > 0:
-        problems.append(f"dt must be positive, got {cfg.dt}")
     if cfg.t_final < 0:
         problems.append(f"t_final must be nonnegative, got {cfg.t_final}")
     if cfg.dt > 0 and math.isfinite(cfg.t_final):
@@ -211,65 +176,85 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
             problems.append(f"t_final/dt overflows the step count, got {cfg.t_final}/{cfg.dt}")
     if cfg.snapshot_stride < 1:
         problems.append(f"snapshot_stride must be >= 1, got {cfg.snapshot_stride}")
-    if cfg.scenario in ("harmonic_ground", "harmonic_perturbed") or cfg.potential == "harmonic":
-        if not cfg.omega0 > 0:
-            problems.append(f"omega0 must be positive, got {cfg.omega0}")
-    if cfg.scenario in ("harmonic_ground", "harmonic_perturbed") and not problems:
-        if not 0 < _ground_width(cfg) < math.inf:
-            problems.append(
-                f"ground width sqrt(hbar/(2 mass omega0)) is {_ground_width(cfg)}, "
-                "not a positive finite number"
-            )
-    if cfg.scenario == "harmonic_perturbed" and not problems:
-        # the width-equation reference needs one step and a linearized start
-        if round(cfg.t_final / cfg.dt) < 1:
-            problems.append(f"harmonic_perturbed needs at least one step of dt={cfg.dt}")
-        ratio = abs(cfg.epsilon0) / _ground_width(cfg)
-        if not ratio < 0.05:
-            problems.append(f"|epsilon0|/sigma_ground must be < 0.05, got {ratio:.3g}")
-    if cfg.scenario == "diffusion_gaussian":
-        if not cfg.D > 0:
-            problems.append(f"D must be positive, got {cfg.D}")
-        if cfg.start_time < 0:
-            problems.append(f"start_time must be nonnegative, got {cfg.start_time}")
+    if cfg.potential == "harmonic" and not cfg.omega0 > 0:
+        problems.append(f"omega0 must be positive, got {cfg.omega0}")
+    if entry is not None:
+        problems += entry.validate(cfg, problems)  # a trap repeats the omega0 check
     if cfg.potential not in ("free", "harmonic"):
         problems.append(f"potential must be free or harmonic, got {cfg.potential!r}")
     for fmt in cfg.formats:
         if fmt not in ("csv", "json"):
             problems.append(f"unknown output format {fmt!r}")
-    return problems
+    return list(dict.fromkeys(problems))
+
+
+def _trap_problems(cfg: ScenarioConfig, problems: list[str]) -> list[str]:
+    if not cfg.omega0 > 0:
+        return [f"omega0 must be positive, got {cfg.omega0}"]
+    if problems or 0 < _ground_width(cfg) < math.inf:
+        return []
+    width = _ground_width(cfg)
+    return [f"ground width sqrt(hbar/(2 mass omega0)) is {width}, not a positive finite number"]
+
+
+def _perturbed_problems(cfg: ScenarioConfig, problems: list[str]) -> list[str]:
+    found = _trap_problems(cfg, problems)
+    if problems or found:
+        return found
+    # the width-equation reference needs one step and a linearized start
+    if round(cfg.t_final / cfg.dt) < 1:
+        found.append(f"harmonic_perturbed needs at least one step of dt={cfg.dt}")
+    ratio = abs(cfg.epsilon0) / _ground_width(cfg)
+    if not ratio < 0.05:
+        found.append(f"|epsilon0|/sigma_ground must be < 0.05, got {ratio:.3g}")
+    return found
+
+
+def _positive_D(cfg: ScenarioConfig) -> list[str]:
+    return [] if cfg.D > 0 else [f"D must be positive, got {cfg.D}"]
+
+
+def _diffusion_problems(cfg: ScenarioConfig, problems: list[str]) -> list[str]:
+    found = _positive_D(cfg)
+    if cfg.start_time < 0:
+        found.append(f"start_time must be nonnegative, got {cfg.start_time}")
+    return found
 
 
 def parse_config(path: str | Path) -> ScenarioConfig:
     """Read and validate an INI scenario file; all violations are reported."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(default_section="")  # [DEFAULT] is one more section
     parser.optionxform = str  # keys are case-sensitive (k_B, L, N)
-    read = parser.read(str(path))
+    try:
+        read = parser.read(str(path), encoding="utf-8")
+        sections = {section: dict(parser.items(section)) for section in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        # a duplicate key or section, a line outside a section or without `=`, a non-UTF-8 byte
+        problem = f"cannot parse config file {path}: {' '.join(str(exc).split())}"
+        raise ConfigError([problem]) from None
     if not read:
         raise ConfigError([f"cannot read config file {path}"])
-    if not parser.has_option("scenario", "name"):
-        raise ConfigError(["missing [scenario] section with a `name` key"])
-    name = parser.get("scenario", "name").strip()
-    if name not in SCENARIOS:
-        raise ConfigError([f"unknown scenario {name!r}; choose from {sorted(SCENARIOS)}"])
-    cfg = default_config(name)
-    problems = []
+    problems = [f"unknown section [{s}]" for s in sections if s not in ("scenario", *_SECTIONS)]
+    scenario = sections.get("scenario", {})
+    problems += [f"unknown key {key!r} in section [scenario]" for key in scenario if key != "name"]
+    name = scenario.get("name", "").strip()
+    if "name" not in scenario:
+        problems.append("missing [scenario] section with a `name` key")
+    elif name not in SCENARIOS:
+        problems.append(f"unknown scenario {name!r}; choose from {sorted(SCENARIOS)}")
     overrides = {}
     for section, keys in _SECTIONS.items():
-        if not parser.has_section(section):
-            continue
-        for key in parser.options(section):
+        for key, raw in sections.get(section, {}).items():
             if key not in keys:
                 problems.append(f"unknown key {key!r} in section [{section}]")
                 continue
-            raw = parser.get(section, key)
             try:
                 overrides[key] = _parse_value(key, raw)
             except ValueError as exc:
                 problems.append(f"[{section}] {key}: {exc}")
     if problems:
         raise ConfigError(problems)
-    cfg = replace(cfg, **overrides)
+    cfg = replace(default_config(name), **overrides)
     problems = validate_config(cfg)
     if problems:
         raise ConfigError(problems)
@@ -312,26 +297,6 @@ def config_hash(cfg: ScenarioConfig) -> str:
     return hashlib.sha256(render_config(cfg).encode()).hexdigest()
 
 
-@dataclass
-class DiagnosticsRow:
-    """One snapshot's scalar diagnostics; None marks a non-applicable value."""
-
-    t: float
-    norm: float
-    energy: float | None
-    sigma2_measured: float
-    ent_boltzmann: float
-    dEntB_dt_fd: float | None
-    production_advective: float | None
-    production_correlation: float | None
-    fisher: float
-    production_diffusive: float
-    ent_von_neumann: float | None
-    ref_sigma2: float | None
-    ref_entropy: float | None
-    ref_divergence: float | None
-
-
 @dataclass(frozen=True)
 class IdentityCheck:
     name: str
@@ -348,9 +313,12 @@ class IdentityCheck:
 
 @dataclass
 class RunReport:
+    """`table` maps each column to one value per snapshot (absent or None: not
+    applicable); `columns` names the emitted ones, in order."""
+
     scenario: str
     columns: list[str]
-    rows: list[DiagnosticsRow]
+    table: dict[str, np.ndarray | None]
     identities: list[IdentityCheck]
     provenance: dict
     field_tables: list[dict] | None = None
@@ -370,26 +338,111 @@ class RunReport:
         return out
 
 
-def _worst(values) -> float:
-    """Largest of the values, NaN if any is NaN (Python's max() can drop a NaN)."""
-    values = [float(v) for v in values]
-    return math.nan if any(map(math.isnan, values)) else max(values)
+class _Identity(NamedTuple):
+    """Passes when measure(table, cfg), a numpy reduction that a NaN row
+    turns to NaN, is below the tolerance; asserted only where it applies."""
+
+    name: str
+    tolerance: float
+    measure: Callable[[dict, ScenarioConfig], float]
+    applies: Callable[[dict, ScenarioConfig], bool] = lambda tab, cfg: True
+
+    def check(self, tab: dict, cfg: ScenarioConfig) -> IdentityCheck:
+        measured = self.measure(tab, cfg)
+        return IdentityCheck(self.name, self.tolerance, measured, measured < self.tolerance)
 
 
-def _floored_rel(a: float, b: float, floor: float = 1e-3) -> float:
+def _floored_rel(a, b, floor: float = 1e-3):
     """|a-b| relative to max(|a|,|b|), floored so near-zero rates compare sanely."""
-    return abs(a - b) / max(abs(a), abs(b), floor)
+    return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
+
+
+def _max_rel(measured: np.ndarray, reference: np.ndarray) -> float:
+    return np.max(np.abs(measured - reference) / reference)
+
+
+def _relative(name: str, tolerance: float, measured: str, reference: str) -> _Identity:
+    """max |measured - reference| / reference over the rows."""
+    return _Identity(name, tolerance, lambda tab, cfg: _max_rel(tab[measured], tab[reference]))
+
+
+def _deviation(name: str, tolerance: float, column: str, reference) -> _Identity:
+    """max |column - reference(table)| over the rows."""
+    return _Identity(name, tolerance, lambda tab, cfg: np.max(np.abs(tab[column] - reference(tab))))
+
+
+def _rate_matches(production: str) -> _Identity:
+    """dS/dt against `production` on interior rows not within 1e-3 of 0 (a NaN row is kept)."""
+
+    def kept(tab):
+        return ~(np.abs(tab[production][1:-1]) <= 1e-3)
+
+    def measure(tab, cfg):
+        p, fd = tab[production][1:-1], tab["dEntB_dt_fd"][1:-1]
+        return np.max((np.abs(fd - p) / np.abs(p))[kept(tab)])
+
+    name = "entropy_rate_matches_production"
+    return _Identity(name, 1e-2, measure, lambda tab, cfg: kept(tab).any())
+
+
+_QUANTUM_IDENTITIES = (
+    _deviation("norm_conservation", 1e-10, "norm", lambda tab: 1.0),
+    _Identity(
+        "energy_conservation", 1e-5,
+        lambda tab, cfg: np.max(np.abs(tab["energy"] - tab["energy"][0]))
+        / np.maximum(np.abs(tab["energy"][0]), 1e-300),
+    ),
+    _Identity(
+        "production_advective_equals_correlation", 1e-6,
+        lambda tab, cfg: np.max(
+            _floored_rel(tab["production_advective"], tab["production_correlation"])
+        ),
+    ),
+    _rate_matches("production_advective"),
+)
+
+_DIFFUSION_IDENTITIES = (
+    _deviation("mass_conservation", 1e-10, "norm", lambda tab: 1.0),
+    _relative("sigma2_exact_kernel", 1e-12, "sigma2_measured", "ref_sigma2"),
+    _Identity(
+        "production_is_kB_D_fisher", 1e-12,
+        lambda tab, cfg: np.max(
+            np.abs(tab["production_diffusive"] - cfg.k_B * cfg.D * tab["fisher"])
+            / np.maximum(np.abs(tab["production_diffusive"]), 1e-300)
+        ),
+    ),
+    _Identity(
+        "entropy_nondecreasing", 1e-12,
+        lambda tab, cfg: -np.min(np.diff(tab["ent_boltzmann"])),
+        lambda tab, cfg: len(tab["t"]) >= 2,
+    ),
+    _rate_matches("production_diffusive"),
+    _Identity(
+        "production_matches_half_inverse_time", 1e-3,
+        lambda tab, cfg: _max_rel(tab["production_diffusive"], cfg.k_B / (2 * tab["t"])),
+        # on the similarity branch, sigma0^2 = 2 D start_time
+        lambda tab, cfg: cfg.start_time > 0
+        and abs(cfg.sigma0**2 - 2 * cfg.D * cfg.start_time) < 1e-9,
+    ),
+)
+
+_COMPARE_IDENTITIES = (
+    _Identity("matched_initial_density", 1e-13, lambda tab, cfg: tab["rho_l2_divergence"][0]),
+    _relative("quantum_width_quadratic_in_time", 1e-3, "sigma2_quantum", "ref_sigma2_quantum"),
+    _relative("diffusive_width_linear_in_time", 1e-12, "sigma2_diffusive", "ref_sigma2_diffusive"),
+    _Identity(
+        "quantum_entropy_overtakes_diffusive", 0.0,
+        lambda tab, cfg: tab["ent_boltzmann_diffusive"][-1] - tab["ent_boltzmann_quantum"][-1],
+        # past 1.05x the crossover time t = 2 D (2 m sigma0 / hbar)^2
+        lambda tab, cfg: cfg.t_final
+        > 1.05 * (2 * cfg.D * (2 * cfg.mass * cfg.sigma0 / cfg.hbar) ** 2),
+    ),
+)
 
 
 def _sigma2(rho: np.ndarray, grid) -> np.ndarray:
     """Second moment about x = 0 of each row of a (rows, N) block of densities."""
     return grid.dx * np.sum(grid.x**2 * rho, axis=-1)
-
-
-def _rows_of(columns: dict, count: int) -> list[dict]:
-    """One dict per row from a block's columns (arrays or lists; None where not applicable)."""
-    lists = [[None] * count if c is None else np.asarray(c).tolist() for c in columns.values()]
-    return [dict(zip(columns, values)) for values in zip(*lists)]
 
 
 def _ground_width(cfg: ScenarioConfig) -> float:
@@ -403,249 +456,271 @@ def _evolution(cfg: ScenarioConfig) -> EvolutionConfig:
     return EvolutionConfig(cfg.dt, cfg.t_final, cfg.snapshot_stride)
 
 
-def _run_quantum(cfg: ScenarioConfig) -> tuple[RunReport, dict]:
-    """The report, and per row the maxima the stationarity identities reduce.
+def _density_columns(times, rho, grid, ent: dict) -> dict:
+    """A `run` block's time, norm and width columns, and its entropy columns `ent`."""
+    fisher = ent.pop("fisher_information")
+    return dict(t=times, norm=grid.dx * np.sum(rho, axis=-1), sigma2_measured=_sigma2(rho, grid),
+                fisher=fisher, **ent)
 
-    The maxima are max|u_a| ("ua_max") and max|rho - rho0| ("rho_drift").
-    """
-    grid = make_grid(cfg.L, cfg.N)
-    if cfg.scenario == "free_gaussian":
-        pot = free_potential()
-        state = gaussian_packet(grid, cfg.sigma0, cfg.hbar, cfg.mass, width_rate=cfg.width_rate)
-    elif cfg.scenario in ("harmonic_ground", "harmonic_perturbed"):
-        pot = harmonic_potential(cfg.omega0)
-        width = _ground_width(cfg)
-        if cfg.scenario == "harmonic_perturbed":
-            width += cfg.epsilon0
-        state = gaussian_packet(grid, width, cfg.hbar, cfg.mass)
-    else:  # custom
-        pot = harmonic_potential(cfg.omega0) if cfg.potential == "harmonic" else free_potential()
-        state = gaussian_packet(grid, cfg.sigma0, cfg.hbar, cfg.mass, width_rate=cfg.width_rate)
 
-    ev = _evolution(cfg)
-    refs = _quantum_references(cfg, ev.snapshot_steps())
+def _quantum_blocks(cfg: ScenarioConfig, grid, ev: EvolutionConfig, state, pot):
+    """Each block's `run` columns (and max|u_a|, max|rho - rho0|), and its fields if emitted."""
     rho0 = np.abs(state.psi.values) ** 2
-    rows, maxima = [], {"ua_max": [], "rho_drift": []}
-    tables = [] if cfg.emit_fields else None
     for steps, psi in _snapshot_blocks(state, pot, ev):
-        times = [state.time + i * ev.dt for i in steps]
+        times = state.time + np.array(steps) * ev.dt
         derivatives = spectral_derivatives(psi, grid, (1, 2))
         ent, rho, mask, v = _quantum_rows(
             psi, derivatives, grid, cfg.hbar, cfg.mass, cfg.k_B, cfg.enable_von_neumann, times
         )
-        energies = _energy_rows(psi, derivatives[1], grid, pot, cfg.hbar, cfg.mass, steps)
-        block_refs = refs[len(rows):len(rows) + len(steps)]
-        rows += _diagnostics_rows(times, rho, grid, ent, energies, block_refs)
-        maxima["ua_max"] += np.abs(v.real).max(axis=-1).tolist()
-        maxima["rho_drift"] += np.abs(rho - rho0).max(axis=-1).tolist()
-        if tables is not None:
-            u_a = np.where(mask, v.real, 0.0)
-            tables += [{"x": grid.x, "rho": r, "u_advective": u} for r, u in zip(rho, u_a)]
-    _fill_entropy_rate(rows)
-    identities = _quantum_identities(cfg, rows, maxima)
-    return RunReport(cfg.scenario, CSV_COLUMNS, rows, identities, {}, tables), maxima
-
-
-def _diagnostics_rows(times, rho, grid, ent: dict, energies, refs) -> list[DiagnosticsRow]:
-    """A block's rows: norm and width from rho, entropy terms from `ent`, references from `refs`."""
-    ref_s2, ref_ent, ref_div = zip(*refs)
-    columns = dict(
-        t=times,
-        norm=grid.dx * np.sum(rho, axis=-1),
-        energy=energies,
-        sigma2_measured=_sigma2(rho, grid),
-        ent_boltzmann=ent["ent_boltzmann"],
-        dEntB_dt_fd=None,
-        production_advective=ent.get("production_advective"),
-        production_correlation=ent.get("production_correlation"),
-        fisher=ent["fisher_information"],
-        production_diffusive=ent["production_diffusive"],
-        ent_von_neumann=ent.get("ent_von_neumann"),
-        ref_sigma2=ref_s2,
-        ref_entropy=ref_ent,
-        ref_divergence=ref_div,
-    )
-    return [DiagnosticsRow(**row) for row in _rows_of(columns, len(times))]
-
-
-def _quantum_references(cfg: ScenarioConfig, steps: list[int]):
-    times = [i * cfg.dt for i in steps]
-    p_kwargs = dict(hbar=cfg.hbar, mass=cfg.mass)
-    if cfg.scenario == "free_gaussian":
-        p = GaussianParams(cfg.sigma0, **p_kwargs)
-        return [
-            (free_sigma(p, t) ** 2, free_entropy(p, t, cfg.k_B), free_divergence(p, t))
-            for t in times
-        ]
-    if cfg.scenario == "harmonic_ground":
-        s0 = _ground_width(cfg)
-        ent0 = float(entropy_of_width(s0, cfg.k_B))
-        return [(s0**2, ent0, 0.0) for _ in times]
-    if cfg.scenario == "harmonic_perturbed":
-        # width model integrated on the full step grid so every snapshot
-        # time is hit exactly
-        s0 = _ground_width(cfg)
-        p = GaussianParams(s0, omega0=cfg.omega0, epsilon0=cfg.epsilon0, **p_kwargs)
-        t_grid = np.arange(steps[-1] + 1) * cfg.dt
-        trace = harmonic_sigma(p, t_grid)
-        return [
-            (
-                float(trace.sigma[j] ** 2),
-                float(entropy_of_width(trace.sigma[j], cfg.k_B)),
-                float(trace.dlnsigma_dt[j]),
-            )
-            for j in steps
-        ]
-    return [(None, None, None) for _ in times]
-
-
-def _fill_entropy_rate(rows: list[DiagnosticsRow]):
-    if len(rows) < 3:
-        return
-    times = np.array([r.t for r in rows])
-    ent = np.array([r.ent_boltzmann for r in rows])
-    # np.gradient handles the possibly shorter final stride interval
-    rate = centered_difference(times, ent)
-    for row, value in zip(rows, rate):
-        row.dEntB_dt_fd = float(value)
-
-
-def _quantum_identities(cfg: ScenarioConfig, rows, maxima: dict) -> list[IdentityCheck]:
-    checks = []
-    norm_drift = _worst(abs(r.norm - 1.0) for r in rows)
-    checks.append(IdentityCheck("norm_conservation", 1e-10, norm_drift, norm_drift < 1e-10))
-
-    e0 = rows[0].energy
-    energy_drift = _worst(abs(r.energy - e0) for r in rows) / max(abs(e0), 1e-300)
-    checks.append(IdentityCheck("energy_conservation", 1e-5, energy_drift, energy_drift < 1e-5))
-
-    ident = _worst(
-        _floored_rel(r.production_advective, r.production_correlation) for r in rows
-    )
-    checks.append(
-        IdentityCheck("production_advective_equals_correlation", 1e-6, ident, ident < 1e-6)
-    )
-
-    rate_errs = [
-        abs(r.dEntB_dt_fd - r.production_advective) / abs(r.production_advective)
-        for r in rows[1:-1]
-        if not abs(r.production_advective) <= 1e-3
-    ]
-    if rate_errs:
-        worst = _worst(rate_errs)
-        checks.append(IdentityCheck("entropy_rate_matches_production", 1e-2, worst, worst < 1e-2))
-
-    if cfg.scenario == "free_gaussian":
-        s2 = _worst(abs(r.sigma2_measured - r.ref_sigma2) / r.ref_sigma2 for r in rows)
-        checks.append(IdentityCheck("sigma2_matches_reference", 1e-3, s2, s2 < 1e-3))
-        ent = _worst(abs(r.ent_boltzmann - r.ref_entropy) for r in rows)
-        checks.append(IdentityCheck("entropy_matches_reference", 1e-3, ent, ent < 1e-3))
-    elif cfg.scenario == "harmonic_ground":
-        ent0 = rows[0].ent_boltzmann
-        ent_drift = _worst(abs(r.ent_boltzmann - ent0) for r in rows)
-        checks.append(IdentityCheck("entropy_constant", 1e-6, ent_drift, ent_drift < 1e-6))
-        ua_max = _worst(maxima["ua_max"])
-        checks.append(IdentityCheck("advective_velocity_zero", 1e-6, ua_max, ua_max < 1e-6))
-        rho_drift = _worst(maxima["rho_drift"])
-        checks.append(IdentityCheck("density_stationary", 1e-10, rho_drift, rho_drift < 1e-10))
-    elif cfg.scenario == "harmonic_perturbed":
-        # solver check against the exact oscillator width formula
-        # sigma^2(t) = s^2 cos^2(w t) + (s0^4/s^2) sin^2(w t); the emitted
-        # ref columns carry the width-equation model instead, which breathes
-        # at sqrt(2) w0 and visibly departs from the measured trace
-        s0 = _ground_width(cfg)
-        s_init = s0 + cfg.epsilon0
-
-        def rel_err(r):
-            c, s_ = np.cos(cfg.omega0 * r.t), np.sin(cfg.omega0 * r.t)
-            exact = s_init**2 * c**2 + (s0**4 / s_init**2) * s_**2
-            return abs(r.sigma2_measured - exact) / exact
-
-        worst = _worst(rel_err(r) for r in rows)
-        checks.append(IdentityCheck("sigma2_matches_oscillator", 1e-3, worst, worst < 1e-3))
-    return checks
-
-
-def _run_diffusion(cfg: ScenarioConfig) -> RunReport:
-    grid = make_grid(cfg.L, cfg.N)
-    initial = gaussian_density(grid, cfg.sigma0, cfg.D, time=cfg.start_time)
-    ev = _evolution(cfg)
-    rows = []
-    tables = [] if cfg.emit_fields else None
-    for steps, rho in _kernel_blocks(initial, ev):
-        times = [initial.time + i * ev.dt for i in steps]
-        ent, mask, grad = _diffusion_rows(rho, grid, cfg.D, cfg.k_B, times)
-        s2_refs = [cfg.sigma0**2 + 2 * cfg.D * (t - cfg.start_time) for t in times]
-        refs = [(s2, float(entropy_of_width(np.sqrt(s2), cfg.k_B)), cfg.D / s2) for s2 in s2_refs]
-        rows += _diagnostics_rows(times, rho, grid, ent, None, refs)
-        if tables is not None:
-            u_d = _drift(rho, grad, mask, cfg.D)
-            tables += [{"x": grid.x, "rho": r, "u_diffusive": u} for r, u in zip(rho, u_d)]
-    _fill_entropy_rate(rows)
-    identities = _diffusion_identities(cfg, rows)
-    return RunReport(cfg.scenario, CSV_COLUMNS, rows, identities, {}, tables)
-
-
-def _diffusion_identities(cfg: ScenarioConfig, rows) -> list[IdentityCheck]:
-    checks = []
-    mass_drift = _worst(abs(r.norm - 1.0) for r in rows)
-    checks.append(IdentityCheck("mass_conservation", 1e-10, mass_drift, mass_drift < 1e-10))
-
-    s2 = _worst(abs(r.sigma2_measured - r.ref_sigma2) / r.ref_sigma2 for r in rows)
-    checks.append(IdentityCheck("sigma2_exact_kernel", 1e-12, s2, s2 < 1e-12))
-
-    defn = _worst(
-        abs(r.production_diffusive - cfg.k_B * cfg.D * r.fisher)
-        / max(abs(r.production_diffusive), 1e-300)
-        for r in rows
-    )
-    checks.append(IdentityCheck("production_is_kB_D_fisher", 1e-12, defn, defn < 1e-12))
-
-    if len(rows) >= 2:
-        ent = np.array([r.ent_boltzmann for r in rows])
-        monotone = float(np.diff(ent).min())
-        checks.append(IdentityCheck("entropy_nondecreasing", 1e-12, -monotone, -monotone < 1e-12))
-
-    rate_errs = [
-        abs(r.dEntB_dt_fd - r.production_diffusive) / abs(r.production_diffusive)
-        for r in rows[1:-1]
-        if not abs(r.production_diffusive) <= 1e-3
-    ]
-    if rate_errs:
-        worst = _worst(rate_errs)
-        checks.append(IdentityCheck("entropy_rate_matches_production", 1e-2, worst, worst < 1e-2))
-
-    # on the similarity branch (sigma0^2 = 2 D start_time) production is 1/(2t)
-    if cfg.start_time > 0 and abs(cfg.sigma0**2 - 2 * cfg.D * cfg.start_time) < 1e-9:
-        worst = _worst(
-            abs(r.production_diffusive - cfg.k_B / (2 * r.t)) / (cfg.k_B / (2 * r.t))
-            for r in rows
+        columns = dict(
+            _density_columns(times, rho, grid, ent),
+            energy=_energy_rows(psi, derivatives[1], grid, pot, cfg.hbar, cfg.mass, steps),
+            ua_max=np.abs(v.real).max(axis=-1),
+            rho_drift=np.abs(rho - rho0).max(axis=-1),
         )
-        checks.append(IdentityCheck("production_matches_half_inverse_time", 1e-3, worst, worst < 1e-3))
-    return checks
+        fields = cfg.emit_fields and {"rho": rho, "u_advective": np.where(mask, v.real, 0.0)}
+        yield columns, fields
+
+
+def _diffusion_blocks(cfg: ScenarioConfig, grid, ev: EvolutionConfig, initial: DiffusionState, _):
+    """Each block's `run` columns, and its fields if emitted."""
+    for steps, rho in _kernel_blocks(initial, ev):
+        times = initial.time + np.array(steps) * ev.dt
+        ent, mask, grad = _diffusion_rows(rho, grid, cfg.D, cfg.k_B, times)
+        columns = _density_columns(times, rho, grid, ent)
+        fields = cfg.emit_fields and {"rho": rho, "u_diffusive": _drift(rho, grad, mask, cfg.D)}
+        yield columns, fields
+
+
+def _compare_blocks(cfg: ScenarioConfig, grid, ev: EvolutionConfig, q_state, pot):
+    """Each block's `compare` columns: the packet and its density diffused at D."""
+    d_state = DiffusionState(density(q_state), cfg.D, time=0.0)
+    # both runs cut the same steps into the same blocks
+    blocks = zip(_snapshot_blocks(q_state, pot, ev), _kernel_blocks(d_state, ev))
+    for (steps, psi), (_, rho_d) in blocks:
+        rho_q = np.abs(psi) ** 2
+        columns = dict(
+            t=q_state.time + np.array(steps) * ev.dt,
+            sigma2_quantum=_sigma2(rho_q, grid),
+            sigma2_diffusive=_sigma2(rho_d, grid),
+            ent_boltzmann_quantum=_boltzmann_rows(rho_q, grid.dx, cfg.k_B),
+            ent_boltzmann_diffusive=_boltzmann_rows(rho_d, grid.dx, cfg.k_B),
+            rho_l2_divergence=np.sqrt(grid.dx * np.sum((rho_q - rho_d) ** 2, axis=-1)),
+        )
+        yield columns, None
+
+
+def _entropy_rate(cfg: ScenarioConfig, tab: dict) -> dict:
+    # np.gradient handles the possibly shorter final stride interval; it needs 3 rows
+    rate = centered_difference(tab["t"], tab["ent_boltzmann"]) if len(tab["t"]) >= 3 else None
+    return {"dEntB_dt_fd": rate}
+
+
+def _per_row(fn, *columns: np.ndarray) -> np.ndarray:
+    """fn row by row on Python floats: numpy squares an array as x*x, which in
+    ~1 row in 1000 rounds differently from the scalar x**2 (C pow) used here."""
+    return np.array([fn(*row) for row in zip(*(c.tolist() for c in columns))])
+
+
+def _free_references(cfg: ScenarioConfig, tab: dict) -> dict:
+    p = GaussianParams(cfg.sigma0, hbar=cfg.hbar, mass=cfg.mass)
+    return dict(
+        ref_sigma2=_per_row(lambda s: free_sigma(p, s) ** 2, tab["t"]),
+        ref_entropy=_per_row(lambda s: free_entropy(p, s, cfg.k_B), tab["t"]),
+        ref_divergence=_per_row(lambda s: free_divergence(p, s), tab["t"]),
+    )
+
+
+def _ground_references(cfg: ScenarioConfig, tab: dict) -> dict:
+    s0, rows = _ground_width(cfg), len(tab["t"])
+    return dict(
+        ref_sigma2=np.full(rows, s0**2),
+        ref_entropy=np.full(rows, entropy_of_width(s0, cfg.k_B)),
+        ref_divergence=np.zeros(rows),
+    )
+
+
+def _perturbed_references(cfg: ScenarioConfig, tab: dict) -> dict:
+    """The width-equation model, which breathes at sqrt(2) w0 and visibly departs
+    from the measured trace, and the exact oscillator width the identity reads:
+    sigma^2(t) = s^2 cos^2(w t) + (s0^4/s^2) sin^2(w t)."""
+    s0 = _ground_width(cfg)
+    p = GaussianParams(s0, omega0=cfg.omega0, epsilon0=cfg.epsilon0, hbar=cfg.hbar, mass=cfg.mass)
+    # integrated on the full step grid so every snapshot time is hit exactly
+    steps = _evolution(cfg).snapshot_steps()
+    trace = harmonic_sigma(p, np.arange(steps[-1] + 1) * cfg.dt)
+    sigma = trace.sigma[steps]
+    s_init = s0 + cfg.epsilon0
+    wt = cfg.omega0 * tab["t"]
+    return dict(
+        ref_sigma2=_per_row(lambda s: s**2, sigma),
+        ref_entropy=entropy_of_width(sigma, cfg.k_B),
+        ref_divergence=trace.dlnsigma_dt[steps],
+        oscillator_sigma2=_per_row(
+            lambda c, s: s_init**2 * c**2 + (s0**4 / s_init**2) * s**2, np.cos(wt), np.sin(wt)
+        ),
+    )
+
+
+def _diffusion_references(cfg: ScenarioConfig, tab: dict) -> dict:
+    s2 = cfg.sigma0**2 + 2 * cfg.D * (tab["t"] - cfg.start_time)
+    return dict(
+        ref_sigma2=s2,
+        ref_entropy=entropy_of_width(np.sqrt(s2), cfg.k_B),
+        ref_divergence=cfg.D / s2,
+    )
+
+
+def _compare_references(cfg: ScenarioConfig, tab: dict) -> dict:
+    p = GaussianParams(cfg.sigma0, cfg.hbar, cfg.mass, D=cfg.D)
+    return dict(
+        ref_sigma2_quantum=_per_row(lambda s: free_sigma(p, s) ** 2, tab["t"]),
+        ref_sigma2_diffusive=cfg.sigma0**2 + 2 * cfg.D * tab["t"],
+    )
+
+
+class _Entry(NamedTuple):
+    """A scenario as data: blocks(cfg, grid, ev, *start(cfg, grid)) yield (columns, fields);
+    references derive columns; identities check the table; validate adds config problems."""
+
+    description: str
+    defaults: dict
+    start: Callable
+    blocks: Callable
+    references: tuple
+    identities: tuple
+    validate: Callable = lambda cfg, problems: []
+
+
+def _packet(cfg: ScenarioConfig, grid):
+    return gaussian_packet(grid, cfg.sigma0, cfg.hbar, cfg.mass, width_rate=cfg.width_rate)
+
+
+def _trapped(cfg: ScenarioConfig, grid, width: float):
+    return gaussian_packet(grid, width, cfg.hbar, cfg.mass), harmonic_potential(cfg.omega0)
+
+
+_ENTRIES = {
+    "free_gaussian": _Entry(
+        "spreading Gaussian packet, no potential",
+        dict(sigma0=1.0, L=40.0, N=1024, dt=1e-3, t_final=4.0, snapshot_stride=50),
+        lambda cfg, grid: (_packet(cfg, grid), free_potential()),
+        _quantum_blocks,
+        (_entropy_rate, _free_references),
+        _QUANTUM_IDENTITIES + (
+            _relative("sigma2_matches_reference", 1e-3, "sigma2_measured", "ref_sigma2"),
+            _deviation(
+                "entropy_matches_reference", 1e-3, "ent_boltzmann", lambda tab: tab["ref_entropy"]
+            ),
+        ),
+    ),
+    # snapshots are exact, so dt and snapshot_stride only place the rows
+    "harmonic_ground": _Entry(
+        "stationary Gaussian in a harmonic trap",
+        dict(
+            omega0=1.0, sigma0=float(np.sqrt(0.5)), potential="harmonic",
+            L=9.0, N=128, dt=3.2e-5, t_final=float(5 * 2 * np.pi), snapshot_stride=6545,
+        ),
+        lambda cfg, grid: _trapped(cfg, grid, _ground_width(cfg)),
+        _quantum_blocks,
+        (_entropy_rate, _ground_references),
+        _QUANTUM_IDENTITIES + (
+            _deviation(
+                "entropy_constant", 1e-6, "ent_boltzmann", lambda tab: tab["ent_boltzmann"][0]
+            ),
+            _deviation("advective_velocity_zero", 1e-6, "ua_max", lambda tab: 0.0),
+            _deviation("density_stationary", 1e-10, "rho_drift", lambda tab: 0.0),
+        ),
+        _trap_problems,
+    ),
+    "harmonic_perturbed": _Entry(
+        "harmonic trap with a 1% width perturbation",
+        dict(
+            omega0=1.0, sigma0=float(np.sqrt(0.5)), epsilon0=float(0.01 * np.sqrt(0.5)),
+            potential="harmonic", L=12.0, N=256, dt=2e-4,
+            t_final=float(5 * 2 * np.pi / np.sqrt(2)), snapshot_stride=250,
+        ),
+        lambda cfg, grid: _trapped(cfg, grid, _ground_width(cfg) + cfg.epsilon0),
+        _quantum_blocks,
+        (_entropy_rate, _perturbed_references),
+        _QUANTUM_IDENTITIES + (
+            _relative("sigma2_matches_oscillator", 1e-3, "sigma2_measured", "oscillator_sigma2"),
+        ),
+        _perturbed_problems,
+    ),
+    "diffusion_gaussian": _Entry(
+        "classical Fickian spreading of a Gaussian density",
+        dict(
+            D=0.5, sigma0=1.0, start_time=0.0,
+            L=40.0, N=1024, dt=1e-3, t_final=2.0, snapshot_stride=10,
+        ),
+        lambda cfg, grid: (gaussian_density(grid, cfg.sigma0, cfg.D, time=cfg.start_time), None),
+        _diffusion_blocks,
+        (_entropy_rate, _diffusion_references),
+        _DIFFUSION_IDENTITIES,
+        _diffusion_problems,
+    ),
+    "custom": _Entry(
+        "Gaussian initial state with a free or harmonic potential",
+        dict(potential="free"),
+        lambda cfg, grid: (
+            _packet(cfg, grid),
+            harmonic_potential(cfg.omega0) if cfg.potential == "harmonic" else free_potential(),
+        ),
+        _quantum_blocks,
+        (_entropy_rate,),
+        _QUANTUM_IDENTITIES,
+    ),
+}
+
+_COMPARE = _Entry(
+    "unitary and Fickian evolutions from the same initial density",
+    {},
+    lambda cfg, grid: (gaussian_packet(grid, cfg.sigma0, cfg.hbar, cfg.mass), free_potential()),
+    _compare_blocks,
+    (_compare_references,),
+    _COMPARE_IDENTITIES,
+)
+
+SCENARIOS = {name: entry.description for name, entry in _ENTRIES.items()}
+
+
+def _run(
+    entry: _Entry, cfg: ScenarioConfig, name: str, columns: list[str], problems: list[str]
+) -> RunReport:
+    """The runner loop: the entry's blocks into one table, its references and identities."""
+    if problems:
+        raise ConfigError(problems)
+    started = time.perf_counter()
+    grid = make_grid(cfg.L, cfg.N)
+    parts, tables = [], ([] if cfg.emit_fields else None)
+    for part, fields in entry.blocks(cfg, grid, _evolution(cfg), *entry.start(cfg, grid)):
+        parts.append(part)
+        if tables is not None and fields:
+            tables += [{"x": grid.x, **dict(zip(fields, row))} for row in zip(*fields.values())]
+    table = {
+        key: None if column is None else np.concatenate([part[key] for part in parts])
+        for key, column in parts[0].items()
+    }
+    for derive in entry.references:
+        table.update(derive(cfg, table))
+    identities = [i.check(table, cfg) for i in entry.identities if i.applies(table, cfg)]
+    provenance = {
+        "config_hash": config_hash(cfg),
+        "version": __version__,
+        "wall_time_s": time.perf_counter() - started,
+    }
+    return RunReport(name, columns, table, identities, provenance, tables)
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunReport:
     """Evolve the configured scenario and assemble its report.
 
-    The report carries one DiagnosticsRow per snapshot, every asserted
-    identity with its tolerance and measured error, and provenance (config
-    hash, package version, wall time).
+    The report carries one table column per CSV column (one value per
+    snapshot), every asserted identity with its tolerance and measured
+    error, and provenance (config hash, package version, wall time).
     """
-    problems = validate_config(cfg)
-    if problems:
-        raise ConfigError(problems)
-    started = time.perf_counter()
-    if cfg.scenario == "diffusion_gaussian":
-        report = _run_diffusion(cfg)
-    else:
-        report, _ = _run_quantum(cfg)
-    report.provenance = {
-        "config_hash": config_hash(cfg),
-        "version": __version__,
-        "wall_time_s": time.perf_counter() - started,
-    }
-    return report
+    return _run(_ENTRIES.get(cfg.scenario), cfg, cfg.scenario, CSV_COLUMNS, validate_config(cfg))
 
 
 def compare_quantum_diffusion(cfg: ScenarioConfig) -> RunReport:
@@ -658,79 +733,16 @@ def compare_quantum_diffusion(cfg: ScenarioConfig) -> RunReport:
     t > 2 D (2 m sigma0 / hbar)^2, which is asserted when the run reaches
     1.05x that time.
     """
-    problems = validate_config(cfg)
-    if cfg.scenario != "diffusion_gaussian" and not cfg.D > 0:
-        # only the diffusion scenario needs D to run; every comparison does
-        problems.append(f"D must be positive, got {cfg.D}")
-    if problems:
-        raise ConfigError(problems)
-    started = time.perf_counter()
-    grid = make_grid(cfg.L, cfg.N)
-    q_state = gaussian_packet(grid, cfg.sigma0, cfg.hbar, cfg.mass)
-    d_state = DiffusionState(density(q_state), cfg.D, time=0.0)
-    ev = _evolution(cfg)
-    p = GaussianParams(cfg.sigma0, cfg.hbar, cfg.mass, D=cfg.D)
-    rows = []
-    # both runs cut the same steps into the same blocks
-    blocks = zip(_snapshot_blocks(q_state, free_potential(), ev), _kernel_blocks(d_state, ev))
-    for (steps, psi), (_, rho_d) in blocks:
-        rho_q = np.abs(psi) ** 2
-        times = [q_state.time + i * ev.dt for i in steps]
-        columns = {
-            "t": times,
-            "sigma2_quantum": _sigma2(rho_q, grid),
-            "ref_sigma2_quantum": [free_sigma(p, t) ** 2 for t in times],
-            "sigma2_diffusive": _sigma2(rho_d, grid),
-            "ref_sigma2_diffusive": [
-                cfg.sigma0**2 + 2 * cfg.D * (d_state.time + i * ev.dt) for i in steps
-            ],
-            "ent_boltzmann_quantum": _boltzmann_rows(rho_q, grid.dx, cfg.k_B),
-            "ent_boltzmann_diffusive": _boltzmann_rows(rho_d, grid.dx, cfg.k_B),
-            "rho_l2_divergence": np.sqrt(grid.dx * np.sum((rho_q - rho_d) ** 2, axis=-1)),
-        }
-        rows += _rows_of(columns, len(steps))
-
-    report = RunReport(
-        "compare_quantum_diffusion", COMPARE_COLUMNS, rows, _compare_identities(cfg, rows), {}
-    )
-    report.provenance = {
-        "config_hash": config_hash(cfg),
-        "version": __version__,
-        "wall_time_s": time.perf_counter() - started,
-    }
-    return report
+    # only the diffusion scenario needs D to run; every comparison does
+    problems = list(dict.fromkeys(validate_config(cfg) + _positive_D(cfg)))
+    return _run(_COMPARE, cfg, "compare_quantum_diffusion", COMPARE_COLUMNS, problems)
 
 
-def _compare_identities(cfg: ScenarioConfig, rows: list[dict]) -> list[IdentityCheck]:
-    checks = []
-    initial_div = rows[0]["rho_l2_divergence"]
-    checks.append(IdentityCheck("matched_initial_density", 1e-13, initial_div, initial_div < 1e-13))
-    worst_q = _worst(
-        abs(r["sigma2_quantum"] - r["ref_sigma2_quantum"]) / r["ref_sigma2_quantum"] for r in rows
-    )
-    checks.append(IdentityCheck("quantum_width_quadratic_in_time", 1e-3, worst_q, worst_q < 1e-3))
-    worst_d = _worst(
-        abs(r["sigma2_diffusive"] - r["ref_sigma2_diffusive"]) / r["ref_sigma2_diffusive"]
-        for r in rows
-    )
-    checks.append(IdentityCheck("diffusive_width_linear_in_time", 1e-12, worst_d, worst_d < 1e-12))
-    t_cross = 2 * cfg.D * (2 * cfg.mass * cfg.sigma0 / cfg.hbar) ** 2
-    if cfg.t_final > 1.05 * t_cross:
-        gap = rows[-1]["ent_boltzmann_diffusive"] - rows[-1]["ent_boltzmann_quantum"]
-        checks.append(IdentityCheck("quantum_entropy_overtakes_diffusive", 0.0, gap, gap < 0.0))
-    return checks
-
-
-def _format_value(v) -> str:
-    if v is None:
-        return ""
-    return f"{v:.17g}"
-
-
-def _row_mapping(report: RunReport, row) -> dict:
-    if isinstance(row, dict):
-        return row
-    return {name: getattr(row, name) for name in report.columns}
+def _write_csv(path: Path, names: list[str], columns: list[list]) -> Path:
+    rows = [",".join("" if v is None else f"{v:.17g}" for v in row) for row in zip(*columns)]
+    lines = [",".join(names)] + rows
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    return path
 
 
 def emit_timeseries(report: RunReport, directory: str | Path, formats=("csv", "json")) -> list[Path]:
@@ -745,38 +757,25 @@ def emit_timeseries(report: RunReport, directory: str | Path, formats=("csv", "j
     except OSError as exc:
         raise OSError(f"cannot create output directory {directory}: {exc}") from exc
     stem = "compare" if report.scenario == "compare_quantum_diffusion" else "timeseries"
+    rows = len(report.table["t"])
+    values = [
+        [None] * rows if report.table.get(name) is None else report.table[name].tolist()
+        for name in report.columns
+    ]
     written = []
     if "csv" in formats:
-        path = directory / f"{stem}.csv"
-        lines = [",".join(report.columns)]
-        for row in report.rows:
-            mapping = _row_mapping(report, row)
-            lines.append(",".join(_format_value(mapping[name]) for name in report.columns))
-        path.write_text("\n".join(lines) + "\n", encoding="ascii")
-        written.append(path)
+        written.append(_write_csv(directory / f"{stem}.csv", report.columns, values))
     if "json" in formats:
         path = directory / f"{stem}.json"
         payload = {
             "columns": report.columns,
-            "rows": [
-                {
-                    name: (None if v is None else float(v))
-                    for name, v in _row_mapping(report, row).items()
-                }
-                for row in report.rows
-            ],
+            "rows": [dict(zip(report.columns, row)) for row in zip(*values)],
         }
         path.write_text(json.dumps(payload, indent=1) + "\n", encoding="ascii")
         written.append(path)
-    if report.field_tables is not None:
-        for i, table in enumerate(report.field_tables):
-            path = directory / f"fields_{i:04d}.csv"
-            names = list(table)
-            lines = [",".join(names)]
-            for j in range(len(table[names[0]])):
-                lines.append(",".join(_format_value(float(table[name][j])) for name in names))
-            path.write_text("\n".join(lines) + "\n", encoding="ascii")
-            written.append(path)
+    for i, table in enumerate(report.field_tables or ()):
+        columns = [c.tolist() for c in table.values()]
+        written.append(_write_csv(directory / f"fields_{i:04d}.csv", list(table), columns))
     return written
 
 

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from qhydro import gaussian_packet, make_grid
+from qhydro.cli import default_config, run_scenario
 
 
 @pytest.fixture(scope="session")
@@ -13,6 +16,36 @@ def grid256():
 @pytest.fixture(scope="session")
 def grid1024():
     return make_grid(40.0, 1024)
+
+
+# default runs shared by the acceptance criteria and the identity-table tests
+@pytest.fixture(scope="session")
+def free_report():
+    return run_scenario(default_config("free_gaussian"))
+
+
+@pytest.fixture(scope="session")
+def ground_report():
+    return run_scenario(default_config("harmonic_ground"))
+
+
+@pytest.fixture(scope="session")
+def perturbed_report():
+    return run_scenario(default_config("harmonic_perturbed"))
+
+
+@pytest.fixture(scope="session")
+def diffusion_report():
+    # on the similarity branch: sigma0^2 = 2 D start_time
+    cfg = replace(
+        default_config("diffusion_gaussian"),
+        sigma0=float(np.sqrt(0.5)),
+        start_time=0.5,
+        t_final=3.5,
+        dt=1e-3,
+        snapshot_stride=10,
+    )
+    return run_scenario(cfg)
 
 
 @pytest.fixture()

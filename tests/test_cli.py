@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 from dataclasses import replace
@@ -54,6 +55,42 @@ def quick_diffusion():
     )
 
 
+# a small run of each source in which every identity it declares applies
+IDENTITY_RUNS = {
+    "free_gaussian": dict(L=20.0, N=256, t_final=0.5, snapshot_stride=100),
+    "harmonic_ground": dict(),
+    "harmonic_perturbed": dict(t_final=2.0),
+    # the similarity branch, sigma0^2 = 2 D start_time
+    "diffusion_gaussian": dict(L=20.0, N=256, sigma0=float(np.sqrt(0.5)), start_time=0.5,
+                               t_final=0.5, snapshot_stride=50),
+    # past the entropy crossover at t = 4
+    "compare": dict(t_final=6.0, snapshot_stride=500),
+}
+
+
+@functools.cache
+def identity_run(source):
+    if source == "compare":
+        cfg = replace(default_config("free_gaussian"), **IDENTITY_RUNS[source])
+        return cfg, compare_quantum_diffusion(cfg)
+    cfg = replace(default_config(source), **IDENTITY_RUNS[source])
+    return cfg, run_scenario(cfg)
+
+
+def _declared_identities():
+    """Every identity object the entries declare, once, with the first source declaring it."""
+    seen, params = set(), []
+    for source, entry in [*cli._ENTRIES.items(), ("compare", cli._COMPARE)]:
+        for identity in entry.identities:
+            if id(identity) not in seen:
+                seen.add(id(identity))
+                params.append(pytest.param(source, identity, id=f"{source}-{identity.name}"))
+    return params
+
+
+DECLARED_IDENTITIES = _declared_identities()
+
+
 class TestConfig:
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_defaults_validate(self, name):
@@ -92,6 +129,22 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(path)
 
+    def test_structural_problems_listed_together(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_text(
+            "[DEFAULT]\nhbar = 2\n[scenario]\nname = free_gaussian\nN = 64\n"
+            "[Grid]\nN = 64\n[phyiscs]\nhbar = 2\n[physics]\nmass = heavy\n"
+        )
+        with pytest.raises(ConfigError) as err:
+            parse_config(path)
+        assert err.value.problems == [
+            "unknown section [DEFAULT]",
+            "unknown section [Grid]",
+            "unknown section [phyiscs]",
+            "unknown key 'N' in section [scenario]",
+            "[physics] mass: could not convert string to float: 'heavy'",
+        ]
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             parse_config(tmp_path / "nope.ini")
@@ -115,22 +168,22 @@ class TestRunScenario:
         assert "entropy_nondecreasing" in names
 
     def test_rows_match_snapshot_count(self, quick_free):
-        report = run_scenario(quick_free)
-        assert len(report.rows) == 6  # t = 0 plus five strides
-        assert report.rows[0].t == 0.0
-        assert abs(report.rows[-1].t - 0.5) < 1e-12
+        t = run_scenario(quick_free).table["t"]
+        assert len(t) == 6  # t = 0 plus five strides
+        assert t[0] == 0.0
+        assert abs(t[-1] - 0.5) < 1e-12
 
     def test_von_neumann_column_filled(self, quick_free):
         report = run_scenario(replace(quick_free, enable_von_neumann=True))
-        assert all(r.ent_von_neumann is not None for r in report.rows)
+        assert len(report.table["ent_von_neumann"]) == len(report.table["t"])
 
     def test_von_neumann_at_default_grid(self):
         cfg = replace(default_config("free_gaussian"), enable_von_neumann=True)
         assert cfg.N == 1024
         report = run_scenario(cfg)
         assert report.exit_code == 0
-        assert len(report.rows) == 81
-        assert all(r.ent_von_neumann is not None for r in report.rows)
+        assert len(report.table["t"]) == 81
+        assert len(report.table["ent_von_neumann"]) == 81
 
     def test_four_transforms_per_row(self, monkeypatch):
         # rows transformed, not calls (a block is one call): psi0 once in
@@ -149,7 +202,7 @@ class TestRunScenario:
         monkeypatch.setattr(np.fft, "fft", counted(fft))
         monkeypatch.setattr(np.fft, "ifft", counted(ifft))
         report = run_scenario(default_config("free_gaussian"))
-        assert len(report.rows) == 81
+        assert len(report.table["t"]) == 81
         assert rows[0] == 1 + 80 + 3 * 81 == 324
 
     def test_identity_lines_are_parseable(self, quick_free):
@@ -166,33 +219,70 @@ class TestNanIdentities:
         assert IdentityCheck("x", 1.0, math.inf, True).passed is False
         assert IdentityCheck("x", 1.0, 0.5, True).passed is True
 
-    def test_nan_in_second_quantum_row_fails(self, quick_free):
-        report, maxima = cli._run_quantum(quick_free)
-        report.rows[1].norm = math.nan
-        checks = {c.name: c for c in cli._quantum_identities(quick_free, report.rows, maxima)}
-        assert checks["norm_conservation"].passed is False
-        assert math.isnan(checks["norm_conservation"].measured)
+    @pytest.mark.parametrize(("source", "identity"), DECLARED_IDENTITIES)
+    def test_nan_in_a_read_row_fails(self, source, identity):
+        cfg, report = identity_run(source)
+        assert identity.applies(report.table, cfg)
+        assert identity.check(report.table, cfg).passed
+        # row 1 for the per-row reductions; the rows of the rest are named
+        row = {"matched_initial_density": 0, "quantum_entropy_overtakes_diffusive": -1}
+        table = {name: None if c is None else c.copy() for name, c in report.table.items()}
+        for column in table.values():
+            if column is not None:
+                column[row.get(identity.name, 1)] = math.nan
+        check = identity.check(table, cfg)
+        assert check.passed is False
+        assert math.isnan(check.measured)
 
-    def test_nan_in_second_quantum_rate_row_fails(self, quick_free):
-        report, maxima = cli._run_quantum(quick_free)
-        report.rows[1].production_advective = math.nan
-        checks = {c.name: c for c in cli._quantum_identities(quick_free, report.rows, maxima)}
-        assert checks["production_advective_equals_correlation"].passed is False
-        assert checks["entropy_rate_matches_production"].passed is False
+    def test_nan_in_second_compare_row_fails(self, quick_free, monkeypatch):
+        # the quantum sigma^2 of row 1 (first row of the second block) is NaN
+        sigma2, calls = cli._sigma2, []
 
-    def test_nan_in_second_diffusion_row_fails(self, quick_diffusion):
-        report = cli._run_diffusion(quick_diffusion)
-        report.rows[1].production_diffusive = math.nan
-        checks = {c.name: c for c in cli._diffusion_identities(quick_diffusion, report.rows)}
-        assert checks["production_is_kB_D_fisher"].passed is False
+        def poisoned(rho, grid):
+            calls.append(None)
+            values = sigma2(rho, grid)
+            if len(calls) == 3:
+                values[0] = math.nan
+            return values
 
-    def test_nan_in_second_compare_row_fails(self, quick_free):
+        monkeypatch.setattr(cli, "_sigma2", poisoned)
         report = compare_quantum_diffusion(quick_free)
-        report.rows[1]["sigma2_quantum"] = math.nan
-        report.identities = cli._compare_identities(quick_free, report.rows)
+        assert math.isnan(report.table["sigma2_quantum"][1])
         checks = {c.name: c for c in report.identities}
         assert checks["quantum_width_quadratic_in_time"].passed is False
         assert report.exit_code == 1
+
+
+class TestIdentityTable:
+    def test_identity_names_in_order(
+        self, free_report, ground_report, perturbed_report, diffusion_report, quick_diffusion
+    ):
+        def names(report):
+            return [c.name for c in report.identities]
+
+        quantum = ["norm_conservation", "energy_conservation", "production_advective_equals_correlation"]
+        rate = ["entropy_rate_matches_production"]
+        diffusion = ["mass_conservation", "sigma2_exact_kernel", "production_is_kB_D_fisher"]
+        compare = ["matched_initial_density", "quantum_width_quadratic_in_time",
+                   "diffusive_width_linear_in_time"]
+        # every default scenario, and compare on the default free packet
+        assert names(free_report) == quantum + rate + ["sigma2_matches_reference",
+                                                        "entropy_matches_reference"]
+        # the trap's production is ~0 in every row, so no rate is checked
+        assert names(ground_report) == quantum + ["entropy_constant", "advective_velocity_zero",
+                                                  "density_stationary"]
+        assert names(perturbed_report) == quantum + rate + ["sigma2_matches_oscillator"]
+        default_diffusion = run_scenario(default_config("diffusion_gaussian"))
+        assert names(default_diffusion) == diffusion + ["entropy_nondecreasing"] + rate
+        assert names(run_scenario(default_config("custom"))) == quantum + rate
+        assert names(compare_quantum_diffusion(default_config("free_gaussian"))) == compare
+        # the conditional identities
+        one_row = run_scenario(replace(quick_diffusion, t_final=0.0))
+        assert names(one_row) == diffusion
+        assert names(diffusion_report) == diffusion + ["entropy_nondecreasing"] + rate + [
+            "production_matches_half_inverse_time"
+        ]
+        assert names(identity_run("compare")[1]) == compare + ["quantum_entropy_overtakes_diffusive"]
 
 
 class TestEmit:
@@ -232,7 +322,7 @@ class TestEmit:
         report = run_scenario(cfg)
         paths = emit_timeseries(report, tmp_path)
         field_files = [p for p in paths if p.name.startswith("fields_")]
-        assert len(field_files) == len(report.rows)
+        assert len(field_files) == len(report.table["t"])
         header = field_files[0].read_text().splitlines()[0]
         assert header == "x,rho,u_advective"
 
@@ -250,11 +340,11 @@ class TestCompare:
         cfg = replace(quick_free, D=0.5, t_final=1.0, snapshot_stride=200)
         report = compare_quantum_diffusion(cfg)
         assert report.exit_code == 0
-        rows = report.rows
-        assert rows[0]["rho_l2_divergence"] < 1e-13
-        assert rows[-1]["rho_l2_divergence"] > 1e-3  # they separate immediately
+        tab = report.table
+        assert tab["rho_l2_divergence"][0] < 1e-13
+        assert tab["rho_l2_divergence"][-1] > 1e-3  # they separate immediately
         # widths: quadratic vs linear growth
-        assert rows[-1]["sigma2_quantum"] < rows[-1]["sigma2_diffusive"]
+        assert tab["sigma2_quantum"][-1] < tab["sigma2_diffusive"][-1]
 
     def test_entropy_crossover_asserted_on_long_runs(self):
         cfg = replace(
@@ -309,15 +399,26 @@ class TestMain:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "body",
+        "text",
         [
-            "name = free_gaussian\n[evolution]\nt_final = inf\n",
-            "name = free_gaussian\n[evolution]\nt_final = 1e300\ndt = 1e-300\n",
-            "name = free_gaussian\n[evolution]\nt_final = 1e300\n",
-            "name = harmonic_perturbed\n[evolution]\nt_final = 0\n",
-            "name = harmonic_perturbed\n[physics]\nepsilon0 = 0.2\n",
-            "name = diffusion_gaussian\n[physics]\nstart_time = nan\n",
-            "name = harmonic_ground\n[physics]\nhbar = 1e300\nmass = 1.7e308\n",
+            "[scenario]\nname = free_gaussian\n[evolution]\nt_final = inf\n",
+            "[scenario]\nname = free_gaussian\n[evolution]\nt_final = 1e300\ndt = 1e-300\n",
+            "[scenario]\nname = free_gaussian\n[evolution]\nt_final = 1e300\n",
+            "[scenario]\nname = harmonic_perturbed\n[evolution]\nt_final = 0\n",
+            "[scenario]\nname = harmonic_perturbed\n[physics]\nepsilon0 = 0.2\n",
+            "[scenario]\nname = diffusion_gaussian\n[physics]\nstart_time = nan\n",
+            "[scenario]\nname = harmonic_ground\n[physics]\nhbar = 1e300\nmass = 1.7e308\n",
+            "[scenario]\nname = free_gaussian\n[grid]\nN = 64\nN = 64\n",
+            "[scenario]\nname = free_gaussian\n[grid]\nN = 64\n[grid]\nL = 10.0\n",
+            "name = free_gaussian\n",
+            "[scenario]\nname = free_gaussian\n[grid]\nL\n",
+            "[scenario]\nname = free_gaussian\n# \xff\n",
+            "[scenario]\nname = free_gaussian\n[physics]\nhbar = 1%\n",
+            # these four ran the defaults (N = 1024, hbar = 1) and exited 0
+            "[scenario]\nname = free_gaussian\n[Grid]\nN = 64\n",
+            "[scenario]\nname = free_gaussian\n[phyiscs]\nhbar = 2\n",
+            "[DEFAULT]\nhbar = 2\n[scenario]\nname = free_gaussian\n",
+            "[scenario]\nname = free_gaussian\nN = 64\n",
         ],
         ids=[
             "t_final_inf",
@@ -327,11 +428,22 @@ class TestMain:
             "perturbed_large_epsilon",
             "start_time_nan",
             "ground_width_underflows",
+            "duplicate_key",
+            "duplicate_section",
+            "missing_section_header",
+            "bare_key_line",
+            "not_utf8",
+            "bad_interpolation",
+            "miscased_section",
+            "misspelt_section",
+            "default_section",
+            "stray_scenario_key",
         ],
     )
-    def test_crashing_configs_exit_2(self, tmp_path, capsys, body):
+    def test_crashing_configs_exit_2(self, tmp_path, capsys, text):
         path = tmp_path / "bad.ini"
-        path.write_text(f"[scenario]\n{body}[output]\ndirectory = {tmp_path / 'out'}\n")
+        # latin-1 writes the one non-ASCII character as the single byte 0xff
+        path.write_bytes(f"{text}[output]\ndirectory = {tmp_path / 'out'}\n".encode("latin-1"))
         assert main(["run", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ")

@@ -1,16 +1,23 @@
-"""Property test over INI values: `qhydro` exits 0, 1, 2 or 3 and never raises.
+"""Property tests over INI files: `qhydro` exits 0, 1, 2 or 3 and never raises.
 
 Finite in-range draws are bounded (N <= 64, at most 200 steps) so that every
 example runs in milliseconds.  Non-finite, zero, negative and overflowing
 values are drawn from their own pool, for up to two keys per example, so
 that most examples are valid configurations that run to the end.
+
+A second test puts one structural fault into a valid default INI (a
+misspelt or miscased section, a duplicate key or section, a stray
+[scenario] key, a bare key line, no header) and expects a config error.
 """
+import contextlib
+import io
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from qhydro.cli import SCENARIOS, main
+from qhydro.cli import SCENARIOS, default_config, main, parse_config, render_config
 
 BAD_FLOATS = st.sampled_from(
     [float("nan"), float("inf"), float("-inf"), 0.0, -0.0, -1.0, -1e300, 1e300, 1.7e308]
@@ -89,3 +96,62 @@ def test_any_config_exits_with_a_documented_code(text, command):
         path = Path(tmp) / "cfg.ini"
         path.write_text(text + f"[output]\ndirectory = {Path(tmp) / 'out'}\n")
         assert main([command, str(path)]) in (0, 1, 2, 3)
+
+
+OUT = "OUTPUT_DIRECTORY"
+FAULTS = (
+    "misspelt_section",
+    "duplicate_key",
+    "duplicate_section",
+    "stray_scenario_key",
+    "bare_key_line",
+    "missing_header",
+)
+
+
+@st.composite
+def faulty_ini(draw):
+    """(valid text, the same text with one structural fault); OUT marks the output directory."""
+    cfg = default_config(draw(st.sampled_from(sorted(SCENARIOS))))
+    lines = render_config(replace(cfg, N=16, t_final=2 * cfg.dt, directory=OUT)).splitlines()
+    valid = "\n".join(lines) + "\n"
+    # lines[0] is [scenario] and lines[1] its name
+    headers = [i for i, line in enumerate(lines) if line.startswith("[") and i > 0]
+    keys = [i for i, line in enumerate(lines) if " = " in line and i > 1]
+    fault = draw(st.sampled_from(FAULTS))
+    if fault == "misspelt_section":
+        i = draw(st.sampled_from(headers))
+        name = lines[i][1:-1]
+        typos = [name.capitalize(), name.upper(), name[:-1], name + "s", name[1] + name[0] + name[2:]]
+        lines[i] = f"[{draw(st.sampled_from(typos))}]"
+    elif fault == "duplicate_key":
+        i = draw(st.sampled_from(keys))
+        lines.insert(i + 1, lines[i])
+    elif fault == "duplicate_section":
+        i = draw(st.sampled_from(headers))
+        lines += [lines[i], lines[i + 1]]
+    elif fault == "stray_scenario_key":
+        lines.insert(2, lines[draw(st.sampled_from(keys))])
+    elif fault == "bare_key_line":
+        i = draw(st.sampled_from(keys))
+        lines.insert(i + 1, lines[i].split(" = ")[0])
+    else:
+        del lines[0]
+    return valid, "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(texts=faulty_ini(), command=st.sampled_from(["run", "compare"]))
+def test_structural_fault_is_a_config_error(texts, command):
+    valid, faulty = texts
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        path = Path(tmp) / "cfg.ini"
+        path.write_text(valid.replace(OUT, str(out)))
+        parse_config(path)  # the fault alone makes the config invalid
+        path.write_text(faulty.replace(OUT, str(out)))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main([command, str(path)]) == 2
+        assert err.getvalue().startswith("config error:")
+        assert not out.exists()

@@ -65,27 +65,29 @@ def _sigma2(rho):
 @pytest.mark.parametrize("case", QUANTUM_CASES.values(), ids=QUANTUM_CASES.keys())
 def test_quantum_runner_matches_per_state_path(case, rows):
     cfg = _config(rows=rows, **case)
-    report, maxima = cli._run_quantum(cfg)
+    report = run_scenario(cfg)
+    tab = report.table
     grid, pot, state = _quantum_start(cfg)
     snapshots = propagate(state, pot, cli._evolution(cfg))
-    assert len(report.rows) == len(snapshots) == rows
-    for row, snap in zip(report.rows, snapshots):
+    assert len(tab["t"]) == len(snapshots) == rows
+    for i, snap in enumerate(snapshots):
         rho = density(snap)
         ent = entropy_report(snap, cfg.k_B, cfg.enable_von_neumann)
-        assert row.t == snap.time
-        assert row.norm == integrate(rho)
-        assert row.energy == energy(snap, pot)
-        assert row.sigma2_measured == _sigma2(rho)
-        assert row.ent_boltzmann == ent.ent_boltzmann
-        assert row.fisher == ent.fisher_information
-        assert row.production_diffusive == ent.production_diffusive
-        assert row.production_advective == ent.production_advective
-        assert row.production_correlation == ent.production_correlation
-        assert row.ent_von_neumann == ent.ent_von_neumann
+        assert tab["t"][i] == snap.time
+        assert tab["norm"][i] == integrate(rho)
+        assert tab["energy"][i] == energy(snap, pot)
+        assert tab["sigma2_measured"][i] == _sigma2(rho)
+        assert tab["ent_boltzmann"][i] == ent.ent_boltzmann
+        assert tab["fisher"][i] == ent.fisher_information
+        assert tab["production_diffusive"][i] == ent.production_diffusive
+        assert tab["production_advective"][i] == ent.production_advective
+        assert tab["production_correlation"][i] == ent.production_correlation
+        vn = tab["ent_von_neumann"]
+        assert (None if vn is None else vn[i]) == ent.ent_von_neumann
     u_a = [advective_velocity(s).values for s in snapshots]
-    assert maxima["ua_max"] == [float(np.abs(u).max()) for u in u_a]
+    assert tab["ua_max"].tolist() == [float(np.abs(u).max()) for u in u_a]
     rho0 = density(snapshots[0]).values
-    assert maxima["rho_drift"] == [float(np.abs(density(s).values - rho0).max()) for s in snapshots]
+    assert tab["rho_drift"].tolist() == [float(np.abs(density(s).values - rho0).max()) for s in snapshots]
     for table, snap, u in zip(report.field_tables, snapshots, u_a):
         assert np.array_equal(table["rho"], density(snap).values)
         assert np.array_equal(table["u_advective"], u)
@@ -100,20 +102,21 @@ def _diffused(initial, cfg):
 @pytest.mark.parametrize("rows", ROW_COUNTS.values(), ids=ROW_COUNTS.keys())
 def test_diffusion_runner_matches_per_state_path(rows):
     cfg = _config("diffusion_gaussian", rows, start_time=0.3)
-    report = cli._run_diffusion(cfg)
+    report = run_scenario(cfg)
+    tab = report.table
     initial = gaussian_density(make_grid(cfg.L, cfg.N), cfg.sigma0, cfg.D, time=cfg.start_time)
     snapshots = _diffused(initial, cfg)
-    assert len(report.rows) == len(snapshots) == rows
-    for row, snap, table in zip(report.rows, snapshots, report.field_tables):
+    assert len(tab["t"]) == len(snapshots) == rows
+    assert tab.get("energy") is None
+    assert tab.get("production_advective") is None
+    for i, (snap, table) in enumerate(zip(snapshots, report.field_tables)):
         ent = entropy_report(snap, cfg.k_B)
-        assert row.t == snap.time
-        assert row.norm == integrate(snap.rho)
-        assert row.energy is None
-        assert row.sigma2_measured == _sigma2(snap.rho)
-        assert row.ent_boltzmann == ent.ent_boltzmann
-        assert row.fisher == ent.fisher_information
-        assert row.production_diffusive == ent.production_diffusive
-        assert row.production_advective is None
+        assert tab["t"][i] == snap.time
+        assert tab["norm"][i] == integrate(snap.rho)
+        assert tab["sigma2_measured"][i] == _sigma2(snap.rho)
+        assert tab["ent_boltzmann"][i] == ent.ent_boltzmann
+        assert tab["fisher"][i] == ent.fisher_information
+        assert tab["production_diffusive"][i] == ent.production_diffusive
         assert np.array_equal(table["rho"], snap.rho.values)
         assert np.array_equal(table["u_diffusive"], diffusive_velocity(snap.rho, cfg.D).values)
 
@@ -126,16 +129,17 @@ def test_compare_matches_per_state_path(rows):
     q_state = gaussian_packet(grid, cfg.sigma0, cfg.hbar, cfg.mass)
     q_snaps = propagate(q_state, free_potential(), cli._evolution(cfg))
     d_snaps = _diffused(DiffusionState(density(q_state), cfg.D, time=0.0), cfg)
-    assert len(report.rows) == rows
-    for row, qs, ds in zip(report.rows, q_snaps, d_snaps):
+    tab = report.table
+    assert len(tab["t"]) == rows
+    for i, (qs, ds) in enumerate(zip(q_snaps, d_snaps)):
         rho_q = density(qs)
-        assert row["t"] == qs.time
-        assert row["sigma2_quantum"] == _sigma2(rho_q)
-        assert row["sigma2_diffusive"] == _sigma2(ds.rho)
-        assert row["ent_boltzmann_quantum"] == boltzmann_entropy(rho_q, cfg.k_B)
-        assert row["ent_boltzmann_diffusive"] == boltzmann_entropy(ds.rho, cfg.k_B)
+        assert tab["t"][i] == qs.time
+        assert tab["sigma2_quantum"][i] == _sigma2(rho_q)
+        assert tab["sigma2_diffusive"][i] == _sigma2(ds.rho)
+        assert tab["ent_boltzmann_quantum"][i] == boltzmann_entropy(rho_q, cfg.k_B)
+        assert tab["ent_boltzmann_diffusive"][i] == boltzmann_entropy(ds.rho, cfg.k_B)
         l2 = float(np.sqrt(grid.dx * np.sum((rho_q.values - ds.rho.values) ** 2)))
-        assert row["rho_l2_divergence"] == l2
+        assert tab["rho_l2_divergence"][i] == l2
 
 
 @pytest.mark.parametrize("pot", [free_potential(), harmonic_potential(1.5)], ids=["free", "trap"])
