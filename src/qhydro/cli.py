@@ -20,7 +20,9 @@ import json
 import math
 import sys
 import time
+from collections import deque
 from dataclasses import dataclass, replace
+from itertools import chain, islice
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -38,7 +40,8 @@ from .analytic import (
 )
 from .diffusion import DiffusionState, gaussian_density, _kernel_blocks
 from .entropy import _boltzmann_rows, _diffusion_rows, _quantum_rows
-from .grid import make_grid, spectral_derivatives
+from . import grid as grid_module
+from .grid import _row_blocks, make_grid, spectral_derivatives
 from .madelung import density, _drift
 from .schrodinger import (
     EvolutionConfig,
@@ -188,11 +191,20 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
     return list(dict.fromkeys(problems))
 
 
-def _trap_problems(cfg: ScenarioConfig, problems: list[str]) -> list[str]:
-    if not cfg.omega0 > 0:
-        return [f"omega0 must be positive, got {cfg.omega0}"]
-    if problems or 0 < _ground_width(cfg) < math.inf:
+def _own_potential(cfg: ScenarioConfig, problems: list[str]) -> list[str]:
+    """Every scenario but `custom` runs its own potential, whatever the `potential` key says."""
+    own = default_config(cfg.scenario).potential
+    if cfg.potential == own:
         return []
+    return [f"{cfg.scenario} runs potential = {own}, got potential = {cfg.potential}"]
+
+
+def _trap_problems(cfg: ScenarioConfig, problems: list[str]) -> list[str]:
+    found = _own_potential(cfg, problems)
+    if not cfg.omega0 > 0:
+        return found + [f"omega0 must be positive, got {cfg.omega0}"]
+    if problems or found or 0 < _ground_width(cfg) < math.inf:
+        return found
     width = _ground_width(cfg)
     return [f"ground width sqrt(hbar/(2 mass omega0)) is {width}, not a positive finite number"]
 
@@ -215,7 +227,7 @@ def _positive_D(cfg: ScenarioConfig) -> list[str]:
 
 
 def _diffusion_problems(cfg: ScenarioConfig, problems: list[str]) -> list[str]:
-    found = _positive_D(cfg)
+    found = _own_potential(cfg, problems) + _positive_D(cfg)
     if cfg.start_time < 0:
         found.append(f"start_time must be nonnegative, got {cfg.start_time}")
     return found
@@ -464,9 +476,13 @@ def _density_columns(times, rho, grid, ent: dict) -> dict:
 
 
 def _quantum_blocks(cfg: ScenarioConfig, grid, ev: EvolutionConfig, state, pot):
-    """Each block's `run` columns (and max|u_a|, max|rho - rho0|), and its fields if emitted."""
-    rho0 = np.abs(state.psi.values) ** 2
-    for steps, psi in _snapshot_blocks(state, pot, ev):
+    """steps -> the block's `run` columns (and max|u_a|, max|rho - rho0|), and its fields
+    if emitted."""
+    psi0, later = _snapshot_blocks(state, pot, ev)
+    rho0 = np.abs(psi0[0]) ** 2
+
+    def block(steps):
+        psi = psi0 if steps[0] == 0 else later(steps)
         times = state.time + np.array(steps) * ev.dt
         derivatives = spectral_derivatives(psi, grid, (1, 2))
         ent, rho, mask, v = _quantum_rows(
@@ -479,26 +495,35 @@ def _quantum_blocks(cfg: ScenarioConfig, grid, ev: EvolutionConfig, state, pot):
             rho_drift=np.abs(rho - rho0).max(axis=-1),
         )
         fields = cfg.emit_fields and {"rho": rho, "u_advective": np.where(mask, v.real, 0.0)}
-        yield columns, fields
+        return columns, fields
+
+    return block
 
 
 def _diffusion_blocks(cfg: ScenarioConfig, grid, ev: EvolutionConfig, initial: DiffusionState, _):
-    """Each block's `run` columns, and its fields if emitted."""
-    for steps, rho in _kernel_blocks(initial, ev):
+    """steps -> the block's `run` columns, and its fields if emitted."""
+    rho0, later = _kernel_blocks(initial, ev)
+
+    def block(steps):
+        rho = rho0 if steps[0] == 0 else later(steps)
         times = initial.time + np.array(steps) * ev.dt
         ent, mask, grad = _diffusion_rows(rho, grid, cfg.D, cfg.k_B, times)
         columns = _density_columns(times, rho, grid, ent)
         fields = cfg.emit_fields and {"rho": rho, "u_diffusive": _drift(rho, grad, mask, cfg.D)}
-        yield columns, fields
+        return columns, fields
+
+    return block
 
 
 def _compare_blocks(cfg: ScenarioConfig, grid, ev: EvolutionConfig, q_state, pot):
-    """Each block's `compare` columns: the packet and its density diffused at D."""
-    d_state = DiffusionState(density(q_state), cfg.D, time=0.0)
-    # both runs cut the same steps into the same blocks
-    blocks = zip(_snapshot_blocks(q_state, pot, ev), _kernel_blocks(d_state, ev))
-    for (steps, psi), (_, rho_d) in blocks:
-        rho_q = np.abs(psi) ** 2
+    """steps -> the block's `compare` columns: the packet and its density diffused at D."""
+    psi0, quantum = _snapshot_blocks(q_state, pot, ev)
+    rho0, diffused = _kernel_blocks(DiffusionState(density(q_state), cfg.D, time=0.0), ev)
+
+    def block(steps):
+        first = steps[0] == 0
+        rho_q = np.abs(psi0 if first else quantum(steps)) ** 2
+        rho_d = rho0 if first else diffused(steps)
         columns = dict(
             t=q_state.time + np.array(steps) * ev.dt,
             sigma2_quantum=_sigma2(rho_q, grid),
@@ -507,7 +532,9 @@ def _compare_blocks(cfg: ScenarioConfig, grid, ev: EvolutionConfig, q_state, pot
             ent_boltzmann_diffusive=_boltzmann_rows(rho_d, grid.dx, cfg.k_B),
             rho_l2_divergence=np.sqrt(grid.dx * np.sum((rho_q - rho_d) ** 2, axis=-1)),
         )
-        yield columns, None
+        return columns, None
+
+    return block
 
 
 def _entropy_rate(cfg: ScenarioConfig, tab: dict) -> dict:
@@ -580,8 +607,9 @@ def _compare_references(cfg: ScenarioConfig, tab: dict) -> dict:
 
 
 class _Entry(NamedTuple):
-    """A scenario as data: blocks(cfg, grid, ev, *start(cfg, grid)) yield (columns, fields);
-    references derive columns; identities check the table; validate adds config problems."""
+    """A scenario as data: blocks(cfg, grid, ev, *start(cfg, grid)) is the function from a
+    block's steps to its (columns, fields); references derive columns; identities check
+    the table; validate adds config problems."""
 
     description: str
     defaults: dict
@@ -589,7 +617,7 @@ class _Entry(NamedTuple):
     blocks: Callable
     references: tuple
     identities: tuple
-    validate: Callable = lambda cfg, problems: []
+    validate: Callable = _own_potential
 
 
 def _packet(cfg: ScenarioConfig, grid):
@@ -670,6 +698,7 @@ _ENTRIES = {
         _quantum_blocks,
         (_entropy_rate,),
         _QUANTUM_IDENTITIES,
+        lambda cfg, problems: [],
     ),
 }
 
@@ -685,6 +714,33 @@ _COMPARE = _Entry(
 SCENARIOS = {name: entry.description for name, entry in _ENTRIES.items()}
 
 
+def _pooled(block, blocks: list[list[int]]):
+    """block(steps) for each of `blocks`, in order, on one worker per usable core.
+
+    At most two blocks per worker are submitted ahead of the one consumed.  The
+    first failing block raises its error (so the earliest bad step is the one
+    reported) and the pending blocks are cancelled.  A run with no more blocks
+    than workers runs them in the calling thread: a thread pool would pay the
+    start-up of the BLAS in each new thread for no overlap.
+    """
+    workers = grid_module._WORKERS
+    if workers < 2 or len(blocks) <= workers:
+        yield from map(block, blocks)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(workers)
+    try:
+        ahead = iter(blocks)
+        pending = deque(pool.submit(block, steps) for steps in islice(ahead, 2 * workers))
+        while pending:
+            done = pending.popleft().result()
+            pending.extend(pool.submit(block, steps) for steps in islice(ahead, 1))
+            yield done
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _run(
     entry: _Entry, cfg: ScenarioConfig, name: str, columns: list[str], problems: list[str]
 ) -> RunReport:
@@ -693,8 +749,12 @@ def _run(
         raise ConfigError(problems)
     started = time.perf_counter()
     grid = make_grid(cfg.L, cfg.N)
+    ev = _evolution(cfg)
+    block = entry.blocks(cfg, grid, ev, *entry.start(cfg, grid))
+    steps = ev.snapshot_steps()
     parts, tables = [], ([] if cfg.emit_fields else None)
-    for part, fields in entry.blocks(cfg, grid, _evolution(cfg), *entry.start(cfg, grid)):
+    blocks = _pooled(block, _row_blocks(steps[1:], grid.num_points))
+    for part, fields in chain([block(steps[:1])], blocks):
         parts.append(part)
         if tables is not None and fields:
             tables += [{"x": grid.x, **dict(zip(fields, row))} for row in zip(*fields.values())]
@@ -734,15 +794,32 @@ def compare_quantum_diffusion(cfg: ScenarioConfig) -> RunReport:
     1.05x that time.
     """
     # only the diffusion scenario needs D to run; every comparison does
-    problems = list(dict.fromkeys(validate_config(cfg) + _positive_D(cfg)))
+    problems = validate_config(cfg) + _positive_D(cfg)
+    if cfg.potential != "free":
+        problems.append(f"compare evolves a free packet, got potential = {cfg.potential}")
+    problems = list(dict.fromkeys(problems))
     return _run(_COMPARE, cfg, "compare_quantum_diffusion", COMPARE_COLUMNS, problems)
 
 
-def _write_csv(path: Path, names: list[str], columns: list[list]) -> Path:
-    rows = [",".join("" if v is None else f"{v:.17g}" for v in row) for row in zip(*columns)]
-    lines = [",".join(names)] + rows
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+def _write_csv(path: Path, names: list[str], columns: list[list | None]) -> Path:
+    """One line per row, each value "%.17g" formatted (f"{v:.17g}" alike), an absent
+    column (None) an empty field."""
+    row = ",".join("" if column is None else "%.17g" for column in columns)
+    rows = (row % values for values in zip(*(c for c in columns if c is not None)))
+    path.write_text("\n".join((",".join(names), *rows)) + "\n", encoding="ascii")
     return path
+
+
+def _json_table(names: list[str], columns: list[list | None], rows: int) -> str:
+    """json.dumps({"columns": names, "rows": [{name: value} per row]}, indent=1),
+    at least one row, with each value's token from the C encoder (NaN, Infinity,
+    null and float repr alike); an `indent` would run the pure-Python encoder."""
+    keys = [json.dumps(name) for name in names]
+    tokens = [json.dumps([None] * rows if c is None else c)[1:-1].split(", ") for c in columns]
+    row = "  {\n" + ",\n".join(f"   {key}: %s" for key in keys) + "\n  }"
+    body = ",\n".join(row % values for values in zip(*tokens))
+    head = ",\n".join(f"  {key}" for key in keys)
+    return f'{{\n "columns": [\n{head}\n ],\n "rows": [\n{body}\n ]\n}}'
 
 
 def emit_timeseries(report: RunReport, directory: str | Path, formats=("csv", "json")) -> list[Path]:
@@ -757,9 +834,8 @@ def emit_timeseries(report: RunReport, directory: str | Path, formats=("csv", "j
     except OSError as exc:
         raise OSError(f"cannot create output directory {directory}: {exc}") from exc
     stem = "compare" if report.scenario == "compare_quantum_diffusion" else "timeseries"
-    rows = len(report.table["t"])
     values = [
-        [None] * rows if report.table.get(name) is None else report.table[name].tolist()
+        None if report.table.get(name) is None else report.table[name].tolist()
         for name in report.columns
     ]
     written = []
@@ -767,11 +843,8 @@ def emit_timeseries(report: RunReport, directory: str | Path, formats=("csv", "j
         written.append(_write_csv(directory / f"{stem}.csv", report.columns, values))
     if "json" in formats:
         path = directory / f"{stem}.json"
-        payload = {
-            "columns": report.columns,
-            "rows": [dict(zip(report.columns, row)) for row in zip(*values)],
-        }
-        path.write_text(json.dumps(payload, indent=1) + "\n", encoding="ascii")
+        text = _json_table(report.columns, values, len(report.table["t"]))
+        path.write_text(text + "\n", encoding="ascii")
         written.append(path)
     for i, table in enumerate(report.field_tables or ()):
         columns = [c.tolist() for c in table.values()]

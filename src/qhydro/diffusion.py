@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ComplexField, Grid, RealField, _row_blocks, integrate, spectral_derivative
+from .grid import ComplexField, Grid, RealField, _exponentials, integrate, spectral_derivative
 from .madelung import (
     NORM_TOLERANCE,
     QuantumState,
@@ -71,14 +71,15 @@ def gaussian_density(grid: Grid, sigma: float, D: float, center: float = 0.0, ti
     return DiffusionState(RealField(grid, rho), D, time)
 
 
-def _heat_kernel_rows(spectrum, decay, durations, steps=None) -> np.ndarray:
-    """Densities exp(decay * t) * spectrum mapped back to x, one row per duration t.
+def _heat_kernel_rows(spectrum, kernel, steps=None) -> np.ndarray:
+    """Densities kernel * spectrum mapped back to x, one row per row of the kernel.
 
-    `spectrum` is the transform of the initial density and `decay` is -D k^2.
-    Raises NumericsError at the first row that goes negative beyond rounding
-    or is not finite; rounding-level negatives are clipped to 0.
+    `spectrum` is the transform of the initial density and `kernel` the table
+    exp(-D k^2 t), one row per duration t.  Raises NumericsError at the first
+    row that goes negative beyond rounding or is not finite; rounding-level
+    negatives are clipped to 0.
     """
-    rho = np.fft.ifft(spectrum * np.exp(decay * np.asarray(durations)[:, None])).real
+    rho = np.fft.ifft(spectrum * kernel).real
     floor = -NEGATIVITY_TOLERANCE * np.fmax(1.0, rho.max(axis=-1))
     worst = rho.min(axis=-1)
     _check_rows(
@@ -89,28 +90,29 @@ def _heat_kernel_rows(spectrum, decay, durations, steps=None) -> np.ndarray:
 
 
 def _kernel_blocks(initial: DiffusionState, cfg: EvolutionConfig):
-    """Yield (steps, rho) for consecutive row blocks of the heat-kernel snapshots.
+    """The heat-kernel snapshots as (rows, N) arrays: the initial row, and the
+    function from a block of later steps (of cfg.snapshot_steps()) to its rows.
 
-    The steps are cfg.snapshot_steps() and rho is a (rows, N) array.  The
-    first block is the initial density itself; every later row is one
+    The initial row is the initial density itself; every later row is one
     application of the exact kernel to one forward transform of it, so no
-    roundoff accumulates across steps.
-    Raises NumericsError at the first row whose mass misses 1 by more than
-    NORM_TOLERANCE.
+    roundoff accumulates across steps.  Raises NumericsError at the first row
+    whose mass misses 1 by more than NORM_TOLERANCE.  Each block depends on
+    its steps alone.
     """
     grid = initial.grid
-    steps = cfg.snapshot_steps()
-    yield steps[:1], initial.rho.values[None]
     spectrum = np.fft.fft(initial.rho.values)
-    decay = -initial.D * grid.k**2
-    for block in _row_blocks(steps[1:], grid.num_points):
-        rho = _heat_kernel_rows(spectrum, decay, [i * cfg.dt for i in block], block)
+    kernel = _exponentials(-initial.D * grid.k**2)
+
+    def rows(steps: list[int]) -> np.ndarray:
+        rho = _heat_kernel_rows(spectrum, kernel([i * cfg.dt for i in steps]), steps)
         norm = grid.dx * np.sum(rho, axis=-1)
         _check_rows(
-            ~(np.abs(norm - 1.0) > NORM_TOLERANCE), block,
+            ~(np.abs(norm - 1.0) > NORM_TOLERANCE), steps,
             lambda r: f"density norm {norm[r]!r} deviates from 1 by more than {NORM_TOLERANCE}",
         )
-        yield block, rho
+        return rho
+
+    return initial.rho.values[None], rows
 
 
 def diffuse_step(state: DiffusionState, dt: float) -> DiffusionState:
@@ -118,7 +120,8 @@ def diffuse_step(state: DiffusionState, dt: float) -> DiffusionState:
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     grid = state.grid
-    rho = _heat_kernel_rows(np.fft.fft(state.rho.values), -state.D * grid.k**2, [dt])[0]
+    kernel = _exponentials(-state.D * grid.k**2)([dt])
+    rho = _heat_kernel_rows(np.fft.fft(state.rho.values), kernel)[0]
     return DiffusionState(RealField(grid, rho), state.D, state.time + dt)
 
 

@@ -7,6 +7,7 @@ package are set up that way.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,18 +24,37 @@ __all__ = [
 ]
 
 
-# Snapshots are computed and diagnosed in (rows, N) blocks of about this many
-# bytes of complex samples (32 rows at N = 1024): enough rows to amortise the
-# per-call cost of each transform and reduction, few enough that a block stays
-# in cache between them and that the dozen temporaries of a block's diagnostics
-# add only a few MB to peak memory.
+# Snapshots are computed and diagnosed in (rows, N) blocks; all the blocks in
+# flight at once, one per worker, share this many bytes of complex samples (32
+# rows at N = 1024 on one worker, 16 on each of two): enough rows to amortise
+# the per-call cost of each transform and reduction, few enough that a block
+# stays in cache between them and that the dozen temporaries of each block's
+# diagnostics add only a few MB to peak memory.
 _BLOCK_BYTES = 1 << 19
+
+# The runners compute row blocks on one worker per usable core.
+if hasattr(os, "sched_getaffinity"):
+    _WORKERS = len(os.sched_getaffinity(0))
+else:
+    _WORKERS = os.cpu_count() or 1
 
 
 def _row_blocks(steps: list[int], num_points: int) -> list[list[int]]:
-    """`steps` cut into consecutive runs of at most _BLOCK_BYTES of complex rows."""
-    rows = max(1, _BLOCK_BYTES // (16 * num_points))
+    """`steps` cut into consecutive runs of complex rows, _BLOCK_BYTES split among the workers."""
+    rows = max(1, _BLOCK_BYTES // (16 * num_points * _WORKERS))
     return [steps[i:i + rows] for i in range(0, len(steps), rows)]
+
+
+def _exponentials(rates: np.ndarray):
+    """times -> the (len(times), N) table exp(rates * t), one row per time t.
+
+    Each distinct rate is exponentiated once: a free spectrum is even in k bit
+    for bit, so about half the exponentials are saved.  np.take keeps the table
+    C-contiguous; a strided table would change the order of every later row
+    reduction.
+    """
+    distinct, where = np.unique(rates, return_inverse=True)
+    return lambda times: np.take(np.exp(distinct * np.asarray(times)[:, None]), where, axis=1)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ComplexField, Grid, RealField, _row_blocks, spectral_derivatives
+from .grid import (
+    ComplexField, Grid, RealField, _exponentials, _row_blocks, spectral_derivatives,
+)
 from .madelung import NORM_TOLERANCE, QuantumState
 
 __all__ = [
@@ -206,32 +208,33 @@ def _eigenbasis(state: QuantumState, pot: Potential):
 
 
 def _snapshot_blocks(state: QuantumState, pot: Potential, cfg: EvolutionConfig):
-    """Yield (steps, psi) for consecutive row blocks of the snapshots of `propagate`.
+    """The snapshots of `propagate` as (rows, N) arrays: the initial row, and
+    the function from a block of later steps to its rows.
 
-    psi is a (rows, N) array.  The first block is the initial state itself;
-    each later block is one table of phases exp(-iEt/hbar) mapped back to x
-    (for a free potential, one batched inverse transform).  Every row is
-    checked: NumericsError at the first non-finite row, or at the first row
-    whose norm misses 1 by more than NORM_TOLERANCE.
+    The initial row is the initial state itself; a later block is one table of
+    phases exp(-iEt/hbar) mapped back to x (for a free potential, one batched
+    inverse transform).  Every later row is checked: NumericsError at the first
+    non-finite row, or at the first row whose norm misses 1 by more than
+    NORM_TOLERANCE.  Each block depends on its steps alone.
     """
     grid, hbar = state.grid, state.hbar
-    psi0 = state.psi.values
-    steps = cfg.snapshot_steps()
     energies, coeffs, to_x = _eigenbasis(state, pot)
-    yield steps[:1], psi0[None]
-    phase = -1j * energies
-    for block in _row_blocks(steps[1:], grid.num_points):
-        psi = to_x(np.exp(phase * (np.array(block)[:, None] * cfg.dt / hbar)) * coeffs)
+    phases = _exponentials(-1j * energies)
+
+    def rows(steps: list[int]) -> np.ndarray:
+        psi = to_x(phases(np.array(steps) * cfg.dt / hbar) * coeffs)
         _check_rows(
-            np.isfinite(psi).all(axis=-1), block,
-            lambda r: f"non-finite wavefunction at step {block[r]}",
+            np.isfinite(psi).all(axis=-1), steps,
+            lambda r: f"non-finite wavefunction at step {steps[r]}",
         )
         norm = grid.dx * np.sum(np.abs(psi) ** 2, axis=-1)
         _check_rows(
-            ~(np.abs(norm - 1.0) > NORM_TOLERANCE), block,
+            ~(np.abs(norm - 1.0) > NORM_TOLERANCE), steps,
             lambda r: f"state norm {norm[r]!r} deviates from 1 by more than {NORM_TOLERANCE}",
         )
-        yield block, psi
+        return psi
+
+    return state.psi.values[None], rows
 
 
 def propagate(state: QuantumState, pot: Potential, cfg: EvolutionConfig) -> list[QuantumState]:
@@ -243,13 +246,12 @@ def propagate(state: QuantumState, pot: Potential, cfg: EvolutionConfig) -> list
     once, and psi(t) = V exp(-iEt/hbar) V^T psi(t0).
     """
     grid, hbar, mass = state.grid, state.hbar, state.mass
-    blocks = _snapshot_blocks(state, pot, cfg)
-    next(blocks)  # the initial state itself
+    _, rows = _snapshot_blocks(state, pot, cfg)
     snapshots = [state]
-    for steps, psi in blocks:
+    for steps in _row_blocks(cfg.snapshot_steps()[1:], grid.num_points):
         snapshots += [
             QuantumState(ComplexField(grid, row), hbar, mass, state.time + i * cfg.dt)
-            for i, row in zip(steps, psi)
+            for i, row in zip(steps, rows(steps))
         ]
     return snapshots
 

@@ -1,10 +1,13 @@
 import functools
 import json
 import math
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qhydro import cli
 from qhydro.cli import (
@@ -144,6 +147,29 @@ class TestConfig:
             "unknown key 'N' in section [scenario]",
             "[physics] mass: could not convert string to float: 'heavy'",
         ]
+
+    @pytest.mark.parametrize("scenario", ["free_gaussian", "diffusion_gaussian"])
+    def test_scenario_runs_its_own_potential(self, scenario):
+        cfg = replace(default_config(scenario), potential="harmonic", omega0=5.0)
+        assert cli.validate_config(cfg) == [
+            f"{scenario} runs potential = free, got potential = harmonic"
+        ]
+        # an unused key keeps its default INI parseable
+        assert cli.validate_config(replace(cfg, potential="free")) == []
+
+    @pytest.mark.parametrize("scenario", ["harmonic_ground", "harmonic_perturbed"])
+    def test_trap_runs_its_own_potential(self, scenario):
+        cfg = replace(default_config(scenario), potential="free")
+        assert cli.validate_config(cfg) == [
+            f"{scenario} runs potential = harmonic, got potential = free"
+        ]
+
+    @pytest.mark.parametrize("scenario", ["harmonic_ground", "harmonic_perturbed", "custom"])
+    def test_compare_refuses_a_trap(self, scenario):
+        cfg = replace(default_config(scenario), potential="harmonic")
+        with pytest.raises(ConfigError) as err:
+            compare_quantum_diffusion(cfg)
+        assert err.value.problems == ["compare evolves a free packet, got potential = harmonic"]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -335,6 +361,47 @@ class TestEmit:
         assert all("tolerance" in c and "measured" in c for c in payload["identities"])
 
 
+VALUES = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308])
+
+
+@st.composite
+def emitted_tables(draw):
+    """(columns, table, one field table): 1 to 300 rows; any column but t may be all None."""
+    rows = draw(st.sampled_from([1, 2, 5, 300]))
+    # drawn values repeated cyclically, so that many rows cost few draws
+    column = st.lists(VALUES, min_size=1, max_size=8).map(lambda v: np.resize(np.array(v), rows))
+    names = ["t", "norm", "energy", "ent_von_neumann"]
+    absent = draw(st.sets(st.sampled_from(names[1:])))
+    table = {name: None if name in absent else draw(column) for name in names}
+    return names, table, {"x": draw(column), "rho": draw(column)}
+
+
+def _oracle(names, columns):
+    """The writer's bytes as first formulated: f"{v:.17g}" per CSV value and
+    json.dumps(payload, indent=1)."""
+    lines = [",".join(names)]
+    lines += [",".join("" if v is None else f"{v:.17g}" for v in row) for row in zip(*columns)]
+    payload = {"columns": names, "rows": [dict(zip(names, row)) for row in zip(*columns)]}
+    return "\n".join(lines) + "\n", json.dumps(payload, indent=1) + "\n"
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(drawn=emitted_tables())
+def test_writer_matches_the_per_value_oracle(drawn):
+    names, table, fields = drawn
+    report = cli.RunReport("free_gaussian", names, table, [], {}, [fields])
+    rows = len(table["t"])
+    columns = [[None] * rows if table[n] is None else table[n].tolist() for n in names]
+    csv, text = _oracle(names, columns)
+    field_csv, _ = _oracle(list(fields), [c.tolist() for c in fields.values()])
+    with tempfile.TemporaryDirectory() as tmp:
+        emit_timeseries(report, tmp)
+        out = Path(tmp)
+        assert (out / "timeseries.csv").read_text() == csv
+        assert (out / "timeseries.json").read_text() == text
+        assert (out / "fields_0000.csv").read_text() == field_csv
+
+
 class TestCompare:
     def test_matched_start_and_separation(self, quick_free):
         cfg = replace(quick_free, D=0.5, t_final=1.0, snapshot_stride=200)
@@ -399,8 +466,8 @@ class TestMain:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "text",
-        [
+        "command, text",
+        [("run", text) for text in [
             "[scenario]\nname = free_gaussian\n[evolution]\nt_final = inf\n",
             "[scenario]\nname = free_gaussian\n[evolution]\nt_final = 1e300\ndt = 1e-300\n",
             "[scenario]\nname = free_gaussian\n[evolution]\nt_final = 1e300\n",
@@ -419,6 +486,14 @@ class TestMain:
             "[scenario]\nname = free_gaussian\n[phyiscs]\nhbar = 2\n",
             "[DEFAULT]\nhbar = 2\n[scenario]\nname = free_gaussian\n",
             "[scenario]\nname = free_gaussian\nN = 64\n",
+            # these ran a free packet, or diffused, and exited 0
+            "[scenario]\nname = free_gaussian\n[physics]\npotential = harmonic\nomega0 = 5.0\n",
+            "[scenario]\nname = diffusion_gaussian\n[physics]\npotential = harmonic\n",
+        ]] + [
+            # compare evolved a free packet on the trap's box and exited 1
+            ("compare", render_config(default_config("harmonic_ground")).split("[output]")[0]),
+            ("compare", render_config(default_config("harmonic_perturbed")).split("[output]")[0]),
+            ("compare", "[scenario]\nname = custom\n[physics]\npotential = harmonic\n"),
         ],
         ids=[
             "t_final_inf",
@@ -438,13 +513,18 @@ class TestMain:
             "misspelt_section",
             "default_section",
             "stray_scenario_key",
+            "free_packet_with_trap_potential",
+            "diffusion_with_trap_potential",
+            "compare_trap_ground",
+            "compare_trap_perturbed",
+            "compare_custom_trap",
         ],
     )
-    def test_crashing_configs_exit_2(self, tmp_path, capsys, text):
+    def test_crashing_configs_exit_2(self, tmp_path, capsys, command, text):
         path = tmp_path / "bad.ini"
         # latin-1 writes the one non-ASCII character as the single byte 0xff
         path.write_bytes(f"{text}[output]\ndirectory = {tmp_path / 'out'}\n".encode("latin-1"))
-        assert main(["run", str(path)]) == 2
+        assert main([command, str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert not (tmp_path / "out").exists()

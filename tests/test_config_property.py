@@ -58,7 +58,13 @@ def ini_text(draw):
         for key, good in PHYSICS.items()
         if key in bad or draw(st.booleans())
     }
-    potentials = ["quartic"] if "potential" in bad else ["free", "harmonic"]
+    # only `custom` reads the potential; every other scenario runs its own
+    if "potential" in bad:
+        potentials = ["quartic"]
+    elif scenario == "custom":
+        potentials = ["free", "harmonic"]
+    else:
+        potentials = [default_config(scenario).potential]
     physics["potential"] = draw(st.sampled_from(potentials))
     # an in-range dt and t_final give at most 200 steps; a bad dt or t_final
     # either fails validation or leaves at most 200 steps too

@@ -2,10 +2,12 @@
 
 The runners propagate, diffuse and diagnose snapshots in (rows, N) blocks;
 every value they report must be bit for bit what `propagate`/`diffuse_step`,
-`entropy_report` and `energy` give for each snapshot alone.  The block size
-is shrunk to 3 rows so that small runs cover one row, one block and a row
-count that is not a multiple of the block.
+`entropy_report` and `energy` give for each snapshot alone, whatever the
+number of workers that compute the blocks.  The block size is shrunk to 3
+rows per worker so that small runs cover one row, one block and a row count
+that is not a multiple of the block.
 """
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -32,9 +34,16 @@ N = 64
 ROW_COUNTS = {"one_row": 1, "one_block": 1 + BLOCK_ROWS, "ragged": 1 + 2 * BLOCK_ROWS + 1}
 
 
+def _workers(monkeypatch, workers):
+    """Blocks of BLOCK_ROWS rows, computed on `workers` workers."""
+    monkeypatch.setattr(grid_module, "_WORKERS", workers)
+    # the budget is shared by the blocks in flight, one per worker
+    monkeypatch.setattr(grid_module, "_BLOCK_BYTES", BLOCK_ROWS * 16 * N * workers)
+
+
 @pytest.fixture(autouse=True)
 def small_blocks(monkeypatch):
-    monkeypatch.setattr(grid_module, "_BLOCK_BYTES", BLOCK_ROWS * 16 * N)
+    _workers(monkeypatch, grid_module._WORKERS)
 
 
 def _config(scenario, rows, **overrides):
@@ -156,29 +165,111 @@ def test_propagate_does_not_depend_on_the_block_size(monkeypatch, pot):
         assert np.array_equal(a.psi.values, b.psi.values)
 
 
-def test_nan_in_a_later_block_aborts_at_its_step(tmp_path, capsys, monkeypatch):
-    # steps 0..10 are cut into [0], [1-3], [4-6], [7-9], [10]; poison step 8
-    eigenbasis = schrodinger._eigenbasis
+def _tables_equal(a, b):
+    assert a.keys() == b.keys()
+    for key in a:
+        assert (a[key] is None) == (b[key] is None), key
+        assert a[key] is None or a[key].tobytes() == b[key].tobytes(), key
 
-    def poisoned(state, pot):
-        energies, coeffs, to_x = eigenbasis(state, pot)
-        blocks = []
 
-        def to_x_with_nan(table):
-            psi = to_x(table)
-            blocks.append(len(psi))
-            if len(blocks) == 3:
-                psi[1, 5] = np.nan
-            return psi
+POOLED_CASES = {
+    "free": (run_scenario, QUANTUM_CASES["free"]),
+    "trap": (run_scenario, QUANTUM_CASES["trap"]),
+    "diffusion": (run_scenario, dict(scenario="diffusion_gaussian", start_time=0.3)),
+    "compare": (compare_quantum_diffusion, dict(scenario="free_gaussian")),
+}
 
-        return energies, coeffs, to_x_with_nan
 
-    monkeypatch.setattr(schrodinger, "_eigenbasis", poisoned)
+@pytest.mark.parametrize("workers", [2, 4])
+@pytest.mark.parametrize("case", POOLED_CASES.values(), ids=POOLED_CASES.keys())
+def test_tables_do_not_depend_on_the_worker_count(monkeypatch, case, workers):
+    # 26 later rows: 9 blocks, more than the workers, so they run pooled
+    runner, overrides = case
+    cfg = _config(rows=27, **overrides)
+    _workers(monkeypatch, 1)
+    serial = runner(cfg)
+    _workers(monkeypatch, workers)
+    pooled = runner(cfg)
+    _tables_equal(serial.table, pooled.table)
+    assert [c.measured for c in serial.identities] == [c.measured for c in pooled.identities]
+    for a, b in zip(serial.field_tables or (), pooled.field_tables or (), strict=True):
+        _tables_equal(a, b)
+
+
+def test_blocks_reach_the_diagnostics_c_contiguous(monkeypatch):
+    # a strided block would sum each row in another order
+    _workers(monkeypatch, 2)
+    seen = []
+
+    def recording(diagnose):
+        def wrapper(block, *args):
+            seen.append(block.flags.c_contiguous)
+            return diagnose(block, *args)
+        return wrapper
+
+    for name in ("_quantum_rows", "_diffusion_rows", "_boltzmann_rows"):
+        monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
+    for runner, overrides in POOLED_CASES.values():
+        runner(_config(rows=11, **overrides))
+    # five blocks each: three runs, and a comparison of two densities per block
+    assert len(seen) == 3 * 5 + 2 * 5 and all(seen)
+
+
+def _poison(monkeypatch, bad_steps, slow_step=None):
+    """NaN in the phase table of each step in `bad_steps` (dt = 0.01, hbar = 1);
+    the block holding `slow_step` is delayed so that later blocks finish first."""
+    exponentials = schrodinger._exponentials
+
+    def poisoned(rates):
+        table = exponentials(rates)
+
+        def with_nan(times):
+            out = table(times)
+            steps = np.rint(np.asarray(times) / 0.01).astype(int)
+            out[np.isin(steps, bad_steps), 5] = np.nan
+            if slow_step in steps:
+                time.sleep(0.2)
+            return out
+
+        return with_nan
+
+    monkeypatch.setattr(schrodinger, "_exponentials", poisoned)
+
+
+def _aborts_at(tmp_path, capsys, step):
     out = tmp_path / "out"
     path = tmp_path / "cfg.ini"
     path.write_text(render_config(_config("free_gaussian", 11, directory=str(out))))
     assert main(["run", str(path)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("numeric abort at step 8: non-finite wavefunction")
+    assert err.startswith(f"numeric abort at step {step}: non-finite wavefunction")
     assert not out.exists()
 
+
+# steps 0..10 are cut into [0], [1-3], [4-6], [7-9], [10]; on two workers the
+# last four blocks are pooled
+def test_nan_in_a_later_block_aborts_at_its_step(tmp_path, capsys, monkeypatch):
+    _workers(monkeypatch, 2)
+    _poison(monkeypatch, [8])
+    _aborts_at(tmp_path, capsys, 8)
+
+
+def test_nan_in_two_blocks_aborts_at_the_earlier_step(tmp_path, capsys, monkeypatch):
+    # the block of step 5 is delayed, so the block of step 8 fails first
+    _workers(monkeypatch, 2)
+    _poison(monkeypatch, [5, 8], slow_step=5)
+    _aborts_at(tmp_path, capsys, 5)
+
+
+def test_pool_runs_at_most_two_blocks_per_worker_ahead(monkeypatch):
+    _workers(monkeypatch, 2)
+    started = []
+
+    def block(steps):
+        started.append(steps[0])
+        return steps[0]
+
+    for consumed, value in enumerate(cli._pooled(block, [[i] for i in range(1, 41)]), 1):
+        assert value == consumed
+        assert len(started) <= consumed + 2 * 2
+    assert sorted(started) == list(range(1, 41))
