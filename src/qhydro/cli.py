@@ -18,6 +18,7 @@ import configparser
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from collections import deque
@@ -41,7 +42,7 @@ from .analytic import (
 from .diffusion import DiffusionState, gaussian_density, _kernel_blocks
 from .entropy import _boltzmann_rows, _diffusion_rows, _quantum_rows
 from . import grid as grid_module
-from .grid import _row_blocks, make_grid, spectral_derivatives
+from .grid import _row_blocks, _spectral_derivatives, _work, make_grid
 from .madelung import density, _drift
 from .schrodinger import (
     EvolutionConfig,
@@ -454,7 +455,14 @@ _COMPARE_IDENTITIES = (
 
 def _sigma2(rho: np.ndarray, grid) -> np.ndarray:
     """Second moment about x = 0 of each row of a (rows, N) block of densities."""
-    return grid.dx * np.sum(grid.x**2 * rho, axis=-1)
+    moment = np.multiply(grid.x**2, rho, out=_work(rho.shape, rho.dtype))
+    return grid.dx * np.sum(moment, axis=-1)
+
+
+def _l2_distance(a: np.ndarray, b: np.ndarray, dx) -> np.ndarray:
+    """L2 distance between the rows of two (rows, N) blocks."""
+    gap = np.subtract(a, b, out=_work(a.shape, a.dtype))
+    return np.sqrt(dx * np.sum(np.square(gap, out=gap), axis=-1))
 
 
 def _ground_width(cfg: ScenarioConfig) -> float:
@@ -482,19 +490,22 @@ def _quantum_blocks(cfg: ScenarioConfig, grid, ev: EvolutionConfig, state, pot):
     rho0 = np.abs(psi0[0]) ** 2
 
     def block(steps):
-        psi = psi0 if steps[0] == 0 else later(steps)
+        psi, rho = (psi0, None) if steps[0] == 0 else later(steps)
         times = state.time + np.array(steps) * ev.dt
-        derivatives = spectral_derivatives(psi, grid, (1, 2))
+        derivatives = _spectral_derivatives(psi, grid, (1, 2))
+        # the energy reads psi'' before _quantum_rows divides it by psi in place
+        energy = _energy_rows(psi, derivatives[1], grid, pot, cfg.hbar, cfg.mass, steps)
         ent, rho, mask, v = _quantum_rows(
-            psi, derivatives, grid, cfg.hbar, cfg.mass, cfg.k_B, cfg.enable_von_neumann, times
+            psi, derivatives, grid, cfg.hbar, cfg.mass, cfg.k_B, cfg.enable_von_neumann, times, rho
         )
+        work = _work(rho.shape, rho.dtype)  # once _density_columns is done
         columns = dict(
             _density_columns(times, rho, grid, ent),
-            energy=_energy_rows(psi, derivatives[1], grid, pot, cfg.hbar, cfg.mass, steps),
-            ua_max=np.abs(v.real).max(axis=-1),
-            rho_drift=np.abs(rho - rho0).max(axis=-1),
+            energy=energy,
+            ua_max=np.abs(v.real, out=work).max(axis=-1),
+            rho_drift=np.abs(np.subtract(rho, rho0, out=work), out=work).max(axis=-1),
         )
-        fields = cfg.emit_fields and {"rho": rho, "u_advective": np.where(mask, v.real, 0.0)}
+        fields = cfg.emit_fields and {"rho": rho.copy(), "u_advective": np.where(mask, v.real, 0.0)}
         return columns, fields
 
     return block
@@ -509,7 +520,7 @@ def _diffusion_blocks(cfg: ScenarioConfig, grid, ev: EvolutionConfig, initial: D
         times = initial.time + np.array(steps) * ev.dt
         ent, mask, grad = _diffusion_rows(rho, grid, cfg.D, cfg.k_B, times)
         columns = _density_columns(times, rho, grid, ent)
-        fields = cfg.emit_fields and {"rho": rho, "u_diffusive": _drift(rho, grad, mask, cfg.D)}
+        fields = cfg.emit_fields and {"rho": rho.copy(), "u_diffusive": _drift(rho, grad, mask, cfg.D)}
         return columns, fields
 
     return block
@@ -522,7 +533,7 @@ def _compare_blocks(cfg: ScenarioConfig, grid, ev: EvolutionConfig, q_state, pot
 
     def block(steps):
         first = steps[0] == 0
-        rho_q = np.abs(psi0 if first else quantum(steps)) ** 2
+        rho_q = np.abs(psi0) ** 2 if first else quantum(steps)[1]
         rho_d = rho0 if first else diffused(steps)
         columns = dict(
             t=q_state.time + np.array(steps) * ev.dt,
@@ -530,7 +541,7 @@ def _compare_blocks(cfg: ScenarioConfig, grid, ev: EvolutionConfig, q_state, pot
             sigma2_diffusive=_sigma2(rho_d, grid),
             ent_boltzmann_quantum=_boltzmann_rows(rho_q, grid.dx, cfg.k_B),
             ent_boltzmann_diffusive=_boltzmann_rows(rho_d, grid.dx, cfg.k_B),
-            rho_l2_divergence=np.sqrt(grid.dx * np.sum((rho_q - rho_d) ** 2, axis=-1)),
+            rho_l2_divergence=_l2_distance(rho_q, rho_d, grid.dx),
         )
         return columns, None
 
@@ -748,10 +759,16 @@ def _run(
     if problems:
         raise ConfigError(problems)
     started = time.perf_counter()
-    grid = make_grid(cfg.L, cfg.N)
     ev = _evolution(cfg)
+    try:
+        steps = ev.snapshot_steps()
+    except MemoryError:
+        raise ConfigError([
+            f"t_final = {cfg.t_final}, dt = {cfg.dt} and snapshot_stride = {cfg.snapshot_stride} "
+            "ask for more snapshots than memory holds"
+        ]) from None
+    grid = make_grid(cfg.L, cfg.N)
     block = entry.blocks(cfg, grid, ev, *entry.start(cfg, grid))
-    steps = ev.snapshot_steps()
     parts, tables = [], ([] if cfg.emit_fields else None)
     blocks = _pooled(block, _row_blocks(steps[1:], grid.num_points))
     for part, fields in chain([block(steps[:1])], blocks):
@@ -769,6 +786,10 @@ def _run(
         "config_hash": config_hash(cfg),
         "version": __version__,
         "wall_time_s": time.perf_counter() - started,
+        # trap data files depend on the BLAS thread count, which OpenBLAS caps
+        # at the usable cores; null when a variable is unset
+        "workers": grid_module._WORKERS,
+        **{var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
     }
     return RunReport(name, columns, table, identities, provenance, tables)
 
@@ -778,7 +799,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
 
     The report carries one table column per CSV column (one value per
     snapshot), every asserted identity with its tolerance and measured
-    error, and provenance (config hash, package version, wall time).
+    error, and provenance (config hash, package version, wall time, the
+    number of block workers and the BLAS/OpenMP thread variables).
     """
     return _run(_ENTRIES.get(cfg.scenario), cfg, cfg.scenario, CSV_COLUMNS, validate_config(cfg))
 

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ComplexField, Grid, RealField, _exponentials, integrate, spectral_derivative
+from .grid import (
+    ComplexField, Grid, RealField, _buffer, _exponentials, _work, integrate, spectral_derivative,
+)
 from .madelung import (
     NORM_TOLERANCE,
     QuantumState,
@@ -77,16 +79,23 @@ def _heat_kernel_rows(spectrum, kernel, steps=None) -> np.ndarray:
     `spectrum` is the transform of the initial density and `kernel` the table
     exp(-D k^2 t), one row per duration t.  Raises NumericsError at the first
     row that goes negative beyond rounding or is not finite; rounding-level
-    negatives are clipped to 0.
+    negatives are clipped to 0.  The densities are this thread's
+    "heat_density" block buffer.
     """
-    rho = np.fft.ifft(spectrum * kernel).real
+    product = _work(kernel.shape, np.result_type(spectrum, kernel))
+    np.copyto(product, kernel)  # cast once, not into a buffer of the ufunc iterator
+    np.multiply(spectrum, product, out=product)
+    rho = np.fft.ifft(product, out=product).real
     floor = -NEGATIVITY_TOLERANCE * np.fmax(1.0, rho.max(axis=-1))
     worst = rho.min(axis=-1)
     _check_rows(
         worst >= floor, steps,
         lambda r: f"density went negative ({worst[r]:.3g}); the initial condition is unresolved",
     )
-    return np.where(rho < 0, 0.0, rho)
+    clipped = _buffer("heat_density", rho.shape, rho.dtype)
+    np.copyto(clipped, rho)
+    np.copyto(clipped, 0.0, where=rho < 0)
+    return clipped
 
 
 def _kernel_blocks(initial: DiffusionState, cfg: EvolutionConfig):
@@ -101,7 +110,7 @@ def _kernel_blocks(initial: DiffusionState, cfg: EvolutionConfig):
     """
     grid = initial.grid
     spectrum = np.fft.fft(initial.rho.values)
-    kernel = _exponentials(-initial.D * grid.k**2)
+    kernel = _exponentials(-initial.D * grid.k**2, "heat_kernel")
 
     def rows(steps: list[int]) -> np.ndarray:
         rho = _heat_kernel_rows(spectrum, kernel([i * cfg.dt for i in steps]), steps)
@@ -120,9 +129,9 @@ def diffuse_step(state: DiffusionState, dt: float) -> DiffusionState:
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     grid = state.grid
-    kernel = _exponentials(-state.D * grid.k**2)([dt])
+    kernel = _exponentials(-state.D * grid.k**2, "heat_kernel")([dt])
     rho = _heat_kernel_rows(np.fft.fft(state.rho.values), kernel)[0]
-    return DiffusionState(RealField(grid, rho), state.D, state.time + dt)
+    return DiffusionState(RealField(grid, rho.copy()), state.D, state.time + dt)
 
 
 def _velocity_and_slope(state: DiffusionState):

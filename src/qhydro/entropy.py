@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffusion import DiffusionState
-from .grid import RealField, spectral_derivative, spectral_derivatives
+from .grid import RealField, _spectral_derivatives, _work, spectral_derivative
 from .madelung import (
     QuantumState,
     action_per_mass,
@@ -40,6 +40,7 @@ from .madelung import (
     valid_mask,
     _floor_mask,
     _psi_ratios,
+    _where_valid,
     _velocity_from_ratio,
 )
 from .schrodinger import NumericsError
@@ -75,49 +76,62 @@ class EntropyReport:
 
 
 def _masked_integral(dx, integrand: np.ndarray, mask: np.ndarray):
-    """dx * sum of the integrand over the valid points of each row (last axis)."""
-    return dx * np.sum(np.where(mask, integrand, 0.0), axis=-1)
+    """dx * sum of the integrand over the valid points of each row (last axis).
+
+    The integrand, a `_work` temporary, is zeroed off the mask in place.
+    """
+    np.copyto(integrand, 0.0, where=~mask)
+    return dx * np.sum(integrand, axis=-1)
 
 
-def _boltzmann(rho: np.ndarray, mask: np.ndarray, dx, k_B: float):
+def _boltzmann(rho: np.ndarray, safe: np.ndarray, mask: np.ndarray, dx, k_B: float):
     with np.errstate(invalid="ignore", divide="ignore"):
-        integrand = rho * np.log(np.where(mask, rho, 1.0))
+        integrand = np.log(safe, out=_work(rho.shape, rho.dtype))
+        np.multiply(rho, integrand, out=integrand)
     return -k_B * _masked_integral(dx, integrand, mask)
 
 
 def _boltzmann_rows(rho: np.ndarray, dx, k_B: float) -> np.ndarray:
     """Boltzmann entropy of each row of a (rows, N) block of densities."""
-    return _boltzmann(rho, _floor_mask(rho), dx, k_B)
+    mask = _floor_mask(rho)
+    return _boltzmann(rho, _where_valid(rho, mask, "safe_rho"), mask, dx, k_B)
 
 
 def boltzmann_entropy(rho: RealField, k_B: float = 1.0) -> float:
     """-k_B * integral(rho ln rho) dx, with 0*ln(0) = 0 at masked points."""
-    return float(_boltzmann(rho.values, valid_mask(rho), rho.grid.dx, k_B))
+    mask = valid_mask(rho)
+    safe = _where_valid(rho.values, mask, "safe_rho")
+    return float(_boltzmann(rho.values, safe, mask, rho.grid.dx, k_B))
 
 
 def _advective_rate(rho, mask, r1, r2, dx, hbar: float, mass: float, k_B: float):
     # div u_a = (hbar/m) Im(grad^2 psi/psi - (grad psi/psi)^2)
-    div_ua = (hbar / mass) * np.imag(r2 - r1 * r1)
-    return k_B * _masked_integral(dx, rho * div_ua, mask)
+    r = np.multiply(r1, r1, out=_work(r1.shape, r1.dtype))
+    div_ua = _work(rho.shape, rho.dtype)
+    np.multiply(hbar / mass, np.subtract(r2, r, out=r).imag, out=div_ua)
+    return k_B * _masked_integral(dx, np.multiply(rho, div_ua, out=div_ua), mask)
 
 
 def production_advective(state: QuantumState, k_B: float = 1.0) -> float:
     """k_B <div u_a>: the density-weighted expansion rate of the flow."""
     psi = state.psi.values
-    rho, mask, (r1, r2) = _psi_ratios(psi, spectral_derivatives(psi, state.grid, (1, 2)))
+    rho, mask, (r1, r2) = _psi_ratios(psi, _spectral_derivatives(psi, state.grid, (1, 2)))
     return float(_advective_rate(rho, mask, r1, r2, state.grid.dx, state.hbar, state.mass, k_B))
 
 
-def _fisher(rho: np.ndarray, grad: np.ndarray, mask: np.ndarray, dx):
+def _fisher(grad: np.ndarray, safe: np.ndarray, mask: np.ndarray, dx):
+    """integral grad^2 / rho over the mask, given safe = where(mask, rho, 1)."""
     with np.errstate(invalid="ignore", divide="ignore"):
-        integrand = grad * grad / np.where(mask, rho, 1.0)
+        integrand = np.multiply(grad, grad, out=_work(safe.shape, safe.dtype))
+        np.divide(integrand, safe, out=integrand)
     return _masked_integral(dx, integrand, mask)
 
 
 def fisher_information(rho: RealField) -> float:
     """integral (grad rho)^2 / rho dx over the valid mask; nonnegative."""
     grad = spectral_derivative(rho.values, rho.grid)
-    return float(_fisher(rho.values, grad, valid_mask(rho), rho.grid.dx))
+    mask = valid_mask(rho)
+    return float(_fisher(grad, _where_valid(rho.values, mask, "safe_rho"), mask, rho.grid.dx))
 
 
 def production_diffusive(rho: RealField, D: float, k_B: float = 1.0) -> float:
@@ -129,8 +143,8 @@ def production_diffusive(rho: RealField, D: float, k_B: float = 1.0) -> float:
 
 def _correlation_rate(rho, u_a, u_d, mask, dx, hbar: float, mass: float, k_B: float):
     half = hbar / (2 * mass)
-    integrand = rho * u_a * u_d
-    return (k_B / half) * _masked_integral(dx, integrand, mask)
+    integrand = np.multiply(rho, u_a, out=_work(rho.shape, rho.dtype))
+    return (k_B / half) * _masked_integral(dx, np.multiply(integrand, u_d, out=integrand), mask)
 
 
 def production_correlation(state: QuantumState, k_B: float = 1.0) -> float:
@@ -205,26 +219,33 @@ def _require_finite(columns: dict, times):
         raise NumericsError(f"non-finite entropy diagnostics at t = {times[row]}: {values}")
 
 
-def _quantum_rows(psi, derivatives, grid, hbar, mass, k_B, include_von_neumann, times):
+def _quantum_rows(psi, derivatives, grid, hbar, mass, k_B, include_von_neumann, times, rho=None):
     """Entropy columns of a (rows, N) block of wavefunctions, one value per row.
 
     `derivatives` holds psi' and psi'' of the block from one forward
-    transform.  With r1 = psi'/psi and r2 = psi''/psi: div u_a =
+    transform, which become the ratios in place, and `rho` its |psi|^2 when
+    already computed.  With r1 = psi'/psi and r2 = psi''/psi: div u_a =
     (hbar/m) Im(r2 - r1^2), rho'/rho = 2 Re r1, and u_a + i u_d =
     -i (hbar/m) r1.  Returns the columns (keyed like EntropyReport; None
     where a value does not apply) with rho, its valid mask and u_a + i u_d,
-    which the runners reuse.  Raises NumericsError at the first row with a
-    non-finite value; `times` names it.
+    which the runners reuse; those three are this thread's block buffers.
+    Raises NumericsError at the first row with a non-finite value; `times`
+    names it.
     """
-    rho, mask, (r1, r2) = _psi_ratios(psi, derivatives)
+    rho, mask, (r1, r2) = _psi_ratios(psi, derivatives, rho)
     dx = grid.dx
-    v = _velocity_from_ratio(r1, hbar, mass)
-    fisher = _fisher(rho, 2.0 * rho * r1.real, mask, dx)
+    safe = _where_valid(rho, mask, "safe_rho")
+    # grad rho in the `_work` buffer that _fisher squares it into
+    grad = np.multiply(2.0, rho, out=_work(rho.shape, rho.dtype))
+    fisher = _fisher(np.multiply(grad, r1.real, out=grad), safe, mask, dx)
     columns = dict(
-        ent_boltzmann=_boltzmann(rho, mask, dx, k_B),
+        ent_boltzmann=_boltzmann(rho, safe, mask, dx, k_B),
         fisher_information=fisher,
         production_diffusive=k_B * (hbar / (2 * mass)) * fisher,
         production_advective=_advective_rate(rho, mask, r1, r2, dx, hbar, mass, k_B),
+    )
+    v = _velocity_from_ratio(r1, hbar, mass)
+    columns.update(
         production_correlation=_correlation_rate(rho, v.real, v.imag, mask, dx, hbar, mass, k_B),
         ent_von_neumann=_von_neumann(psi, dx) if include_von_neumann else None,
     )
@@ -236,14 +257,16 @@ def _diffusion_rows(rho, grid, D, k_B, times):
     """Entropy columns of a (rows, N) block of densities diffusing at D.
 
     The Fisher information is computed once and scaled into the diffusive
-    production.  Returns the columns with the valid mask and grad(rho);
-    raises NumericsError at the first row with a non-finite value.
+    production.  Returns the columns with the valid mask and grad(rho), both
+    this thread's block buffers; raises NumericsError at the first row with a
+    non-finite value.
     """
     mask = _floor_mask(rho)
-    (grad,) = spectral_derivatives(rho, grid, (1,))
-    fisher = _fisher(rho, grad, mask, grid.dx)
+    (grad,) = _spectral_derivatives(rho, grid, (1,))
+    safe = _where_valid(rho, mask, "safe_rho")
+    fisher = _fisher(grad, safe, mask, grid.dx)
     columns = dict(
-        ent_boltzmann=_boltzmann(rho, mask, grid.dx, k_B),
+        ent_boltzmann=_boltzmann(rho, safe, mask, grid.dx, k_B),
         fisher_information=fisher,
         production_diffusive=k_B * D * fisher,
     )
@@ -274,7 +297,7 @@ def entropy_report(
     else:
         psi = state.psi.values[None]
         columns, *_ = _quantum_rows(
-            psi, spectral_derivatives(psi, state.grid, (1, 2)), state.grid,
+            psi, _spectral_derivatives(psi, state.grid, (1, 2)), state.grid,
             state.hbar, state.mass, k_B, include_von_neumann, [state.time],
         )
     first = {name: None if col is None else float(col[0]) for name, col in columns.items()}

@@ -8,6 +8,7 @@ package are set up that way.
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,12 +26,15 @@ __all__ = [
 
 
 # Snapshots are computed and diagnosed in (rows, N) blocks; all the blocks in
-# flight at once, one per worker, share this many bytes of complex samples (32
-# rows at N = 1024 on one worker, 16 on each of two): enough rows to amortise
-# the per-call cost of each transform and reduction, few enough that a block
-# stays in cache between them and that the dozen temporaries of each block's
-# diagnostics add only a few MB to peak memory.
-_BLOCK_BYTES = 1 << 19
+# flight at once, one per worker, share this many bytes of complex samples (64
+# rows at N = 1024 on one worker, 32 on each of two): enough rows to amortise
+# the per-call cost of each transform and reduction and the fixed cost of a
+# block (~0.5 ms, what a 1-row free block takes).  Each worker computes its
+# blocks in the block buffers it keeps (`_buffer`), allocated once per worker
+# instead of once per block: 10 for a quantum `run`, 3.5 MB at 32 rows of
+# N = 1024.  Peak memory grows with this budget where the blocks, not the
+# output, set it: 1 MiB adds ~2.5 MB to the N = 512 run of 801 rows.
+_BLOCK_BYTES = 1 << 20
 
 # The runners compute row blocks on one worker per usable core.
 if hasattr(os, "sched_getaffinity"):
@@ -45,16 +49,57 @@ def _row_blocks(steps: list[int], num_points: int) -> list[list[int]]:
     return [steps[i:i + rows] for i in range(0, len(steps), rows)]
 
 
-def _exponentials(rates: np.ndarray):
-    """times -> the (len(times), N) table exp(rates * t), one row per time t.
+_buffers = threading.local()
+
+
+def _buffer(name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """This thread's block buffer `name`, as an uninitialised C-contiguous array of `shape`.
+
+    Row blocks are computed into these instead of fresh temporaries: a buffer is
+    allocated once per thread and reused by every later block, so a run does
+    not fault its pages in again block after block.  A buffer is replaced when
+    its dtype or row length changes or a block has more rows; a shorter block
+    takes the leading rows.  Each name has one owner: the next call of that
+    owner overwrites it, so whatever leaves a computation is copied out first.
+    The two `_work` buffers are the exception: any function may hold one for
+    a temporary, as long as it calls nothing that takes the same one.
+    """
+    buf = getattr(_buffers, name, None)
+    if buf is None or buf.dtype != dtype or buf.shape[1:] != shape[1:] or len(buf) < shape[0]:
+        buf = np.empty(shape, dtype)
+        setattr(_buffers, name, buf)
+    return buf[:shape[0]]
+
+
+def _work(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """This thread's scratch block buffer of a complex or a real dtype, for a temporary."""
+    return _buffer("complex_work" if np.dtype(dtype).kind == "c" else "real_work", shape, dtype)
+
+
+def _exponentials(rates: np.ndarray, name: str):
+    """times -> the (len(times), N) table exp(rates * t), one row per time t,
+    in this thread's block buffer `name`.
 
     Each distinct rate is exponentiated once: a free spectrum is even in k bit
     for bit, so about half the exponentials are saved.  np.take keeps the table
     C-contiguous; a strided table would change the order of every later row
-    reduction.
+    reduction.  With mode="clip" (the indices are in range) np.take writes the
+    buffer directly; mode="raise" would fill a copy first.
     """
     distinct, where = np.unique(rates, return_inverse=True)
-    return lambda times: np.take(np.exp(distinct * np.asarray(times)[:, None]), where, axis=1)
+
+    def table(times):
+        times = np.asarray(times)
+        dtype = np.result_type(distinct, times)
+        powers = _buffer(f"{name}_exponents", (len(times), len(distinct)), dtype)
+        # t * rate, each product rounded once; a ufunc broadcasting both
+        # operands would fill a buffer of the iterator for each
+        np.copyto(powers, times[:, None])
+        np.multiply(powers, distinct, out=powers)
+        out = _buffer(name, (len(times), len(rates)), dtype)
+        return np.take(np.exp(powers, out=powers), where, axis=1, mode="clip", out=out)
+
+    return table
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -199,17 +244,30 @@ def spectral_derivatives(
     odd orders so that odd derivatives of real fields stay real and
     symmetric.
     """
+    return [d.copy() for d in _spectral_derivatives(values, grid, orders)]
+
+
+def _spectral_derivatives(values: np.ndarray, grid: Grid, orders: tuple[int, ...]) -> list[np.ndarray]:
+    """`spectral_derivatives` in this thread's block buffers: the derivative of
+    the n-th order listed is the "derivative{n}" buffer (its real part for real
+    values); the spectrum is a `_work` temporary."""
     if any(order < 1 for order in orders):
         raise ValueError("derivative order must be a positive integer")
     ik = 1j * grid.k.astype(np.result_type(grid.k.dtype, np.complex128))
-    spectrum = np.fft.fft(values)
+    spectrum = _work(values.shape, np.result_type(values.dtype, 1j))
+    real = not np.iscomplexobj(values)
+    if real:
+        # cast here: the transform would cast real samples into a buffer of its own
+        np.copyto(spectrum, values)
+    np.fft.fft(spectrum if real else values, out=spectrum)
     out = []
-    for order in orders:
+    for n, order in enumerate(orders):
         mult = ik**order
         if order % 2 == 1:
             mult[grid.nyquist_index] = 0.0
-        d = np.fft.ifft(mult * spectrum)
-        out.append(d if np.iscomplexobj(values) else d.real)
+        d = _buffer(f"derivative{n}", values.shape, np.result_type(mult, spectrum))
+        np.fft.ifft(np.multiply(mult, spectrum, out=d), out=d)
+        out.append(d.real if real else d)
     return out
 
 

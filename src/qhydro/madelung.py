@@ -22,6 +22,8 @@ from .grid import (
     ComplexField,
     Grid,
     RealField,
+    _buffer,
+    _spectral_derivatives,
     integrate,
     spectral_derivative,
     spectral_derivatives,
@@ -89,11 +91,12 @@ class MadelungFields:
 
 
 def _floor_mask(rho: np.ndarray, floor_ratio: float = DENSITY_FLOOR_RATIO) -> np.ndarray:
-    """Row by row over the last axis: points at or above floor_ratio times the row's peak."""
+    """Row by row over the last axis: points at or above floor_ratio times the row's
+    peak, in this thread's "mask" block buffer."""
     peak = rho.max(axis=-1, keepdims=True)
     if not np.all(peak > 0):
         raise ValueError("density is identically zero")
-    return rho >= floor_ratio * peak
+    return np.greater_equal(rho, floor_ratio * peak, out=_buffer("mask", rho.shape, bool))
 
 
 def valid_mask(rho: RealField, floor_ratio: float = DENSITY_FLOOR_RATIO) -> np.ndarray:
@@ -106,24 +109,43 @@ def density(state: QuantumState) -> RealField:
     return RealField(state.grid, np.abs(state.psi.values) ** 2)
 
 
-def _psi_ratios(psi: np.ndarray, derivatives):
-    """rho = |psi|^2, its valid mask, and each derivative of psi divided by psi.
+def _density(psi: np.ndarray) -> np.ndarray:
+    """|psi|^2 of a block of wavefunctions, in this thread's "rho" block buffer."""
+    rho = _buffer("rho", psi.shape, psi.real.dtype)
+    return np.square(np.abs(psi, out=rho), out=rho)
+
+
+def _where_valid(values: np.ndarray, mask: np.ndarray, name: str) -> np.ndarray:
+    """where(mask, values, 1), in this thread's block buffer `name`: a divisor safe off the mask."""
+    safe = _buffer(name, values.shape, values.dtype)
+    np.copyto(safe, 1.0)
+    np.copyto(safe, values, where=mask)
+    return safe
+
+
+def _psi_ratios(psi: np.ndarray, derivatives, rho: np.ndarray | None = None):
+    """rho = |psi|^2 (unless given), its valid mask, and each derivative of psi divided by psi.
 
     psi is (..., N) and every row is masked against its own peak; the
-    derivatives come from one `spectral_derivatives` call and the ratios are
-    zeroed off the valid mask.
+    derivatives come from one `spectral_derivatives` call and are divided by
+    psi in place, the ratios zeroed off the valid mask.  rho and the mask are
+    this thread's "rho" and "mask" block buffers.
     """
-    rho = np.abs(psi) ** 2
+    if rho is None:
+        rho = _density(psi)
     mask = _floor_mask(rho)
-    safe = np.where(mask, psi, 1.0)
+    safe = _where_valid(psi, mask, "complex_work")  # a `_work` temporary
+    off = ~mask
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        ratios = [np.where(mask, dn / safe, 0.0) for dn in derivatives]
-    return rho, mask, ratios
+        for dn in derivatives:
+            np.copyto(np.divide(dn, safe, out=dn), 0.0, where=off)
+    return rho, mask, list(derivatives)
 
 
 def _velocity_from_ratio(ratio: np.ndarray, hbar: float, mass: float) -> np.ndarray:
-    """-i (hbar/m) grad(psi)/psi: u_a in the real part, u_d (D = hbar/2m) in the imaginary."""
-    return -1j * (hbar / mass) * ratio
+    """-i (hbar/m) grad(psi)/psi, over `ratio` in place: u_a in the real part, u_d
+    (D = hbar/2m) in the imaginary."""
+    return np.multiply(-1j * (hbar / mass), ratio, out=ratio)
 
 
 def complex_velocity(state: QuantumState) -> ComplexField:
@@ -134,10 +156,11 @@ def complex_velocity(state: QuantumState) -> ComplexField:
     invalid and excluded from diagnostics.
     """
     psi = state.psi.values
-    _, mask, (ratio,) = _psi_ratios(psi, spectral_derivatives(psi, state.grid, (1,)))
+    _, mask, (ratio,) = _psi_ratios(psi, _spectral_derivatives(psi, state.grid, (1,)))
     if not mask.any():
         raise ValueError("density below the floor everywhere; no valid points")
-    return ComplexField(state.grid, _velocity_from_ratio(ratio, state.hbar, state.mass), mask)
+    v = _velocity_from_ratio(ratio, state.hbar, state.mass)
+    return ComplexField(state.grid, v, mask.copy())
 
 
 def advective_velocity(state: QuantumState) -> RealField:

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (
-    ComplexField, Grid, RealField, _exponentials, _row_blocks, spectral_derivatives,
+    ComplexField, Grid, RealField, _buffer, _exponentials, _row_blocks, _spectral_derivatives, _work,
 )
-from .madelung import NORM_TOLERANCE, QuantumState
+from .madelung import NORM_TOLERANCE, QuantumState, _density
 
 __all__ = [
     "Potential",
@@ -181,11 +181,12 @@ def evolve(state: QuantumState, pot: Potential, cfg: EvolutionConfig) -> list[Qu
 
 
 def _eigenbasis(state: QuantumState, pot: Potential):
-    """Energies, the initial state's coefficients, and the map from coefficient rows to x."""
+    """Energies, the initial state's coefficients, and the map from coefficient rows
+    to x, in place."""
     grid, hbar, mass = state.grid, state.hbar, state.mass
     kinetic = hbar**2 * grid.k**2 / (2 * mass)
     if pot.kind == "free":
-        return kinetic, np.fft.fft(state.psi.values), np.fft.ifft
+        return kinetic, np.fft.fft(state.psi.values), lambda table: np.fft.ifft(table, out=table)
     # the kinetic symbol is even in k, so its circulant is real and
     # symmetric (the unpaired Nyquist mode contributes (-1)^(j-l))
     idx = np.arange(grid.num_points)
@@ -199,40 +200,43 @@ def _eigenbasis(state: QuantumState, pot: Potential):
     def to_x(table):
         # one matrix-vector product per row: a single matrix product over the
         # block would change the last bits of each row
-        psi = np.empty_like(table)
-        for row, coeffs in zip(psi, table):
-            np.dot(vecs, coeffs, out=row)
-        return psi
+        for row in table:
+            np.dot(vecs, row.copy(), out=row)
+        return table
 
     return energies, vecs.T @ state.psi.values, to_x
 
 
 def _snapshot_blocks(state: QuantumState, pot: Potential, cfg: EvolutionConfig):
     """The snapshots of `propagate` as (rows, N) arrays: the initial row, and
-    the function from a block of later steps to its rows.
+    the function from a block of later steps to its rows psi and their
+    densities |psi|^2.
 
     The initial row is the initial state itself; a later block is one table of
     phases exp(-iEt/hbar) mapped back to x (for a free potential, one batched
-    inverse transform).  Every later row is checked: NumericsError at the first
-    non-finite row, or at the first row whose norm misses 1 by more than
-    NORM_TOLERANCE.  Each block depends on its steps alone.
+    inverse transform), in this thread's "phases" and "rho" block buffers.  Every
+    later row is checked: NumericsError at the first non-finite row, or at the
+    first row whose norm misses 1 by more than NORM_TOLERANCE.  Each block
+    depends on its steps alone.
     """
     grid, hbar = state.grid, state.hbar
     energies, coeffs, to_x = _eigenbasis(state, pot)
-    phases = _exponentials(-1j * energies)
+    phases = _exponentials(-1j * energies, "phases")
 
-    def rows(steps: list[int]) -> np.ndarray:
-        psi = to_x(phases(np.array(steps) * cfg.dt / hbar) * coeffs)
+    def rows(steps: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        table = phases(np.array(steps) * cfg.dt / hbar)
+        psi = to_x(np.multiply(table, coeffs, out=table))
         _check_rows(
             np.isfinite(psi).all(axis=-1), steps,
             lambda r: f"non-finite wavefunction at step {steps[r]}",
         )
-        norm = grid.dx * np.sum(np.abs(psi) ** 2, axis=-1)
+        rho = _density(psi)
+        norm = grid.dx * np.sum(rho, axis=-1)
         _check_rows(
             ~(np.abs(norm - 1.0) > NORM_TOLERANCE), steps,
             lambda r: f"state norm {norm[r]!r} deviates from 1 by more than {NORM_TOLERANCE}",
         )
-        return psi
+        return psi, rho
 
     return state.psi.values[None], rows
 
@@ -249,9 +253,10 @@ def propagate(state: QuantumState, pot: Potential, cfg: EvolutionConfig) -> list
     _, rows = _snapshot_blocks(state, pot, cfg)
     snapshots = [state]
     for steps in _row_blocks(cfg.snapshot_steps()[1:], grid.num_points):
+        psi, _ = rows(steps)
         snapshots += [
-            QuantumState(ComplexField(grid, row), hbar, mass, state.time + i * cfg.dt)
-            for i, row in zip(steps, rows(steps))
+            QuantumState(ComplexField(grid, row.copy()), hbar, mass, state.time + i * cfg.dt)
+            for i, row in zip(steps, psi)
         ]
     return snapshots
 
@@ -260,10 +265,14 @@ def _energy_rows(psi, laplacian, grid: Grid, pot: Potential, hbar: float, mass: 
     """Energy of each row of a (rows, N) block of wavefunctions, given their psi''.
 
     Raises NumericsError at the first row whose integral keeps an imaginary
-    part above 1e-10 of max(1, |E|).
+    part above 1e-10 of max(1, |E|).  A free potential adds no u*psi term.
     """
-    u = mass * pot.per_mass(grid)
-    integrand = np.conj(psi) * (-(hbar**2) / (2 * mass) * laplacian + u * psi)
+    integrand = _work(psi.shape, psi.dtype)
+    work = _buffer("energy_term", psi.shape, psi.dtype)
+    np.multiply(-(hbar**2) / (2 * mass), laplacian, out=integrand)
+    if pot.kind != "free":
+        np.add(integrand, np.multiply(mass * pot.per_mass(grid), psi, out=work), out=integrand)
+    np.multiply(np.conjugate(psi, out=work), integrand, out=integrand)
     total = grid.dx * integrand.sum(axis=-1)
     _check_rows(
         ~(np.abs(total.imag) > 1e-10 * np.fmax(1.0, np.abs(total.real))), steps,
@@ -275,7 +284,7 @@ def _energy_rows(psi, laplacian, grid: Grid, pot: Potential, hbar: float, mass: 
 def energy(state: QuantumState, pot: Potential) -> float:
     """Total energy integral psi* (-(hbar^2/2m) d2/dx2 + U) psi dx."""
     psi = state.psi.values[None]
-    (lap,) = spectral_derivatives(psi, state.grid, (2,))
+    (lap,) = _spectral_derivatives(psi, state.grid, (2,))
     return float(_energy_rows(psi, lap, state.grid, pot, state.hbar, state.mass)[0])
 
 

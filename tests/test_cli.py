@@ -186,6 +186,17 @@ class TestRunScenario:
         assert report.provenance["version"]
         assert report.provenance["config_hash"] == config_hash(quick_free)
 
+    def test_provenance_records_the_thread_counts(self, quick_free, tmp_path, monkeypatch):
+        # trap data files depend on the effective BLAS thread count
+        monkeypatch.setattr(cli.grid_module, "_WORKERS", 3)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        report = run_scenario(quick_free)
+        payload = json.loads(write_report(report, tmp_path).read_text())["provenance"]
+        assert payload["workers"] == 3
+        assert payload["OPENBLAS_NUM_THREADS"] == "2"
+        assert payload["OMP_NUM_THREADS"] is None
+
     def test_diffusion_passes(self, quick_diffusion):
         report = run_scenario(quick_diffusion)
         assert report.exit_code == 0
@@ -489,6 +500,8 @@ class TestMain:
             # these ran a free packet, or diffused, and exited 0
             "[scenario]\nname = free_gaussian\n[physics]\npotential = harmonic\nomega0 = 5.0\n",
             "[scenario]\nname = diffusion_gaussian\n[physics]\npotential = harmonic\n",
+            # a valid step count whose snapshot list cannot be built: a MemoryError traceback
+            "[scenario]\nname = free_gaussian\n[evolution]\nt_final = 1e18\ndt = 1\nsnapshot_stride = 1\n",
         ]] + [
             # compare evolved a free packet on the trap's box and exited 1
             ("compare", render_config(default_config("harmonic_ground")).split("[output]")[0]),
@@ -515,6 +528,7 @@ class TestMain:
             "stray_scenario_key",
             "free_packet_with_trap_potential",
             "diffusion_with_trap_potential",
+            "snapshot_list_unbuildable",
             "compare_trap_ground",
             "compare_trap_perturbed",
             "compare_custom_trap",
