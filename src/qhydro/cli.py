@@ -42,7 +42,7 @@ from .analytic import (
 from .diffusion import DiffusionState, gaussian_density, _kernel_blocks
 from .entropy import _boltzmann_rows, _diffusion_rows, _quantum_rows
 from . import grid as grid_module
-from .grid import _row_blocks, _spectral_derivatives, _work, make_grid
+from .grid import _row_blocks, _work, make_grid
 from .madelung import density, _drift
 from .schrodinger import (
     EvolutionConfig,
@@ -492,19 +492,14 @@ def _quantum_blocks(cfg: ScenarioConfig, grid, ev: EvolutionConfig, state, pot):
     def block(steps):
         psi, rho = (psi0, None) if steps[0] == 0 else later(steps)
         times = state.time + np.array(steps) * ev.dt
-        derivatives = _spectral_derivatives(psi, grid, (1, 2))
-        # the energy reads psi'' before _quantum_rows divides it by psi in place
-        energy = _energy_rows(psi, derivatives[1], grid, pot, cfg.hbar, cfg.mass, steps)
         ent, rho, mask, v = _quantum_rows(
-            psi, derivatives, grid, cfg.hbar, cfg.mass, cfg.k_B, cfg.enable_von_neumann, times, rho
+            psi, grid, cfg.hbar, cfg.mass, cfg.k_B, cfg.enable_von_neumann, times, rho,
+            lambda laplacian: _energy_rows(psi, laplacian, grid, pot, cfg.hbar, cfg.mass, steps),
         )
-        work = _work(rho.shape, rho.dtype)  # once _density_columns is done
-        columns = dict(
-            _density_columns(times, rho, grid, ent),
-            energy=energy,
-            ua_max=np.abs(v.real, out=work).max(axis=-1),
-            rho_drift=np.abs(np.subtract(rho, rho0, out=work), out=work).max(axis=-1),
-        )
+        work = _work(rho.shape, rho.dtype)
+        ua_max = np.abs(v.real, out=work).max(axis=-1)
+        rho_drift = np.abs(np.subtract(rho, rho0, out=work), out=work).max(axis=-1)
+        columns = dict(_density_columns(times, rho, grid, ent), ua_max=ua_max, rho_drift=rho_drift)
         fields = cfg.emit_fields and {"rho": rho.copy(), "u_advective": np.where(mask, v.real, 0.0)}
         return columns, fields
 

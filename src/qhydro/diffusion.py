@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (
-    ComplexField, Grid, RealField, _buffer, _exponentials, _work, integrate, spectral_derivative,
+    ComplexField, Grid, RealField, _Buffer, _exponentials, _work, integrate, spectral_derivative,
 )
 from .madelung import (
     NORM_TOLERANCE,
@@ -73,14 +73,17 @@ def gaussian_density(grid: Grid, sigma: float, D: float, center: float = 0.0, ti
     return DiffusionState(RealField(grid, rho), D, time)
 
 
+_HEAT_DENSITY = _Buffer()
+
+
 def _heat_kernel_rows(spectrum, kernel, steps=None) -> np.ndarray:
     """Densities kernel * spectrum mapped back to x, one row per row of the kernel.
 
     `spectrum` is the transform of the initial density and `kernel` the table
     exp(-D k^2 t), one row per duration t.  Raises NumericsError at the first
     row that goes negative beyond rounding or is not finite; rounding-level
-    negatives are clipped to 0.  The densities are this thread's
-    "heat_density" block buffer.
+    negatives are clipped to 0.  The densities are a `_Buffer` of this
+    function.
     """
     product = _work(kernel.shape, np.result_type(spectrum, kernel))
     np.copyto(product, kernel)  # cast once, not into a buffer of the ufunc iterator
@@ -92,7 +95,7 @@ def _heat_kernel_rows(spectrum, kernel, steps=None) -> np.ndarray:
         worst >= floor, steps,
         lambda r: f"density went negative ({worst[r]:.3g}); the initial condition is unresolved",
     )
-    clipped = _buffer("heat_density", rho.shape, rho.dtype)
+    clipped = _HEAT_DENSITY(rho.shape, rho.dtype)
     np.copyto(clipped, rho)
     np.copyto(clipped, 0.0, where=rho < 0)
     return clipped
@@ -110,7 +113,7 @@ def _kernel_blocks(initial: DiffusionState, cfg: EvolutionConfig):
     """
     grid = initial.grid
     spectrum = np.fft.fft(initial.rho.values)
-    kernel = _exponentials(-initial.D * grid.k**2, "heat_kernel")
+    kernel = _exponentials(-initial.D * grid.k**2)
 
     def rows(steps: list[int]) -> np.ndarray:
         rho = _heat_kernel_rows(spectrum, kernel([i * cfg.dt for i in steps]), steps)
@@ -129,7 +132,7 @@ def diffuse_step(state: DiffusionState, dt: float) -> DiffusionState:
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     grid = state.grid
-    kernel = _exponentials(-state.D * grid.k**2, "heat_kernel")([dt])
+    kernel = _exponentials(-state.D * grid.k**2)([dt])
     rho = _heat_kernel_rows(np.fft.fft(state.rho.values), kernel)[0]
     return DiffusionState(RealField(grid, rho.copy()), state.D, state.time + dt)
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffusion import DiffusionState
-from .grid import RealField, _spectral_derivatives, _work, spectral_derivative
+from .grid import RealField, _Buffer, _spectral_derivatives, _work, spectral_derivative
 from .madelung import (
     QuantumState,
     action_per_mass,
@@ -78,10 +78,19 @@ class EntropyReport:
 def _masked_integral(dx, integrand: np.ndarray, mask: np.ndarray):
     """dx * sum of the integrand over the valid points of each row (last axis).
 
-    The integrand, a `_work` temporary, is zeroed off the mask in place.
+    The integrand, a temporary of the caller, is zeroed off the mask in place.
     """
     np.copyto(integrand, 0.0, where=~mask)
     return dx * np.sum(integrand, axis=-1)
+
+
+_SAFE_DENSITY = _Buffer()
+
+
+def _safe_density(rho: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """where(mask, rho, 1), the divisor and log argument of Fisher and Boltzmann,
+    in a `_Buffer` of this function."""
+    return _where_valid(rho, mask, _SAFE_DENSITY(rho.shape, rho.dtype))
 
 
 def _boltzmann(rho: np.ndarray, safe: np.ndarray, mask: np.ndarray, dx, k_B: float):
@@ -94,14 +103,13 @@ def _boltzmann(rho: np.ndarray, safe: np.ndarray, mask: np.ndarray, dx, k_B: flo
 def _boltzmann_rows(rho: np.ndarray, dx, k_B: float) -> np.ndarray:
     """Boltzmann entropy of each row of a (rows, N) block of densities."""
     mask = _floor_mask(rho)
-    return _boltzmann(rho, _where_valid(rho, mask, "safe_rho"), mask, dx, k_B)
+    return _boltzmann(rho, _safe_density(rho, mask), mask, dx, k_B)
 
 
 def boltzmann_entropy(rho: RealField, k_B: float = 1.0) -> float:
     """-k_B * integral(rho ln rho) dx, with 0*ln(0) = 0 at masked points."""
     mask = valid_mask(rho)
-    safe = _where_valid(rho.values, mask, "safe_rho")
-    return float(_boltzmann(rho.values, safe, mask, rho.grid.dx, k_B))
+    return float(_boltzmann(rho.values, _safe_density(rho.values, mask), mask, rho.grid.dx, k_B))
 
 
 def _advective_rate(rho, mask, r1, r2, dx, hbar: float, mass: float, k_B: float):
@@ -120,9 +128,10 @@ def production_advective(state: QuantumState, k_B: float = 1.0) -> float:
 
 
 def _fisher(grad: np.ndarray, safe: np.ndarray, mask: np.ndarray, dx):
-    """integral grad^2 / rho over the mask, given safe = where(mask, rho, 1)."""
+    """integral grad^2 / rho over the mask, given safe = where(mask, rho, 1);
+    grad is overwritten by the integrand."""
     with np.errstate(invalid="ignore", divide="ignore"):
-        integrand = np.multiply(grad, grad, out=_work(safe.shape, safe.dtype))
+        integrand = np.multiply(grad, grad, out=grad)
         np.divide(integrand, safe, out=integrand)
     return _masked_integral(dx, integrand, mask)
 
@@ -131,7 +140,7 @@ def fisher_information(rho: RealField) -> float:
     """integral (grad rho)^2 / rho dx over the valid mask; nonnegative."""
     grad = spectral_derivative(rho.values, rho.grid)
     mask = valid_mask(rho)
-    return float(_fisher(grad, _where_valid(rho.values, mask, "safe_rho"), mask, rho.grid.dx))
+    return float(_fisher(grad, _safe_density(rho.values, mask), mask, rho.grid.dx))
 
 
 def production_diffusive(rho: RealField, D: float, k_B: float = 1.0) -> float:
@@ -219,23 +228,26 @@ def _require_finite(columns: dict, times):
         raise NumericsError(f"non-finite entropy diagnostics at t = {times[row]}: {values}")
 
 
-def _quantum_rows(psi, derivatives, grid, hbar, mass, k_B, include_von_neumann, times, rho=None):
+def _quantum_rows(psi, grid, hbar, mass, k_B, include_von_neumann, times, rho=None, energy=None):
     """Entropy columns of a (rows, N) block of wavefunctions, one value per row.
 
-    `derivatives` holds psi' and psi'' of the block from one forward
-    transform, which become the ratios in place, and `rho` its |psi|^2 when
-    already computed.  With r1 = psi'/psi and r2 = psi''/psi: div u_a =
-    (hbar/m) Im(r2 - r1^2), rho'/rho = 2 Re r1, and u_a + i u_d =
-    -i (hbar/m) r1.  Returns the columns (keyed like EntropyReport; None
-    where a value does not apply) with rho, its valid mask and u_a + i u_d,
-    which the runners reuse; those three are this thread's block buffers.
+    psi' and psi'' come from one forward transform and become the ratios
+    r1 = psi'/psi and r2 = psi''/psi in place; `rho` is the block's |psi|^2
+    when already computed.  div u_a = (hbar/m) Im(r2 - r1^2), rho'/rho =
+    2 Re r1, and u_a + i u_d = -i (hbar/m) r1.  Returns the columns (keyed
+    like EntropyReport; None where a value does not apply) with rho, its
+    valid mask and u_a + i u_d, which the runners reuse; those three are the
+    `_Buffer`s of `_density`, `_floor_mask` and `_spectral_derivatives`.
     Raises NumericsError at the first row with a non-finite value; `times`
-    names it.
+    names it.  `energy`, if given, maps psi'' to an "energy" column, which
+    is added to the columns.
     """
+    derivatives = _spectral_derivatives(psi, grid, (1, 2))
+    # the only look at psi'' before _psi_ratios divides it by psi
+    energy_column = None if energy is None else energy(derivatives[1])
     rho, mask, (r1, r2) = _psi_ratios(psi, derivatives, rho)
     dx = grid.dx
-    safe = _where_valid(rho, mask, "safe_rho")
-    # grad rho in the `_work` buffer that _fisher squares it into
+    safe = _safe_density(rho, mask)
     grad = np.multiply(2.0, rho, out=_work(rho.shape, rho.dtype))
     fisher = _fisher(np.multiply(grad, r1.real, out=grad), safe, mask, dx)
     columns = dict(
@@ -250,6 +262,8 @@ def _quantum_rows(psi, derivatives, grid, hbar, mass, k_B, include_von_neumann, 
         ent_von_neumann=_von_neumann(psi, dx) if include_von_neumann else None,
     )
     _require_finite(columns, times)
+    if energy is not None:
+        columns["energy"] = energy_column
     return columns, rho, mask, v
 
 
@@ -257,14 +271,16 @@ def _diffusion_rows(rho, grid, D, k_B, times):
     """Entropy columns of a (rows, N) block of densities diffusing at D.
 
     The Fisher information is computed once and scaled into the diffusive
-    production.  Returns the columns with the valid mask and grad(rho), both
-    this thread's block buffers; raises NumericsError at the first row with a
-    non-finite value.
+    production.  Returns the columns with the valid mask and grad(rho), the
+    `_Buffer`s of `_floor_mask` and `_spectral_derivatives`; raises
+    NumericsError at the first row with a non-finite value.
     """
     mask = _floor_mask(rho)
     (grad,) = _spectral_derivatives(rho, grid, (1,))
-    safe = _where_valid(rho, mask, "safe_rho")
-    fisher = _fisher(grad, safe, mask, grid.dx)
+    safe = _safe_density(rho, mask)
+    squared = _work(grad.shape, grad.dtype)  # _fisher squares it in place; grad is returned
+    np.copyto(squared, grad)
+    fisher = _fisher(squared, safe, mask, grid.dx)
     columns = dict(
         ent_boltzmann=_boltzmann(rho, safe, mask, grid.dx, k_B),
         fisher_information=fisher,
@@ -295,10 +311,9 @@ def entropy_report(
             state.rho.values[None], state.grid, state.D, k_B, [state.time]
         )
     else:
-        psi = state.psi.values[None]
         columns, *_ = _quantum_rows(
-            psi, _spectral_derivatives(psi, state.grid, (1, 2)), state.grid,
-            state.hbar, state.mass, k_B, include_von_neumann, [state.time],
+            state.psi.values[None], state.grid, state.hbar, state.mass, k_B,
+            include_von_neumann, [state.time],
         )
     first = {name: None if col is None else float(col[0]) for name, col in columns.items()}
     return EntropyReport(k_B=k_B, **first)

@@ -30,10 +30,10 @@ __all__ = [
 # rows at N = 1024 on one worker, 32 on each of two): enough rows to amortise
 # the per-call cost of each transform and reduction and the fixed cost of a
 # block (~0.5 ms, what a 1-row free block takes).  Each worker computes its
-# blocks in the block buffers it keeps (`_buffer`), allocated once per worker
-# instead of once per block: 10 for a quantum `run`, 3.5 MB at 32 rows of
-# N = 1024.  Peak memory grows with this budget where the blocks, not the
-# output, set it: 1 MiB adds ~2.5 MB to the N = 512 run of 801 rows.
+# blocks in arrays it keeps (`_Buffer`), allocated once per worker instead of
+# once per block: 10 for a quantum `run`, 3.5 MB at 32 rows of N = 1024.  Peak
+# memory grows with this budget where the blocks, not the output, set it:
+# 1 MiB adds ~2.5 MB to the N = 512 run of 801 rows.
 _BLOCK_BYTES = 1 << 20
 
 # The runners compute row blocks on one worker per usable core.
@@ -49,36 +49,45 @@ def _row_blocks(steps: list[int], num_points: int) -> list[list[int]]:
     return [steps[i:i + rows] for i in range(0, len(steps), rows)]
 
 
-_buffers = threading.local()
+class _Buffer(threading.local):
+    """Arrays that one function computes its row blocks into, one set per thread.
 
-
-def _buffer(name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-    """This thread's block buffer `name`, as an uninitialised C-contiguous array of `shape`.
-
-    Row blocks are computed into these instead of fresh temporaries: a buffer is
-    allocated once per thread and reused by every later block, so a run does
-    not fault its pages in again block after block.  A buffer is replaced when
-    its dtype or row length changes or a block has more rows; a shorter block
-    takes the leading rows.  Each name has one owner: the next call of that
-    owner overwrites it, so whatever leaves a computation is copied out first.
-    The two `_work` buffers are the exception: any function may hold one for
-    a temporary, as long as it calls nothing that takes the same one.
+    Each `_Buffer` is private to the one function that writes it: a call
+    returns an uninitialised C-contiguous array of `shape`, allocated once per
+    thread and reused by the later calls, so a run does not fault its pages
+    in again block after block.  The array is replaced when its dtype or row
+    length changes or a call has more rows; a call with fewer rows takes the
+    leading rows.  `key` tells apart arrays of one function that are alive at
+    once.  The next call overwrites what the last one returned, so whatever
+    leaves a computation is copied out first.
     """
-    buf = getattr(_buffers, name, None)
-    if buf is None or buf.dtype != dtype or buf.shape[1:] != shape[1:] or len(buf) < shape[0]:
-        buf = np.empty(shape, dtype)
-        setattr(_buffers, name, buf)
-    return buf[:shape[0]]
+
+    def __init__(self):
+        self.arrays = {}
+
+    def __call__(self, shape: tuple[int, ...], dtype, key=None) -> np.ndarray:
+        buf = self.arrays.get(key)
+        if buf is None or buf.dtype != dtype or buf.shape[1:] != shape[1:] or len(buf) < shape[0]:
+            buf = self.arrays[key] = np.empty(shape, dtype)
+        return buf[:shape[0]]
+
+
+_WORK = _Buffer()
 
 
 def _work(shape: tuple[int, ...], dtype) -> np.ndarray:
-    """This thread's scratch block buffer of a complex or a real dtype, for a temporary."""
-    return _buffer("complex_work" if np.dtype(dtype).kind == "c" else "real_work", shape, dtype)
+    """This thread's scratch array of a complex or of a real dtype, for a temporary.
+
+    The one `_Buffer` that any function may use: a function that takes a
+    `_work` array neither returns it nor, while it holds it, calls a function
+    that takes `_work` itself (numpy and `_masked_integral` are fine).
+    """
+    return _WORK(shape, dtype, np.dtype(dtype).kind == "c")
 
 
-def _exponentials(rates: np.ndarray, name: str):
+def _exponentials(rates: np.ndarray):
     """times -> the (len(times), N) table exp(rates * t), one row per time t,
-    in this thread's block buffer `name`.
+    in a `_Buffer` of the returned function.
 
     Each distinct rate is exponentiated once: a free spectrum is even in k bit
     for bit, so about half the exponentials are saved.  np.take keeps the table
@@ -87,16 +96,17 @@ def _exponentials(rates: np.ndarray, name: str):
     buffer directly; mode="raise" would fill a copy first.
     """
     distinct, where = np.unique(rates, return_inverse=True)
+    buffer = _Buffer()
 
     def table(times):
         times = np.asarray(times)
         dtype = np.result_type(distinct, times)
-        powers = _buffer(f"{name}_exponents", (len(times), len(distinct)), dtype)
+        powers = buffer((len(times), len(distinct)), dtype, "exponents")
         # t * rate, each product rounded once; a ufunc broadcasting both
         # operands would fill a buffer of the iterator for each
         np.copyto(powers, times[:, None])
         np.multiply(powers, distinct, out=powers)
-        out = _buffer(name, (len(times), len(rates)), dtype)
+        out = buffer((len(times), len(rates)), dtype, "table")
         return np.take(np.exp(powers, out=powers), where, axis=1, mode="clip", out=out)
 
     return table
@@ -247,10 +257,12 @@ def spectral_derivatives(
     return [d.copy() for d in _spectral_derivatives(values, grid, orders)]
 
 
+_DERIVATIVES = _Buffer()
+
+
 def _spectral_derivatives(values: np.ndarray, grid: Grid, orders: tuple[int, ...]) -> list[np.ndarray]:
-    """`spectral_derivatives` in this thread's block buffers: the derivative of
-    the n-th order listed is the "derivative{n}" buffer (its real part for real
-    values); the spectrum is a `_work` temporary."""
+    """`spectral_derivatives` in a `_Buffer` of this function (the real part for
+    real values); the spectrum is a `_work` temporary."""
     if any(order < 1 for order in orders):
         raise ValueError("derivative order must be a positive integer")
     ik = 1j * grid.k.astype(np.result_type(grid.k.dtype, np.complex128))
@@ -265,7 +277,7 @@ def _spectral_derivatives(values: np.ndarray, grid: Grid, orders: tuple[int, ...
         mult = ik**order
         if order % 2 == 1:
             mult[grid.nyquist_index] = 0.0
-        d = _buffer(f"derivative{n}", values.shape, np.result_type(mult, spectrum))
+        d = _DERIVATIVES(values.shape, np.result_type(mult, spectrum), n)
         np.fft.ifft(np.multiply(mult, spectrum, out=d), out=d)
         out.append(d.real if real else d)
     return out

@@ -22,8 +22,9 @@ from .grid import (
     ComplexField,
     Grid,
     RealField,
-    _buffer,
+    _Buffer,
     _spectral_derivatives,
+    _work,
     integrate,
     spectral_derivative,
     spectral_derivatives,
@@ -90,13 +91,16 @@ class MadelungFields:
     valid_mask: np.ndarray
 
 
+_MASK = _Buffer()
+
+
 def _floor_mask(rho: np.ndarray, floor_ratio: float = DENSITY_FLOOR_RATIO) -> np.ndarray:
     """Row by row over the last axis: points at or above floor_ratio times the row's
-    peak, in this thread's "mask" block buffer."""
+    peak, in a `_Buffer` of this function."""
     peak = rho.max(axis=-1, keepdims=True)
     if not np.all(peak > 0):
         raise ValueError("density is identically zero")
-    return np.greater_equal(rho, floor_ratio * peak, out=_buffer("mask", rho.shape, bool))
+    return np.greater_equal(rho, floor_ratio * peak, out=_MASK(rho.shape, bool))
 
 
 def valid_mask(rho: RealField, floor_ratio: float = DENSITY_FLOOR_RATIO) -> np.ndarray:
@@ -109,18 +113,20 @@ def density(state: QuantumState) -> RealField:
     return RealField(state.grid, np.abs(state.psi.values) ** 2)
 
 
+_DENSITY = _Buffer()
+
+
 def _density(psi: np.ndarray) -> np.ndarray:
-    """|psi|^2 of a block of wavefunctions, in this thread's "rho" block buffer."""
-    rho = _buffer("rho", psi.shape, psi.real.dtype)
+    """|psi|^2 of a block of wavefunctions, in a `_Buffer` of this function."""
+    rho = _DENSITY(psi.shape, psi.real.dtype)
     return np.square(np.abs(psi, out=rho), out=rho)
 
 
-def _where_valid(values: np.ndarray, mask: np.ndarray, name: str) -> np.ndarray:
-    """where(mask, values, 1), in this thread's block buffer `name`: a divisor safe off the mask."""
-    safe = _buffer(name, values.shape, values.dtype)
-    np.copyto(safe, 1.0)
-    np.copyto(safe, values, where=mask)
-    return safe
+def _where_valid(values: np.ndarray, mask: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """where(mask, values, 1) into `out`: a divisor safe off the mask."""
+    np.copyto(out, 1.0)
+    np.copyto(out, values, where=mask)
+    return out
 
 
 def _psi_ratios(psi: np.ndarray, derivatives, rho: np.ndarray | None = None):
@@ -129,12 +135,12 @@ def _psi_ratios(psi: np.ndarray, derivatives, rho: np.ndarray | None = None):
     psi is (..., N) and every row is masked against its own peak; the
     derivatives come from one `spectral_derivatives` call and are divided by
     psi in place, the ratios zeroed off the valid mask.  rho and the mask are
-    this thread's "rho" and "mask" block buffers.
+    the `_Buffer`s of `_density` and `_floor_mask`.
     """
     if rho is None:
         rho = _density(psi)
     mask = _floor_mask(rho)
-    safe = _where_valid(psi, mask, "complex_work")  # a `_work` temporary
+    safe = _where_valid(psi, mask, _work(psi.shape, psi.dtype))
     off = ~mask
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         for dn in derivatives:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (
-    ComplexField, Grid, RealField, _buffer, _exponentials, _row_blocks, _spectral_derivatives, _work,
+    ComplexField, Grid, RealField, _Buffer, _exponentials, _row_blocks, _spectral_derivatives, _work,
 )
 from .madelung import NORM_TOLERANCE, QuantumState, _density
 
@@ -214,14 +214,14 @@ def _snapshot_blocks(state: QuantumState, pot: Potential, cfg: EvolutionConfig):
 
     The initial row is the initial state itself; a later block is one table of
     phases exp(-iEt/hbar) mapped back to x (for a free potential, one batched
-    inverse transform), in this thread's "phases" and "rho" block buffers.  Every
+    inverse transform), in `_Buffer`s of `rows` and of `_density`.  Every
     later row is checked: NumericsError at the first non-finite row, or at the
     first row whose norm misses 1 by more than NORM_TOLERANCE.  Each block
     depends on its steps alone.
     """
     grid, hbar = state.grid, state.hbar
     energies, coeffs, to_x = _eigenbasis(state, pot)
-    phases = _exponentials(-1j * energies, "phases")
+    phases = _exponentials(-1j * energies)
 
     def rows(steps: list[int]) -> tuple[np.ndarray, np.ndarray]:
         table = phases(np.array(steps) * cfg.dt / hbar)
@@ -261,6 +261,9 @@ def propagate(state: QuantumState, pot: Potential, cfg: EvolutionConfig) -> list
     return snapshots
 
 
+_ENERGY_TERM = _Buffer()
+
+
 def _energy_rows(psi, laplacian, grid: Grid, pot: Potential, hbar: float, mass: float, steps=None):
     """Energy of each row of a (rows, N) block of wavefunctions, given their psi''.
 
@@ -268,7 +271,7 @@ def _energy_rows(psi, laplacian, grid: Grid, pot: Potential, hbar: float, mass: 
     part above 1e-10 of max(1, |E|).  A free potential adds no u*psi term.
     """
     integrand = _work(psi.shape, psi.dtype)
-    work = _buffer("energy_term", psi.shape, psi.dtype)
+    work = _ENERGY_TERM(psi.shape, psi.dtype)
     np.multiply(-(hbar**2) / (2 * mass), laplacian, out=integrand)
     if pot.kind != "free":
         np.add(integrand, np.multiply(mass * pot.per_mass(grid), psi, out=work), out=integrand)

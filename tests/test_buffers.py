@@ -1,19 +1,20 @@
 """Per-thread block buffers: reused from block to block, never handed out.
 
-Row blocks are computed in buffers that each thread keeps (`grid._buffer`);
+Row blocks are computed in arrays that each thread keeps (`grid._Buffer`);
 the next block overwrites them.  Whatever a block or a public function
 returns must therefore be a fresh array: a column, a field row, a
 `ComplexField` or a `propagate` snapshot that aliased a buffer would change
 under the caller when the next block runs.
 """
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from qhydro import cli
-from qhydro.grid import _buffer, make_grid, spectral_derivatives
+from qhydro.grid import _Buffer, make_grid, spectral_derivatives
 from qhydro.madelung import complex_velocity
 from qhydro.schrodinger import (
     EvolutionConfig, free_potential, gaussian_packet, harmonic_potential, propagate,
@@ -84,19 +85,33 @@ def test_public_results_share_no_memory(unit_gaussian):
 
 
 def test_buffer_is_replaced_when_its_shape_or_dtype_changes():
-    a = _buffer("test_buffer", (4, 8), np.complex128)
+    buffer = _Buffer()
+    a = buffer((4, 8), np.complex128)
     assert a.flags.c_contiguous and a.shape == (4, 8)
-    shorter = _buffer("test_buffer", (2, 8), np.complex128)
+    shorter = buffer((2, 8), np.complex128)
     assert shorter.shape == (2, 8) and np.shares_memory(a, shorter)
+    assert not np.shares_memory(a, buffer((4, 8), np.complex128, key=1))
     for shape, dtype in [((4, 16), np.complex128), ((4, 8), np.float64), ((5, 8), np.complex128)]:
-        replaced = _buffer("test_buffer", shape, dtype)
+        replaced = buffer(shape, dtype)
         assert replaced.shape == shape and replaced.dtype == dtype
         assert not np.shares_memory(a, replaced)
         a = replaced
 
 
+def test_each_thread_has_its_own_arrays():
+    buffer = _Buffer()
+    mine = buffer((4, 8), np.float64)
+    with ThreadPoolExecutor(1) as pool:
+        theirs = pool.submit(buffer, (4, 8), np.float64).result()
+    assert not np.shares_memory(mine, theirs)
+
+
 def test_a_warm_free_block_allocates_less_than_one_block():
-    # 16 rows at N = 1024 is one worker's block on two cores
+    # A warmed 16-row block at N = 1024 traced 2.25 MB (~9 such arrays) when
+    # every block allocated its temporaries.  What it still traces, ~0.17 MB
+    # with numpy 2.4, is numpy's own ufunc-iterator buffers (64-128 KiB each,
+    # for a broadcast operand), whose size is numpy's choice: a numpy that
+    # grows them can fail this bound with no change here.
     cfg = replace(cli.default_config("free_gaussian"), snapshot_stride=1)
     grid = make_grid(cfg.L, cfg.N)
     entry = cli._ENTRIES["free_gaussian"]

@@ -220,8 +220,8 @@ def _poison(monkeypatch, bad_steps, slow_step=None):
     the block holding `slow_step` is delayed so that later blocks finish first."""
     exponentials = schrodinger._exponentials
 
-    def poisoned(rates, name):
-        table = exponentials(rates, name)
+    def poisoned(rates):
+        table = exponentials(rates)
 
         def with_nan(times):
             out = table(times)

@@ -1,6 +1,6 @@
 """Compare the data files and identity values of two qhydro source trees.
 
-    python3 tools/golden.py PARENT_SRC CHANGE_SRC [--keep DIR]
+    python3 tools/golden.py PARENT_SRC CHANGE_SRC
 
 PARENT_SRC and CHANGE_SRC are `src/` directories (each holding the `qhydro`
 package).  Both sides run the same golden set of CLI invocations, one
@@ -122,18 +122,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="the parent's src/ directory")
     parser.add_argument("change", type=Path, help="the change's src/ directory")
-    parser.add_argument("--keep", type=Path, default=None,
-                        help="keep both sides' outputs under this directory")
-    parser.add_argument("--case", action="append", choices=sorted(CASES),
-                        help="run only these cases (default: all)")
     args = parser.parse_args(argv)
     for src in (args.parent, args.change):
         if not (src / "qhydro" / "__init__.py").is_file():
             parser.error(f"no qhydro package under {src}")
-    root = args.keep or Path(tempfile.mkdtemp(prefix="qhydro-golden-"))
+    root = Path(tempfile.mkdtemp(prefix="qhydro-golden-"))
     found, total = [], 0
     try:
-        for case in args.case or CASES:
+        for case in CASES:
             parent = _run_case(args.parent.resolve(), root / "parent" / case, case)
             change = _run_case(args.change.resolve(), root / "change" / case, case)
             total += len(parent["files"])
@@ -143,8 +139,7 @@ def main(argv=None) -> int:
                   f"{len(parent['identities'] or [])} identities: {status}", flush=True)
             found += diffs
     finally:
-        if args.keep is None:
-            shutil.rmtree(root, ignore_errors=True)
+        shutil.rmtree(root, ignore_errors=True)
     for line in found:
         print(f"DIFF {line}")
     print(f"{len(found)} differences over {total} data files")
