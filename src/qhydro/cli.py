@@ -156,6 +156,9 @@ def default_config(scenario: str) -> ScenarioConfig:
     return ScenarioConfig(scenario=scenario, **_ENTRIES[scenario].defaults)
 
 
+_GRID_TOO_LARGE = "N = {} asks for a grid larger than memory holds"
+
+
 def validate_config(cfg: ScenarioConfig) -> list[str]:
     problems = [
         f"{name} must be finite, got {value}"
@@ -172,6 +175,8 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
     ]
     if cfg.N % 2 != 0 or cfg.N < 8:
         problems.append(f"N must be an even integer >= 8, got {cfg.N}")
+    elif cfg.N > sys.maxsize // 16:  # numpy cannot even size a complex grid array
+        problems.append(_GRID_TOO_LARGE.format(cfg.N))
     if cfg.t_final < 0:
         problems.append(f"t_final must be nonnegative, got {cfg.t_final}")
     if cfg.dt > 0 and math.isfinite(cfg.t_final):
@@ -762,7 +767,10 @@ def _run(
             f"t_final = {cfg.t_final}, dt = {cfg.dt} and snapshot_stride = {cfg.snapshot_stride} "
             "ask for more snapshots than memory holds"
         ]) from None
-    grid = make_grid(cfg.L, cfg.N)
+    try:
+        grid = make_grid(cfg.L, cfg.N)
+    except MemoryError:
+        raise ConfigError([_GRID_TOO_LARGE.format(cfg.N)]) from None
     block = entry.blocks(cfg, grid, ev, *entry.start(cfg, grid))
     parts, tables = [], ([] if cfg.emit_fields else None)
     blocks = _pooled(block, _row_blocks(steps[1:], grid.num_points))
@@ -955,5 +963,23 @@ def main(argv=None) -> int:
     return report.exit_code
 
 
+def console_main() -> int:
+    """`main()` as a process: flush stdout and stderr, then end without teardown.
+
+    Once the last byte is out, tearing down the interpreter (numpy, OpenBLAS
+    and every loaded module; ~30 ms) changes nothing a caller sees, so the
+    process ends with os._exit and main()'s exit code.  argparse's SystemExit
+    and any uncaught exception propagate, and a flush that raises (a closed
+    pipe) returns the code: those leave by the normal interpreter exit.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):
+        return code
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

@@ -502,6 +502,11 @@ class TestMain:
             "[scenario]\nname = diffusion_gaussian\n[physics]\npotential = harmonic\n",
             # a valid step count whose snapshot list cannot be built: a MemoryError traceback
             "[scenario]\nname = free_gaussian\n[evolution]\nt_final = 1e18\ndt = 1\nsnapshot_stride = 1\n",
+            # a grid that cannot be allocated: a MemoryError traceback, and an N
+            # numpy cannot size aborted numerically; 2**58 float64 samples are
+            # 2 EiB, beyond any 64-bit address space, so no allocation is tried
+            "[scenario]\nname = harmonic_ground\n[grid]\nN = 288230376151711744\n",
+            "[scenario]\nname = harmonic_ground\n[grid]\nN = 9223372036854775808\n",
         ]] + [
             # compare evolved a free packet on the trap's box and exited 1
             ("compare", render_config(default_config("harmonic_ground")).split("[output]")[0]),
@@ -529,6 +534,8 @@ class TestMain:
             "free_packet_with_trap_potential",
             "diffusion_with_trap_potential",
             "snapshot_list_unbuildable",
+            "grid_unallocatable",
+            "grid_unaddressable",
             "compare_trap_ground",
             "compare_trap_perturbed",
             "compare_custom_trap",

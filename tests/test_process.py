@@ -1,0 +1,120 @@
+"""The CLI as a process: `python -m qhydro.cli` and the `qhydro` console-script
+function, each run as a child with block-buffered stdout.
+
+PYTHONUNBUFFERED is removed from the child's environment, so its stdout (a
+pipe) is block-buffered: output that the process does not flush before it
+ends is lost, and these tests see it missing.
+"""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qhydro
+from qhydro.cli import SCENARIOS, default_config, render_config
+
+SRC = Path(qhydro.__file__).resolve().parent.parent
+
+LAUNCHERS = {
+    "module": ["-m", "qhydro.cli"],
+    # what the generated `qhydro` script does
+    "console_script": ["-c", "import sys; from qhydro.cli import console_main; sys.exit(console_main())"],
+}
+
+# 500 steps at stride 100: 6 snapshots
+QUICK_FREE = (
+    "[scenario]\nname = free_gaussian\n[grid]\nL = 20.0\nN = 256\n"
+    "[evolution]\ndt = 1e-3\nt_final = 0.5\nsnapshot_stride = 100\n"
+)
+
+
+@pytest.fixture(params=sorted(LAUNCHERS))
+def qhydro_process(request):
+    """Run the CLI in a child process with the given arguments; returns the CompletedProcess."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("PYTHONUNBUFFERED", None)
+
+    def run(*args, stdout=subprocess.PIPE):
+        return subprocess.run(
+            [sys.executable, *LAUNCHERS[request.param], *args],
+            env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+
+    return run
+
+
+def _ini(tmp_path: Path, text: str) -> Path:
+    path = tmp_path / "cfg.ini"
+    path.write_text(f"{text}[output]\ndirectory = {tmp_path / 'out'}\n")
+    return path
+
+
+def test_list_scenarios(qhydro_process):
+    done = qhydro_process("list-scenarios")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "".join(f"{name}: {SCENARIOS[name]}\n" for name in sorted(SCENARIOS))
+
+
+def test_print_default_config(qhydro_process):
+    done = qhydro_process("print-default-config", "harmonic_perturbed")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == render_config(default_config("harmonic_perturbed"))
+
+
+def test_passing_run(qhydro_process, tmp_path):
+    done = qhydro_process("run", str(_ini(tmp_path, QUICK_FREE)))
+    assert (done.returncode, done.stderr) == (0, "")
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["exit_code"] == 0
+    assert done.stdout.splitlines() == [
+        f"IDENTITY scenario=free_gaussian name={c['name']} "
+        f"tolerance={c['tolerance']:.3g} measured={c['measured']:.6g} PASS"
+        for c in report["identities"]
+    ]
+    assert len(report["identities"]) > 0
+    assert len((tmp_path / "out" / "timeseries.csv").read_text().splitlines()) == 6 + 1
+
+
+def test_failing_identity_exits_1(qhydro_process, tmp_path):
+    # a packet far narrower than the grid spacing: the references miss
+    done = qhydro_process("run", str(_ini(tmp_path, "[scenario]\nname = free_gaussian\n[physics]\nsigma0 = 1e-3\n")))
+    assert done.returncode == 1
+    lines = done.stdout.splitlines()
+    assert lines and all(line.startswith("IDENTITY scenario=free_gaussian ") for line in lines)
+    assert any(line.endswith(" FAIL") for line in lines)
+
+
+def test_config_error_exits_2(qhydro_process, tmp_path):
+    done = qhydro_process("run", str(_ini(tmp_path, "[scenario]\nname = free_gaussian\n[grid]\nN = 7\n")))
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "config error: N must be an even integer >= 8, got 7\n"
+
+
+def test_numeric_abort_exits_3(qhydro_process, tmp_path):
+    text = "[scenario]\nname = custom\n[physics]\nhbar = 1e300\n[grid]\nL = 4.0\nN = 8\n[evolution]\nt_final = 0\n"
+    done = qhydro_process("run", str(_ini(tmp_path, text)))
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr.startswith("numeric abort: ") and done.stderr.count("\n") == 1
+
+
+def test_usage_error_exits_2(qhydro_process):
+    done = qhydro_process("run")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("usage: qhydro run ")
+    assert done.stderr.endswith("error: the following arguments are required: config\n")
+
+
+def test_closed_stdout_takes_the_normal_exit(qhydro_process):
+    # the flush fails, so the interpreter's own exit reports the broken pipe
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = qhydro_process("list-scenarios", stdout=write)
+    finally:
+        os.close(write)
+    assert done.returncode == 120
+    assert "BrokenPipeError" in done.stderr

@@ -11,7 +11,11 @@ cores when unset, and the CPU affinity is the caller's (run the tool under
 scenarios, the default `compare`, `run` and `compare` at snapshot_stride 1
 (the spread_dense workload), the von Neumann workload (spread_vn) and the
 `emit_fields` + `--vn on` runs of free_gaussian, harmonic_ground,
-diffusion_gaussian and a `custom` trap.
+diffusion_gaussian and a `custom` trap, and four runs that exit nonzero: a
+failing identity (1), a config error and a grid that cannot be allocated
+(2), and a numeric abort (3).  PYTHONUNBUFFERED is removed from the
+children's environment, so their stdout is block-buffered and output that a
+process does not flush before it ends shows as a stdout difference.
 
 Every data file must be byte-identical; from report.json, each identity's
 name, tolerance, `measured` value and outcome must be equal, as must the
@@ -49,6 +53,13 @@ CASES = {
         {"potential": "harmonic", "omega0": "1.0", "L": "12.0", "N": "256", "emit_fields": "true"},
         ["--vn", "on"],
     ),
+    "identity_failure": ("run", "free_gaussian", {"sigma0": "0.001"}, []),
+    "config_error": ("run", "free_gaussian", {"N": "7"}, []),
+    # 2**58 float64 samples are 2 EiB, beyond any 64-bit address space
+    "grid_unallocatable": ("run", "harmonic_ground", {"N": str(2**58)}, []),
+    "numeric_abort": (
+        "run", "custom", {"hbar": "1e300", "L": "4.0", "N": "8", "t_final": "0.0"}, [],
+    ),
 }
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
@@ -56,6 +67,7 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 def _environment(src: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONUNBUFFERED", None)  # a block-buffered stdout shows a lost flush
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     for var in THREAD_VARS:
         env.setdefault(var, str(cores or 1))
