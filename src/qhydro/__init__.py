@@ -3,18 +3,16 @@
 Evolves wavefunctions (exact spectral propagator) and diffusing densities
 (exact heat kernel), decomposes states into Madelung fluid fields, and
 measures the entropy functionals and production identities that connect
-the two flows.
+the two flows.  Every sampled quantity, real or complex, is a `Field`.
 """
-from .grid import ComplexField, Grid, RealField, derivative, integrate, make_grid
+from .grid import Field, Grid, derivative, integrate, make_grid
 from .madelung import (
-    MadelungFields,
     QuantumState,
     UnwrapError,
     action_per_mass,
     advective_velocity,
     bohm_potential,
     complex_velocity,
-    decompose,
     density,
     diffusive_bohm_force,
     diffusive_bohm_potential,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (
-    ComplexField, Grid, RealField, _Buffer, _exponentials, _work, integrate, spectral_derivative,
+    Field, Grid, _Buffer, _exponentials, _work, integrate, spectral_derivative,
 )
 from .madelung import (
     NORM_TOLERANCE,
@@ -27,7 +27,7 @@ from .madelung import (
     valid_mask,
     _log_density_ratios,
 )
-from .schrodinger import EvolutionConfig, _check_rows
+from .schrodinger import EvolutionConfig, NumericsError, _check_rows
 
 __all__ = [
     "DiffusionState",
@@ -45,13 +45,15 @@ NEGATIVITY_TOLERANCE = 1e-14
 class DiffusionState:
     """A normalized density undergoing diffusion with constant D."""
 
-    rho: RealField
+    rho: Field
     D: float
     time: float = 0.0
 
     def __post_init__(self):
         if not self.D > 0:
             raise ValueError(f"D must be positive, got {self.D}")
+        if np.iscomplexobj(self.rho.values):
+            raise TypeError("DiffusionState requires real samples")
         if self.rho.values.min() < 0:
             raise ValueError("density must be nonnegative")
         norm = integrate(self.rho)
@@ -69,8 +71,11 @@ def gaussian_density(grid: Grid, sigma: float, D: float, center: float = 0.0, ti
         raise ValueError(f"sigma must be positive, got {sigma}")
     xc = grid.x - center
     rho = np.exp(-(xc**2) / (2 * sigma**2))
-    rho = rho / (grid.dx * rho.sum())
-    return DiffusionState(RealField(grid, rho), D, time)
+    norm = grid.dx * rho.sum()
+    if not 0 < norm < np.inf:
+        raise NumericsError(f"the density has no finite positive norm on the grid ({norm})")
+    rho = rho / norm
+    return DiffusionState(Field(grid, rho), D, time)
 
 
 _HEAT_DENSITY = _Buffer()
@@ -134,7 +139,7 @@ def diffuse_step(state: DiffusionState, dt: float) -> DiffusionState:
     grid = state.grid
     kernel = _exponentials(-state.D * grid.k**2)([dt])
     rho = _heat_kernel_rows(np.fft.fft(state.rho.values), kernel)[0]
-    return DiffusionState(RealField(grid, rho.copy()), state.D, state.time + dt)
+    return DiffusionState(Field(grid, rho.copy()), state.D, state.time + dt)
 
 
 def _velocity_and_slope(state: DiffusionState):
@@ -145,7 +150,7 @@ def _velocity_and_slope(state: DiffusionState):
     return mask, u, slope
 
 
-def diffusive_acceleration(before: DiffusionState, after: DiffusionState) -> RealField:
+def diffusive_acceleration(before: DiffusionState, after: DiffusionState) -> Field:
     """Material acceleration du_d/dt + u_d du_d/dx at the midpoint time.
 
     The time derivative is the centered difference of the two snapshots'
@@ -168,10 +173,10 @@ def diffusive_acceleration(before: DiffusionState, after: DiffusionState) -> Rea
     u_mid = 0.5 * (u_a + u_b)
     s_mid = 0.5 * (s_a + s_b)
     accel = np.where(mask, du_dt + u_mid * s_mid, 0.0)
-    return RealField(before.grid, accel, mask)
+    return Field(before.grid, accel, mask)
 
 
-def fokker_planck_residual(state: QuantumState) -> RealField:
+def fokker_planck_residual(state: QuantumState) -> Field:
     """Discretization error of the advective-diffusive continuity rewrite.
 
     r = d(rho)/dt + div[rho (u_a - u_d)] - (hbar/2m) lap(rho), with the time
@@ -192,12 +197,12 @@ def fokker_planck_residual(state: QuantumState) -> RealField:
         + spectral_derivative(flux, grid)
         - (state.hbar / (2 * state.mass)) * spectral_derivative(rho.values, grid, 2)
     )
-    return RealField(grid, r)
+    return Field(grid, r)
 
 
 def entropy_equation_residual(
     before: QuantumState, after: QuantumState, D: float | None = None
-) -> RealField:
+) -> Field:
     """Residual of the entropy-density balance between two close snapshots.
 
     r = ds/dt + div[(s - rho) u_a] - (1/D) rho u_a u_d, with s = -rho ln rho,
@@ -226,7 +231,7 @@ def entropy_equation_residual(
 
     psi_mid = 0.5 * (before.psi.values + after.psi.values)
     mid = QuantumState(
-        ComplexField(grid, psi_mid / np.sqrt(grid.dx * np.sum(np.abs(psi_mid) ** 2))),
+        Field(grid, psi_mid / np.sqrt(grid.dx * np.sum(np.abs(psi_mid) ** 2))),
         before.hbar,
         before.mass,
         0.5 * (before.time + after.time),
@@ -234,9 +239,9 @@ def entropy_equation_residual(
     rho_m = 0.5 * (rho_b.values + rho_a.values)
     s_m = 0.5 * (s_b + s_a)
     u_a = advective_velocity(mid)
-    u_d = diffusive_velocity(RealField(grid, rho_m), D)
+    u_d = diffusive_velocity(Field(grid, rho_m), D)
     mask = mask_b & mask_a & u_a.mask & u_d.mask
     flux = np.where(mask, (s_m - rho_m) * u_a.values, 0.0)
     source = np.where(mask, rho_m * u_a.values * u_d.values, 0.0) / D
     r = ds_dt + spectral_derivative(flux, grid) - source
-    return RealField(grid, r)
+    return Field(grid, r)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffusion import DiffusionState
-from .grid import RealField, _Buffer, _spectral_derivatives, _work, spectral_derivative
+from .grid import Field, _Buffer, _spectral_derivatives, _work, spectral_derivative
 from .madelung import (
     QuantumState,
     action_per_mass,
@@ -106,7 +106,7 @@ def _boltzmann_rows(rho: np.ndarray, dx, k_B: float) -> np.ndarray:
     return _boltzmann(rho, _safe_density(rho, mask), mask, dx, k_B)
 
 
-def boltzmann_entropy(rho: RealField, k_B: float = 1.0) -> float:
+def boltzmann_entropy(rho: Field, k_B: float = 1.0) -> float:
     """-k_B * integral(rho ln rho) dx, with 0*ln(0) = 0 at masked points."""
     mask = valid_mask(rho)
     return float(_boltzmann(rho.values, _safe_density(rho.values, mask), mask, rho.grid.dx, k_B))
@@ -136,14 +136,14 @@ def _fisher(grad: np.ndarray, safe: np.ndarray, mask: np.ndarray, dx):
     return _masked_integral(dx, integrand, mask)
 
 
-def fisher_information(rho: RealField) -> float:
+def fisher_information(rho: Field) -> float:
     """integral (grad rho)^2 / rho dx over the valid mask; nonnegative."""
     grad = spectral_derivative(rho.values, rho.grid)
     mask = valid_mask(rho)
     return float(_fisher(grad, _safe_density(rho.values, mask), mask, rho.grid.dx))
 
 
-def production_diffusive(rho: RealField, D: float, k_B: float = 1.0) -> float:
+def production_diffusive(rho: Field, D: float, k_B: float = 1.0) -> float:
     """k_B * D * Fisher information; the diffusive entropy growth rate."""
     if not D > 0:
         raise ValueError(f"diffusivity must be positive, got {D}")

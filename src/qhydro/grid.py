@@ -15,8 +15,7 @@ import numpy as np
 
 __all__ = [
     "Grid",
-    "RealField",
-    "ComplexField",
+    "Field",
     "make_grid",
     "derivative",
     "spectral_derivative",
@@ -167,12 +166,15 @@ def make_grid(L: float, N: int, dtype=np.float64) -> Grid:
 
 
 @dataclass(frozen=True)
-class RealField:
-    """Real samples on a grid, with an optional validity mask.
+class Field:
+    """Real or complex samples on a grid, with an optional validity mask.
 
-    `valid` is None when every point carries a meaningful value.  Operations
-    that divide by the density attach a mask; entries at invalid points are
-    stored as 0.0 and must be ignored via the mask, not read as values.
+    Real samples (densities, velocities) stay real and complex samples
+    (wavefunctions, complex velocities) stay complex; samples of any other
+    dtype are stored as float64.  `valid` is None when every point carries a
+    meaningful value.  Operations that divide by the density attach a mask;
+    entries at invalid points are stored as 0 and must be ignored via the
+    mask, not read as values.
     """
 
     grid: Grid
@@ -181,44 +183,8 @@ class RealField:
 
     def __post_init__(self):
         v = np.asarray(self.values)
-        if np.iscomplexobj(v):
-            raise TypeError("RealField requires real values")
-        if not np.issubdtype(v.dtype, np.floating):
+        if not np.issubdtype(v.dtype, np.inexact):
             v = v.astype(np.float64)
-        if v.shape != (self.grid.num_points,):
-            raise ValueError(f"expected {self.grid.num_points} samples, got shape {v.shape}")
-        if self.valid is not None:
-            m = np.asarray(self.valid, dtype=bool)
-            if m.shape != v.shape:
-                raise ValueError("valid mask shape mismatch")
-            v = np.where(m, v, v.dtype.type(0))
-            object.__setattr__(self, "valid", _frozen(m))
-            if not np.all(np.isfinite(v[m])):
-                raise ValueError("non-finite values on valid points")
-        else:
-            if not np.all(np.isfinite(v)):
-                raise ValueError("non-finite values in field")
-        object.__setattr__(self, "values", _frozen(v))
-
-    @property
-    def mask(self) -> np.ndarray:
-        if self.valid is None:
-            return np.ones(self.grid.num_points, dtype=bool)
-        return self.valid
-
-
-@dataclass(frozen=True)
-class ComplexField:
-    """Complex samples on a grid (wavefunctions, complex velocities)."""
-
-    grid: Grid
-    values: np.ndarray
-    valid: np.ndarray | None = None
-
-    def __post_init__(self):
-        v = np.asarray(self.values)
-        if not np.iscomplexobj(v):
-            v = v.astype(np.result_type(v.dtype, np.complex128))
         if v.shape != (self.grid.num_points,):
             raise ValueError(f"expected {self.grid.num_points} samples, got shape {v.shape}")
         if self.valid is not None:
@@ -289,21 +255,20 @@ def spectral_derivative(values: np.ndarray, grid: Grid, order: int = 1) -> np.nd
     return out
 
 
-def derivative(f, order: int = 1):
-    """Spectral d^order/dx^order of a field; returns a field of the same kind."""
-    out = spectral_derivative(f.values, f.grid, order)
-    if isinstance(f, RealField):
-        return RealField(f.grid, out, f.valid)
-    return ComplexField(f.grid, out, f.valid)
+def derivative(f: Field, order: int = 1) -> Field:
+    """Spectral d^order/dx^order of a field; real fields stay real, complex stay complex."""
+    return Field(f.grid, spectral_derivative(f.values, f.grid, order), f.valid)
 
 
-def integrate(f) -> float | complex:
+def integrate(f: Field) -> float | complex:
     """Rectangle-rule integral dx * sum(values).
 
     Exact for trigonometric polynomials on the periodic grid and spectrally
-    accurate for fields that decay below roundoff at the boundary.
+    accurate for fields that decay below roundoff at the boundary.  Complex
+    samples give a Python complex, float64 samples a Python float, and
+    extended-precision real samples keep their dtype.
     """
     total = f.grid.dx * np.sum(f.values)
-    if isinstance(f, ComplexField):
+    if f.values.dtype.kind == "c":
         return complex(total)
     return float(total) if f.values.dtype == np.float64 else total

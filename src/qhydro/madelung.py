@@ -10,7 +10,9 @@ Velocities are always computed from grad(psi)/psi or grad(rho)/rho, never
 from the unwrapped phase; unwrapping exists only to report the potential
 itself.  Points where rho falls below DENSITY_FLOOR_RATIO * max(rho) are
 excluded from every pointwise quantity (logarithms and the Bohm potential
-are singular in near-vacuum).
+are singular in near-vacuum); each ratio, like the Bohm curvature
+laplacian(sqrt(rho))/sqrt(rho), is one masked division (`_masked_ratios`).
+Fields are `grid.Field`s: complex for psi and u_a + i u_d, real otherwise.
 """
 from __future__ import annotations
 
@@ -19,9 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (
-    ComplexField,
+    Field,
     Grid,
-    RealField,
     _Buffer,
     _spectral_derivatives,
     _work,
@@ -34,7 +35,6 @@ __all__ = [
     "DENSITY_FLOOR_RATIO",
     "NORM_TOLERANCE",
     "QuantumState",
-    "MadelungFields",
     "UnwrapError",
     "valid_mask",
     "density",
@@ -45,7 +45,6 @@ __all__ = [
     "diffusive_bohm_potential",
     "diffusive_bohm_force",
     "action_per_mass",
-    "decompose",
 ]
 
 DENSITY_FLOOR_RATIO = 1e-12
@@ -60,7 +59,7 @@ class UnwrapError(ValueError):
 class QuantumState:
     """A normalized wavefunction with its physical constants and clock."""
 
-    psi: ComplexField
+    psi: Field
     hbar: float = 1.0
     mass: float = 1.0
     time: float = 0.0
@@ -70,25 +69,15 @@ class QuantumState:
             raise ValueError(f"hbar must be positive, got {self.hbar}")
         if not self.mass > 0:
             raise ValueError(f"mass must be positive, got {self.mass}")
-        norm = integrate(RealField(self.psi.grid, np.abs(self.psi.values) ** 2))
+        if not np.iscomplexobj(self.psi.values):
+            raise TypeError("QuantumState requires complex samples")
+        norm = integrate(Field(self.psi.grid, np.abs(self.psi.values) ** 2))
         if abs(norm - 1.0) > NORM_TOLERANCE:
             raise ValueError(f"state norm {norm!r} deviates from 1 by more than {NORM_TOLERANCE}")
 
     @property
     def grid(self) -> Grid:
         return self.psi.grid
-
-
-@dataclass(frozen=True)
-class MadelungFields:
-    """All hydrodynamic fields of one state, on a shared validity mask."""
-
-    rho: RealField
-    action_per_mass: RealField
-    u_advective: RealField
-    u_diffusive: RealField
-    bohm_potential: RealField
-    valid_mask: np.ndarray
 
 
 _MASK = _Buffer()
@@ -103,14 +92,14 @@ def _floor_mask(rho: np.ndarray, floor_ratio: float = DENSITY_FLOOR_RATIO) -> np
     return np.greater_equal(rho, floor_ratio * peak, out=_MASK(rho.shape, bool))
 
 
-def valid_mask(rho: RealField, floor_ratio: float = DENSITY_FLOOR_RATIO) -> np.ndarray:
+def valid_mask(rho: Field, floor_ratio: float = DENSITY_FLOOR_RATIO) -> np.ndarray:
     """Points where the density is large enough for pointwise diagnostics."""
     return _floor_mask(rho.values, floor_ratio) & rho.mask
 
 
-def density(state: QuantumState) -> RealField:
+def density(state: QuantumState) -> Field:
     """rho = |psi|^2; defined and nonnegative everywhere."""
-    return RealField(state.grid, np.abs(state.psi.values) ** 2)
+    return Field(state.grid, np.abs(state.psi.values) ** 2)
 
 
 _DENSITY = _Buffer()
@@ -129,6 +118,22 @@ def _where_valid(values: np.ndarray, mask: np.ndarray, out: np.ndarray) -> np.nd
     return out
 
 
+def _masked_ratios(numerators, denominator: np.ndarray, mask: np.ndarray) -> list[np.ndarray]:
+    """Each numerator divided by the denominator in place, zeroed off the mask.
+
+    The one masked division behind every grad(f)/f: the divisor is the
+    denominator on the mask and 1 off it, held in a `_work` temporary, so no
+    invalid point is divided by a vanishing sample.  Arrays of (..., N) rows
+    divide alike.
+    """
+    safe = _where_valid(denominator, mask, _work(denominator.shape, denominator.dtype))
+    off = ~mask
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for n in numerators:
+            np.copyto(np.divide(n, safe, out=n), 0.0, where=off)
+    return list(numerators)
+
+
 def _psi_ratios(psi: np.ndarray, derivatives, rho: np.ndarray | None = None):
     """rho = |psi|^2 (unless given), its valid mask, and each derivative of psi divided by psi.
 
@@ -140,12 +145,7 @@ def _psi_ratios(psi: np.ndarray, derivatives, rho: np.ndarray | None = None):
     if rho is None:
         rho = _density(psi)
     mask = _floor_mask(rho)
-    safe = _where_valid(psi, mask, _work(psi.shape, psi.dtype))
-    off = ~mask
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        for dn in derivatives:
-            np.copyto(np.divide(dn, safe, out=dn), 0.0, where=off)
-    return rho, mask, list(derivatives)
+    return rho, mask, _masked_ratios(derivatives, psi, mask)
 
 
 def _velocity_from_ratio(ratio: np.ndarray, hbar: float, mass: float) -> np.ndarray:
@@ -154,7 +154,7 @@ def _velocity_from_ratio(ratio: np.ndarray, hbar: float, mass: float) -> np.ndar
     return np.multiply(-1j * (hbar / mass), ratio, out=ratio)
 
 
-def complex_velocity(state: QuantumState) -> ComplexField:
+def complex_velocity(state: QuantumState) -> Field:
     """v = -i (hbar/m) grad(psi)/psi.
 
     The real part is the advective velocity u_a, the imaginary part is the
@@ -166,16 +166,16 @@ def complex_velocity(state: QuantumState) -> ComplexField:
     if not mask.any():
         raise ValueError("density below the floor everywhere; no valid points")
     v = _velocity_from_ratio(ratio, state.hbar, state.mass)
-    return ComplexField(state.grid, v, mask.copy())
+    return Field(state.grid, v, mask.copy())
 
 
-def advective_velocity(state: QuantumState) -> RealField:
+def advective_velocity(state: QuantumState) -> Field:
     """u_a = grad(S/m), taken as the real part of the complex velocity."""
     v = complex_velocity(state)
-    return RealField(state.grid, v.values.real, v.valid)
+    return Field(state.grid, v.values.real, v.valid)
 
 
-def diffusive_velocity(rho: RealField, D: float) -> RealField:
+def diffusive_velocity(rho: Field, D: float) -> Field:
     """Fick's-law drift u_d = -D grad(ln rho), via grad(rho)/rho."""
     if not D > 0:
         raise ValueError(f"diffusivity must be positive, got {D}")
@@ -185,16 +185,16 @@ def diffusive_velocity(rho: RealField, D: float) -> RealField:
     if not mask.any():
         raise ValueError("density below the floor everywhere; no valid points")
     grad = spectral_derivative(rho.values, rho.grid)
-    return RealField(rho.grid, _drift(rho.values, grad, mask, D), mask)
+    return Field(rho.grid, _drift(rho.values, grad, mask, D), mask)
 
 
 def _drift(rho: np.ndarray, grad: np.ndarray, mask: np.ndarray, D: float) -> np.ndarray:
     """-D grad(rho)/rho on the mask, 0 elsewhere; rows of (..., N) blocks alike."""
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(mask, -D * grad / np.where(mask, rho, 1.0), 0.0)
+    (drift,) = _masked_ratios([-D * grad], rho, mask)
+    return drift
 
 
-def _sqrt_curvature(rho: RealField) -> tuple[np.ndarray, np.ndarray]:
+def _sqrt_curvature(rho: Field) -> tuple[np.ndarray, np.ndarray]:
     """laplacian(sqrt(rho)) / sqrt(rho) with sqrt taken pointwise."""
     if rho.values.min() < 0:
         raise ValueError("density must be nonnegative")
@@ -202,19 +202,17 @@ def _sqrt_curvature(rho: RealField) -> tuple[np.ndarray, np.ndarray]:
     if not mask.any():
         raise ValueError("density below the floor everywhere; no valid points")
     a = np.sqrt(rho.values)
-    lap = spectral_derivative(a, rho.grid, 2)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        curv = np.where(mask, lap / np.where(mask, a, 1.0), 0.0)
+    (curv,) = _masked_ratios([spectral_derivative(a, rho.grid, 2)], a, mask)
     return mask, curv
 
 
-def bohm_potential(rho: RealField, hbar: float = 1.0, mass: float = 1.0) -> RealField:
+def bohm_potential(rho: Field, hbar: float = 1.0, mass: float = 1.0) -> Field:
     """Q/m = -(hbar^2 / 2 m^2) laplacian(sqrt(rho)) / sqrt(rho)."""
     mask, curv = _sqrt_curvature(rho)
-    return RealField(rho.grid, -(hbar**2 / (2 * mass**2)) * curv, mask)
+    return Field(rho.grid, -(hbar**2 / (2 * mass**2)) * curv, mask)
 
 
-def diffusive_bohm_potential(rho: RealField, D: float) -> RealField:
+def diffusive_bohm_potential(rho: Field, D: float) -> Field:
     """-2 D^2 laplacian(sqrt(rho)) / sqrt(rho).
 
     Coincides pointwise with the quantum Bohm potential when D = hbar/2m.
@@ -222,10 +220,10 @@ def diffusive_bohm_potential(rho: RealField, D: float) -> RealField:
     if not D > 0:
         raise ValueError(f"diffusivity must be positive, got {D}")
     mask, curv = _sqrt_curvature(rho)
-    return RealField(rho.grid, -2.0 * D * D * curv, mask)
+    return Field(rho.grid, -2.0 * D * D * curv, mask)
 
 
-def _log_density_ratios(rho: RealField, orders=(1, 2, 3)):
+def _log_density_ratios(rho: Field, orders=(1, 2, 3)):
     """grad^n(rho)/rho for the requested orders, zeroed off the valid mask.
 
     Combining these pointwise keeps deep-tail points usable: spectral
@@ -234,16 +232,10 @@ def _log_density_ratios(rho: RealField, orders=(1, 2, 3)):
     into kinks), while rho itself stays smooth.
     """
     mask = valid_mask(rho)
-    safe = np.where(mask, rho.values, 1.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratios = [
-            np.where(mask, dn / safe, 0.0)
-            for dn in spectral_derivatives(rho.values, rho.grid, orders)
-        ]
-    return mask, ratios
+    return mask, _masked_ratios(spectral_derivatives(rho.values, rho.grid, orders), rho.values, mask)
 
 
-def diffusive_bohm_force(rho: RealField, D: float) -> RealField:
+def diffusive_bohm_force(rho: Field, D: float) -> Field:
     """Gradient of the diffusive Bohm potential, formed from density ratios.
 
     With r_n = grad^n(rho)/rho the curvature is h = r2/2 - r1^2/4 and
@@ -255,10 +247,10 @@ def diffusive_bohm_force(rho: RealField, D: float) -> RealField:
     if not mask.any():
         raise ValueError("density below the floor everywhere; no valid points")
     h_prime = 0.5 * (r3 - r2 * r1) - 0.5 * r1 * (r2 - r1 * r1)
-    return RealField(rho.grid, -2.0 * D * D * h_prime, mask)
+    return Field(rho.grid, -2.0 * D * D * h_prime, mask)
 
 
-def action_per_mass(state: QuantumState) -> RealField:
+def action_per_mass(state: QuantumState) -> Field:
     """S/m, phase-unwrapped along the grid from x = -L, up to a constant.
 
     Raises UnwrapError when the finite-difference gradient of the result
@@ -286,16 +278,5 @@ def action_per_mass(state: QuantumState) -> RealField:
                 f"gradient of unwrapped phase misses u_a by {mismatch:.3g} "
                 f"(branch-slip scale {slip:.3g}); refine the grid"
             )
-    return RealField(state.grid, s_tilde, mask)
+    return Field(state.grid, s_tilde, mask)
 
-
-def decompose(state: QuantumState) -> MadelungFields:
-    """All hydrodynamic fields of one state; u_diffusive uses D = hbar/2m."""
-    rho = density(state)
-    v = complex_velocity(state)
-    mask = v.mask
-    u_a = RealField(state.grid, v.values.real, mask)
-    u_d = diffusive_velocity(rho, state.hbar / (2 * state.mass))
-    q = bohm_potential(rho, state.hbar, state.mass)
-    s = action_per_mass(state)
-    return MadelungFields(rho, s, u_a, u_d, q, mask)

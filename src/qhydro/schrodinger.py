@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (
-    ComplexField, Grid, RealField, _Buffer, _exponentials, _row_blocks, _spectral_derivatives, _work,
+    Field, Grid, _Buffer, _exponentials, _row_blocks, _spectral_derivatives, _work,
 )
 from .madelung import NORM_TOLERANCE, QuantumState, _density
 
@@ -63,7 +63,7 @@ class Potential:
 
     kind: str
     omega0: float | None = None
-    samples: RealField | None = None
+    samples: Field | None = None
 
     def __post_init__(self):
         if self.kind not in ("free", "harmonic", "tabulated"):
@@ -91,7 +91,7 @@ def harmonic_potential(omega0: float) -> Potential:
     return Potential("harmonic", omega0=omega0)
 
 
-def tabulated_potential(samples: RealField) -> Potential:
+def tabulated_potential(samples: Field) -> Potential:
     return Potential("tabulated", samples=samples)
 
 
@@ -148,7 +148,7 @@ def step(state: QuantumState, pot: Potential, dt: float) -> QuantumState:
     if not np.all(np.isfinite(psi)):
         raise NumericsError("non-finite wavefunction after one step")
     return QuantumState(
-        ComplexField(state.grid, psi), state.hbar, state.mass, state.time + dt
+        Field(state.grid, psi), state.hbar, state.mass, state.time + dt
     )
 
 
@@ -175,7 +175,7 @@ def evolve(state: QuantumState, pot: Potential, cfg: EvolutionConfig) -> list[Qu
         if i in recorded:
             psi = np.fft.ifft(k_half * np.fft.fft(stream))
             snapshots.append(QuantumState(
-                ComplexField(state.grid, psi), state.hbar, state.mass, state.time + i * cfg.dt
+                Field(state.grid, psi), state.hbar, state.mass, state.time + i * cfg.dt
             ))
     return snapshots
 
@@ -255,7 +255,7 @@ def propagate(state: QuantumState, pot: Potential, cfg: EvolutionConfig) -> list
     for steps in _row_blocks(cfg.snapshot_steps()[1:], grid.num_points):
         psi, _ = rows(steps)
         snapshots += [
-            QuantumState(ComplexField(grid, row.copy()), hbar, mass, state.time + i * cfg.dt)
+            QuantumState(Field(grid, row.copy()), hbar, mass, state.time + i * cfg.dt)
             for i, row in zip(steps, psi)
         ]
     return snapshots
@@ -295,7 +295,7 @@ def _normalized_state(grid: Grid, psi: np.ndarray, hbar: float, mass: float, tim
     norm = np.sqrt(grid.dx * np.sum(np.abs(psi) ** 2))
     if not (np.all(np.isfinite(psi)) and 0 < norm < np.inf):
         raise NumericsError(f"the wavefunction has no finite positive norm on the grid ({norm})")
-    return QuantumState(ComplexField(grid, psi / norm), hbar, mass, time)
+    return QuantumState(Field(grid, psi / norm), hbar, mass, time)
 
 
 def gaussian_packet(
@@ -323,12 +323,9 @@ def gaussian_packet(
 
 
 def plane_wave(grid: Grid, mode: int, hbar: float = 1.0, mass: float = 1.0, time: float = 0.0) -> QuantumState:
-    """exp(i k x) / sqrt(2L) with the grid-commensurate k = pi * mode / L."""
-    if not -grid.num_points // 2 < mode < grid.num_points // 2:
-        raise ValueError(f"mode {mode} is not resolvable on {grid.num_points} points")
-    k = np.pi * mode / grid.half_width
-    psi = np.exp(1j * k * grid.x)
-    return _normalized_state(grid, psi, hbar, mass, time)
+    """exp(i k x) / sqrt(2L) with the grid-commensurate k = pi * mode / L: the
+    one-component `superposition`."""
+    return superposition(grid, [(mode, 1)], hbar, mass, time)
 
 
 def superposition(

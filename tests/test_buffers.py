@@ -3,7 +3,7 @@
 Row blocks are computed in arrays that each thread keeps (`grid._Buffer`);
 the next block overwrites them.  Whatever a block or a public function
 returns must therefore be a fresh array: a column, a field row, a
-`ComplexField` or a `propagate` snapshot that aliased a buffer would change
+`Field` or a `propagate` snapshot that aliased a buffer would change
 under the caller when the next block runs.
 """
 import tracemalloc

@@ -604,12 +604,14 @@ class TestMain:
         assert main(["run", str(path)]) == 1
         assert "FAIL" in capsys.readouterr().out
 
-    def test_numeric_abort_exit_code(self, tmp_path, capsys):
-        # a density far narrower than the grid spacing rings negative
+    # 1e-3: a density far narrower than the grid spacing rings negative;
+    # 1e-300: sigma0**2 underflows, so the Gaussian is 0/0 at x = 0
+    @pytest.mark.parametrize("sigma0", ["1e-3", "1e-300"])
+    def test_numeric_abort_exit_code(self, tmp_path, capsys, sigma0):
         path = tmp_path / "spike.ini"
         path.write_text(
             "[scenario]\nname = diffusion_gaussian\n"
-            "[physics]\nsigma0 = 1e-3\n"
+            f"[physics]\nsigma0 = {sigma0}\n"
             "[grid]\nL = 20.0\nN = 256\n"
             "[evolution]\ndt = 1e-4\nt_final = 0.01\nsnapshot_stride = 10\n"
             f"[output]\ndirectory = {tmp_path / 'out'}\n"

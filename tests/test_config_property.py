@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from qhydro.cli import SCENARIOS, default_config, main, parse_config, render_config
 
 BAD_FLOATS = st.sampled_from(
-    [float("nan"), float("inf"), float("-inf"), 0.0, -0.0, -1.0, -1e300, 1e300, 1.7e308]
+    [float("nan"), float("inf"), float("-inf"), 0.0, -0.0, -1.0, -1e300, 1e300, 1.7e308, 1e-300]
 )
 
 

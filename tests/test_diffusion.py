@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from qhydro import (
-    ComplexField,
+    Field,
     DiffusionState,
     NumericsError,
     QuantumState,
-    RealField,
     boltzmann_entropy,
     diffuse_step,
     diffusive_acceleration,
@@ -33,7 +32,7 @@ def spreading(grid1024):
 class TestDiffuseStep:
     def test_uniform_density_unchanged(self):
         grid = make_grid(10.0, 64)
-        rho = RealField(grid, np.full(64, 1.0 / 20.0))
+        rho = Field(grid, np.full(64, 1.0 / 20.0))
         state = DiffusionState(rho, D=0.5)
         out = diffuse_step(state, 0.3)
         assert np.abs(out.rho.values - rho.values).max() < 1e-15
@@ -50,7 +49,7 @@ class TestDiffuseStep:
     def test_second_moment_by_quadrature(self, grid1024):
         state = gaussian_density(grid1024, 1.0, D=0.5)
         out = diffuse_step(state, 1.0)
-        s2 = integrate(RealField(grid1024, grid1024.x**2 * out.rho.values))
+        s2 = integrate(Field(grid1024, grid1024.x**2 * out.rho.values))
         assert abs(s2 - 2.0) < 1e-12
 
     def test_mass_exactly_conserved(self, grid1024):
@@ -96,7 +95,7 @@ class TestDiffuseStep:
         grid = make_grid(10.0, 128)
         rho = np.zeros(128)
         rho[64] = 1.0 / grid.dx  # delta spike, far narrower than the kernel
-        state = DiffusionState(RealField(grid, rho), D=0.5)
+        state = DiffusionState(Field(grid, rho), D=0.5)
         with pytest.raises(NumericsError, match="negative"):
             diffuse_step(state, 1e-4)
 
@@ -104,11 +103,17 @@ class TestDiffuseStep:
         good = np.exp(-(grid1024.x**2) / 2)
         good /= grid1024.dx * good.sum()
         with pytest.raises(ValueError):
-            DiffusionState(RealField(grid1024, good), D=-1.0)
+            DiffusionState(Field(grid1024, good), D=-1.0)
         with pytest.raises(ValueError):
-            DiffusionState(RealField(grid1024, 2 * good), D=0.5)
+            DiffusionState(Field(grid1024, 2 * good), D=0.5)
         with pytest.raises(ValueError):
-            DiffusionState(RealField(grid1024, -good), D=0.5)
+            DiffusionState(Field(grid1024, -good), D=0.5)
+
+    def test_complex_values_rejected(self, grid1024):
+        good = np.exp(-(grid1024.x**2) / 2)
+        good /= grid1024.dx * good.sum()
+        with pytest.raises(TypeError):
+            DiffusionState(Field(grid1024, good.astype(complex)), D=0.5)
 
 
 class TestDiffusiveAcceleration:
@@ -199,6 +204,6 @@ class TestEntropyEquationResidual:
         # so every term vanishes identically
         psi = gaussian_packet(grid256, 1.0).psi
         before = QuantumState(psi, time=0.0)
-        after = QuantumState(ComplexField(grid256, psi.values.copy()), time=1e-3)
+        after = QuantumState(Field(grid256, psi.values.copy()), time=1e-3)
         r = entropy_equation_residual(before, after)
         assert np.abs(r.values).max() < 1e-12

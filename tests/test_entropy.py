@@ -5,12 +5,11 @@ from scipy import integrate as scipy_integrate
 from qhydro.cli import _floored_rel
 
 from qhydro import (
-    ComplexField,
+    Field,
     DiffusionState,
     EvolutionConfig,
     NumericsError,
     QuantumState,
-    RealField,
     action_per_mass,
     boltzmann_entropy,
     density,
@@ -64,7 +63,7 @@ def von_neumann_double_sum(state):
 
 def gaussian_rho(grid, sigma):
     rho = np.exp(-(grid.x**2) / (2 * sigma**2))
-    return RealField(grid, rho / (grid.dx * rho.sum()))
+    return Field(grid, rho / (grid.dx * rho.sum()))
 
 
 def spread_gaussian_state(grid, t, sigma0=1.0):
@@ -94,7 +93,7 @@ class TestBoltzmannEntropy:
 
     def test_uniform_box(self):
         grid = make_grid(10.0, 128)
-        rho = RealField(grid, np.full(128, 1.0 / 20.0))
+        rho = Field(grid, np.full(128, 1.0 / 20.0))
         assert abs(boltzmann_entropy(rho) - np.log(20.0)) < 1e-12
 
     def test_k_B_scales(self, grid1024):
@@ -138,7 +137,7 @@ class TestFisherInformation:
 
     def test_uniform_is_zero(self):
         grid = make_grid(10.0, 128)
-        assert fisher_information(RealField(grid, np.full(128, 1.0 / 20.0))) == 0.0
+        assert fisher_information(Field(grid, np.full(128, 1.0 / 20.0))) == 0.0
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_nonnegative_for_arbitrary_densities(self, grid256, seed):
@@ -148,7 +147,7 @@ class TestFisherInformation:
             c = rng.uniform(-8, 8)
             w = rng.uniform(0.5, 2.0)
             bumps += rng.uniform(0.1, 1.0) * np.exp(-((grid256.x - c) ** 2) / (2 * w**2))
-        rho = RealField(grid256, bumps / (grid256.dx * bumps.sum()))
+        rho = Field(grid256, bumps / (grid256.dx * bumps.sum()))
         assert fisher_information(rho) >= 0.0
 
 
@@ -160,7 +159,7 @@ class TestProductionDiffusive:
 
     def test_uniform_is_zero(self):
         grid = make_grid(10.0, 128)
-        rho = RealField(grid, np.full(128, 1.0 / 20.0))
+        rho = Field(grid, np.full(128, 1.0 / 20.0))
         assert production_diffusive(rho, D=0.5) == 0.0
 
     def test_scales_with_diffusivity(self, grid1024):
@@ -170,7 +169,7 @@ class TestProductionDiffusive:
     def test_nonnegative_always(self, grid256):
         rng = np.random.default_rng(7)
         bumps = 0.05 + np.abs(np.sin(3 * grid256.x / grid256.half_width * np.pi))
-        rho = RealField(grid256, bumps / (grid256.dx * bumps.sum()))
+        rho = Field(grid256, bumps / (grid256.dx * bumps.sum()))
         assert production_diffusive(rho, D=rng.uniform(0.1, 2.0)) >= 0.0
 
 
@@ -238,7 +237,7 @@ class TestVonNeumannEntropy:
 
     def test_global_phase_invariance(self, grid256):
         state = gaussian_packet(grid256, 1.0, width_rate=0.2)
-        rotated = QuantumState(ComplexField(grid256, np.exp(0.9j) * state.psi.values))
+        rotated = QuantumState(Field(grid256, np.exp(0.9j) * state.psi.values))
         a = kernel_log_functional(state)
         b = kernel_log_functional(rotated)
         assert abs(a - b) < 1e-8 * abs(a)
@@ -246,7 +245,7 @@ class TestVonNeumannEntropy:
     def test_reflection_invariance(self, grid256):
         state = gaussian_packet(grid256, 1.0, width_rate=0.3, center=1.5)
         values = state.psi.values
-        reflected = QuantumState(ComplexField(grid256, np.roll(values[::-1], 1)))
+        reflected = QuantumState(Field(grid256, np.roll(values[::-1], 1)))
         a = kernel_log_functional(state)
         b = kernel_log_functional(reflected)
         assert abs(a - b) < 1e-8 * abs(a)
@@ -264,7 +263,7 @@ class TestVonNeumannEntropy:
         # a boost psi -> exp(i k0 x) psi is unitary and keeps rho(x): the von
         # Neumann entropy stays 0, the kernel-log functional moves by ~8
         state = gaussian_packet(grid256, 1.0)
-        boosted = QuantumState(ComplexField(grid256, np.exp(0.5j * grid256.x) * state.psi.values))
+        boosted = QuantumState(Field(grid256, np.exp(0.5j * grid256.x) * state.psi.values))
         assert abs(von_neumann_entropy(state)) < 1e-12
         assert abs(von_neumann_entropy(boosted)) < 1e-12
         assert kernel_log_functional(state) - kernel_log_functional(boosted) > 8.0

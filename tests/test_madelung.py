@@ -2,21 +2,18 @@ import numpy as np
 import pytest
 
 from qhydro import (
-    ComplexField,
+    Field,
     QuantumState,
-    RealField,
     UnwrapError,
     action_per_mass,
     advective_velocity,
     bohm_potential,
     complex_velocity,
-    decompose,
     density,
     diffusive_bohm_force,
     diffusive_bohm_potential,
     diffusive_velocity,
     gaussian_packet,
-    integrate,
     make_grid,
     plane_wave,
     valid_mask,
@@ -25,12 +22,12 @@ from qhydro import (
 
 def gaussian_density_field(grid, sigma):
     rho = np.exp(-(grid.x**2) / (2 * sigma**2))
-    return RealField(grid, rho / (grid.dx * rho.sum()))
+    return Field(grid, rho / (grid.dx * rho.sum()))
 
 
 class TestQuantumState:
     def test_norm_enforced(self, grid256):
-        psi = ComplexField(grid256, np.full(grid256.num_points, 0.5 + 0j))
+        psi = Field(grid256, np.full(grid256.num_points, 0.5 + 0j))
         with pytest.raises(ValueError, match="norm"):
             QuantumState(psi)
 
@@ -39,6 +36,11 @@ class TestQuantumState:
         psi = gaussian_packet(grid256, 1.0).psi
         with pytest.raises(ValueError):
             QuantumState(psi, **kwargs)
+
+    def test_real_samples_rejected(self, grid256):
+        psi = Field(grid256, np.full(grid256.num_points, 1 / np.sqrt(2 * grid256.half_width)))
+        with pytest.raises(TypeError):
+            QuantumState(psi)
 
 
 class TestDensity:
@@ -53,7 +55,7 @@ class TestDensity:
 
     def test_global_phase_invariant(self, unit_gaussian):
         shifted = QuantumState(
-            ComplexField(unit_gaussian.grid, np.exp(1.3j) * unit_gaussian.psi.values)
+            Field(unit_gaussian.grid, np.exp(1.3j) * unit_gaussian.psi.values)
         )
         assert np.abs(density(shifted).values - density(unit_gaussian).values).max() < 1e-10
 
@@ -81,7 +83,7 @@ class TestComplexVelocity:
 
     def test_gauge_invariance(self, unit_gaussian):
         rotated = QuantumState(
-            ComplexField(unit_gaussian.grid, np.exp(-0.7j) * unit_gaussian.psi.values)
+            Field(unit_gaussian.grid, np.exp(-0.7j) * unit_gaussian.psi.values)
         )
         v1, v2 = complex_velocity(unit_gaussian), complex_velocity(rotated)
         scale = max(1.0, np.abs(v1.values).max())
@@ -90,7 +92,7 @@ class TestComplexVelocity:
 
 class TestDiffusiveVelocity:
     def test_uniform_density_is_still(self, grid256):
-        rho = RealField(grid256, np.full(grid256.num_points, 1.0 / (2 * grid256.half_width)))
+        rho = Field(grid256, np.full(grid256.num_points, 1.0 / (2 * grid256.half_width)))
         u = diffusive_velocity(rho, 0.5)
         assert np.abs(u.values).max() < 1e-12
 
@@ -111,7 +113,7 @@ class TestDiffusiveVelocity:
         assert abs(u.values[i] - (-1.0)) < 1e-8
 
     def test_zero_density_rejected(self, grid256):
-        rho = RealField(grid256, np.zeros(grid256.num_points))
+        rho = Field(grid256, np.zeros(grid256.num_points))
         with pytest.raises(ValueError):
             diffusive_velocity(rho, 0.5)
 
@@ -122,7 +124,7 @@ class TestDiffusiveVelocity:
 
 class TestBohmPotential:
     def test_uniform_density_flat(self, grid256):
-        rho = RealField(grid256, np.full(grid256.num_points, 1.0 / (2 * grid256.half_width)))
+        rho = Field(grid256, np.full(grid256.num_points, 1.0 / (2 * grid256.half_width)))
         assert np.abs(bohm_potential(rho).values).max() < 1e-12
 
     def test_gaussian_closed_form(self, grid256):
@@ -160,7 +162,7 @@ class TestDiffusiveBohmPotential:
         assert np.abs(q.values - qd.values).max() < 1e-12
 
     def test_uniform_flat(self, grid256):
-        rho = RealField(grid256, np.full(grid256.num_points, 1.0 / (2 * grid256.half_width)))
+        rho = Field(grid256, np.full(grid256.num_points, 1.0 / (2 * grid256.half_width)))
         assert np.abs(diffusive_bohm_potential(rho, 0.5).values).max() < 1e-12
 
     def test_gaussian_center(self, grid256):
@@ -184,7 +186,7 @@ class TestDiffusiveBohmForce:
 
         grid = make_grid(10.0, 256)
         rho = np.exp(2.0 * np.cos(np.pi * grid.x / grid.half_width))
-        rho_f = RealField(grid, rho / (grid.dx * rho.sum()))
+        rho_f = Field(grid, rho / (grid.dx * rho.sum()))
         force = diffusive_bohm_force(rho_f, D=0.4)
         assert force.mask.all()
         grad = derivative(diffusive_bohm_potential(rho_f, D=0.4))
@@ -236,7 +238,7 @@ class TestCrossIdentities:
         grid = make_grid(10.0, 256)
         rho = np.exp(1.5 * np.cos(np.pi * grid.x / grid.half_width))
         rho /= grid.dx * rho.sum()
-        state = QuantumState(ComplexField(grid, np.sqrt(rho).astype(complex)))
+        state = QuantumState(Field(grid, np.sqrt(rho).astype(complex)))
         v = complex_velocity(state)
         u_d = diffusive_velocity(density(state), D=0.5)
         assert u_d.mask.all()
@@ -248,16 +250,6 @@ class TestCrossIdentities:
         u_d = diffusive_velocity(rho, D=0.5)
         band = rho.values >= 1e-4 * rho.values.max()
         assert np.abs(v.values.imag[band] - u_d.values[band]).max() < 1e-8
-
-    def test_decompose_bundle_consistent(self, unit_gaussian):
-        fields = decompose(unit_gaussian)
-        assert abs(integrate(fields.rho) - 1.0) < 1e-8
-        assert fields.rho.values.min() >= 0
-        on = fields.valid_mask
-        assert np.all(np.isfinite(fields.u_advective.values[on]))
-        assert np.all(np.isfinite(fields.u_diffusive.values[on]))
-        v = complex_velocity(unit_gaussian)
-        assert np.abs(fields.u_advective.values - v.values.real).max() < 1e-14
 
     def test_valid_mask_floor(self, grid256):
         rho = gaussian_density_field(grid256, 1.0)

@@ -19,7 +19,7 @@ from qhydro import (
     superposition,
     tabulated_potential,
 )
-from qhydro.grid import RealField
+from qhydro.grid import Field
 from qhydro.traces import dominant_mode
 
 
@@ -56,7 +56,7 @@ class TestStep:
         for _ in range(2000):
             state = step(state, pot, 1e-3)
         rho = density(state)
-        s2 = integrate(RealField(grid1024, grid1024.x**2 * rho.values))
+        s2 = integrate(Field(grid1024, grid1024.x**2 * rho.values))
         assert abs(s2 - 2.0) / 2.0 < 1e-3
 
     def test_under_resolved_dt_warns(self, grid256):
@@ -76,7 +76,7 @@ class TestEvolve:
         snaps = evolve(state, free_potential(), EvolutionConfig(1e-3, 4.0, snapshot_stride=500))
         for snap in snaps:
             rho = density(snap)
-            s2 = integrate(RealField(grid1024, grid1024.x**2 * rho.values))
+            s2 = integrate(Field(grid1024, grid1024.x**2 * rho.values))
             ref = 1.0 + (snap.time / 2.0) ** 2
             assert abs(s2 - ref) / ref < 1e-3
 
@@ -97,7 +97,7 @@ class TestEvolve:
         snaps = evolve(state, harmonic_potential(w0), EvolutionConfig(1e-3, 5 * period, 8))
         times = np.array([s.time for s in snaps])
         s2 = np.array(
-            [integrate(RealField(trap_grid, trap_grid.x**2 * density(s).values)) for s in snaps]
+            [integrate(Field(trap_grid, trap_grid.x**2 * density(s).values)) for s in snaps]
         )
         oracle = s_init**2 * np.cos(w0 * times) ** 2 + (s0**4 / s_init**2) * np.sin(w0 * times) ** 2
         assert np.abs(s2 - oracle).max() / s2.mean() < 1e-3
@@ -218,7 +218,7 @@ class TestBuildersAndValidation:
 
     def test_tabulated_matches_harmonic(self, trap_grid):
         # per-mass samples of the harmonic well drive the same step
-        samples = RealField(trap_grid, 0.5 * trap_grid.x**2)
+        samples = Field(trap_grid, 0.5 * trap_grid.x**2)
         state = gaussian_packet(trap_grid, 0.8)
         via_table = step(state, tabulated_potential(samples), 1e-3)
         via_kind = step(state, harmonic_potential(1.0), 1e-3)
@@ -249,7 +249,7 @@ class TestBuildersAndValidation:
         with pytest.raises(ValueError):
             harmonic_potential(-1.0)
         other = make_grid(5.0, 64)
-        pot = tabulated_potential(RealField(other, np.zeros(64)))
+        pot = tabulated_potential(Field(other, np.zeros(64)))
         state = plane_wave(grid256, 1)
         with pytest.raises(ValueError, match="different grid"):
             step(state, pot, 1e-3)

@@ -11,9 +11,10 @@ cores when unset, and the CPU affinity is the caller's (run the tool under
 scenarios, the default `compare`, `run` and `compare` at snapshot_stride 1
 (the spread_dense workload), the von Neumann workload (spread_vn) and the
 `emit_fields` + `--vn on` runs of free_gaussian, harmonic_ground,
-diffusion_gaussian and a `custom` trap, and four runs that exit nonzero: a
+diffusion_gaussian and a `custom` trap, and five runs that exit nonzero: a
 failing identity (1), a config error and a grid that cannot be allocated
-(2), and a numeric abort (3).  PYTHONUNBUFFERED is removed from the
+(2), and two numeric aborts (3), one of them a diffusion_gaussian whose
+sigma0**2 underflows.  PYTHONUNBUFFERED is removed from the
 children's environment, so their stdout is block-buffered and output that a
 process does not flush before it ends shows as a stdout difference.
 
@@ -60,6 +61,8 @@ CASES = {
     "numeric_abort": (
         "run", "custom", {"hbar": "1e300", "L": "4.0", "N": "8", "t_final": "0.0"}, [],
     ),
+    # sigma0**2 underflows to 0, so the initial Gaussian is 0/0 at x = 0
+    "diffusion_numeric_abort": ("run", "diffusion_gaussian", {"sigma0": "1e-300"}, []),
 }
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
