@@ -82,21 +82,22 @@ def entropy_of_width(sigma: float, k_B: float = 1.0):
     return k_B * np.log(sigma * np.sqrt(2 * np.pi * np.e))
 
 
-def free_sigma(p: GaussianParams, t: float) -> float:
-    """Free-particle width: sigma^2 = sigma0^2 + (hbar t / 2 m sigma0)^2."""
-    return float(np.sqrt(p.sigma0**2 + (p.hbar * t / (2 * p.mass * p.sigma0)) ** 2))
+def free_sigma(p: GaussianParams, t):
+    """Free-particle width: sigma^2 = sigma0^2 + (hbar t / 2 m sigma0)^2, at a time or
+    an array of times."""
+    return np.sqrt(p.sigma0**2 + (p.hbar * t / (2 * p.mass * p.sigma0)) ** 2)
 
 
-def free_entropy(p: GaussianParams, t: float, k_B: float = 1.0) -> float:
-    """Entropy of the spreading packet, referenced to its t=0 value."""
+def free_entropy(p: GaussianParams, t, k_B: float = 1.0):
+    """Entropy of the spreading packet, referenced to its t=0 value; t may be an array."""
     ratio = p.hbar * t / (2 * p.mass * p.sigma0**2)
-    return float(entropy_of_width(p.sigma0, k_B) + 0.5 * k_B * np.log1p(ratio**2))
+    return entropy_of_width(p.sigma0, k_B) + 0.5 * k_B * np.log1p(ratio**2)
 
 
-def free_divergence(p: GaussianParams, t: float) -> float:
-    """Expansion rate <div u_a> = t / ((2 m sigma0^2 / hbar)^2 + t^2)."""
+def free_divergence(p: GaussianParams, t):
+    """Expansion rate <div u_a> = t / ((2 m sigma0^2 / hbar)^2 + t^2); t may be an array."""
     tau = 2 * p.mass * p.sigma0**2 / p.hbar
-    return float(t / (tau**2 + t**2))
+    return t / (tau**2 + t**2)
 
 
 def harmonic_ground_width(p: GaussianParams) -> float:

@@ -554,18 +554,12 @@ def _entropy_rate(cfg: ScenarioConfig, tab: dict) -> dict:
     return {"dEntB_dt_fd": rate}
 
 
-def _per_row(fn, *columns: np.ndarray) -> np.ndarray:
-    """fn row by row on Python floats: numpy squares an array as x*x, which in
-    ~1 row in 1000 rounds differently from the scalar x**2 (C pow) used here."""
-    return np.array([fn(*row) for row in zip(*(c.tolist() for c in columns))])
-
-
 def _free_references(cfg: ScenarioConfig, tab: dict) -> dict:
     p = GaussianParams(cfg.sigma0, hbar=cfg.hbar, mass=cfg.mass)
     return dict(
-        ref_sigma2=_per_row(lambda s: free_sigma(p, s) ** 2, tab["t"]),
-        ref_entropy=_per_row(lambda s: free_entropy(p, s, cfg.k_B), tab["t"]),
-        ref_divergence=_per_row(lambda s: free_divergence(p, s), tab["t"]),
+        ref_sigma2=free_sigma(p, tab["t"]) ** 2,
+        ref_entropy=free_entropy(p, tab["t"], cfg.k_B),
+        ref_divergence=free_divergence(p, tab["t"]),
     )
 
 
@@ -591,12 +585,10 @@ def _perturbed_references(cfg: ScenarioConfig, tab: dict) -> dict:
     s_init = s0 + cfg.epsilon0
     wt = cfg.omega0 * tab["t"]
     return dict(
-        ref_sigma2=_per_row(lambda s: s**2, sigma),
+        ref_sigma2=sigma**2,
         ref_entropy=entropy_of_width(sigma, cfg.k_B),
         ref_divergence=trace.dlnsigma_dt[steps],
-        oscillator_sigma2=_per_row(
-            lambda c, s: s_init**2 * c**2 + (s0**4 / s_init**2) * s**2, np.cos(wt), np.sin(wt)
-        ),
+        oscillator_sigma2=s_init**2 * np.cos(wt) ** 2 + (s0**4 / s_init**2) * np.sin(wt) ** 2,
     )
 
 
@@ -612,7 +604,7 @@ def _diffusion_references(cfg: ScenarioConfig, tab: dict) -> dict:
 def _compare_references(cfg: ScenarioConfig, tab: dict) -> dict:
     p = GaussianParams(cfg.sigma0, cfg.hbar, cfg.mass, D=cfg.D)
     return dict(
-        ref_sigma2_quantum=_per_row(lambda s: free_sigma(p, s) ** 2, tab["t"]),
+        ref_sigma2_quantum=free_sigma(p, tab["t"]) ** 2,
         ref_sigma2_diffusive=cfg.sigma0**2 + 2 * cfg.D * tab["t"],
     )
 
@@ -782,8 +774,9 @@ def _run(
         key: None if column is None else np.concatenate([part[key] for part in parts])
         for key, column in parts[0].items()
     }
-    for derive in entry.references:
-        table.update(derive(cfg, table))
+    with np.errstate(over="raise"):  # an overflowing reference is a numeric abort
+        for derive in entry.references:
+            table.update(derive(cfg, table))
     identities = [i.check(table, cfg) for i in entry.identities if i.applies(table, cfg)]
     provenance = {
         "config_hash": config_hash(cfg),
@@ -826,32 +819,57 @@ def compare_quantum_diffusion(cfg: ScenarioConfig) -> RunReport:
     return _run(_COMPARE, cfg, "compare_quantum_diffusion", COMPARE_COLUMNS, problems)
 
 
-def _write_csv(path: Path, names: list[str], columns: list[list | None]) -> Path:
+_CHUNK_ROWS = 256  # rows converted, formatted and written at a time
+
+
+def _chunks(rows: int):
+    return (slice(start, start + _CHUNK_ROWS) for start in range(0, rows, _CHUNK_ROWS))
+
+
+def _write_csv(path: Path, names: list[str], columns: list[np.ndarray | None], rows: int) -> Path:
     """One line per row, each value "%.17g" formatted (f"{v:.17g}" alike), an absent
     column (None) an empty field."""
     row = ",".join("" if column is None else "%.17g" for column in columns)
-    rows = (row % values for values in zip(*(c for c in columns if c is not None)))
-    path.write_text("\n".join((",".join(names), *rows)) + "\n", encoding="ascii")
+    present = [column for column in columns if column is not None]
+    with path.open("w", encoding="ascii") as out:  # Path.write_text's encoding and newlines
+        out.write(",".join(names) + "\n")
+        for part in _chunks(rows):
+            values = zip(*(column[part].tolist() for column in present))
+            out.write("".join(row % line + "\n" for line in values))
     return path
 
 
-def _json_table(names: list[str], columns: list[list | None], rows: int) -> str:
-    """json.dumps({"columns": names, "rows": [{name: value} per row]}, indent=1),
+def _write_json(
+    path: Path, names: list[str], columns: list[np.ndarray | None], rows: int
+) -> Path:
+    """json.dumps({"columns": names, "rows": [{name: value} per row]}, indent=1) + "\n",
     at least one row, with each value's token from the C encoder (NaN, Infinity,
-    null and float repr alike); an `indent` would run the pure-Python encoder."""
+    null and float repr alike); an `indent` would run the pure-Python encoder.
+    A column is always present (`t`), so zip() cuts an absent column's nulls to the chunk."""
     keys = [json.dumps(name) for name in names]
-    tokens = [json.dumps([None] * rows if c is None else c)[1:-1].split(", ") for c in columns]
     row = "  {\n" + ",\n".join(f"   {key}: %s" for key in keys) + "\n  }"
-    body = ",\n".join(row % values for values in zip(*tokens))
     head = ",\n".join(f"  {key}" for key in keys)
-    return f'{{\n "columns": [\n{head}\n ],\n "rows": [\n{body}\n ]\n}}'
+    nulls, separator = ["null"] * _CHUNK_ROWS, ""
+    with path.open("w", encoding="ascii") as out:
+        out.write(f'{{\n "columns": [\n{head}\n ],\n "rows": [\n')
+        for part in _chunks(rows):
+            tokens = [
+                nulls if c is None else json.dumps(c[part].tolist())[1:-1].split(", ")
+                for c in columns
+            ]
+            out.write(separator + ",\n".join(row % line for line in zip(*tokens)))
+            separator = ",\n"
+        out.write("\n ]\n}\n")
+    return path
 
 
 def emit_timeseries(report: RunReport, directory: str | Path, formats=("csv", "json")) -> list[Path]:
     """Write the per-snapshot table; CSV is ASCII with 17 significant digits.
 
     Identical configurations produce byte-identical data files; provenance
-    (which includes wall time) goes to report.json, written separately.
+    (which includes wall time) goes to report.json, written separately.  Each
+    file is converted, formatted and written _CHUNK_ROWS rows at a time, so
+    output holds no whole-column copy of the table.
     """
     directory = Path(directory)
     try:
@@ -859,21 +877,16 @@ def emit_timeseries(report: RunReport, directory: str | Path, formats=("csv", "j
     except OSError as exc:
         raise OSError(f"cannot create output directory {directory}: {exc}") from exc
     stem = "compare" if report.scenario == "compare_quantum_diffusion" else "timeseries"
-    values = [
-        None if report.table.get(name) is None else report.table[name].tolist()
-        for name in report.columns
-    ]
+    columns = [report.table.get(name) for name in report.columns]
+    rows = len(report.table["t"])
     written = []
     if "csv" in formats:
-        written.append(_write_csv(directory / f"{stem}.csv", report.columns, values))
+        written.append(_write_csv(directory / f"{stem}.csv", report.columns, columns, rows))
     if "json" in formats:
-        path = directory / f"{stem}.json"
-        text = _json_table(report.columns, values, len(report.table["t"]))
-        path.write_text(text + "\n", encoding="ascii")
-        written.append(path)
+        written.append(_write_json(directory / f"{stem}.json", report.columns, columns, rows))
     for i, table in enumerate(report.field_tables or ()):
-        columns = [c.tolist() for c in table.values()]
-        written.append(_write_csv(directory / f"fields_{i:04d}.csv", list(table), columns))
+        path = directory / f"fields_{i:04d}.csv"
+        written.append(_write_csv(path, list(table), list(table.values()), len(table["x"])))
     return written
 
 

@@ -70,7 +70,9 @@ def gaussian_density(grid: Grid, sigma: float, D: float, center: float = 0.0, ti
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     xc = grid.x - center
-    rho = np.exp(-(xc**2) / (2 * sigma**2))
+    # sigma**2 underflowing to 0 is 0/0 at x = 0, which the norm check reports
+    with np.errstate(all="ignore"):
+        rho = np.exp(-(xc**2) / (2 * sigma**2))
     norm = grid.dx * rho.sum()
     if not 0 < norm < np.inf:
         raise NumericsError(f"the density has no finite positive norm on the grid ({norm})")

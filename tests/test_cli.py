@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -375,10 +376,14 @@ class TestEmit:
 VALUES = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308])
 
 
+CHUNK = cli._CHUNK_ROWS
+
+
 @st.composite
 def emitted_tables(draw):
-    """(columns, table, one field table): 1 to 300 rows; any column but t may be all None."""
-    rows = draw(st.sampled_from([1, 2, 5, 300]))
+    """(columns, table, one field table): 1 to 2 chunks + 1 rows, with every chunk
+    boundary; any column but t may be all None."""
+    rows = draw(st.sampled_from([1, 2, 5, 300, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1]))
     # drawn values repeated cyclically, so that many rows cost few draws
     column = st.lists(VALUES, min_size=1, max_size=8).map(lambda v: np.resize(np.array(v), rows))
     names = ["t", "norm", "energy", "ent_von_neumann"]
@@ -411,6 +416,22 @@ def test_writer_matches_the_per_value_oracle(drawn):
         assert (out / "timeseries.csv").read_text() == csv
         assert (out / "timeseries.json").read_text() == text
         assert (out / "fields_0000.csv").read_text() == field_csv
+
+
+def test_output_memory_does_not_grow_with_rows(tmp_path):
+    # a whole-file writer traces ~50 MB here: every value as a Python float and its text
+    rows = 20_000
+    table = {name: np.linspace(0.0, 1.0, rows) for name in CSV_COLUMNS}
+    table["ent_von_neumann"] = None
+    report = cli.RunReport("free_gaussian", CSV_COLUMNS, table, [], {})
+    tracemalloc.start()
+    try:
+        emit_timeseries(report, tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    assert len((tmp_path / "timeseries.csv").read_text().splitlines()) == rows + 1
 
 
 class TestCompare:
@@ -618,6 +639,17 @@ class TestMain:
         )
         assert main(["run", str(path)]) == 3
         assert "numeric abort" in capsys.readouterr().err
+
+    def test_overflowing_reference_is_a_numeric_abort(self, tmp_path, capsys):
+        # (hbar t / 2 m sigma0)^2 overflows in the free width reference
+        path = tmp_path / "narrow.ini"
+        path.write_text(
+            "[scenario]\nname = free_gaussian\n[physics]\nsigma0 = 1e-120\n"
+            "[grid]\nN = 64\n[evolution]\nt_final = 0.01\nsnapshot_stride = 5\n"
+            f"[output]\ndirectory = {tmp_path / 'out'}\n"
+        )
+        assert main(["run", str(path)]) == 3
+        assert capsys.readouterr().err == "numeric abort: overflow encountered in square\n"
 
     def test_quantum_numeric_abort_exit_code(self, tmp_path, capsys):
         # the trap potential overflows to inf on the grid

@@ -101,6 +101,18 @@ def test_numeric_abort_exits_3(qhydro_process, tmp_path):
     assert done.stderr.startswith("numeric abort: ") and done.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("scenario, field", [
+    ("free_gaussian", "wavefunction"),
+    ("diffusion_gaussian", "density"),
+])
+def test_underflowing_width_is_one_numeric_abort_line(qhydro_process, tmp_path, scenario, field):
+    # sigma0**2 underflows to 0, so the Gaussian is 0/0 at x = 0; numpy warns of nothing
+    text = f"[scenario]\nname = {scenario}\n[physics]\nsigma0 = 1e-300\n[grid]\nN = 64\n"
+    done = qhydro_process("run", str(_ini(tmp_path, text)))
+    message = f"numeric abort: the {field} has no finite positive norm on the grid (nan)\n"
+    assert (done.returncode, done.stdout, done.stderr) == (3, "", message)
+
+
 def test_usage_error_exits_2(qhydro_process):
     done = qhydro_process("run")
     assert (done.returncode, done.stdout) == (2, "")

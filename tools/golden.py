@@ -11,22 +11,29 @@ cores when unset, and the CPU affinity is the caller's (run the tool under
 scenarios, the default `compare`, `run` and `compare` at snapshot_stride 1
 (the spread_dense workload), the von Neumann workload (spread_vn) and the
 `emit_fields` + `--vn on` runs of free_gaussian, harmonic_ground,
-diffusion_gaussian and a `custom` trap, and five runs that exit nonzero: a
+diffusion_gaussian and a `custom` trap, and six runs that exit nonzero: a
 failing identity (1), a config error and a grid that cannot be allocated
-(2), and two numeric aborts (3), one of them a diffusion_gaussian whose
-sigma0**2 underflows.  PYTHONUNBUFFERED is removed from the
-children's environment, so their stdout is block-buffered and output that a
-process does not flush before it ends shows as a stdout difference.
+(2), and three numeric aborts (3): extreme constants, a diffusion_gaussian
+whose sigma0**2 underflows and a free_gaussian whose width reference
+overflows.  PYTHONUNBUFFERED is removed from the children's environment, so
+their stdout is block-buffered and output that a process does not flush
+before it ends shows as a stdout difference.
 
 Every data file must be byte-identical; from report.json, each identity's
 name, tolerance, `measured` value and outcome must be equal, as must the
-exit code, stdout and stderr.  Every difference is printed; the exit code is
-0 when there is none and 1 otherwise.
+exit code, stdout and stderr.  In stderr, each side's resolved source and
+working directories read as <src> and <work>, since numpy's warnings name the
+source file by its path.  Every difference is printed, and for a CSV that
+differs, each column's count of moved rows and its largest relative move
+|a - b| / max(|a|, |b|); the exit code is 0 when there is none and 1
+otherwise.
 """
 from __future__ import annotations
 
 import argparse
+import csv
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -63,6 +70,8 @@ CASES = {
     ),
     # sigma0**2 underflows to 0, so the initial Gaussian is 0/0 at x = 0
     "diffusion_numeric_abort": ("run", "diffusion_gaussian", {"sigma0": "1e-300"}, []),
+    # (hbar t / 2 m sigma0)**2 overflows in ref_sigma2
+    "reference_overflow": ("run", "free_gaussian", {"sigma0": "1e-120"}, []),
 }
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
@@ -106,8 +115,36 @@ def _run_case(src: Path, work: Path, case: str) -> dict:
             identities = json.loads(path.read_text())["identities"]
         else:
             files[path.name] = path.read_bytes()
-    return {"exit": done.returncode, "stdout": done.stdout, "stderr": done.stderr,
+    stderr = done.stderr.replace(str(src), "<src>").replace(str(work), "<work>")
+    return {"exit": done.returncode, "stdout": done.stdout, "stderr": stderr,
             "files": files, "identities": identities}
+
+
+def _relative_move(x: str, y: str) -> float:
+    """|a - b| / max(|a|, |b|) of two differing CSV fields; inf when one is not a number."""
+    try:
+        a, b = float(x), float(y)
+    except ValueError:
+        return math.inf
+    if math.isnan(a) or math.isnan(b):
+        return math.inf
+    scale = max(abs(a), abs(b))
+    return abs(a - b) / scale if scale else 0.0
+
+
+def _column_moves(a: bytes, b: bytes) -> list[str]:
+    """For each column of two CSVs that differs, its count of moved rows and largest move."""
+    table_a, table_b = (list(csv.reader(text.decode().splitlines())) for text in (a, b))
+    if table_a[:1] != table_b[:1] or len(table_a) != len(table_b):
+        return ["header or row count differs"]
+    moves = []
+    for j, name in enumerate(table_a[0]):
+        moved = [(x[j], y[j]) for x, y in zip(table_a[1:], table_b[1:]) if x[j] != y[j]]
+        if moved:
+            largest = max(_relative_move(x, y) for x, y in moved)
+            moves.append(f"column {name}: {len(moved)} of {len(table_a) - 1} rows moved, "
+                         f"largest relative move {largest:.3g}")
+    return moves
 
 
 def _differences(case: str, parent: dict, change: dict) -> list[str]:
@@ -122,7 +159,9 @@ def _differences(case: str, parent: dict, change: dict) -> list[str]:
         elif a != b:
             lines = zip(a.decode().splitlines(), b.decode().splitlines())
             first = next((i for i, (x, y) in enumerate(lines) if x != y), None)
-            found.append(f"{case}: {name} differs (first at line {first})")
+            moves = _column_moves(a, b) if name.endswith(".csv") else []
+            found.append(f"{case}: {name} differs (first at line {first})"
+                         + "".join(f"\n    {move}" for move in moves))
     a, b = parent["identities"] or [], change["identities"] or []
     if [c["name"] for c in a] != [c["name"] for c in b]:
         found.append(f"{case}: identity names differ")
