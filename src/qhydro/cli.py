@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import hashlib
 import json
 import math
 import os
@@ -54,6 +53,16 @@ from .schrodinger import (
     _snapshot_blocks,
 )
 from .traces import centered_difference
+
+# CPython's own SHA-256 (`_sha2` from 3.12, `_sha256` before): hashlib would map
+# and initialise OpenSSL (~3.8 MB of peak RSS) to hash ~400 bytes of INI
+try:
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:  # a build without the built-in modules
+        from hashlib import sha256 as _sha256
 
 __all__ = [
     "ScenarioConfig",
@@ -312,7 +321,7 @@ def render_config(cfg: ScenarioConfig) -> str:
 
 
 def config_hash(cfg: ScenarioConfig) -> str:
-    return hashlib.sha256(render_config(cfg).encode()).hexdigest()
+    return _sha256(render_config(cfg).encode()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -578,16 +587,32 @@ def _perturbed_references(cfg: ScenarioConfig, tab: dict) -> dict:
     sigma^2(t) = s^2 cos^2(w t) + (s0^4/s^2) sin^2(w t)."""
     s0 = _ground_width(cfg)
     p = GaussianParams(s0, omega0=cfg.omega0, epsilon0=cfg.epsilon0, hbar=cfg.hbar, mass=cfg.mass)
-    # integrated on the full step grid so every snapshot time is hit exactly
     steps = _evolution(cfg).snapshot_steps()
-    trace = harmonic_sigma(p, np.arange(steps[-1] + 1) * cfg.dt)
-    sigma = trace.sigma[steps]
+    # RK4 on a grid of m*dt that hits every snapshot but the last, which continues
+    # from the grid's end: m is the largest divisor of snapshot_stride, at most the
+    # step count, with omega0*m*dt <= 2e-3 (m = 10 by default).  The model is
+    # scale-free in omega0*t.  Over the default run (omega0*m*dt = 2e-3, 5 model
+    # periods) sigma stays within 1.8e-13 relative and d ln(sigma)/dt within 2.7e-13
+    # absolute of the trace integrated at every dt; the gap grows with the periods run.
+    n, stride = steps[-1], cfg.snapshot_stride
+    most = int(min(stride, n, 2e-3 / cfg.omega0 / cfg.dt + 1))
+    m = max(
+        (d for d in range(1, most + 1) if stride % d == 0 and cfg.omega0 * d * cfg.dt <= 2e-3),
+        default=1,
+    )
+    trace = harmonic_sigma(p, np.arange(n // m + 1) * (m * cfg.dt))
+    sigma, rate = trace.sigma, trace.dlnsigma_dt
+    if n % m:
+        tail = harmonic_sigma(p, [0.0, n % m * cfg.dt], sigma[-1], rate[-1] * sigma[-1])
+        sigma, rate = np.append(sigma, tail.sigma[1:]), np.append(rate, tail.dlnsigma_dt[1:])
+    rows = np.append(np.array(steps[:-1]) // m, -1)
+    sigma, rate = sigma[rows], rate[rows]
     s_init = s0 + cfg.epsilon0
     wt = cfg.omega0 * tab["t"]
     return dict(
         ref_sigma2=sigma**2,
         ref_entropy=entropy_of_width(sigma, cfg.k_B),
-        ref_divergence=trace.dlnsigma_dt[steps],
+        ref_divergence=rate,
         oscillator_sigma2=s_init**2 * np.cos(wt) ** 2 + (s0**4 / s_init**2) * np.sin(wt) ** 2,
     )
 

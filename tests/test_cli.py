@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import math
 import tempfile
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qhydro import cli
+from qhydro.analytic import GaussianParams, entropy_of_width, harmonic_sigma
 from qhydro.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -107,6 +109,17 @@ class TestConfig:
         parsed = parse_config(path)
         assert parsed == quick_free
         assert config_hash(parsed) == config_hash(quick_free)
+
+    @pytest.mark.parametrize("cfg", [
+        *(pytest.param(default_config(name), id=name) for name in sorted(SCENARIOS)),
+        pytest.param(
+            replace(default_config("custom"), potential="harmonic", omega0=2.5, N=512,
+                    formats=("json",), directory="elsewhere"),
+            id="edited",
+        ),
+    ])
+    def test_config_hash_is_sha256_of_the_canonical_ini(self, cfg):
+        assert config_hash(cfg) == hashlib.sha256(render_config(cfg).encode()).hexdigest()
 
     def test_all_violations_reported(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -242,6 +255,25 @@ class TestRunScenario:
         report = run_scenario(default_config("free_gaussian"))
         assert len(report.table["t"]) == 81
         assert rows[0] == 1 + 80 + 3 * 81 == 324
+
+    @pytest.mark.parametrize(
+        "overrides", [None, dict(snapshot_stride=7, t_final=1.0)], ids=["default", "stride_7"]
+    )
+    def test_width_model_columns_track_the_every_step_trace(self, perturbed_report, overrides):
+        # the ref_* columns integrate the width model on a grid of m*dt (m = 10, then 7)
+        # and one ragged last step; the trace integrated at every dt is the oracle
+        cfg = replace(default_config("harmonic_perturbed"), **(overrides or {}))
+        report = perturbed_report if overrides is None else run_scenario(cfg)
+        s0 = cli._ground_width(cfg)
+        p = GaussianParams(s0, omega0=cfg.omega0, epsilon0=cfg.epsilon0, hbar=cfg.hbar, mass=cfg.mass)
+        steps = cli._evolution(cfg).snapshot_steps()
+        trace = harmonic_sigma(p, np.arange(steps[-1] + 1) * cfg.dt)
+        sigma, rate = trace.sigma[steps], trace.dlnsigma_dt[steps]
+        entropy = entropy_of_width(sigma, cfg.k_B)
+        table = report.table
+        assert np.max(np.abs(table["ref_sigma2"] - sigma**2) / sigma**2) <= 1e-12
+        assert np.max(np.abs(table["ref_entropy"] - entropy) / np.abs(entropy)) <= 1e-12
+        assert np.max(np.abs(table["ref_divergence"] - rate)) <= 1e-12
 
     def test_identity_lines_are_parseable(self, quick_free):
         report = run_scenario(quick_free)

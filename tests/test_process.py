@@ -1,10 +1,12 @@
 """The CLI as a process: `python -m qhydro.cli` and the `qhydro` console-script
-function, each run as a child with block-buffered stdout.
+function, each run as a child with block-buffered stdout, and what a child
+that runs the CLI has imported.
 
 PYTHONUNBUFFERED is removed from the child's environment, so its stdout (a
 pipe) is block-buffered: output that the process does not flush before it
 ends is lost, and these tests see it missing.
 """
+import hashlib
 import json
 import os
 import subprocess
@@ -31,18 +33,23 @@ QUICK_FREE = (
 )
 
 
-@pytest.fixture(params=sorted(LAUNCHERS))
-def qhydro_process(request):
-    """Run the CLI in a child process with the given arguments; returns the CompletedProcess."""
+def _child(*args, stdout=subprocess.PIPE):
+    """Run the interpreter with `args` in a child that imports this tree's qhydro."""
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path)
     env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run(
+        [sys.executable, *args],
+        env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
+    )
+
+
+@pytest.fixture(params=sorted(LAUNCHERS))
+def qhydro_process(request):
+    """Run the CLI in a child process with the given arguments; returns the CompletedProcess."""
 
     def run(*args, stdout=subprocess.PIPE):
-        return subprocess.run(
-            [sys.executable, *LAUNCHERS[request.param], *args],
-            env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
-        )
+        return _child(*LAUNCHERS[request.param], *args, stdout=stdout)
 
     return run
 
@@ -111,6 +118,43 @@ def test_underflowing_width_is_one_numeric_abort_line(qhydro_process, tmp_path, 
     done = qhydro_process("run", str(_ini(tmp_path, text)))
     message = f"numeric abort: the {field} has no finite positive norm on the grid (nan)\n"
     assert (done.returncode, done.stdout, done.stderr) == (3, "", message)
+
+
+def test_overflowing_trap_is_one_numeric_abort_line(qhydro_process, tmp_path):
+    # (omega0 x)**2 overflows to inf on the Hamiltonian's diagonal; numpy warns of nothing
+    text = "[scenario]\nname = custom\n[physics]\npotential = harmonic\nomega0 = 1e200\n[grid]\nN = 64\n"
+    done = qhydro_process("run", str(_ini(tmp_path, text)))
+    assert (done.returncode, done.stdout, done.stderr) == (3, "", "numeric abort: non-finite Hamiltonian\n")
+
+
+def test_runs_load_no_openssl(tmp_path):
+    # config_hash takes CPython's built-in SHA-256, so neither command maps libcrypto
+    ini = _ini(tmp_path, QUICK_FREE)
+    code = (
+        "import sys; from qhydro.cli import main; "
+        f"codes = main(['run', {str(ini)!r}]), main(['compare', {str(ini)!r}]); "
+        "print(codes, '_hashlib' in sys.modules)"
+    )
+    done = _child("-c", code)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines()[-1] == "(0, 0) False"
+
+
+def test_config_hash_without_the_builtin_modules():
+    # a build without _sha2 and _sha256 hashes with hashlib, to the same digest
+    code = (
+        "import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None; "
+        "import hashlib; from qhydro import cli; "
+        "assert cli._sha256 is hashlib.sha256; "
+        "print(*(cli.config_hash(cli.default_config(name)) for name in sorted(cli.SCENARIOS)))"
+    )
+    done = _child("-c", code)
+    assert (done.returncode, done.stderr) == (0, "")
+    digests = [
+        hashlib.sha256(render_config(default_config(name)).encode()).hexdigest()
+        for name in sorted(SCENARIOS)
+    ]
+    assert done.stdout.split() == digests
 
 
 def test_usage_error_exits_2(qhydro_process):

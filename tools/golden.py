@@ -11,22 +11,24 @@ cores when unset, and the CPU affinity is the caller's (run the tool under
 scenarios, the default `compare`, `run` and `compare` at snapshot_stride 1
 (the spread_dense workload), the von Neumann workload (spread_vn) and the
 `emit_fields` + `--vn on` runs of free_gaussian, harmonic_ground,
-diffusion_gaussian and a `custom` trap, and six runs that exit nonzero: a
+diffusion_gaussian and a `custom` trap, and seven runs that exit nonzero: a
 failing identity (1), a config error and a grid that cannot be allocated
-(2), and three numeric aborts (3): extreme constants, a diffusion_gaussian
-whose sigma0**2 underflows and a free_gaussian whose width reference
-overflows.  PYTHONUNBUFFERED is removed from the children's environment, so
-their stdout is block-buffered and output that a process does not flush
-before it ends shows as a stdout difference.
+(2), and four numeric aborts (3): extreme constants, a diffusion_gaussian
+whose sigma0**2 underflows, a free_gaussian whose width reference overflows
+and a `custom` trap whose potential overflows.  PYTHONUNBUFFERED is removed
+from the children's environment, so their stdout is block-buffered and
+output that a process does not flush before it ends shows as a stdout
+difference.
 
-Every data file must be byte-identical; from report.json, each identity's
-name, tolerance, `measured` value and outcome must be equal, as must the
-exit code, stdout and stderr.  In stderr, each side's resolved source and
-working directories read as <src> and <work>, since numpy's warnings name the
-source file by its path.  Every difference is printed, and for a CSV that
-differs, each column's count of moved rows and its largest relative move
-|a - b| / max(|a|, |b|); the exit code is 0 when there is none and 1
-otherwise.
+Every data file must be byte-identical; from report.json, the config hash
+and each identity's name, tolerance, `measured` value and outcome must be
+equal, as must the exit code, stdout and stderr.  Each side writes to `out`
+under its own working directory, so both hash the same configuration.  In
+stderr, each side's resolved source and working directories read as <src>
+and <work>, since numpy's warnings name the source file by its path.  Every
+difference is printed, and for a CSV that differs, each column's count of
+moved rows and its largest relative move |a - b| / max(|a|, |b|); the exit
+code is 0 when there is none and 1 otherwise.
 """
 from __future__ import annotations
 
@@ -72,6 +74,10 @@ CASES = {
     "diffusion_numeric_abort": ("run", "diffusion_gaussian", {"sigma0": "1e-300"}, []),
     # (hbar t / 2 m sigma0)**2 overflows in ref_sigma2
     "reference_overflow": ("run", "free_gaussian", {"sigma0": "1e-120"}, []),
+    # (omega0 x)**2 overflows on the trap Hamiltonian's diagonal
+    "trap_overflow": (
+        "run", "custom", {"potential": "harmonic", "omega0": "1e200", "N": "64"}, [],
+    ),
 }
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
@@ -105,19 +111,21 @@ def _run_case(src: Path, work: Path, case: str) -> dict:
     ini = work / "config.ini"
     ini.write_text(_ini(src, scenario, overrides))
     out = work / "out"
+    # a relative output directory, so that both sides hash the same configuration
     done = subprocess.run(
-        [sys.executable, "-m", "qhydro.cli", command, str(ini), "--output-dir", str(out), *extra],
-        env=_environment(src), capture_output=True, text=True,
+        [sys.executable, "-m", "qhydro.cli", command, str(ini), "--output-dir", "out", *extra],
+        env=_environment(src), cwd=work, capture_output=True, text=True,
     )
-    files, identities = {}, None
+    files, identities, config_hash = {}, None, None
     for path in sorted(out.iterdir()) if out.is_dir() else ():
         if path.name == "report.json":
-            identities = json.loads(path.read_text())["identities"]
+            report = json.loads(path.read_text())
+            identities, config_hash = report["identities"], report["provenance"]["config_hash"]
         else:
             files[path.name] = path.read_bytes()
     stderr = done.stderr.replace(str(src), "<src>").replace(str(work), "<work>")
     return {"exit": done.returncode, "stdout": done.stdout, "stderr": stderr,
-            "files": files, "identities": identities}
+            "files": files, "identities": identities, "config_hash": config_hash}
 
 
 def _relative_move(x: str, y: str) -> float:
@@ -149,7 +157,7 @@ def _column_moves(a: bytes, b: bytes) -> list[str]:
 
 def _differences(case: str, parent: dict, change: dict) -> list[str]:
     found = []
-    for key in ("exit", "stdout", "stderr"):
+    for key in ("exit", "stdout", "stderr", "config_hash"):
         if parent[key] != change[key]:
             found.append(f"{case}: {key} differs: {parent[key]!r} -> {change[key]!r}")
     for name in sorted(parent["files"].keys() | change["files"].keys()):
