@@ -18,11 +18,13 @@ import configparser
 import json
 import math
 import os
+import queue
 import sys
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass, replace
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -743,30 +745,44 @@ SCENARIOS = {name: entry.description for name, entry in _ENTRIES.items()}
 
 
 def _pooled(block, blocks: list[list[int]]):
-    """block(steps) for each of `blocks`, in order, on one worker per usable core.
+    """block(steps) for each of `blocks`, in order, on one worker thread per usable core.
 
-    At most two blocks per worker are submitted ahead of the one consumed.  The
-    first failing block raises its error (so the earliest bad step is the one
-    reported) and the pending blocks are cancelled.  A run with no more blocks
-    than workers runs them in the calling thread: a thread pool would pay the
-    start-up of the BLAS in each new thread for no overlap.
+    At most two blocks per worker start ahead of the one consumed.  The first
+    failing block raises its error (so the earliest bad step is the one
+    reported), no queued block starts once it is raised, and the workers are
+    joined, which frees their `_Buffer`s.  A run with no more blocks than
+    workers runs them in the calling thread: a worker thread would pay the
+    start-up of the BLAS for no overlap.
     """
     workers = grid_module._WORKERS
     if workers < 2 or len(blocks) <= workers:
         yield from map(block, blocks)
         return
-    from concurrent.futures import ThreadPoolExecutor
+    ahead, slots = threading.Semaphore(2 * workers), [queue.SimpleQueue() for _ in blocks]
+    tasks = deque([*range(len(blocks)), *[None] * workers])  # a None ends a worker
 
-    pool = ThreadPoolExecutor(workers)
+    def work():  # block i puts (result, error) in slots[i]
+        while ahead.acquire() and (i := tasks.popleft()) is not None:
+            try:
+                slots[i].put((block(blocks[i]), None))
+            except BaseException as error:  # raised in the consuming thread
+                slots[i].put((None, error))
+
+    threads = [threading.Thread(target=work, daemon=True) for _ in range(workers)]
+    for thread in threads:
+        thread.start()
     try:
-        ahead = iter(blocks)
-        pending = deque(pool.submit(block, steps) for steps in islice(ahead, 2 * workers))
-        while pending:
-            done = pending.popleft().result()
-            pending.extend(pool.submit(block, steps) for steps in islice(ahead, 1))
+        for slot in slots:
+            done, error = slot.get()
+            if error is not None:
+                raise error
+            ahead.release()
             yield done
     finally:
-        pool.shutdown(cancel_futures=True)
+        tasks.extendleft([None] * workers)  # the queued blocks do not start
+        ahead.release(workers)
+        for thread in threads:
+            thread.join()
 
 
 def _run(

@@ -7,6 +7,7 @@ package are set up that way.
 """
 from __future__ import annotations
 
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -30,9 +31,9 @@ __all__ = [
 # the per-call cost of each transform and reduction and the fixed cost of a
 # block (~0.5 ms, what a 1-row free block takes).  Each worker computes its
 # blocks in arrays it keeps (`_Buffer`), allocated once per worker instead of
-# once per block: 10 for a quantum `run`, 3.5 MB at 32 rows of N = 1024.  Peak
+# once per block: 8 for a quantum `run`, 2.8 MiB at 32 rows of N = 1024.  Peak
 # memory grows with this budget where the blocks, not the output, set it:
-# 1 MiB adds ~2.5 MB to the N = 512 run of 801 rows.
+# 1 MiB more adds ~5.5 MB to the N = 512 run of 801 rows on two workers.
 _BLOCK_BYTES = 1 << 20
 
 # The runners compute row blocks on one worker per usable core.
@@ -54,21 +55,22 @@ class _Buffer(threading.local):
     Each `_Buffer` is private to the one function that writes it: a call
     returns an uninitialised C-contiguous array of `shape`, allocated once per
     thread and reused by the later calls, so a run does not fault its pages
-    in again block after block.  The array is replaced when its dtype or row
-    length changes or a call has more rows; a call with fewer rows takes the
-    leading rows.  `key` tells apart arrays of one function that are alive at
-    once.  The next call overwrites what the last one returned, so whatever
-    leaves a computation is copied out first.
+    in again block after block.  A call takes the C-contiguous front of a flat
+    array, replaced when its dtype changes or a call needs more elements, so
+    fewer rows are the leading rows.  `key` tells apart arrays of one function
+    that are alive at once.  The next call overwrites what the last one
+    returned, so whatever leaves a computation is copied out first.
     """
 
     def __init__(self):
         self.arrays = {}
 
     def __call__(self, shape: tuple[int, ...], dtype, key=None) -> np.ndarray:
+        size = math.prod(shape)
         buf = self.arrays.get(key)
-        if buf is None or buf.dtype != dtype or buf.shape[1:] != shape[1:] or len(buf) < shape[0]:
-            buf = self.arrays[key] = np.empty(shape, dtype)
-        return buf[:shape[0]]
+        if buf is None or buf.dtype != dtype or len(buf) < size:
+            buf = self.arrays[key] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
 
 
 _WORK = _Buffer()
@@ -86,7 +88,8 @@ def _work(shape: tuple[int, ...], dtype) -> np.ndarray:
 
 def _exponentials(rates: np.ndarray):
     """times -> the (len(times), N) table exp(rates * t), one row per time t,
-    in a `_Buffer` of the returned function.
+    in a `_Buffer` of the returned function; the exponents are a `_work`
+    temporary.
 
     Each distinct rate is exponentiated once: a free spectrum is even in k bit
     for bit, so about half the exponentials are saved.  np.take keeps the table
@@ -100,12 +103,12 @@ def _exponentials(rates: np.ndarray):
     def table(times):
         times = np.asarray(times)
         dtype = np.result_type(distinct, times)
-        powers = buffer((len(times), len(distinct)), dtype, "exponents")
+        powers = _work((len(times), len(distinct)), dtype)
         # t * rate, each product rounded once; a ufunc broadcasting both
         # operands would fill a buffer of the iterator for each
         np.copyto(powers, times[:, None])
         np.multiply(powers, distinct, out=powers)
-        out = buffer((len(times), len(rates)), dtype, "table")
+        out = buffer((len(times), len(rates)), dtype)
         return np.take(np.exp(powers, out=powers), where, axis=1, mode="clip", out=out)
 
     return table

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (
-    Field, Grid, _Buffer, _exponentials, _row_blocks, _spectral_derivatives, _work,
+    Field, Grid, _exponentials, _row_blocks, _spectral_derivatives, _work,
 )
 from .madelung import NORM_TOLERANCE, QuantumState, _density
 
@@ -263,22 +263,21 @@ def propagate(state: QuantumState, pot: Potential, cfg: EvolutionConfig) -> list
     return snapshots
 
 
-_ENERGY_TERM = _Buffer()
-
-
 def _energy_rows(psi, laplacian, grid: Grid, pot: Potential, hbar: float, mass: float, steps=None):
     """Energy of each row of a (rows, N) block of wavefunctions, given their psi''.
 
     Raises NumericsError at the first row whose integral keeps an imaginary
     part above 1e-10 of max(1, |E|).  A free potential adds no u*psi term.
     """
-    integrand = _work(psi.shape, psi.dtype)
-    work = _ENERGY_TERM(psi.shape, psi.dtype)
-    np.multiply(-(hbar**2) / (2 * mass), laplacian, out=integrand)
+    integrand = np.multiply(-(hbar**2) / (2 * mass), laplacian, out=_work(psi.shape, psi.dtype))
     if pot.kind != "free":
-        np.add(integrand, np.multiply(mass * pot.per_mass(grid), psi, out=work), out=integrand)
-    np.multiply(np.conjugate(psi, out=work), integrand, out=integrand)
-    total = grid.dx * integrand.sum(axis=-1)
+        # u*psi a part at a time: a real u scales each part as the complex product would
+        u, term = mass * pot.per_mass(grid), _work(psi.shape, psi.real.dtype)
+        for part, of_psi in ((integrand.real, psi.real), (integrand.imag, psi.imag)):
+            np.add(part, np.multiply(u, of_psi, out=term), out=part)
+    # psi * conj(integrand) is conj(conj(psi) * integrand) bit for bit, with no copy of conj(psi)
+    np.multiply(psi, np.conjugate(integrand, out=integrand), out=integrand)
+    total = np.conjugate(grid.dx * integrand.sum(axis=-1))
     _check_rows(
         ~(np.abs(total.imag) > 1e-10 * np.fmax(1.0, np.abs(total.real))), steps,
         lambda r: f"energy has imaginary residue {total.imag[r]:.3g}",

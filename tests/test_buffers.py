@@ -6,6 +6,7 @@ returns must therefore be a fresh array: a column, a field row, a
 `Field` or a `propagate` snapshot that aliased a buffer would change
 under the caller when the next block runs.
 """
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -13,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qhydro import cli
+from qhydro import cli, grid as grid_module
 from qhydro.grid import _Buffer, make_grid, spectral_derivatives
 from qhydro.madelung import complex_velocity
 from qhydro.schrodinger import (
@@ -90,6 +91,9 @@ def test_buffer_is_replaced_when_its_shape_or_dtype_changes():
     assert a.flags.c_contiguous and a.shape == (4, 8)
     shorter = buffer((2, 8), np.complex128)
     assert shorter.shape == (2, 8) and np.shares_memory(a, shorter)
+    # shorter rows are the C-contiguous front of the array, not a strided slice
+    narrower = buffer((4, 5), np.complex128)
+    assert narrower.flags.c_contiguous and np.shares_memory(a, narrower)
     assert not np.shares_memory(a, buffer((4, 8), np.complex128, key=1))
     for shape, dtype in [((4, 16), np.complex128), ((4, 8), np.float64), ((5, 8), np.complex128)]:
         replaced = buffer(shape, dtype)
@@ -124,3 +128,32 @@ def test_a_warm_free_block_allocates_less_than_one_block():
     finally:
         tracemalloc.stop()
     assert peak < 16 * cfg.N * np.dtype(np.complex128).itemsize
+
+
+# While the phase exponents and the energy integrand had arrays of their own
+# instead of the `_work` scratch, a quantum block kept ~7.1 (rows x N) complex
+# arrays of buffers and a compare block ~5.3.
+@pytest.mark.parametrize("entry, arrays", [(cli._ENTRIES["free_gaussian"], 6), (cli._COMPARE, 5)],
+                         ids=["free", "compare"])
+def test_a_cold_block_keeps_few_buffers(entry, arrays):
+    cfg = replace(cli.default_config("free_gaussian"), snapshot_stride=1)
+    grid = make_grid(cfg.L, cfg.N)
+    block = entry.blocks(cfg, grid, cli._evolution(cfg), *entry.start(cfg, grid))
+    snapshots = []
+
+    def cold():  # a new thread has no `_Buffer` arrays yet
+        tracemalloc.start()
+        try:
+            block(list(range(1, 17)))
+            snapshots.append(tracemalloc.take_snapshot())
+        finally:
+            tracemalloc.stop()
+
+    thread = threading.Thread(target=cold)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and snapshots
+    # what is still allocated from grid.py after the block is its `_Buffer` arrays
+    kept = snapshots[0].filter_traces([tracemalloc.Filter(True, grid_module.__file__)])
+    held = sum(stat.size for stat in kept.statistics("filename"))
+    assert held < arrays * 16 * cfg.N * np.dtype(np.complex128).itemsize

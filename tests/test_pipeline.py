@@ -7,6 +7,8 @@ number of workers that compute the blocks.  The block size is shrunk to 3
 rows per worker so that small runs cover one row, one block and a row count
 that is not a multiple of the block.
 """
+import sys
+import threading
 import time
 from dataclasses import replace
 
@@ -273,3 +275,60 @@ def test_pool_runs_at_most_two_blocks_per_worker_ahead(monkeypatch):
         assert value == consumed
         assert len(started) <= consumed + 2 * 2
     assert sorted(started) == list(range(1, 41))
+
+
+def _finishes(target, seconds=60) -> bool:
+    """Run `target` in a daemon thread; whether it returned within `seconds`."""
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout=seconds)
+    return not thread.is_alive()
+
+
+def test_a_failing_block_starts_no_queued_block_and_joins_the_workers(monkeypatch):
+    # block 3 fails at once while blocks 4 and 5 run on the two workers: block 6,
+    # queued within the look-ahead, never starts, and the generator returns only
+    # after both workers have exited
+    _workers(monkeypatch, 2)
+    started, threads, consumed = [], set(), []
+
+    def block(steps):
+        started.append(steps[0])
+        threads.add(threading.current_thread())
+        if steps[0] == 3:
+            raise ValueError("block 3")
+        time.sleep(0.3 if steps[0] > 3 else 0)
+        return steps[0]
+
+    def consume():
+        pooled = cli._pooled(block, [[i] for i in range(1, 41)])
+        consumed.extend([threading.current_thread(), next(pooled), next(pooled)])
+        with pytest.raises(ValueError, match="block 3"):
+            next(pooled)
+        consumed.append("raised")
+
+    assert _finishes(consume)
+    assert consumed[1:] == [1, 2, "raised"]
+    assert threads and consumed[0] not in threads
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(started) == [1, 2, 3, 4, 5]
+
+
+def test_pool_of_more_workers_than_cores_runs_each_block_once(monkeypatch):
+    # workers switched every microsecond share the task list and the look-ahead:
+    # a lost or repeated task shows as a block run twice or not at all
+    _workers(monkeypatch, 8)
+    started, results = [], []
+
+    def consume():
+        results.extend(cli._pooled(lambda steps: started.append(steps[0]) or steps[0],
+                                   [[i] for i in range(400)]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert _finishes(consume)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == list(range(400))
+    assert sorted(started) == list(range(400))

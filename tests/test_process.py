@@ -140,6 +140,26 @@ def test_runs_load_no_openssl(tmp_path):
     assert done.stdout.splitlines()[-1] == "(0, 0) False"
 
 
+def test_pooled_runs_load_no_executor_or_logging(tmp_path):
+    # 501 rows at N = 256 are four blocks on two workers, run on threads from
+    # `threading`: neither concurrent.futures nor the logging it imports is
+    # loaded, and the data files are the one-worker run's
+    ini = _ini(tmp_path, QUICK_FREE.replace("snapshot_stride = 100", "snapshot_stride = 1"))
+    run = "main(['run', {!r}, '--output-dir', {!r}])".format
+    code = (
+        "import sys; from qhydro import grid; from qhydro.cli import main; "
+        "grid._WORKERS = 2; blocks = len(grid._row_blocks(list(range(500)), 256)); "
+        f"pooled = {run(str(ini), str(tmp_path / 'pooled'))}; "
+        f"grid._WORKERS = 1; alone = {run(str(ini), str(tmp_path / 'alone'))}; "
+        "print(blocks, pooled, alone, 'concurrent.futures' in sys.modules, 'logging' in sys.modules)"
+    )
+    done = _child("-c", code)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines()[-1] == "4 0 0 False False"
+    for name in ("timeseries.csv", "timeseries.json"):
+        assert (tmp_path / "pooled" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
+
+
 def test_config_hash_without_the_builtin_modules():
     # a build without _sha2 and _sha256 hashes with hashlib, to the same digest
     code = (

@@ -29,6 +29,11 @@ and <work>, since numpy's warnings name the source file by its path.  Every
 difference is printed, and for a CSV that differs, each column's count of
 moved rows and its largest relative move |a - b| / max(|a|, |b|); the exit
 code is 0 when there is none and 1 otherwise.
+
+Each case's line also prints the peak RSS of its CLI child on both sides
+(`ru_maxrss` from os.wait4, MB as perfbench reports it, 1024 KiB) and the
+change.  That is information beside the byte-identity check, not a
+difference, and it does not move the exit code.
 """
 from __future__ import annotations
 
@@ -111,11 +116,16 @@ def _run_case(src: Path, work: Path, case: str) -> dict:
     ini = work / "config.ini"
     ini.write_text(_ini(src, scenario, overrides))
     out = work / "out"
-    # a relative output directory, so that both sides hash the same configuration
-    done = subprocess.run(
-        [sys.executable, "-m", "qhydro.cli", command, str(ini), "--output-dir", "out", *extra],
-        env=_environment(src), cwd=work, capture_output=True, text=True,
-    )
+    with open(work / "stdout", "wb") as stdout, open(work / "stderr", "wb") as stderr:
+        # a relative output directory, so that both sides hash the same configuration
+        child = subprocess.Popen(
+            [sys.executable, "-m", "qhydro.cli", command, str(ini), "--output-dir", "out", *extra],
+            env=_environment(src), cwd=work, stdout=stdout, stderr=stderr,
+        )
+    # os.wait4 reaps the child with its own resource usage, peak RSS included
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    stdout, stderr = ((work / name).read_text() for name in ("stdout", "stderr"))
     files, identities, config_hash = {}, None, None
     for path in sorted(out.iterdir()) if out.is_dir() else ():
         if path.name == "report.json":
@@ -123,9 +133,10 @@ def _run_case(src: Path, work: Path, case: str) -> dict:
             identities, config_hash = report["identities"], report["provenance"]["config_hash"]
         else:
             files[path.name] = path.read_bytes()
-    stderr = done.stderr.replace(str(src), "<src>").replace(str(work), "<work>")
-    return {"exit": done.returncode, "stdout": done.stdout, "stderr": stderr,
-            "files": files, "identities": identities, "config_hash": config_hash}
+    stderr = stderr.replace(str(src), "<src>").replace(str(work), "<work>")
+    return {"exit": child.returncode, "stdout": stdout, "stderr": stderr, "files": files,
+            "identities": identities, "config_hash": config_hash,
+            "peak_rss_mb": usage.ru_maxrss / 1024}  # ru_maxrss is in KiB on Linux
 
 
 def _relative_move(x: str, y: str) -> float:
@@ -197,8 +208,10 @@ def main(argv=None) -> int:
             total += len(parent["files"])
             diffs = _differences(case, parent, change)
             status = "differs" if diffs else "identical"
+            rss = parent["peak_rss_mb"], change["peak_rss_mb"]
             print(f"{case}: exit {parent['exit']}, {len(parent['files'])} data files, "
-                  f"{len(parent['identities'] or [])} identities: {status}", flush=True)
+                  f"{len(parent['identities'] or [])} identities: {status}; "
+                  f"peak RSS {rss[0]:.2f} -> {rss[1]:.2f} MB ({rss[1] - rss[0]:+.2f})", flush=True)
             found += diffs
     finally:
         shutil.rmtree(root, ignore_errors=True)
