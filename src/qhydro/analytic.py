@@ -209,6 +209,12 @@ class DiffusionReference(NamedTuple):
     acceleration: Callable
 
 
+def diffusive_sigma2(p: GaussianParams, t, t0: float = 0.0):
+    """sigma^2 = sigma0^2 + 2 D (t - t0) of a Gaussian of width sigma0 at t0
+    diffusing at D; t may be an array."""
+    return p.sigma0**2 + 2 * p.D * (t - t0)
+
+
 def diffusion_reference(p: GaussianParams, t: float, branch: str = "similarity") -> DiffusionReference:
     """Reference fields of the diffusing Gaussian.
 
@@ -227,7 +233,7 @@ def diffusion_reference(p: GaussianParams, t: float, branch: str = "similarity")
     elif branch == "offset":
         if t < 0:
             raise ValueError("t must be nonnegative on the offset branch")
-        s2 = p.sigma0**2 + 2 * D * t
+        s2 = diffusive_sigma2(p, t)
     else:
         raise ValueError(f"unknown branch {branch!r}")
 

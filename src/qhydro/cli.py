@@ -33,6 +33,7 @@ import numpy as np
 from . import __version__
 from .analytic import (
     GaussianParams,
+    diffusive_sigma2,
     entropy_of_width,
     free_divergence,
     free_entropy,
@@ -41,7 +42,7 @@ from .analytic import (
     harmonic_sigma,
 )
 from .diffusion import DiffusionState, gaussian_density, _kernel_blocks
-from .entropy import _boltzmann_rows, _diffusion_rows, _quantum_rows
+from .entropy import _boltzmann_rows, _diffusion_rows, _quantum_rows, _require_finite
 from . import grid as grid_module
 from .grid import _row_blocks, _work, make_grid
 from .madelung import density, _drift
@@ -179,11 +180,7 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
     entry = _ENTRIES.get(cfg.scenario)
     if entry is None:
         problems.append(f"unknown scenario {cfg.scenario!r}")
-    problems += [
-        f"{name} must be positive, got {getattr(cfg, name)}"
-        for name in ("hbar", "mass", "k_B", "sigma0", "L", "dt")
-        if not getattr(cfg, name) > 0
-    ]
+    problems += _positive(cfg, "hbar", "mass", "k_B", "sigma0", "L", "dt")
     if cfg.N % 2 != 0 or cfg.N < 8:
         problems.append(f"N must be an even integer >= 8, got {cfg.N}")
     elif cfg.N > sys.maxsize // 16:  # numpy cannot even size a complex grid array
@@ -196,16 +193,14 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
             problems.append(f"t_final/dt overflows the step count, got {cfg.t_final}/{cfg.dt}")
     if cfg.snapshot_stride < 1:
         problems.append(f"snapshot_stride must be >= 1, got {cfg.snapshot_stride}")
-    if cfg.potential == "harmonic" and not cfg.omega0 > 0:
-        problems.append(f"omega0 must be positive, got {cfg.omega0}")
     if entry is not None:
-        problems += entry.validate(cfg, problems)  # a trap repeats the omega0 check
+        problems += entry.validate(cfg, problems)
     if cfg.potential not in ("free", "harmonic"):
         problems.append(f"potential must be free or harmonic, got {cfg.potential!r}")
     for fmt in cfg.formats:
         if fmt not in ("csv", "json"):
             problems.append(f"unknown output format {fmt!r}")
-    return list(dict.fromkeys(problems))
+    return problems
 
 
 def _own_potential(cfg: ScenarioConfig, problems: list[str]) -> list[str]:
@@ -216,10 +211,14 @@ def _own_potential(cfg: ScenarioConfig, problems: list[str]) -> list[str]:
     return [f"{cfg.scenario} runs potential = {own}, got potential = {cfg.potential}"]
 
 
+def _positive(cfg: ScenarioConfig, *names: str) -> list[str]:
+    """The one positivity check, of every key that a run needs positive."""
+    return [f"{name} must be positive, got {getattr(cfg, name)}" for name in names
+            if not getattr(cfg, name) > 0]
+
+
 def _trap_problems(cfg: ScenarioConfig, problems: list[str]) -> list[str]:
-    found = _own_potential(cfg, problems)
-    if not cfg.omega0 > 0:
-        return found + [f"omega0 must be positive, got {cfg.omega0}"]
+    found = _own_potential(cfg, problems) + _positive(cfg, "omega0")
     if problems or found or 0 < _ground_width(cfg) < math.inf:
         return found
     width = _ground_width(cfg)
@@ -239,12 +238,8 @@ def _perturbed_problems(cfg: ScenarioConfig, problems: list[str]) -> list[str]:
     return found
 
 
-def _positive_D(cfg: ScenarioConfig) -> list[str]:
-    return [] if cfg.D > 0 else [f"D must be positive, got {cfg.D}"]
-
-
 def _diffusion_problems(cfg: ScenarioConfig, problems: list[str]) -> list[str]:
-    found = _own_potential(cfg, problems) + _positive_D(cfg)
+    found = _own_potential(cfg, problems) + _positive(cfg, "D")
     if cfg.start_time < 0:
         found.append(f"start_time must be nonnegative, got {cfg.start_time}")
     return found
@@ -291,21 +286,18 @@ def parse_config(path: str | Path) -> ScenarioConfig:
 
 
 def _parse_value(key: str, raw: str):
-    raw = raw.strip()
-    if key in ("N", "snapshot_stride"):
-        return int(raw)
-    if key in ("enable_von_neumann", "emit_fields"):
+    """`raw` as the type of the key's `ScenarioConfig` default (a bool is an int too)."""
+    raw, default = raw.strip(), getattr(ScenarioConfig, key)
+    if isinstance(default, bool):
         low = raw.lower()
         if low in ("true", "yes", "on", "1"):
             return True
         if low in ("false", "no", "off", "0"):
             return False
         raise ValueError(f"expected a boolean, got {raw!r}")
-    if key == "formats":
+    if isinstance(default, tuple):
         return tuple(part.strip() for part in raw.split(",") if part.strip())
-    if key in ("directory", "potential", "scenario"):
-        return raw
-    return float(raw)
+    return type(default)(raw)
 
 
 def render_config(cfg: ScenarioConfig) -> str:
@@ -492,21 +484,19 @@ def _evolution(cfg: ScenarioConfig) -> EvolutionConfig:
     return EvolutionConfig(cfg.dt, cfg.t_final, cfg.snapshot_stride)
 
 
-def _density_columns(times, rho, grid, ent: dict) -> dict:
+def _density_columns(times, rho, norm, grid, ent: dict) -> dict:
     """A `run` block's time, norm and width columns, and its entropy columns `ent`."""
     fisher = ent.pop("fisher_information")
-    return dict(t=times, norm=grid.dx * np.sum(rho, axis=-1), sigma2_measured=_sigma2(rho, grid),
-                fisher=fisher, **ent)
+    return dict(t=times, norm=norm, sigma2_measured=_sigma2(rho, grid), fisher=fisher, **ent)
 
 
 def _quantum_blocks(cfg: ScenarioConfig, grid, ev: EvolutionConfig, state, pot):
     """steps -> the block's `run` columns (and max|u_a|, max|rho - rho0|), and its fields
     if emitted."""
-    psi0, later = _snapshot_blocks(state, pot, ev)
-    rho0 = np.abs(psi0[0]) ** 2
+    later, rho0 = _snapshot_blocks(state, pot, ev.dt), np.abs(state.psi.values) ** 2
 
     def block(steps):
-        psi, rho = (psi0, None) if steps[0] == 0 else later(steps)
+        psi, rho, norm = later(steps)
         times = state.time + np.array(steps) * ev.dt
         ent, rho, mask, v = _quantum_rows(
             psi, grid, cfg.hbar, cfg.mass, cfg.k_B, cfg.enable_von_neumann, times, rho,
@@ -515,7 +505,7 @@ def _quantum_blocks(cfg: ScenarioConfig, grid, ev: EvolutionConfig, state, pot):
         work = _work(rho.shape, rho.dtype)
         ua_max = np.abs(v.real, out=work).max(axis=-1)
         rho_drift = np.abs(np.subtract(rho, rho0, out=work), out=work).max(axis=-1)
-        columns = dict(_density_columns(times, rho, grid, ent), ua_max=ua_max, rho_drift=rho_drift)
+        columns = dict(_density_columns(times, rho, norm, grid, ent), ua_max=ua_max, rho_drift=rho_drift)
         fields = cfg.emit_fields and {"rho": rho.copy(), "u_advective": np.where(mask, v.real, 0.0)}
         return columns, fields
 
@@ -524,13 +514,13 @@ def _quantum_blocks(cfg: ScenarioConfig, grid, ev: EvolutionConfig, state, pot):
 
 def _diffusion_blocks(cfg: ScenarioConfig, grid, ev: EvolutionConfig, initial: DiffusionState, _):
     """steps -> the block's `run` columns, and its fields if emitted."""
-    rho0, later = _kernel_blocks(initial, ev)
+    later = _kernel_blocks(initial, ev.dt)
 
     def block(steps):
-        rho = rho0 if steps[0] == 0 else later(steps)
+        rho, _, norm = later(steps)
         times = initial.time + np.array(steps) * ev.dt
         ent, mask, grad = _diffusion_rows(rho, grid, cfg.D, cfg.k_B, times)
-        columns = _density_columns(times, rho, grid, ent)
+        columns = _density_columns(times, rho, norm, grid, ent)
         fields = cfg.emit_fields and {"rho": rho.copy(), "u_diffusive": _drift(rho, grad, mask, cfg.D)}
         return columns, fields
 
@@ -539,20 +529,23 @@ def _diffusion_blocks(cfg: ScenarioConfig, grid, ev: EvolutionConfig, initial: D
 
 def _compare_blocks(cfg: ScenarioConfig, grid, ev: EvolutionConfig, q_state, pot):
     """steps -> the block's `compare` columns: the packet and its density diffused at D."""
-    psi0, quantum = _snapshot_blocks(q_state, pot, ev)
-    rho0, diffused = _kernel_blocks(DiffusionState(density(q_state), cfg.D, time=0.0), ev)
+    quantum = _snapshot_blocks(q_state, pot, ev.dt)
+    diffused = _kernel_blocks(DiffusionState(density(q_state), cfg.D, time=0.0), ev.dt)
 
     def block(steps):
-        first = steps[0] == 0
-        rho_q = np.abs(psi0) ** 2 if first else quantum(steps)[1]
-        rho_d = rho0 if first else diffused(steps)
-        columns = dict(
-            t=q_state.time + np.array(steps) * ev.dt,
-            sigma2_quantum=_sigma2(rho_q, grid),
-            sigma2_diffusive=_sigma2(rho_d, grid),
+        (_, rho_q, _), (rho_d, _, _) = quantum(steps), diffused(steps)
+        times = q_state.time + np.array(steps) * ev.dt
+        ent = dict(
             ent_boltzmann_quantum=_boltzmann_rows(rho_q, grid.dx, cfg.k_B),
             ent_boltzmann_diffusive=_boltzmann_rows(rho_d, grid.dx, cfg.k_B),
+        )
+        _require_finite(ent, times)  # as a `run` row's entropy columns
+        columns = dict(
+            t=times,
+            sigma2_quantum=_sigma2(rho_q, grid),
+            sigma2_diffusive=_sigma2(rho_d, grid),
             rho_l2_divergence=_l2_distance(rho_q, rho_d, grid.dx),
+            **ent,
         )
         return columns, None
 
@@ -620,7 +613,7 @@ def _perturbed_references(cfg: ScenarioConfig, tab: dict) -> dict:
 
 
 def _diffusion_references(cfg: ScenarioConfig, tab: dict) -> dict:
-    s2 = cfg.sigma0**2 + 2 * cfg.D * (tab["t"] - cfg.start_time)
+    s2 = diffusive_sigma2(GaussianParams(cfg.sigma0, D=cfg.D), tab["t"], cfg.start_time)
     return dict(
         ref_sigma2=s2,
         ref_entropy=entropy_of_width(np.sqrt(s2), cfg.k_B),
@@ -632,7 +625,7 @@ def _compare_references(cfg: ScenarioConfig, tab: dict) -> dict:
     p = GaussianParams(cfg.sigma0, cfg.hbar, cfg.mass, D=cfg.D)
     return dict(
         ref_sigma2_quantum=free_sigma(p, tab["t"]) ** 2,
-        ref_sigma2_diffusive=cfg.sigma0**2 + 2 * cfg.D * tab["t"],
+        ref_sigma2_diffusive=diffusive_sigma2(p, tab["t"]),
     )
 
 
@@ -728,7 +721,7 @@ _ENTRIES = {
         _quantum_blocks,
         (_entropy_rate,),
         _QUANTUM_IDENTITIES,
-        lambda cfg, problems: [],
+        lambda cfg, problems: _positive(cfg, "omega0") if cfg.potential == "harmonic" else [],
     ),
 }
 
@@ -852,11 +845,12 @@ def compare_quantum_diffusion(cfg: ScenarioConfig) -> RunReport:
     t > 2 D (2 m sigma0 / hbar)^2, which is asserted when the run reaches
     1.05x that time.
     """
-    # only the diffusion scenario needs D to run; every comparison does
-    problems = validate_config(cfg) + _positive_D(cfg)
+    problems = validate_config(cfg)
+    # every comparison diffuses at D, which only the diffusion scenario checks itself
+    if cfg.scenario != "diffusion_gaussian":
+        problems += _positive(cfg, "D")
     if cfg.potential != "free":
         problems.append(f"compare evolves a free packet, got potential = {cfg.potential}")
-    problems = list(dict.fromkeys(problems))
     return _run(_COMPARE, cfg, "compare_quantum_diffusion", COMPARE_COLUMNS, problems)
 
 

@@ -1,10 +1,12 @@
 """Classical Fickian evolution and the force/consistency diagnostics.
 
-The heat equation is integrated with the exact spectral kernel: every mode
-is multiplied by exp(-D k^2 dt).  This is unconditionally stable, conserves
-mass to rounding (the zero mode is untouched), and keeps a Gaussian exactly
-Gaussian with sigma^2(t) = sigma0^2 + 2 D t, so all residual error shows up
-in the diagnostics rather than in the evolution itself.
+The heat equation is integrated with the exact spectral kernel, through the
+same `_exact_kernel` that propagates wavefunctions: the basis is the Fourier
+transform, the rates -D k^2 are real, and every mode of the initial density
+is multiplied by exp(-D k^2 t) once per snapshot.  This is unconditionally
+stable, conserves mass to rounding (the zero mode is untouched), and keeps a
+Gaussian exactly Gaussian with sigma^2(t) = sigma0^2 + 2 D t, so all residual
+error shows up in the diagnostics rather than in the evolution itself.
 
 Residual operations return whole fields, not norms, so a caller can
 localize where an identity degrades.
@@ -15,9 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (
-    Field, Grid, _Buffer, _exponentials, _work, integrate, spectral_derivative,
-)
+from .grid import Field, Grid, _Buffer, integrate, spectral_derivative
 from .madelung import (
     NORM_TOLERANCE,
     QuantumState,
@@ -25,9 +25,9 @@ from .madelung import (
     density,
     diffusive_velocity,
     valid_mask,
-    _log_density_ratios,
+    _drift,
 )
-from .schrodinger import EvolutionConfig, NumericsError, _check_rows
+from .schrodinger import NumericsError, _check_rows, _exact_kernel, _normalized_state
 
 __all__ = [
     "DiffusionState",
@@ -83,19 +83,11 @@ def gaussian_density(grid: Grid, sigma: float, D: float, center: float = 0.0, ti
 _HEAT_DENSITY = _Buffer()
 
 
-def _heat_kernel_rows(spectrum, kernel, steps=None) -> np.ndarray:
-    """Densities kernel * spectrum mapped back to x, one row per row of the kernel.
-
-    `spectrum` is the transform of the initial density and `kernel` the table
-    exp(-D k^2 t), one row per duration t.  Raises NumericsError at the first
-    row that goes negative beyond rounding or is not finite; rounding-level
-    negatives are clipped to 0.  The densities are a `_Buffer` of this
-    function.
-    """
-    product = _work(kernel.shape, np.result_type(spectrum, kernel))
-    np.copyto(product, kernel)  # cast once, not into a buffer of the ufunc iterator
-    np.multiply(spectrum, product, out=product)
-    rho = np.fft.ifft(product, out=product).real
+def _clipped(values: np.ndarray, steps) -> np.ndarray:
+    """The real part of a block of heat-kernel rows, rounding-level negatives
+    clipped to 0, in a `_Buffer` of this function.  NumericsError at the first
+    row that goes negative beyond rounding."""
+    rho = values.real
     floor = -NEGATIVITY_TOLERANCE * np.fmax(1.0, rho.max(axis=-1))
     worst = rho.min(axis=-1)
     _check_rows(
@@ -108,48 +100,26 @@ def _heat_kernel_rows(spectrum, kernel, steps=None) -> np.ndarray:
     return clipped
 
 
-def _kernel_blocks(initial: DiffusionState, cfg: EvolutionConfig):
-    """The heat-kernel snapshots as (rows, N) arrays: the initial row, and the
-    function from a block of later steps (of cfg.snapshot_steps()) to its rows.
-
-    The initial row is the initial density itself; every later row is one
-    application of the exact kernel to one forward transform of it, so no
-    roundoff accumulates across steps.  Raises NumericsError at the first row
-    whose mass misses 1 by more than NORM_TOLERANCE.  Each block depends on
-    its steps alone.
-    """
-    grid = initial.grid
-    spectrum = np.fft.fft(initial.rho.values)
-    kernel = _exponentials(-initial.D * grid.k**2)
-
-    def rows(steps: list[int]) -> np.ndarray:
-        rho = _heat_kernel_rows(spectrum, kernel([i * cfg.dt for i in steps]), steps)
-        norm = grid.dx * np.sum(rho, axis=-1)
-        _check_rows(
-            ~(np.abs(norm - 1.0) > NORM_TOLERANCE), steps,
-            lambda r: f"density norm {norm[r]!r} deviates from 1 by more than {NORM_TOLERANCE}",
-        )
-        return rho
-
-    return initial.rho.values[None], rows
+def _kernel_blocks(initial: DiffusionState, dt: float):
+    """`_exact_kernel` for the heat equation: steps -> the densities at those
+    steps (twice, the `_Buffer` of `_clipped`) and their norms.  The basis is
+    the Fourier transform, and the rates -D k^2 stay real."""
+    return _exact_kernel(initial.rho, -initial.D * initial.grid.k**2, dt, clip=_clipped)
 
 
 def diffuse_step(state: DiffusionState, dt: float) -> DiffusionState:
     """Exact heat-kernel step: rho_k -> rho_k * exp(-D k^2 dt)."""
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    grid = state.grid
-    kernel = _exponentials(-state.D * grid.k**2)([dt])
-    rho = _heat_kernel_rows(np.fft.fft(state.rho.values), kernel)[0]
-    return DiffusionState(Field(grid, rho.copy()), state.D, state.time + dt)
+    rho = _kernel_blocks(state, dt)([1])[0][0]
+    return DiffusionState(Field(state.grid, rho.copy()), state.D, state.time + dt)
 
 
 def _velocity_and_slope(state: DiffusionState):
-    """u_d and du_d/dx from density ratios, on the state's valid mask."""
-    mask, (r1, r2) = _log_density_ratios(state.rho, orders=(1, 2))
-    u = -state.D * r1
-    slope = -state.D * (r2 - r1 * r1)
-    return mask, u, slope
+    """u_d and du_d/dx = -D rho''/rho + u_d^2/D, on the state's valid mask."""
+    rho, u = state.rho.values, diffusive_velocity(state.rho, state.D)
+    curvature = _drift(rho, spectral_derivative(rho, state.grid, 2), u.mask, state.D)
+    return u.mask, u.values, curvature + u.values * u.values / state.D
 
 
 def diffusive_acceleration(before: DiffusionState, after: DiffusionState) -> Field:
@@ -232,12 +202,7 @@ def entropy_equation_residual(
     ds_dt = (s_a - s_b) / gap
 
     psi_mid = 0.5 * (before.psi.values + after.psi.values)
-    mid = QuantumState(
-        Field(grid, psi_mid / np.sqrt(grid.dx * np.sum(np.abs(psi_mid) ** 2))),
-        before.hbar,
-        before.mass,
-        0.5 * (before.time + after.time),
-    )
+    mid = _normalized_state(grid, psi_mid, before.hbar, before.mass, 0.5 * (before.time + after.time))
     rho_m = 0.5 * (rho_b.values + rho_a.values)
     s_m = 0.5 * (s_b + s_a)
     u_a = advective_velocity(mid)

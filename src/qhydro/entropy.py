@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffusion import DiffusionState
-from .grid import Field, _Buffer, _spectral_derivatives, _work, spectral_derivative
+from .grid import Field, _Buffer, _spectral_derivatives, _work
 from .madelung import (
     QuantumState,
     action_per_mass,
@@ -94,12 +94,13 @@ def _safe_density(rho: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def _boltzmann(rho: np.ndarray, safe: np.ndarray, mask: np.ndarray, dx, k_B: float):
-    with np.errstate(invalid="ignore", divide="ignore"):
-        integrand = np.log(safe, out=_work(rho.shape, rho.dtype))
-        np.multiply(rho, integrand, out=integrand)
-    return -k_B * _masked_integral(dx, integrand, mask)
+    integrand = np.log(safe, out=_work(rho.shape, rho.dtype))
+    return -k_B * _masked_integral(dx, np.multiply(rho, integrand, out=integrand), mask)
 
 
+# each row function computes under one errstate: extreme constants overflow its
+# columns, which `_require_finite` (or an identity) reports, without numpy warnings
+@np.errstate(all="ignore")
 def _boltzmann_rows(rho: np.ndarray, dx, k_B: float) -> np.ndarray:
     """Boltzmann entropy of each row of a (rows, N) block of densities."""
     mask = _floor_mask(rho)
@@ -107,40 +108,37 @@ def _boltzmann_rows(rho: np.ndarray, dx, k_B: float) -> np.ndarray:
 
 
 def boltzmann_entropy(rho: Field, k_B: float = 1.0) -> float:
-    """-k_B * integral(rho ln rho) dx, with 0*ln(0) = 0 at masked points."""
-    mask = valid_mask(rho)
-    return float(_boltzmann(rho.values, _safe_density(rho.values, mask), mask, rho.grid.dx, k_B))
-
-
-def _advective_rate(rho, mask, r1, r2, dx, hbar: float, mass: float, k_B: float):
-    # div u_a = (hbar/m) Im(grad^2 psi/psi - (grad psi/psi)^2)
-    r = np.multiply(r1, r1, out=_work(r1.shape, r1.dtype))
-    div_ua = _work(rho.shape, rho.dtype)
-    np.multiply(hbar / mass, np.subtract(r2, r, out=r).imag, out=div_ua)
-    return k_B * _masked_integral(dx, np.multiply(rho, div_ua, out=div_ua), mask)
+    """-k_B * integral(rho ln rho) dx, with 0*ln(0) = 0 at masked points: the
+    one-row case of `_boltzmann_rows`."""
+    return float(_boltzmann_rows(rho.values[None], rho.grid.dx, k_B)[0])
 
 
 def production_advective(state: QuantumState, k_B: float = 1.0) -> float:
-    """k_B <div u_a>: the density-weighted expansion rate of the flow."""
-    psi = state.psi.values
-    rho, mask, (r1, r2) = _psi_ratios(psi, _spectral_derivatives(psi, state.grid, (1, 2)))
-    return float(_advective_rate(rho, mask, r1, r2, state.grid.dx, state.hbar, state.mass, k_B))
+    """k_B <div u_a>: the density-weighted expansion rate of the flow, as
+    `entropy_report` gives it."""
+    return entropy_report(state, k_B).production_advective
 
 
-def _fisher(grad: np.ndarray, safe: np.ndarray, mask: np.ndarray, dx):
-    """integral grad^2 / rho over the mask, given safe = where(mask, rho, 1);
-    grad is overwritten by the integrand."""
-    with np.errstate(invalid="ignore", divide="ignore"):
-        integrand = np.multiply(grad, grad, out=grad)
-        np.divide(integrand, safe, out=integrand)
-    return _masked_integral(dx, integrand, mask)
+def _density_terms(rho, grad, mask, dx, D: float, k_B: float) -> dict:
+    """The Boltzmann entropy, the Fisher information (integral grad^2/rho over
+    the mask) and k_B D Fisher of each row of a block of densities: the columns
+    that quantum and diffusive rows share.  `grad`, rho' in a `_work` array,
+    is overwritten by the Fisher integrand."""
+    safe = _safe_density(rho, mask)
+    integrand = np.divide(np.multiply(grad, grad, out=grad), safe, out=grad)
+    fisher = _masked_integral(dx, integrand, mask)
+    return dict(
+        ent_boltzmann=_boltzmann(rho, safe, mask, dx, k_B),
+        fisher_information=fisher,
+        production_diffusive=k_B * D * fisher,
+    )
 
 
 def fisher_information(rho: Field) -> float:
-    """integral (grad rho)^2 / rho dx over the valid mask; nonnegative."""
-    grad = spectral_derivative(rho.values, rho.grid)
-    mask = valid_mask(rho)
-    return float(_fisher(grad, _safe_density(rho.values, mask), mask, rho.grid.dx))
+    """integral (grad rho)^2 / rho dx over the valid mask; nonnegative.  The
+    one-row case of `_diffusion_rows`."""
+    columns, _, _ = _diffusion_rows(rho.values[None], rho.grid, 1.0, 1.0, [None])
+    return float(columns["fisher_information"][0])
 
 
 def production_diffusive(rho: Field, D: float, k_B: float = 1.0) -> float:
@@ -224,10 +222,11 @@ def _require_finite(columns: dict, times):
     finite = np.logical_and.reduce([np.isfinite(col) for col in present.values()])
     if not finite.all():
         row = int(np.argmin(finite))
-        values = ", ".join(f"{name}={col[row]!r}" for name, col in present.items())
+        values = ", ".join(f"{name}={float(col[row])!r}" for name, col in present.items())
         raise NumericsError(f"non-finite entropy diagnostics at t = {times[row]}: {values}")
 
 
+@np.errstate(all="ignore")
 def _quantum_rows(psi, grid, hbar, mass, k_B, include_von_neumann, times, rho=None, energy=None):
     """Entropy columns of a (rows, N) block of wavefunctions, one value per row.
 
@@ -247,17 +246,15 @@ def _quantum_rows(psi, grid, hbar, mass, k_B, include_von_neumann, times, rho=No
     energy_column = None if energy is None else energy(derivatives[1])
     rho, mask, (r1, r2) = _psi_ratios(psi, derivatives, rho)
     dx = grid.dx
-    safe = _safe_density(rho, mask)
+    r = np.multiply(r1, r1, out=_work(r1.shape, r1.dtype))
+    div_ua = np.multiply(hbar / mass, np.subtract(r2, r, out=r).imag, out=_work(rho.shape, rho.dtype))
+    advective = k_B * _masked_integral(dx, np.multiply(rho, div_ua, out=div_ua), mask)
     grad = np.multiply(2.0, rho, out=_work(rho.shape, rho.dtype))
-    fisher = _fisher(np.multiply(grad, r1.real, out=grad), safe, mask, dx)
-    columns = dict(
-        ent_boltzmann=_boltzmann(rho, safe, mask, dx, k_B),
-        fisher_information=fisher,
-        production_diffusive=k_B * (hbar / (2 * mass)) * fisher,
-        production_advective=_advective_rate(rho, mask, r1, r2, dx, hbar, mass, k_B),
-    )
+    np.multiply(grad, r1.real, out=grad)  # rho' = 2 rho Re r1
+    columns = _density_terms(rho, grad, mask, dx, hbar / (2 * mass), k_B)
     v = _velocity_from_ratio(r1, hbar, mass)
     columns.update(
+        production_advective=advective,
         production_correlation=_correlation_rate(rho, v.real, v.imag, mask, dx, hbar, mass, k_B),
         ent_von_neumann=_von_neumann(psi, dx) if include_von_neumann else None,
     )
@@ -267,6 +264,7 @@ def _quantum_rows(psi, grid, hbar, mass, k_B, include_von_neumann, times, rho=No
     return columns, rho, mask, v
 
 
+@np.errstate(all="ignore")
 def _diffusion_rows(rho, grid, D, k_B, times):
     """Entropy columns of a (rows, N) block of densities diffusing at D.
 
@@ -277,15 +275,9 @@ def _diffusion_rows(rho, grid, D, k_B, times):
     """
     mask = _floor_mask(rho)
     (grad,) = _spectral_derivatives(rho, grid, (1,))
-    safe = _safe_density(rho, mask)
-    squared = _work(grad.shape, grad.dtype)  # _fisher squares it in place; grad is returned
+    squared = _work(grad.shape, grad.dtype)  # squared in place; grad is returned
     np.copyto(squared, grad)
-    fisher = _fisher(squared, safe, mask, grid.dx)
-    columns = dict(
-        ent_boltzmann=_boltzmann(rho, safe, mask, grid.dx, k_B),
-        fisher_information=fisher,
-        production_diffusive=k_B * D * fisher,
-    )
+    columns = _density_terms(rho, squared, mask, grid.dx, D, k_B)
     _require_finite(columns, times)
     return columns, mask, grad
 

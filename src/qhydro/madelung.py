@@ -12,6 +12,9 @@ itself.  Points where rho falls below DENSITY_FLOOR_RATIO * max(rho) are
 excluded from every pointwise quantity (logarithms and the Bohm potential
 are singular in near-vacuum); each ratio, like the Bohm curvature
 laplacian(sqrt(rho))/sqrt(rho), is one masked division (`_masked_ratios`).
+Each divided density is checked once (`_density_mask`); u_d has one body
+(`_drift`), and the Bohm potential is the diffusive one at D = hbar/2m.  The
+states, quantum or diffusive, come from one kernel (`schrodinger._exact_kernel`).
 Fields are `grid.Field`s: complex for psi and u_a + i u_d, real otherwise.
 """
 from __future__ import annotations
@@ -97,6 +100,19 @@ def valid_mask(rho: Field, floor_ratio: float = DENSITY_FLOOR_RATIO) -> np.ndarr
     return _floor_mask(rho.values, floor_ratio) & rho.mask
 
 
+def _density_mask(rho: Field, D: float = 1.0) -> np.ndarray:
+    """`valid_mask` of a density that a pointwise quantity at diffusivity D
+    divides by; ValueError for D <= 0, a negative density, or a field whose own
+    mask excludes every point.  The mask holds at least the peak."""
+    if not D > 0:
+        raise ValueError(f"diffusivity must be positive, got {D}")
+    if rho.values.min() < 0:
+        raise ValueError("density must be nonnegative")
+    if not rho.mask.any():
+        raise ValueError("density below the floor everywhere; no valid points")
+    return valid_mask(rho)
+
+
 def density(state: QuantumState) -> Field:
     """rho = |psi|^2; defined and nonnegative everywhere."""
     return Field(state.grid, np.abs(state.psi.values) ** 2)
@@ -163,8 +179,6 @@ def complex_velocity(state: QuantumState) -> Field:
     """
     psi = state.psi.values
     _, mask, (ratio,) = _psi_ratios(psi, _spectral_derivatives(psi, state.grid, (1,)))
-    if not mask.any():
-        raise ValueError("density below the floor everywhere; no valid points")
     v = _velocity_from_ratio(ratio, state.hbar, state.mass)
     return Field(state.grid, v, mask.copy())
 
@@ -177,62 +191,33 @@ def advective_velocity(state: QuantumState) -> Field:
 
 def diffusive_velocity(rho: Field, D: float) -> Field:
     """Fick's-law drift u_d = -D grad(ln rho), via grad(rho)/rho."""
-    if not D > 0:
-        raise ValueError(f"diffusivity must be positive, got {D}")
-    if rho.values.min() < 0:
-        raise ValueError("density must be nonnegative")
-    mask = valid_mask(rho)
-    if not mask.any():
-        raise ValueError("density below the floor everywhere; no valid points")
+    mask = _density_mask(rho, D)
     grad = spectral_derivative(rho.values, rho.grid)
     return Field(rho.grid, _drift(rho.values, grad, mask, D), mask)
 
 
 def _drift(rho: np.ndarray, grad: np.ndarray, mask: np.ndarray, D: float) -> np.ndarray:
-    """-D grad(rho)/rho on the mask, 0 elsewhere; rows of (..., N) blocks alike."""
+    """-D grad/rho on the mask, 0 elsewhere, rows of (..., N) blocks alike; with
+    grad = rho' the one u_d of every path."""
     (drift,) = _masked_ratios([-D * grad], rho, mask)
     return drift
 
 
-def _sqrt_curvature(rho: Field) -> tuple[np.ndarray, np.ndarray]:
-    """laplacian(sqrt(rho)) / sqrt(rho) with sqrt taken pointwise."""
-    if rho.values.min() < 0:
-        raise ValueError("density must be nonnegative")
-    mask = valid_mask(rho)
-    if not mask.any():
-        raise ValueError("density below the floor everywhere; no valid points")
-    a = np.sqrt(rho.values)
-    (curv,) = _masked_ratios([spectral_derivative(a, rho.grid, 2)], a, mask)
-    return mask, curv
-
-
 def bohm_potential(rho: Field, hbar: float = 1.0, mass: float = 1.0) -> Field:
-    """Q/m = -(hbar^2 / 2 m^2) laplacian(sqrt(rho)) / sqrt(rho)."""
-    mask, curv = _sqrt_curvature(rho)
-    return Field(rho.grid, -(hbar**2 / (2 * mass**2)) * curv, mask)
+    """Q/m = -(hbar^2 / 2 m^2) laplacian(sqrt(rho)) / sqrt(rho): the diffusive
+    Bohm potential at D = hbar/2m."""
+    return diffusive_bohm_potential(rho, hbar / (2 * mass))
 
 
 def diffusive_bohm_potential(rho: Field, D: float) -> Field:
-    """-2 D^2 laplacian(sqrt(rho)) / sqrt(rho).
+    """-2 D^2 laplacian(sqrt(rho)) / sqrt(rho), with sqrt taken pointwise.
 
     Coincides pointwise with the quantum Bohm potential when D = hbar/2m.
     """
-    if not D > 0:
-        raise ValueError(f"diffusivity must be positive, got {D}")
-    mask, curv = _sqrt_curvature(rho)
+    mask = _density_mask(rho, D)
+    a = np.sqrt(rho.values)
+    (curv,) = _masked_ratios([spectral_derivative(a, rho.grid, 2)], a, mask)
     return Field(rho.grid, -2.0 * D * D * curv, mask)
-
-
-def _log_density_ratios(rho: Field, orders=(1, 2, 3)):
-    """grad^n(rho)/rho for the requested orders, zeroed off the valid mask.
-
-    Combining these pointwise keeps deep-tail points usable: spectral
-    derivatives of sqrt(rho) are poisoned globally once the density tail
-    reaches the additive roundoff floor (the square root turns that floor
-    into kinks), while rho itself stays smooth.
-    """
-    mask = valid_mask(rho)
-    return mask, _masked_ratios(spectral_derivatives(rho.values, rho.grid, orders), rho.values, mask)
 
 
 def diffusive_bohm_force(rho: Field, D: float) -> Field:
@@ -240,12 +225,15 @@ def diffusive_bohm_force(rho: Field, D: float) -> Field:
 
     With r_n = grad^n(rho)/rho the curvature is h = r2/2 - r1^2/4 and
     grad(-2 D^2 h) = -2 D^2 [ (r3 - r2 r1)/2 - r1 (r2 - r1^2)/2 ].
+
+    Combining the ratios pointwise keeps deep-tail points usable: spectral
+    derivatives of sqrt(rho) are poisoned globally once the density tail
+    reaches the additive roundoff floor (the square root turns that floor
+    into kinks), while rho itself stays smooth.
     """
-    if not D > 0:
-        raise ValueError(f"diffusivity must be positive, got {D}")
-    mask, (r1, r2, r3) = _log_density_ratios(rho)
-    if not mask.any():
-        raise ValueError("density below the floor everywhere; no valid points")
+    mask = _density_mask(rho, D)
+    derivatives = spectral_derivatives(rho.values, rho.grid, (1, 2, 3))
+    r1, r2, r3 = _masked_ratios(derivatives, rho.values, mask)
     h_prime = 0.5 * (r3 - r2 * r1) - 0.5 * r1 * (r2 - r1 * r1)
     return Field(rho.grid, -2.0 * D * D * h_prime, mask)
 
@@ -259,8 +247,6 @@ def action_per_mass(state: QuantumState) -> Field:
     """
     rho = density(state)
     mask = valid_mask(rho)
-    if not mask.any():
-        raise ValueError("density below the floor everywhere; no valid points")
     phase = np.angle(state.psi.values[mask])
     unwrapped = np.unwrap(phase)
     scale = state.hbar / state.mass

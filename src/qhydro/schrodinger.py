@@ -1,9 +1,12 @@
 """Unitary time evolution: exact spectral propagation and Strang stepping.
 
 `propagate` reaches every snapshot with one application of exp(-iHt/hbar)
-from the initial state.  `step`/`evolve` are the Strang-split integrator (half
-kinetic phase, potential phase, half kinetic phase); each factor is unitary,
-so stepping with -dt inverts a step, and as dt -> 0 it converges to `propagate`.
+from the initial state, through `_exact_kernel`: the one way every runner,
+quantum or diffusive, reaches a snapshot (initial coefficients times
+exp(rate t), mapped back to x and checked).  `step`/`evolve` are the
+Strang-split integrator (half kinetic phase, potential phase, half kinetic
+phase); each factor is unitary, so stepping with -dt inverts a step, and as
+dt -> 0 it converges to `propagate`.
 """
 from __future__ import annotations
 
@@ -51,6 +54,57 @@ def _check_rows(ok: np.ndarray, steps, describe):
     if not ok.all():
         row = int(np.argmin(ok))
         raise NumericsError(describe(row), None if steps is None else steps[row])
+
+
+def _exact_kernel(initial: Field, rates, dt: float, unit: float = 1.0, vecs=None, clip=None):
+    """steps -> the (rows, N) samples, densities and norms of the snapshots at
+    those steps, each reached once from t0, so a block depends on its steps alone.
+
+    A row is exp(rates * step * dt / unit) times the initial coefficients in
+    the basis, mapped back to x in place: the Fourier basis, or the columns of
+    `vecs`.  Real rates stay real until one cast into a `_work` product.  Step
+    0, a block of its own, is `initial` itself.  A wavefunction's densities
+    are |psi|^2 (the `_Buffer` of `_density`); a density's samples and
+    densities are both clip(rows, steps), a `_Buffer` of `clip`.  NumericsError
+    at the first non-finite row, or at the first whose norm misses 1 by more
+    than NORM_TOLERANCE.
+    """
+    name = "wavefunction" if clip is None else "density"
+    coeffs = np.fft.fft(initial.values) if vecs is None else vecs.T @ initial.values
+    table = _exponentials(rates)
+
+    def to_x(product):
+        if vecs is None:
+            return np.fft.ifft(product, out=product)
+        # one matrix-vector product per row: a single matrix product over the
+        # block would change the last bits of each row
+        for row in product:
+            np.dot(vecs, row.copy(), out=row)
+        return product
+
+    def rows(steps):
+        if steps == [0]:
+            values = initial.values[None]
+        else:
+            values = powers = table(np.array(steps) * dt / unit)
+            if powers.dtype != coeffs.dtype:
+                values = _work(powers.shape, coeffs.dtype)
+                np.copyto(values, powers)  # cast once, not into a buffer of the ufunc iterator
+            values = to_x(np.multiply(values, coeffs, out=values))
+        if clip is None:
+            rho = _density(values)
+        else:  # the `_work` product is read here and not returned
+            values = rho = clip(values, steps)
+        norm = initial.grid.dx * np.sum(rho, axis=-1)
+        # |psi|^2 and the clip carry a non-finite sample into the row's norm
+        _check_rows(np.isfinite(norm), steps, lambda r: f"non-finite {name} at step {steps[r]}")
+        _check_rows(
+            ~(np.abs(norm - 1.0) > NORM_TOLERANCE), steps,
+            lambda r: f"{name} norm {float(norm[r])!r} deviates from 1 by more than {NORM_TOLERANCE}",
+        )
+        return values, rho, norm
+
+    return rows
 
 
 @dataclass(frozen=True)
@@ -180,13 +234,14 @@ def evolve(state: QuantumState, pot: Potential, cfg: EvolutionConfig) -> list[Qu
     return snapshots
 
 
-def _eigenbasis(state: QuantumState, pot: Potential):
-    """Energies, the initial state's coefficients, and the map from coefficient rows
-    to x, in place."""
+def _snapshot_blocks(state: QuantumState, pot: Potential, dt: float):
+    """`_exact_kernel` for exp(-iHt/hbar): steps -> the rows psi, their
+    densities |psi|^2 and norms.  The rates are -iE per unit t/hbar, in the
+    Fourier basis for a free potential and in an `eigh` basis otherwise."""
     grid, hbar, mass = state.grid, state.hbar, state.mass
     kinetic = hbar**2 * grid.k**2 / (2 * mass)
     if pot.kind == "free":
-        return kinetic, np.fft.fft(state.psi.values), lambda table: np.fft.ifft(table, out=table)
+        return _exact_kernel(state.psi, -1j * kinetic, dt, hbar)
     # the kinetic symbol is even in k, so its circulant is real and
     # symmetric (the unpaired Nyquist mode contributes (-1)^(j-l))
     idx = np.arange(grid.num_points)
@@ -197,50 +252,7 @@ def _eigenbasis(state: QuantumState, pot: Potential):
     if not np.all(np.isfinite(h)):
         raise NumericsError("non-finite Hamiltonian")
     energies, vecs = np.linalg.eigh(h)
-    vecs = vecs.astype(complex)
-
-    def to_x(table):
-        # one matrix-vector product per row: a single matrix product over the
-        # block would change the last bits of each row
-        for row in table:
-            np.dot(vecs, row.copy(), out=row)
-        return table
-
-    return energies, vecs.T @ state.psi.values, to_x
-
-
-def _snapshot_blocks(state: QuantumState, pot: Potential, cfg: EvolutionConfig):
-    """The snapshots of `propagate` as (rows, N) arrays: the initial row, and
-    the function from a block of later steps to its rows psi and their
-    densities |psi|^2.
-
-    The initial row is the initial state itself; a later block is one table of
-    phases exp(-iEt/hbar) mapped back to x (for a free potential, one batched
-    inverse transform), in `_Buffer`s of `rows` and of `_density`.  Every
-    later row is checked: NumericsError at the first non-finite row, or at the
-    first row whose norm misses 1 by more than NORM_TOLERANCE.  Each block
-    depends on its steps alone.
-    """
-    grid, hbar = state.grid, state.hbar
-    energies, coeffs, to_x = _eigenbasis(state, pot)
-    phases = _exponentials(-1j * energies)
-
-    def rows(steps: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        table = phases(np.array(steps) * cfg.dt / hbar)
-        psi = to_x(np.multiply(table, coeffs, out=table))
-        _check_rows(
-            np.isfinite(psi).all(axis=-1), steps,
-            lambda r: f"non-finite wavefunction at step {steps[r]}",
-        )
-        rho = _density(psi)
-        norm = grid.dx * np.sum(rho, axis=-1)
-        _check_rows(
-            ~(np.abs(norm - 1.0) > NORM_TOLERANCE), steps,
-            lambda r: f"state norm {norm[r]!r} deviates from 1 by more than {NORM_TOLERANCE}",
-        )
-        return psi, rho
-
-    return state.psi.values[None], rows
+    return _exact_kernel(state.psi, -1j * energies, dt, hbar, vecs.astype(complex))
 
 
 def propagate(state: QuantumState, pot: Potential, cfg: EvolutionConfig) -> list[QuantumState]:
@@ -252,10 +264,10 @@ def propagate(state: QuantumState, pot: Potential, cfg: EvolutionConfig) -> list
     once, and psi(t) = V exp(-iEt/hbar) V^T psi(t0).
     """
     grid, hbar, mass = state.grid, state.hbar, state.mass
-    _, rows = _snapshot_blocks(state, pot, cfg)
+    rows = _snapshot_blocks(state, pot, cfg.dt)
     snapshots = [state]
     for steps in _row_blocks(cfg.snapshot_steps()[1:], grid.num_points):
-        psi, _ = rows(steps)
+        psi = rows(steps)[0]
         snapshots += [
             QuantumState(Field(grid, row.copy()), hbar, mass, state.time + i * cfg.dt)
             for i, row in zip(steps, psi)
@@ -317,11 +329,12 @@ def gaussian_packet(
     if not sigma0 > 0:
         raise ValueError(f"sigma0 must be positive, got {sigma0}")
     xc = grid.x - center
-    # sigma0**2 underflowing to 0 is 0/0 at x = 0, which the norm check reports
+    # sigma0**2 underflowing to 0 is 0/0 at x = 0, and an overflowing phase is
+    # inf/inf, which the norm check reports
     with np.errstate(all="ignore"):
         psi = np.exp(-(xc**2) / (4 * sigma0**2)).astype(np.result_type(grid.x.dtype, np.complex128))
-    if width_rate != 0.0:
-        psi = psi * np.exp(1j * mass * xc**2 * width_rate / (2 * hbar))
+        if width_rate != 0.0:
+            psi = psi * np.exp(1j * mass * xc**2 * width_rate / (2 * hbar))
     return _normalized_state(grid, psi, hbar, mass, time)
 
 

@@ -122,6 +122,31 @@ class TestDiffusiveVelocity:
             diffusive_velocity(gaussian_density_field(grid256, 1.0), -0.5)
 
 
+DENSITY_FUNCTIONS = {
+    "diffusive_velocity": lambda rho: diffusive_velocity(rho, 0.5),
+    "bohm_potential": bohm_potential,
+    "diffusive_bohm_potential": lambda rho: diffusive_bohm_potential(rho, 0.5),
+    "diffusive_bohm_force": lambda rho: diffusive_bohm_force(rho, 0.5),
+}
+
+
+@pytest.mark.parametrize("function", DENSITY_FUNCTIONS.values(), ids=DENSITY_FUNCTIONS.keys())
+@pytest.mark.parametrize("case, message", [
+    ("negative", "density must be nonnegative"),
+    ("masked_everywhere", "density below the floor everywhere; no valid points"),
+], ids=["negative", "masked_everywhere"])
+def test_every_density_function_guards_alike(grid256, function, case, message):
+    rho = gaussian_density_field(grid256, 1.0)
+    if case == "negative":
+        values = rho.values.copy()
+        values[0] = -1e-30
+        rho = Field(grid256, values)
+    else:
+        rho = Field(grid256, rho.values, np.zeros(grid256.num_points, dtype=bool))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        function(rho)
+
+
 class TestBohmPotential:
     def test_uniform_density_flat(self, grid256):
         rho = Field(grid256, np.full(grid256.num_points, 1.0 / (2 * grid256.half_width)))
@@ -155,10 +180,11 @@ class TestBohmPotential:
 
 
 class TestDiffusiveBohmPotential:
-    def test_matches_quantum_at_identified_diffusivity(self, grid256):
+    @pytest.mark.parametrize("hbar, mass", [(1.0, 1.0), (2.0, 1.0), (1.0, 3.0)])
+    def test_matches_quantum_at_identified_diffusivity(self, grid256, hbar, mass):
         rho = gaussian_density_field(grid256, 1.3)
-        q = bohm_potential(rho, hbar=1.0, mass=1.0)
-        qd = diffusive_bohm_potential(rho, D=0.5)  # D = hbar/2m
+        q = bohm_potential(rho, hbar=hbar, mass=mass)
+        qd = diffusive_bohm_potential(rho, D=hbar / (2 * mass))
         assert np.abs(q.values - qd.values).max() < 1e-12
 
     def test_uniform_flat(self, grid256):

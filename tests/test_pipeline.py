@@ -303,6 +303,9 @@ def test_a_failing_block_starts_no_queued_block_and_joins_the_workers(monkeypatc
     def consume():
         pooled = cli._pooled(block, [[i] for i in range(1, 41)])
         consumed.extend([threading.current_thread(), next(pooled), next(pooled)])
+        # the permit released for block 1 lets the worker done with block 3 take
+        # block 5 before the error is read; both workers then sleep until 0.3 s
+        time.sleep(0.1)
         with pytest.raises(ValueError, match="block 3"):
             next(pooled)
         consumed.append("raised")

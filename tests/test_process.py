@@ -127,6 +127,25 @@ def test_overflowing_trap_is_one_numeric_abort_line(qhydro_process, tmp_path):
     assert (done.returncode, done.stdout, done.stderr) == (3, "", "numeric abort: non-finite Hamiltonian\n")
 
 
+@pytest.mark.parametrize("command, text", [
+    # the width-rate phase overflows in the initial packet
+    ("run", "[scenario]\nname = custom\n[physics]\nwidth_rate = 1.7e308\n[grid]\nL = 4.0\nN = 8\n"
+     "[evolution]\nt_final = 0\n"),
+    # hbar/m overflows u_a, u_d and the productions
+    ("run", "[scenario]\nname = free_gaussian\n[physics]\nmass = 1e-300\n"),
+    # k_B overflows the Boltzmann entropy and the diffusive production
+    ("run", "[scenario]\nname = diffusion_gaussian\n[physics]\nk_B = 1.7e308\n"),
+    # k_B overflows both entropies of a comparison, which exited 0 with inf columns
+    ("compare", "[scenario]\nname = free_gaussian\n[physics]\nk_B = 1.7e308\n[grid]\nN = 256\n"
+     "[evolution]\nsnapshot_stride = 1000\n"),
+], ids=["width_rate_phase", "tiny_mass", "huge_k_B", "compare_huge_k_B"])
+def test_overflowing_constants_are_one_numeric_abort_line(qhydro_process, tmp_path, command, text):
+    done = qhydro_process(command, str(_ini(tmp_path, text)))
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr.startswith("numeric abort: ") and done.stderr.count("\n") == 1
+    assert "np.float64(" not in done.stderr
+
+
 def test_runs_load_no_openssl(tmp_path):
     # config_hash takes CPython's built-in SHA-256, so neither command maps libcrypto
     ini = _ini(tmp_path, QUICK_FREE)

@@ -11,11 +11,14 @@ cores when unset, and the CPU affinity is the caller's (run the tool under
 scenarios, the default `compare`, `run` and `compare` at snapshot_stride 1
 (the spread_dense workload), the von Neumann workload (spread_vn) and the
 `emit_fields` + `--vn on` runs of free_gaussian, harmonic_ground,
-diffusion_gaussian and a `custom` trap, and seven runs that exit nonzero: a
+diffusion_gaussian and a `custom` trap, and eleven runs that exit nonzero: a
 failing identity (1), a config error and a grid that cannot be allocated
-(2), and four numeric aborts (3): extreme constants, a diffusion_gaussian
-whose sigma0**2 underflows, a free_gaussian whose width reference overflows
-and a `custom` trap whose potential overflows.  PYTHONUNBUFFERED is removed
+(2), and eight numeric aborts (3): extreme constants, a diffusion_gaussian
+whose sigma0**2 underflows, a free_gaussian whose width reference overflows,
+a `custom` trap whose potential overflows, a `custom` packet whose width-rate
+phase overflows, a free_gaussian whose tiny mass overflows the productions,
+and a diffusion_gaussian `run` and a `compare` whose k_B overflows the
+entropy.  PYTHONUNBUFFERED is removed
 from the children's environment, so their stdout is block-buffered and
 output that a process does not flush before it ends shows as a stdout
 difference.
@@ -32,6 +35,7 @@ code is 0 when there is none and 1 otherwise.
 
 Each case's line also prints the peak RSS of its CLI child on both sides
 (`ru_maxrss` from os.wait4, MB as perfbench reports it, 1024 KiB) and the
+change, and a first line gives each tree's `qhydro/*.py` line count and the
 change.  That is information beside the byte-identity check, not a
 difference, and it does not move the exit code.
 """
@@ -83,6 +87,15 @@ CASES = {
     "trap_overflow": (
         "run", "custom", {"potential": "harmonic", "omega0": "1e200", "N": "64"}, [],
     ),
+    # the width-rate phase overflows in the initial packet
+    "width_rate_overflow": (
+        "run", "custom", {"width_rate": "1.7e308", "L": "4.0", "N": "8", "t_final": "0.0"}, [],
+    ),
+    # hbar/m overflows the velocities and the productions
+    "tiny_mass": ("run", "free_gaussian", {"mass": "1e-300"}, []),
+    # k_B overflows the Boltzmann entropy and the diffusive production
+    "huge_k_B": ("run", "diffusion_gaussian", {"k_B": "1.7e308"}, []),
+    "compare_huge_k_B": ("compare", "free_gaussian", {"k_B": "1.7e308"}, []),
 }
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
@@ -137,6 +150,10 @@ def _run_case(src: Path, work: Path, case: str) -> dict:
     return {"exit": child.returncode, "stdout": stdout, "stderr": stderr, "files": files,
             "identities": identities, "config_hash": config_hash,
             "peak_rss_mb": usage.ru_maxrss / 1024}  # ru_maxrss is in KiB on Linux
+
+
+def _src_lines(src: Path) -> int:
+    return sum(len(path.read_bytes().splitlines()) for path in (src / "qhydro").glob("*.py"))
 
 
 def _relative_move(x: str, y: str) -> float:
@@ -199,6 +216,8 @@ def main(argv=None) -> int:
     for src in (args.parent, args.change):
         if not (src / "qhydro" / "__init__.py").is_file():
             parser.error(f"no qhydro package under {src}")
+    lines = _src_lines(args.parent), _src_lines(args.change)
+    print(f"qhydro/*.py lines {lines[0]} -> {lines[1]} ({lines[1] - lines[0]:+d})", flush=True)
     root = Path(tempfile.mkdtemp(prefix="qhydro-golden-"))
     found, total = [], 0
     try:
