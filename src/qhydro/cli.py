@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import ctypes
 import json
 import math
 import os
@@ -1011,8 +1012,19 @@ def main(argv=None) -> int:
     return report.exit_code
 
 
+_M_ARENA_MAX = -8  # glibc's mallopt parameter: the most malloc arenas
+
+
 def console_main() -> int:
-    """`main()` as a process: flush stdout and stderr, then end without teardown.
+    """`main()` as a process: one malloc arena, then flush stdout and stderr and
+    end without teardown.
+
+    Before `main()` runs, glibc is told to keep one malloc arena
+    (`M_ARENA_MAX` = 1), so the block-pool workers allocate from the main
+    arena instead of one arena each, and the temporaries a block frees on one
+    thread serve the next block on either thread.  A C library without
+    `mallopt` keeps its allocator.  Only the process entry point sets this:
+    `import qhydro` and `main()` leave the caller's allocator alone.
 
     Once the last byte is out, tearing down the interpreter (numpy, OpenBLAS
     and every loaded module; ~30 ms) changes nothing a caller sees, so the
@@ -1020,6 +1032,13 @@ def console_main() -> int:
     and any uncaught exception propagate, and a flush that raises (a closed
     pipe) returns the code: those leave by the normal interpreter exit.
     """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt, or no handle on the C library
+        pass
+    else:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(_M_ARENA_MAX, 1)
     code = main()
     try:
         sys.stdout.flush()

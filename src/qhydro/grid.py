@@ -33,7 +33,7 @@ __all__ = [
 # blocks in arrays it keeps (`_Buffer`), allocated once per worker instead of
 # once per block: 8 for a quantum `run`, 2.8 MiB at 32 rows of N = 1024.  Peak
 # memory grows with this budget where the blocks, not the output, set it:
-# 1 MiB more adds ~5.5 MB to the N = 512 run of 801 rows on two workers.
+# 1 MiB more adds ~5.4 MB to the N = 512 run of 801 rows on two workers.
 _BLOCK_BYTES = 1 << 20
 
 # The runners compute row blocks on one worker per usable core.

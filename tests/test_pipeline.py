@@ -9,7 +9,6 @@ that is not a multiple of the block.
 """
 import sys
 import threading
-import time
 from dataclasses import replace
 
 import numpy as np
@@ -217,20 +216,29 @@ def test_blocks_reach_the_diagnostics_c_contiguous(monkeypatch):
     assert len(seen) == 3 * 5 + 2 * 5 and all(seen)
 
 
-def _poison(monkeypatch, bad_steps, slow_step=None):
-    """NaN in the phase table of each step in `bad_steps` (dt = 0.01, hbar = 1);
-    the block holding `slow_step` is delayed so that later blocks finish first."""
+def _wait(event: threading.Event):
+    """Block until `event` is set; a handshake that never comes fails the block."""
+    assert event.wait(timeout=60), "a pool handshake timed out"
+
+
+def _poison(monkeypatch, bad_steps, held=None):
+    """NaN in the phase table of each step in `bad_steps` (dt = 0.01, hbar = 1).
+    With `held` = (step, later), the block of `step` waits until the block of
+    step `later` has asked for its table."""
     exponentials = schrodinger._exponentials
+    later_started = threading.Event()
 
     def poisoned(rates):
         table = exponentials(rates)
 
         def with_nan(times):
-            out = table(times)
             steps = np.rint(np.asarray(times) / 0.01).astype(int)
+            if held and held[1] in steps:
+                later_started.set()
+            if held and held[0] in steps:
+                _wait(later_started)
+            out = table(times)
             out[np.isin(steps, bad_steps), 5] = np.nan
-            if slow_step in steps:
-                time.sleep(0.2)
             return out
 
         return with_nan
@@ -257,9 +265,10 @@ def test_nan_in_a_later_block_aborts_at_its_step(tmp_path, capsys, monkeypatch):
 
 
 def test_nan_in_two_blocks_aborts_at_the_earlier_step(tmp_path, capsys, monkeypatch):
-    # the block of step 5 is delayed, so the block of step 8 fails first
+    # the block of step 5 holds its worker until block [10] starts, which the
+    # other worker does only once its block of step 8 has failed
     _workers(monkeypatch, 2)
-    _poison(monkeypatch, [5, 8], slow_step=5)
+    _poison(monkeypatch, [5, 8], held=(5, 10))
     _aborts_at(tmp_path, capsys, 5)
 
 
@@ -286,26 +295,42 @@ def _finishes(target, seconds=60) -> bool:
 
 
 def test_a_failing_block_starts_no_queued_block_and_joins_the_workers(monkeypatch):
-    # block 3 fails at once while blocks 4 and 5 run on the two workers: block 6,
-    # queued within the look-ahead, never starts, and the generator returns only
-    # after both workers have exited
+    # block 3 fails while blocks 4 and 5 hold the two workers: block 6, queued
+    # within the look-ahead, never starts, and the generator returns only after
+    # both workers have exited.  Block 1 ends only once block 3 has started,
+    # so block 2 finishes first; blocks 4 and 5 end once the pool has put its
+    # stop markers ahead of the queued blocks.
     _workers(monkeypatch, 2)
     started, threads, consumed = [], set(), []
+    three_started, five_started, stopping = (threading.Event() for _ in range(3))
+
+    class Tasks(cli.deque):
+        def extendleft(self, items):
+            super().extendleft(items)
+            stopping.set()
+
+    monkeypatch.setattr(cli, "deque", Tasks)
 
     def block(steps):
         started.append(steps[0])
         threads.add(threading.current_thread())
-        if steps[0] == 3:
+        if steps[0] == 5:
+            five_started.set()
+        if steps[0] == 1:
+            _wait(three_started)
+        elif steps[0] == 3:
+            three_started.set()
             raise ValueError("block 3")
-        time.sleep(0.3 if steps[0] > 3 else 0)
+        elif steps[0] > 3:
+            _wait(stopping)
         return steps[0]
 
     def consume():
         pooled = cli._pooled(block, [[i] for i in range(1, 41)])
         consumed.extend([threading.current_thread(), next(pooled), next(pooled)])
-        # the permit released for block 1 lets the worker done with block 3 take
-        # block 5 before the error is read; both workers then sleep until 0.3 s
-        time.sleep(0.1)
+        # the permit released for block 1 lets the worker not on block 4 take
+        # block 5 before the error is read
+        _wait(five_started)
         with pytest.raises(ValueError, match="block 3"):
             next(pooled)
         consumed.append("raised")

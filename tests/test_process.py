@@ -1,21 +1,25 @@
 """The CLI as a process: `python -m qhydro.cli` and the `qhydro` console-script
-function, each run as a child with block-buffered stdout, and what a child
-that runs the CLI has imported.
+function, each run as a child with block-buffered stdout, what a child that
+runs the CLI has imported, and the malloc arena policy of the process entry
+point.
 
 PYTHONUNBUFFERED is removed from the child's environment, so its stdout (a
 pipe) is block-buffered: output that the process does not flush before it
 ends is lost, and these tests see it missing.
 """
+import ctypes
 import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import qhydro
+from qhydro import cli, grid
 from qhydro.cli import SCENARIOS, default_config, render_config
 
 SRC = Path(qhydro.__file__).resolve().parent.parent
@@ -31,6 +35,9 @@ QUICK_FREE = (
     "[scenario]\nname = free_gaussian\n[grid]\nL = 20.0\nN = 256\n"
     "[evolution]\ndt = 1e-3\nt_final = 0.5\nsnapshot_stride = 100\n"
 )
+
+# 501 rows at N = 256: four blocks on two workers
+POOLED_FREE = QUICK_FREE.replace("snapshot_stride = 100", "snapshot_stride = 1")
 
 
 def _child(*args, stdout=subprocess.PIPE):
@@ -163,7 +170,7 @@ def test_pooled_runs_load_no_executor_or_logging(tmp_path):
     # 501 rows at N = 256 are four blocks on two workers, run on threads from
     # `threading`: neither concurrent.futures nor the logging it imports is
     # loaded, and the data files are the one-worker run's
-    ini = _ini(tmp_path, QUICK_FREE.replace("snapshot_stride = 100", "snapshot_stride = 1"))
+    ini = _ini(tmp_path, POOLED_FREE)
     run = "main(['run', {!r}, '--output-dir', {!r}])".format
     code = (
         "import sys; from qhydro import grid; from qhydro.cli import main; "
@@ -213,3 +220,87 @@ def test_closed_stdout_takes_the_normal_exit(qhydro_process):
         os.close(write)
     assert done.returncode == 120
     assert "BrokenPipeError" in done.stderr
+
+
+def _libc_has(*names) -> bool:
+    try:
+        libc = ctypes.CDLL(None)
+    except OSError:
+        return False
+    return all(hasattr(libc, name) for name in names)
+
+
+# the pooled run of test_pooled_runs_load_no_executor_or_logging, by console_main
+# or by main alone, then libc's account of its malloc arenas, one "Arena i:"
+# line each, on stderr
+ARENA_CHILD = """\
+import ctypes, sys
+from qhydro import cli, grid
+grid._WORKERS = 2
+entry, run = sys.argv.pop(1), cli.main
+def main(argv=None):
+    code = run(argv)
+    ctypes.CDLL(None).malloc_stats()
+    return code
+cli.main = main
+sys.exit(cli.console_main() if entry == "console_main" else cli.main())
+"""
+
+
+@pytest.mark.skipif(grid._WORKERS < 2, reason="fewer than two usable cores")
+@pytest.mark.skipif(not _libc_has("mallopt", "malloc_stats"), reason="libc without mallopt or malloc_stats")
+@pytest.mark.parametrize("entry", ["console_main", "main"])
+def test_pooled_workers_share_one_malloc_arena_in_a_qhydro_process(tmp_path, entry):
+    # four blocks on two workers: each worker takes a malloc arena of its own
+    # unless console_main has limited glibc to one before main() runs
+    ini = _ini(tmp_path, POOLED_FREE)
+    done = _child("-c", ARENA_CHILD, entry, "run", str(ini))
+    assert done.returncode == 0
+    arenas = sum(line.startswith("Arena ") for line in done.stderr.splitlines())
+    assert arenas == 1 if entry == "console_main" else arenas > 1
+
+
+def test_console_main_sets_one_arena_once_before_main(monkeypatch):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append(("mallopt", param, value))
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 0)
+    monkeypatch.setattr(os, "_exit", lambda code: calls.append(("exit", code)))
+    cli.console_main()
+    assert calls == [("mallopt", -8, 1), "main", ("exit", 0)]
+
+
+def test_import_and_main_keep_the_allocator(tmp_path):
+    # no C library is opened while qhydro is imported or main() runs the pool
+    ini = _ini(tmp_path, POOLED_FREE)
+    code = (
+        "import ctypes; opened = []; libc = ctypes.CDLL; "
+        "ctypes.CDLL = lambda *args, **kwargs: opened.append(args) or libc(*args, **kwargs); "
+        "import qhydro; from qhydro import grid; from qhydro.cli import main; grid._WORKERS = 2; "
+        f"print(main(['run', {str(ini)!r}]), opened)"
+    )
+    done = _child("-c", code)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines()[-1] == "0 []"
+
+
+def test_a_libc_without_mallopt_changes_no_output(tmp_path):
+    # console_main skips the arena policy where the lookup fails, silently
+    ini = _ini(tmp_path, QUICK_FREE)
+    libcs = {
+        "glibc": "",
+        "no_mallopt": "ctypes.CDLL = lambda name: object()\n",
+        "no_handle": "def CDLL(name):\n    raise OSError(name)\nctypes.CDLL = CDLL\n",
+    }
+    runs = {}
+    for name, patch in libcs.items():
+        code = f"import ctypes, sys\nfrom qhydro.cli import console_main\n{patch}sys.exit(console_main())"
+        done = _child("-c", code, "run", str(ini), "--output-dir", str(tmp_path / name))
+        files = [(tmp_path / name / f).read_bytes() for f in ("timeseries.csv", "timeseries.json")]
+        runs[name] = done.returncode, done.stdout, done.stderr, files
+    code, stdout, stderr, _ = runs["glibc"]
+    assert (code, stderr) == (0, "") and stdout
+    assert runs["no_mallopt"] == runs["glibc"] == runs["no_handle"]
