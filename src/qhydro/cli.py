@@ -45,7 +45,7 @@ from .analytic import (
 from .diffusion import DiffusionState, gaussian_density, _kernel_blocks
 from .entropy import _boltzmann_rows, _diffusion_rows, _quantum_rows, _require_finite
 from . import grid as grid_module
-from .grid import _row_blocks, _work, make_grid
+from .grid import _row_blocks, make_grid
 from .madelung import density, _drift
 from .schrodinger import (
     EvolutionConfig,
@@ -186,6 +186,8 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
         problems.append(f"N must be an even integer >= 8, got {cfg.N}")
     elif cfg.N > sys.maxsize // 16:  # numpy cannot even size a complex grid array
         problems.append(_GRID_TOO_LARGE.format(cfg.N))
+    elif 0 < cfg.L < math.inf and not math.isfinite(2 * cfg.L + math.pi / cfg.L * cfg.N):
+        problems.append(f"L = {cfg.L} on N = {cfg.N} points overflows the grid span or wavenumbers")
     if cfg.t_final < 0:
         problems.append(f"t_final must be nonnegative, got {cfg.t_final}")
     if cfg.dt > 0 and math.isfinite(cfg.t_final):
@@ -462,16 +464,18 @@ _COMPARE_IDENTITIES = (
 )
 
 
+# the width and distance columns are computed under one errstate: an x**2 that
+# overflows makes them non-finite, which `_require_finite` reports, without numpy warnings
+@np.errstate(all="ignore")
 def _sigma2(rho: np.ndarray, grid) -> np.ndarray:
     """Second moment about x = 0 of each row of a (rows, N) block of densities."""
-    moment = np.multiply(grid.x**2, rho, out=_work(rho.shape, rho.dtype))
-    return grid.dx * np.sum(moment, axis=-1)
+    return grid.dx * np.sum(grid.x**2 * rho, axis=-1)
 
 
+@np.errstate(all="ignore")
 def _l2_distance(a: np.ndarray, b: np.ndarray, dx) -> np.ndarray:
     """L2 distance between the rows of two (rows, N) blocks."""
-    gap = np.subtract(a, b, out=_work(a.shape, a.dtype))
-    return np.sqrt(dx * np.sum(np.square(gap, out=gap), axis=-1))
+    return np.sqrt(dx * np.sum(np.square(a - b), axis=-1))
 
 
 def _ground_width(cfg: ScenarioConfig) -> float:
@@ -487,8 +491,9 @@ def _evolution(cfg: ScenarioConfig) -> EvolutionConfig:
 
 def _density_columns(times, rho, norm, grid, ent: dict) -> dict:
     """A `run` block's time, norm and width columns, and its entropy columns `ent`."""
-    fisher = ent.pop("fisher_information")
-    return dict(t=times, norm=norm, sigma2_measured=_sigma2(rho, grid), fisher=fisher, **ent)
+    width = dict(sigma2_measured=_sigma2(rho, grid))
+    _require_finite(width, times, "width")
+    return dict(t=times, norm=norm, **width, fisher=ent.pop("fisher_information"), **ent)
 
 
 def _quantum_blocks(cfg: ScenarioConfig, grid, ev: EvolutionConfig, state, pot):
@@ -503,11 +508,10 @@ def _quantum_blocks(cfg: ScenarioConfig, grid, ev: EvolutionConfig, state, pot):
             psi, grid, cfg.hbar, cfg.mass, cfg.k_B, cfg.enable_von_neumann, times, rho,
             lambda laplacian: _energy_rows(psi, laplacian, grid, pot, cfg.hbar, cfg.mass, steps),
         )
-        work = _work(rho.shape, rho.dtype)
-        ua_max = np.abs(v.real, out=work).max(axis=-1)
-        rho_drift = np.abs(np.subtract(rho, rho0, out=work), out=work).max(axis=-1)
+        ua_max = np.abs(v.real).max(axis=-1)
+        rho_drift = np.abs(rho - rho0).max(axis=-1)
         columns = dict(_density_columns(times, rho, norm, grid, ent), ua_max=ua_max, rho_drift=rho_drift)
-        fields = cfg.emit_fields and {"rho": rho.copy(), "u_advective": np.where(mask, v.real, 0.0)}
+        fields = cfg.emit_fields and {"rho": rho, "u_advective": np.where(mask, v.real, 0.0)}
         return columns, fields
 
     return block
@@ -522,7 +526,7 @@ def _diffusion_blocks(cfg: ScenarioConfig, grid, ev: EvolutionConfig, initial: D
         times = initial.time + np.array(steps) * ev.dt
         ent, mask, grad = _diffusion_rows(rho, grid, cfg.D, cfg.k_B, times)
         columns = _density_columns(times, rho, norm, grid, ent)
-        fields = cfg.emit_fields and {"rho": rho.copy(), "u_diffusive": _drift(rho, grad, mask, cfg.D)}
+        fields = cfg.emit_fields and {"rho": rho, "u_diffusive": _drift(rho, grad, mask, cfg.D)}
         return columns, fields
 
     return block
@@ -541,14 +545,13 @@ def _compare_blocks(cfg: ScenarioConfig, grid, ev: EvolutionConfig, q_state, pot
             ent_boltzmann_diffusive=_boltzmann_rows(rho_d, grid.dx, cfg.k_B),
         )
         _require_finite(ent, times)  # as a `run` row's entropy columns
-        columns = dict(
-            t=times,
+        widths = dict(
             sigma2_quantum=_sigma2(rho_q, grid),
             sigma2_diffusive=_sigma2(rho_d, grid),
             rho_l2_divergence=_l2_distance(rho_q, rho_d, grid.dx),
-            **ent,
         )
-        return columns, None
+        _require_finite(widths, times, "width and distance")
+        return dict(t=times, **widths, **ent), None
 
     return block
 
@@ -744,9 +747,8 @@ def _pooled(block, blocks: list[list[int]]):
     At most two blocks per worker start ahead of the one consumed.  The first
     failing block raises its error (so the earliest bad step is the one
     reported), no queued block starts once it is raised, and the workers are
-    joined, which frees their `_Buffer`s.  A run with no more blocks than
-    workers runs them in the calling thread: a worker thread would pay the
-    start-up of the BLAS for no overlap.
+    joined.  A run with no more blocks than workers runs them in the calling
+    thread: a worker thread would pay the start-up of the BLAS for no overlap.
     """
     workers = grid_module._WORKERS
     if workers < 2 or len(blocks) <= workers:
@@ -809,10 +811,16 @@ def _run(
         key: None if column is None else np.concatenate([part[key] for part in parts])
         for key, column in parts[0].items()
     }
+    if not np.all(np.diff(table["t"]) > 0):  # a time derivative needs distinct rows
+        raise ConfigError([
+            f"start_time = {cfg.start_time} and dt = {cfg.dt} give snapshot times "
+            "that do not strictly increase in float64"
+        ])
     with np.errstate(over="raise"):  # an overflowing reference is a numeric abort
         for derive in entry.references:
             table.update(derive(cfg, table))
-    identities = [i.check(table, cfg) for i in entry.identities if i.applies(table, cfg)]
+    with np.errstate(all="ignore"):  # a measure that overflows is non-finite, and fails
+        identities = [i.check(table, cfg) for i in entry.identities if i.applies(table, cfg)]
     provenance = {
         "config_hash": config_hash(cfg),
         "version": __version__,
@@ -1012,17 +1020,25 @@ def main(argv=None) -> int:
     return report.exit_code
 
 
-_M_ARENA_MAX = -8  # glibc's mallopt parameter: the most malloc arenas
+# glibc's mallopt parameters and the values console_main sets
+_ALLOCATOR = (
+    (-8, 1),  # M_ARENA_MAX: the most malloc arenas
+    (-1, 256 << 20),  # M_TRIM_THRESHOLD: free heap top kept before trimming
+    (-3, 32 << 20),  # M_MMAP_THRESHOLD: the smallest request served by mmap
+)
 
 
 def console_main() -> int:
-    """`main()` as a process: one malloc arena, then flush stdout and stderr and
-    end without teardown.
+    """`main()` as a process: one allocator policy, then flush stdout and stderr
+    and end without teardown.
 
     Before `main()` runs, glibc is told to keep one malloc arena
     (`M_ARENA_MAX` = 1), so the block-pool workers allocate from the main
-    arena instead of one arena each, and the temporaries a block frees on one
-    thread serve the next block on either thread.  A C library without
+    arena instead of one arena each, and to serve every block array from
+    that heap and keep what is freed (`M_MMAP_THRESHOLD` = 32 MiB,
+    `M_TRIM_THRESHOLD` = 256 MiB).  The temporaries a block frees on one
+    thread then serve the next block on either thread, and a run does not
+    fault their pages in again block after block.  A C library without
     `mallopt` keeps its allocator.  Only the process entry point sets this:
     `import qhydro` and `main()` leave the caller's allocator alone.
 
@@ -1038,7 +1054,8 @@ def console_main() -> int:
         pass
     else:
         mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-        mallopt(_M_ARENA_MAX, 1)
+        for param, value in _ALLOCATOR:
+            mallopt(param, value)
     code = main()
     try:
         sys.stdout.flush()

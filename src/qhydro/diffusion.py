@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid, _Buffer, integrate, spectral_derivative
+from .grid import Field, Grid, integrate, spectral_derivative
 from .madelung import (
     NORM_TOLERANCE,
     QuantumState,
@@ -80,13 +80,10 @@ def gaussian_density(grid: Grid, sigma: float, D: float, center: float = 0.0, ti
     return DiffusionState(Field(grid, rho), D, time)
 
 
-_HEAT_DENSITY = _Buffer()
-
-
 def _clipped(values: np.ndarray, steps) -> np.ndarray:
     """The real part of a block of heat-kernel rows, rounding-level negatives
-    clipped to 0, in a `_Buffer` of this function.  NumericsError at the first
-    row that goes negative beyond rounding."""
+    clipped to 0.  NumericsError at the first row that goes negative beyond
+    rounding."""
     rho = values.real
     floor = -NEGATIVITY_TOLERANCE * np.fmax(1.0, rho.max(axis=-1))
     worst = rho.min(axis=-1)
@@ -94,17 +91,17 @@ def _clipped(values: np.ndarray, steps) -> np.ndarray:
         worst >= floor, steps,
         lambda r: f"density went negative ({worst[r]:.3g}); the initial condition is unresolved",
     )
-    clipped = _HEAT_DENSITY(rho.shape, rho.dtype)
-    np.copyto(clipped, rho)
-    np.copyto(clipped, 0.0, where=rho < 0)
-    return clipped
+    return np.where(rho < 0, 0.0, rho)
 
 
 def _kernel_blocks(initial: DiffusionState, dt: float):
     """`_exact_kernel` for the heat equation: steps -> the densities at those
-    steps (twice, the `_Buffer` of `_clipped`) and their norms.  The basis is
-    the Fourier transform, and the rates -D k^2 stay real."""
-    return _exact_kernel(initial.rho, -initial.D * initial.grid.k**2, dt, clip=_clipped)
+    steps (twice) and their norms.  The basis is the Fourier transform, and
+    the rates -D k^2 stay real; a k**2 that overflows is a non-finite rate,
+    which the kernel reports."""
+    with np.errstate(all="ignore"):
+        rates = -initial.D * initial.grid.k**2
+    return _exact_kernel(initial.rho, rates, dt, clip=_clipped)
 
 
 def diffuse_step(state: DiffusionState, dt: float) -> DiffusionState:
@@ -112,7 +109,7 @@ def diffuse_step(state: DiffusionState, dt: float) -> DiffusionState:
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     rho = _kernel_blocks(state, dt)([1])[0][0]
-    return DiffusionState(Field(state.grid, rho.copy()), state.D, state.time + dt)
+    return DiffusionState(Field(state.grid, rho), state.D, state.time + dt)
 
 
 def _velocity_and_slope(state: DiffusionState):

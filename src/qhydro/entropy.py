@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffusion import DiffusionState
-from .grid import Field, _Buffer, _spectral_derivatives, _work
+from .grid import Field, spectral_derivatives
 from .madelung import (
     QuantumState,
     action_per_mass,
@@ -40,7 +40,6 @@ from .madelung import (
     valid_mask,
     _floor_mask,
     _psi_ratios,
-    _where_valid,
     _velocity_from_ratio,
 )
 from .schrodinger import NumericsError
@@ -84,18 +83,9 @@ def _masked_integral(dx, integrand: np.ndarray, mask: np.ndarray):
     return dx * np.sum(integrand, axis=-1)
 
 
-_SAFE_DENSITY = _Buffer()
-
-
-def _safe_density(rho: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """where(mask, rho, 1), the divisor and log argument of Fisher and Boltzmann,
-    in a `_Buffer` of this function."""
-    return _where_valid(rho, mask, _SAFE_DENSITY(rho.shape, rho.dtype))
-
-
-def _boltzmann(rho: np.ndarray, safe: np.ndarray, mask: np.ndarray, dx, k_B: float):
-    integrand = np.log(safe, out=_work(rho.shape, rho.dtype))
-    return -k_B * _masked_integral(dx, np.multiply(rho, integrand, out=integrand), mask)
+def _boltzmann(rho: np.ndarray, mask: np.ndarray, dx, k_B: float):
+    """-k_B integral rho ln rho over the mask of each row; the log argument is 1 off it."""
+    return -k_B * _masked_integral(dx, rho * np.log(np.where(mask, rho, 1)), mask)
 
 
 # each row function computes under one errstate: extreme constants overflow its
@@ -103,8 +93,7 @@ def _boltzmann(rho: np.ndarray, safe: np.ndarray, mask: np.ndarray, dx, k_B: flo
 @np.errstate(all="ignore")
 def _boltzmann_rows(rho: np.ndarray, dx, k_B: float) -> np.ndarray:
     """Boltzmann entropy of each row of a (rows, N) block of densities."""
-    mask = _floor_mask(rho)
-    return _boltzmann(rho, _safe_density(rho, mask), mask, dx, k_B)
+    return _boltzmann(rho, _floor_mask(rho), dx, k_B)
 
 
 def boltzmann_entropy(rho: Field, k_B: float = 1.0) -> float:
@@ -122,13 +111,10 @@ def production_advective(state: QuantumState, k_B: float = 1.0) -> float:
 def _density_terms(rho, grad, mask, dx, D: float, k_B: float) -> dict:
     """The Boltzmann entropy, the Fisher information (integral grad^2/rho over
     the mask) and k_B D Fisher of each row of a block of densities: the columns
-    that quantum and diffusive rows share.  `grad`, rho' in a `_work` array,
-    is overwritten by the Fisher integrand."""
-    safe = _safe_density(rho, mask)
-    integrand = np.divide(np.multiply(grad, grad, out=grad), safe, out=grad)
-    fisher = _masked_integral(dx, integrand, mask)
+    that quantum and diffusive rows share; `grad` is rho'."""
+    fisher = _masked_integral(dx, grad * grad / np.where(mask, rho, 1), mask)
     return dict(
-        ent_boltzmann=_boltzmann(rho, safe, mask, dx, k_B),
+        ent_boltzmann=_boltzmann(rho, mask, dx, k_B),
         fisher_information=fisher,
         production_diffusive=k_B * D * fisher,
     )
@@ -150,8 +136,7 @@ def production_diffusive(rho: Field, D: float, k_B: float = 1.0) -> float:
 
 def _correlation_rate(rho, u_a, u_d, mask, dx, hbar: float, mass: float, k_B: float):
     half = hbar / (2 * mass)
-    integrand = np.multiply(rho, u_a, out=_work(rho.shape, rho.dtype))
-    return (k_B / half) * _masked_integral(dx, np.multiply(integrand, u_d, out=integrand), mask)
+    return (k_B / half) * _masked_integral(dx, rho * u_a * u_d, mask)
 
 
 def production_correlation(state: QuantumState, k_B: float = 1.0) -> float:
@@ -216,14 +201,15 @@ def kernel_log_functional(state: QuantumState) -> float:
     return float(-2.0 * (np.conj(total) * weighted).real)
 
 
-def _require_finite(columns: dict, times):
-    """NumericsError at the first row of the block with a non-finite value."""
+def _require_finite(columns: dict, times, kind: str = "entropy"):
+    """NumericsError at the first row of the block with a non-finite value;
+    `kind` names the columns."""
     present = {name: col for name, col in columns.items() if col is not None}
     finite = np.logical_and.reduce([np.isfinite(col) for col in present.values()])
     if not finite.all():
         row = int(np.argmin(finite))
         values = ", ".join(f"{name}={float(col[row])!r}" for name, col in present.items())
-        raise NumericsError(f"non-finite entropy diagnostics at t = {times[row]}: {values}")
+        raise NumericsError(f"non-finite {kind} diagnostics at t = {times[row]}: {values}")
 
 
 @np.errstate(all="ignore")
@@ -235,23 +221,20 @@ def _quantum_rows(psi, grid, hbar, mass, k_B, include_von_neumann, times, rho=No
     when already computed.  div u_a = (hbar/m) Im(r2 - r1^2), rho'/rho =
     2 Re r1, and u_a + i u_d = -i (hbar/m) r1.  Returns the columns (keyed
     like EntropyReport; None where a value does not apply) with rho, its
-    valid mask and u_a + i u_d, which the runners reuse; those three are the
-    `_Buffer`s of `_density`, `_floor_mask` and `_spectral_derivatives`.
-    Raises NumericsError at the first row with a non-finite value; `times`
-    names it.  `energy`, if given, maps psi'' to an "energy" column, which
-    is added to the columns.
+    valid mask and u_a + i u_d, which the runners reuse.  Raises
+    NumericsError at the first row with a non-finite value; `times` names
+    it.  `energy`, if given, maps psi'' to an "energy" column, which is
+    added to the columns.
     """
-    derivatives = _spectral_derivatives(psi, grid, (1, 2))
+    derivatives = spectral_derivatives(psi, grid, (1, 2))
     # the only look at psi'' before _psi_ratios divides it by psi
     energy_column = None if energy is None else energy(derivatives[1])
     rho, mask, (r1, r2) = _psi_ratios(psi, derivatives, rho)
     dx = grid.dx
-    r = np.multiply(r1, r1, out=_work(r1.shape, r1.dtype))
-    div_ua = np.multiply(hbar / mass, np.subtract(r2, r, out=r).imag, out=_work(rho.shape, rho.dtype))
-    advective = k_B * _masked_integral(dx, np.multiply(rho, div_ua, out=div_ua), mask)
-    grad = np.multiply(2.0, rho, out=_work(rho.shape, rho.dtype))
-    np.multiply(grad, r1.real, out=grad)  # rho' = 2 rho Re r1
-    columns = _density_terms(rho, grad, mask, dx, hbar / (2 * mass), k_B)
+    r2 -= r1 * r1  # div u_a = (hbar/m) Im(r2 - r1^2)
+    advective = k_B * _masked_integral(dx, rho * (hbar / mass * r2.imag), mask)
+    # rho' = 2 rho Re r1
+    columns = _density_terms(rho, 2.0 * rho * r1.real, mask, dx, hbar / (2 * mass), k_B)
     v = _velocity_from_ratio(r1, hbar, mass)
     columns.update(
         production_advective=advective,
@@ -269,15 +252,12 @@ def _diffusion_rows(rho, grid, D, k_B, times):
     """Entropy columns of a (rows, N) block of densities diffusing at D.
 
     The Fisher information is computed once and scaled into the diffusive
-    production.  Returns the columns with the valid mask and grad(rho), the
-    `_Buffer`s of `_floor_mask` and `_spectral_derivatives`; raises
+    production.  Returns the columns with the valid mask and grad(rho); raises
     NumericsError at the first row with a non-finite value.
     """
     mask = _floor_mask(rho)
-    (grad,) = _spectral_derivatives(rho, grid, (1,))
-    squared = _work(grad.shape, grad.dtype)  # squared in place; grad is returned
-    np.copyto(squared, grad)
-    columns = _density_terms(rho, squared, mask, grid.dx, D, k_B)
+    (grad,) = spectral_derivatives(rho, grid, (1,))
+    columns = _density_terms(rho, grad, mask, grid.dx, D, k_B)
     _require_finite(columns, times)
     return columns, mask, grad
 

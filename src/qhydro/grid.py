@@ -7,9 +7,7 @@ package are set up that way.
 """
 from __future__ import annotations
 
-import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,11 +27,10 @@ __all__ = [
 # flight at once, one per worker, share this many bytes of complex samples (64
 # rows at N = 1024 on one worker, 32 on each of two): enough rows to amortise
 # the per-call cost of each transform and reduction and the fixed cost of a
-# block (~0.5 ms, what a 1-row free block takes).  Each worker computes its
-# blocks in arrays it keeps (`_Buffer`), allocated once per worker instead of
-# once per block: 8 for a quantum `run`, 2.8 MiB at 32 rows of N = 1024.  Peak
-# memory grows with this budget where the blocks, not the output, set it:
-# 1 MiB more adds ~5.4 MB to the N = 512 run of 801 rows on two workers.
+# block (~0.5 ms, what a 1-row free block takes).  A block allocates its arrays
+# afresh; `cli.console_main` keeps freed ones in the malloc heap for the next
+# block.  Peak memory grows with this budget where the blocks, not the output,
+# set it: 1 MiB more adds ~5.4 MB to the N = 512 run of 801 rows on two workers.
 _BLOCK_BYTES = 1 << 20
 
 # The runners compute row blocks on one worker per usable core.
@@ -49,67 +46,23 @@ def _row_blocks(steps: list[int], num_points: int) -> list[list[int]]:
     return [steps[i:i + rows] for i in range(0, len(steps), rows)]
 
 
-class _Buffer(threading.local):
-    """Arrays that one function computes its row blocks into, one set per thread.
-
-    Each `_Buffer` is private to the one function that writes it: a call
-    returns an uninitialised C-contiguous array of `shape`, allocated once per
-    thread and reused by the later calls, so a run does not fault its pages
-    in again block after block.  A call takes the C-contiguous front of a flat
-    array, replaced when its dtype changes or a call needs more elements, so
-    fewer rows are the leading rows.  `key` tells apart arrays of one function
-    that are alive at once.  The next call overwrites what the last one
-    returned, so whatever leaves a computation is copied out first.
-    """
-
-    def __init__(self):
-        self.arrays = {}
-
-    def __call__(self, shape: tuple[int, ...], dtype, key=None) -> np.ndarray:
-        size = math.prod(shape)
-        buf = self.arrays.get(key)
-        if buf is None or buf.dtype != dtype or len(buf) < size:
-            buf = self.arrays[key] = np.empty(size, dtype)
-        return buf[:size].reshape(shape)
-
-
-_WORK = _Buffer()
-
-
-def _work(shape: tuple[int, ...], dtype) -> np.ndarray:
-    """This thread's scratch array of a complex or of a real dtype, for a temporary.
-
-    The one `_Buffer` that any function may use: a function that takes a
-    `_work` array neither returns it nor, while it holds it, calls a function
-    that takes `_work` itself (numpy and `_masked_integral` are fine).
-    """
-    return _WORK(shape, dtype, np.dtype(dtype).kind == "c")
-
-
 def _exponentials(rates: np.ndarray):
-    """times -> the (len(times), N) table exp(rates * t), one row per time t,
-    in a `_Buffer` of the returned function; the exponents are a `_work`
-    temporary.
+    """times -> the (len(times), N) table exp(rates * t), one row per time t.
 
     Each distinct rate is exponentiated once: a free spectrum is even in k bit
     for bit, so about half the exponentials are saved.  np.take keeps the table
     C-contiguous; a strided table would change the order of every later row
-    reduction.  With mode="clip" (the indices are in range) np.take writes the
-    buffer directly; mode="raise" would fill a copy first.
+    reduction.
     """
     distinct, where = np.unique(rates, return_inverse=True)
-    buffer = _Buffer()
 
     def table(times):
         times = np.asarray(times)
-        dtype = np.result_type(distinct, times)
-        powers = _work((len(times), len(distinct)), dtype)
-        # t * rate, each product rounded once; a ufunc broadcasting both
-        # operands would fill a buffer of the iterator for each
+        powers = np.empty((len(times), len(distinct)), np.result_type(distinct, times))
+        # t * rate, each product rounded once, from the times cast once
         np.copyto(powers, times[:, None])
-        np.multiply(powers, distinct, out=powers)
-        out = buffer((len(times), len(rates)), dtype)
-        return np.take(np.exp(powers, out=powers), where, axis=1, mode="clip", out=out)
+        powers *= distinct
+        return np.take(np.exp(powers), where, axis=1)
 
     return table
 
@@ -218,37 +171,23 @@ def spectral_derivatives(
     `values` is (..., N): a block of rows is transformed along its last
     axis, each row exactly as it would be alone.  The samples are transformed
     once; each order then costs one multiply by (ik)^order and one inverse
-    transform.  Real input yields real output; the sub-1e-12 imaginary
-    residue of the round trip is truncated.  The Nyquist mode is zeroed for
-    odd orders so that odd derivatives of real fields stay real and
-    symmetric.
+    transform.  Real input yields the real part of the round trip (its
+    sub-1e-12 imaginary residue is dropped), complex input complex output.
+    The Nyquist mode is zeroed for odd orders so that odd derivatives of real
+    fields stay real and symmetric.
     """
-    return [d.copy() for d in _spectral_derivatives(values, grid, orders)]
-
-
-_DERIVATIVES = _Buffer()
-
-
-def _spectral_derivatives(values: np.ndarray, grid: Grid, orders: tuple[int, ...]) -> list[np.ndarray]:
-    """`spectral_derivatives` in a `_Buffer` of this function (the real part for
-    real values); the spectrum is a `_work` temporary."""
     if any(order < 1 for order in orders):
         raise ValueError("derivative order must be a positive integer")
     ik = 1j * grid.k.astype(np.result_type(grid.k.dtype, np.complex128))
-    spectrum = _work(values.shape, np.result_type(values.dtype, 1j))
-    real = not np.iscomplexobj(values)
-    if real:
-        # cast here: the transform would cast real samples into a buffer of its own
-        np.copyto(spectrum, values)
-    np.fft.fft(spectrum if real else values, out=spectrum)
+    spectrum = np.fft.fft(values)
     out = []
-    for n, order in enumerate(orders):
+    for order in orders:
         mult = ik**order
         if order % 2 == 1:
             mult[grid.nyquist_index] = 0.0
-        d = _DERIVATIVES(values.shape, np.result_type(mult, spectrum), n)
-        np.fft.ifft(np.multiply(mult, spectrum, out=d), out=d)
-        out.append(d.real if real else d)
+        d = mult * spectrum
+        np.fft.ifft(d, out=d)  # in place: one array per order is alive, not two
+        out.append(d if np.iscomplexobj(values) else d.real)
     return out
 
 

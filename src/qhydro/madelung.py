@@ -23,16 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (
-    Field,
-    Grid,
-    _Buffer,
-    _spectral_derivatives,
-    _work,
-    integrate,
-    spectral_derivative,
-    spectral_derivatives,
-)
+from .grid import Field, Grid, integrate, spectral_derivative, spectral_derivatives
 
 __all__ = [
     "DENSITY_FLOOR_RATIO",
@@ -83,16 +74,12 @@ class QuantumState:
         return self.psi.grid
 
 
-_MASK = _Buffer()
-
-
 def _floor_mask(rho: np.ndarray, floor_ratio: float = DENSITY_FLOOR_RATIO) -> np.ndarray:
-    """Row by row over the last axis: points at or above floor_ratio times the row's
-    peak, in a `_Buffer` of this function."""
+    """Row by row over the last axis: points at or above floor_ratio times the row's peak."""
     peak = rho.max(axis=-1, keepdims=True)
     if not np.all(peak > 0):
         raise ValueError("density is identically zero")
-    return np.greater_equal(rho, floor_ratio * peak, out=_MASK(rho.shape, bool))
+    return rho >= floor_ratio * peak
 
 
 def valid_mask(rho: Field, floor_ratio: float = DENSITY_FLOOR_RATIO) -> np.ndarray:
@@ -118,35 +105,19 @@ def density(state: QuantumState) -> Field:
     return Field(state.grid, np.abs(state.psi.values) ** 2)
 
 
-_DENSITY = _Buffer()
-
-
-def _density(psi: np.ndarray) -> np.ndarray:
-    """|psi|^2 of a block of wavefunctions, in a `_Buffer` of this function."""
-    rho = _DENSITY(psi.shape, psi.real.dtype)
-    return np.square(np.abs(psi, out=rho), out=rho)
-
-
-def _where_valid(values: np.ndarray, mask: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """where(mask, values, 1) into `out`: a divisor safe off the mask."""
-    np.copyto(out, 1.0)
-    np.copyto(out, values, where=mask)
-    return out
-
-
 def _masked_ratios(numerators, denominator: np.ndarray, mask: np.ndarray) -> list[np.ndarray]:
     """Each numerator divided by the denominator in place, zeroed off the mask.
 
     The one masked division behind every grad(f)/f: the divisor is the
-    denominator on the mask and 1 off it, held in a `_work` temporary, so no
-    invalid point is divided by a vanishing sample.  Arrays of (..., N) rows
-    divide alike.
+    denominator on the mask and 1 off it, so no invalid point is divided by a
+    vanishing sample.  Arrays of (..., N) rows divide alike.
     """
-    safe = _where_valid(denominator, mask, _work(denominator.shape, denominator.dtype))
+    safe = np.where(mask, denominator, 1)
     off = ~mask
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         for n in numerators:
-            np.copyto(np.divide(n, safe, out=n), 0.0, where=off)
+            n /= safe
+            np.copyto(n, 0, where=off)
     return list(numerators)
 
 
@@ -155,11 +126,10 @@ def _psi_ratios(psi: np.ndarray, derivatives, rho: np.ndarray | None = None):
 
     psi is (..., N) and every row is masked against its own peak; the
     derivatives come from one `spectral_derivatives` call and are divided by
-    psi in place, the ratios zeroed off the valid mask.  rho and the mask are
-    the `_Buffer`s of `_density` and `_floor_mask`.
+    psi in place, the ratios zeroed off the valid mask.
     """
     if rho is None:
-        rho = _density(psi)
+        rho = np.abs(psi) ** 2
     mask = _floor_mask(rho)
     return rho, mask, _masked_ratios(derivatives, psi, mask)
 
@@ -178,9 +148,8 @@ def complex_velocity(state: QuantumState) -> Field:
     invalid and excluded from diagnostics.
     """
     psi = state.psi.values
-    _, mask, (ratio,) = _psi_ratios(psi, _spectral_derivatives(psi, state.grid, (1,)))
-    v = _velocity_from_ratio(ratio, state.hbar, state.mass)
-    return Field(state.grid, v, mask.copy())
+    _, mask, (ratio,) = _psi_ratios(psi, spectral_derivatives(psi, state.grid, (1,)))
+    return Field(state.grid, _velocity_from_ratio(ratio, state.hbar, state.mass), mask)
 
 
 def advective_velocity(state: QuantumState) -> Field:

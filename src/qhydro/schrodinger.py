@@ -15,10 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (
-    Field, Grid, _exponentials, _row_blocks, _spectral_derivatives, _work,
-)
-from .madelung import NORM_TOLERANCE, QuantumState, _density
+from .grid import Field, Grid, _exponentials, _row_blocks, spectral_derivatives
+from .madelung import NORM_TOLERANCE, QuantumState
 
 __all__ = [
     "Potential",
@@ -61,15 +59,17 @@ def _exact_kernel(initial: Field, rates, dt: float, unit: float = 1.0, vecs=None
     those steps, each reached once from t0, so a block depends on its steps alone.
 
     A row is exp(rates * step * dt / unit) times the initial coefficients in
-    the basis, mapped back to x in place: the Fourier basis, or the columns of
-    `vecs`.  Real rates stay real until one cast into a `_work` product.  Step
-    0, a block of its own, is `initial` itself.  A wavefunction's densities
-    are |psi|^2 (the `_Buffer` of `_density`); a density's samples and
-    densities are both clip(rows, steps), a `_Buffer` of `clip`.  NumericsError
-    at the first non-finite row, or at the first whose norm misses 1 by more
-    than NORM_TOLERANCE.
+    the basis, mapped back to x: the Fourier basis, or the columns of
+    `vecs`.  Real rates stay real until the table is cast once, before the
+    product.  Step 0, a block of its own, is `initial` itself.  A
+    wavefunction's densities are |psi|^2; a density's samples and densities
+    are both clip(rows, steps).  NumericsError for a non-finite rate, at the
+    first non-finite row, or at the first whose norm misses 1 by more than
+    NORM_TOLERANCE.
     """
     name = "wavefunction" if clip is None else "density"
+    if not np.all(np.isfinite(rates)):
+        raise NumericsError(f"non-finite rates in the {name} kernel")
     coeffs = np.fft.fft(initial.values) if vecs is None else vecs.T @ initial.values
     table = _exponentials(rates)
 
@@ -78,22 +78,18 @@ def _exact_kernel(initial: Field, rates, dt: float, unit: float = 1.0, vecs=None
             return np.fft.ifft(product, out=product)
         # one matrix-vector product per row: a single matrix product over the
         # block would change the last bits of each row
-        for row in product:
-            np.dot(vecs, row.copy(), out=row)
-        return product
+        return np.array([np.dot(vecs, row) for row in product])
 
+    # a rate times t that overflows makes its row non-finite, which the checks report
+    @np.errstate(all="ignore")
     def rows(steps):
         if steps == [0]:
             values = initial.values[None]
         else:
-            values = powers = table(np.array(steps) * dt / unit)
-            if powers.dtype != coeffs.dtype:
-                values = _work(powers.shape, coeffs.dtype)
-                np.copyto(values, powers)  # cast once, not into a buffer of the ufunc iterator
-            values = to_x(np.multiply(values, coeffs, out=values))
+            values = to_x(table(np.array(steps) * dt / unit).astype(coeffs.dtype, copy=False) * coeffs)
         if clip is None:
-            rho = _density(values)
-        else:  # the `_work` product is read here and not returned
+            rho = np.abs(values) ** 2
+        else:
             values = rho = clip(values, steps)
         norm = initial.grid.dx * np.sum(rho, axis=-1)
         # |psi|^2 and the clip carry a non-finite sample into the row's norm
@@ -239,14 +235,15 @@ def _snapshot_blocks(state: QuantumState, pot: Potential, dt: float):
     densities |psi|^2 and norms.  The rates are -iE per unit t/hbar, in the
     Fourier basis for a free potential and in an `eigh` basis otherwise."""
     grid, hbar, mass = state.grid, state.hbar, state.mass
-    kinetic = hbar**2 * grid.k**2 / (2 * mass)
-    if pot.kind == "free":
-        return _exact_kernel(state.psi, -1j * kinetic, dt, hbar)
-    # the kinetic symbol is even in k, so its circulant is real and
-    # symmetric (the unpaired Nyquist mode contributes (-1)^(j-l))
-    idx = np.arange(grid.num_points)
-    # a trap whose (omega0 x)**2 overflows is inf on the diagonal, which the check reports
+    # a k**2 that overflows makes the rates and the Hamiltonian non-finite, and a
+    # trap whose (omega0 x)**2 overflows is inf on the diagonal: the checks report both
     with np.errstate(all="ignore"):
+        kinetic = hbar**2 * grid.k**2 / (2 * mass)
+        if pot.kind == "free":
+            return _exact_kernel(state.psi, -1j * kinetic, dt, hbar)
+        # the kinetic symbol is even in k, so its circulant is real and
+        # symmetric (the unpaired Nyquist mode contributes (-1)^(j-l))
+        idx = np.arange(grid.num_points)
         h = np.fft.ifft(kinetic).real[(idx[:, None] - idx[None, :]) % grid.num_points]
         h[idx, idx] += mass * pot.per_mass(grid)
     if not np.all(np.isfinite(h)):
@@ -269,7 +266,7 @@ def propagate(state: QuantumState, pot: Potential, cfg: EvolutionConfig) -> list
     for steps in _row_blocks(cfg.snapshot_steps()[1:], grid.num_points):
         psi = rows(steps)[0]
         snapshots += [
-            QuantumState(Field(grid, row.copy()), hbar, mass, state.time + i * cfg.dt)
+            QuantumState(Field(grid, row), hbar, mass, state.time + i * cfg.dt)
             for i, row in zip(steps, psi)
         ]
     return snapshots
@@ -281,12 +278,12 @@ def _energy_rows(psi, laplacian, grid: Grid, pot: Potential, hbar: float, mass: 
     Raises NumericsError at the first row whose integral keeps an imaginary
     part above 1e-10 of max(1, |E|).  A free potential adds no u*psi term.
     """
-    integrand = np.multiply(-(hbar**2) / (2 * mass), laplacian, out=_work(psi.shape, psi.dtype))
+    integrand = -(hbar**2) / (2 * mass) * laplacian
     if pot.kind != "free":
         # u*psi a part at a time: a real u scales each part as the complex product would
-        u, term = mass * pot.per_mass(grid), _work(psi.shape, psi.real.dtype)
-        for part, of_psi in ((integrand.real, psi.real), (integrand.imag, psi.imag)):
-            np.add(part, np.multiply(u, of_psi, out=term), out=part)
+        u = mass * pot.per_mass(grid)
+        integrand.real += u * psi.real
+        integrand.imag += u * psi.imag
     # psi * conj(integrand) is conj(conj(psi) * integrand) bit for bit, with no copy of conj(psi)
     np.multiply(psi, np.conjugate(integrand, out=integrand), out=integrand)
     total = np.conjugate(grid.dx * integrand.sum(axis=-1))
@@ -300,7 +297,7 @@ def _energy_rows(psi, laplacian, grid: Grid, pot: Potential, hbar: float, mass: 
 def energy(state: QuantumState, pot: Potential) -> float:
     """Total energy integral psi* (-(hbar^2/2m) d2/dx2 + U) psi dx."""
     psi = state.psi.values[None]
-    (lap,) = _spectral_derivatives(psi, state.grid, (2,))
+    (lap,) = spectral_derivatives(psi, state.grid, (2,))
     return float(_energy_rows(psi, lap, state.grid, pot, state.hbar, state.mass)[0])
 
 

@@ -1,21 +1,15 @@
-"""Per-thread block buffers: reused from block to block, never handed out.
-
-Row blocks are computed in arrays that each thread keeps (`grid._Buffer`);
-the next block overwrites them.  Whatever a block or a public function
-returns must therefore be a fresh array: a column, a field row, a
-`Field` or a `propagate` snapshot that aliased a buffer would change
-under the caller when the next block runs.
+"""Block and public results are never shared: a column, a field row, a
+`Field` or a `propagate` snapshot that aliased an array a later block or
+call writes would change under the caller.  How the allocator keeps block
+arrays from faulting their pages in again is in `tests/test_process.py`.
 """
-import threading
-import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from qhydro import cli, grid as grid_module
-from qhydro.grid import _Buffer, make_grid, spectral_derivatives
+from qhydro import cli
+from qhydro.grid import make_grid, spectral_derivatives
 from qhydro.madelung import complex_velocity
 from qhydro.schrodinger import (
     EvolutionConfig, free_potential, gaussian_packet, harmonic_potential, propagate,
@@ -83,77 +77,3 @@ def test_public_results_share_no_memory(unit_gaussian):
     for a in d1:
         for b in d2:
             assert not np.shares_memory(a, b)
-
-
-def test_buffer_is_replaced_when_its_shape_or_dtype_changes():
-    buffer = _Buffer()
-    a = buffer((4, 8), np.complex128)
-    assert a.flags.c_contiguous and a.shape == (4, 8)
-    shorter = buffer((2, 8), np.complex128)
-    assert shorter.shape == (2, 8) and np.shares_memory(a, shorter)
-    # shorter rows are the C-contiguous front of the array, not a strided slice
-    narrower = buffer((4, 5), np.complex128)
-    assert narrower.flags.c_contiguous and np.shares_memory(a, narrower)
-    assert not np.shares_memory(a, buffer((4, 8), np.complex128, key=1))
-    for shape, dtype in [((4, 16), np.complex128), ((4, 8), np.float64), ((5, 8), np.complex128)]:
-        replaced = buffer(shape, dtype)
-        assert replaced.shape == shape and replaced.dtype == dtype
-        assert not np.shares_memory(a, replaced)
-        a = replaced
-
-
-def test_each_thread_has_its_own_arrays():
-    buffer = _Buffer()
-    mine = buffer((4, 8), np.float64)
-    with ThreadPoolExecutor(1) as pool:
-        theirs = pool.submit(buffer, (4, 8), np.float64).result()
-    assert not np.shares_memory(mine, theirs)
-
-
-def test_a_warm_free_block_allocates_less_than_one_block():
-    # A warmed 16-row block at N = 1024 traced 2.25 MB (~9 such arrays) when
-    # every block allocated its temporaries.  What it still traces, ~0.17 MB
-    # with numpy 2.4, is numpy's own ufunc-iterator buffers (64-128 KiB each,
-    # for a broadcast operand), whose size is numpy's choice: a numpy that
-    # grows them can fail this bound with no change here.
-    cfg = replace(cli.default_config("free_gaussian"), snapshot_stride=1)
-    grid = make_grid(cfg.L, cfg.N)
-    entry = cli._ENTRIES["free_gaussian"]
-    block = entry.blocks(cfg, grid, cli._evolution(cfg), *entry.start(cfg, grid))
-    block(list(range(1, 17)))
-    tracemalloc.start()
-    try:
-        block(list(range(17, 33)))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * cfg.N * np.dtype(np.complex128).itemsize
-
-
-# While the phase exponents and the energy integrand had arrays of their own
-# instead of the `_work` scratch, a quantum block kept ~7.1 (rows x N) complex
-# arrays of buffers and a compare block ~5.3.
-@pytest.mark.parametrize("entry, arrays", [(cli._ENTRIES["free_gaussian"], 6), (cli._COMPARE, 5)],
-                         ids=["free", "compare"])
-def test_a_cold_block_keeps_few_buffers(entry, arrays):
-    cfg = replace(cli.default_config("free_gaussian"), snapshot_stride=1)
-    grid = make_grid(cfg.L, cfg.N)
-    block = entry.blocks(cfg, grid, cli._evolution(cfg), *entry.start(cfg, grid))
-    snapshots = []
-
-    def cold():  # a new thread has no `_Buffer` arrays yet
-        tracemalloc.start()
-        try:
-            block(list(range(1, 17)))
-            snapshots.append(tracemalloc.take_snapshot())
-        finally:
-            tracemalloc.stop()
-
-    thread = threading.Thread(target=cold)
-    thread.start()
-    thread.join(timeout=60)
-    assert not thread.is_alive() and snapshots
-    # what is still allocated from grid.py after the block is its `_Buffer` arrays
-    kept = snapshots[0].filter_traces([tracemalloc.Filter(True, grid_module.__file__)])
-    held = sum(stat.size for stat in kept.statistics("filename"))
-    assert held < arrays * 16 * cfg.N * np.dtype(np.complex128).itemsize

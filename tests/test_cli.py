@@ -28,6 +28,7 @@ from qhydro.cli import (
     run_scenario,
     write_report,
 )
+from qhydro.schrodinger import NumericsError
 
 EXPECTED_HEADER = (
     "t,norm,energy,sigma2_measured,ent_boltzmann,dEntB_dt_fd,"
@@ -316,11 +317,10 @@ class TestNanIdentities:
             return values
 
         monkeypatch.setattr(cli, "_sigma2", poisoned)
-        report = compare_quantum_diffusion(quick_free)
-        assert math.isnan(report.table["sigma2_quantum"][1])
-        checks = {c.name: c for c in report.identities}
-        assert checks["quantum_width_quadratic_in_time"].passed is False
-        assert report.exit_code == 1
+        # the block checks its width columns, so the row is a numeric abort
+        with pytest.raises(NumericsError, match="^non-finite width and distance diagnostics "
+                                                "at t = 0.1: sigma2_quantum=nan, "):
+            compare_quantum_diffusion(quick_free)
 
 
 class TestIdentityTable:
@@ -560,6 +560,13 @@ class TestMain:
             # 2 EiB, beyond any 64-bit address space, so no allocation is tried
             "[scenario]\nname = harmonic_ground\n[grid]\nN = 288230376151711744\n",
             "[scenario]\nname = harmonic_ground\n[grid]\nN = 9223372036854775808\n",
+            # an L whose grid span or wavenumbers overflow: numpy warned, and the
+            # tiny one ended in a ValueError traceback
+            "[scenario]\nname = free_gaussian\n[grid]\nL = 1e308\n",
+            "[scenario]\nname = free_gaussian\n[grid]\nL = 1e-308\n",
+            # 1e14 + step * 1e-3 rounds to equal neighbours: np.gradient divided by
+            # zero spacings
+            "[scenario]\nname = diffusion_gaussian\n[physics]\nstart_time = 1e14\n",
         ]] + [
             # compare evolved a free packet on the trap's box and exited 1
             ("compare", render_config(default_config("harmonic_ground")).split("[output]")[0]),
@@ -589,6 +596,9 @@ class TestMain:
             "snapshot_list_unbuildable",
             "grid_unallocatable",
             "grid_unaddressable",
+            "grid_span_overflows",
+            "wavenumbers_overflow",
+            "snapshot_times_repeat",
             "compare_trap_ground",
             "compare_trap_perturbed",
             "compare_custom_trap",
@@ -644,6 +654,23 @@ class TestMain:
         )
         assert main(["run", str(path)]) == 3
         assert capsys.readouterr().err.startswith("numeric abort: ")
+
+    @pytest.mark.parametrize("name, L, code", [
+        # rate * t overflows in the phase table: a non-finite row
+        ("free_gaussian", "1e-152", 3),
+        # energy_conservation's measure overflows: the identity fails
+        ("harmonic_ground", "1e100", 1),
+    ], ids=["phase_table_overflows", "identity_measure_overflows"])
+    def test_overflowing_products_raise_no_warning(self, tmp_path, capsys, name, L, code):
+        # pytest turns a numpy warning into an error
+        path = tmp_path / "cfg.ini"
+        path.write_text(
+            f"[scenario]\nname = {name}\n[grid]\nL = {L}\nN = 64\n"
+            f"[output]\ndirectory = {tmp_path / 'out'}\n"
+        )
+        assert main(["run", str(path)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("numeric abort") if code == 3 else err == ""
 
     def test_identity_failure_exit_code(self, tmp_path, capsys):
         # an unresolved grid cannot hold the spreading-packet references

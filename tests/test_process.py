@@ -1,6 +1,6 @@
 """The CLI as a process: `python -m qhydro.cli` and the `qhydro` console-script
 function, each run as a child with block-buffered stdout, what a child that
-runs the CLI has imported, and the malloc arena policy of the process entry
+runs the CLI has imported, and the allocator policy of the process entry
 point.
 
 PYTHONUNBUFFERED is removed from the child's environment, so its stdout (a
@@ -11,6 +11,7 @@ import ctypes
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -145,12 +146,28 @@ def test_overflowing_trap_is_one_numeric_abort_line(qhydro_process, tmp_path):
     # k_B overflows both entropies of a comparison, which exited 0 with inf columns
     ("compare", "[scenario]\nname = free_gaussian\n[physics]\nk_B = 1.7e308\n[grid]\nN = 256\n"
      "[evolution]\nsnapshot_stride = 1000\n"),
-], ids=["width_rate_phase", "tiny_mass", "huge_k_B", "compare_huge_k_B"])
+    # a tiny L overflows k**2, so the kinetic or heat rates (or the trap's
+    # Hamiltonian) are infinite
+    *[(command, f"[scenario]\nname = {name}\n[grid]\nL = 1e-300\n") for command, name in [
+        ("run", "free_gaussian"), ("run", "custom"), ("compare", "free_gaussian"),
+        ("run", "harmonic_ground"), ("run", "diffusion_gaussian"),
+    ]],
+    # a huge L overflows x**2, so the width columns are NaN
+    *[(command, f"[scenario]\nname = {name}\n[grid]\nL = 1e300\nN = 64\n") for command, name in [
+        ("run", "free_gaussian"), ("run", "diffusion_gaussian"), ("compare", "free_gaussian"),
+        ("run", "custom"),
+    ]],
+], ids=[
+    "width_rate_phase", "tiny_mass", "huge_k_B", "compare_huge_k_B",
+    "tiny_L_free", "tiny_L_custom", "tiny_L_compare", "tiny_L_trap", "tiny_L_diffusion",
+    "huge_L_free", "huge_L_diffusion", "huge_L_compare", "huge_L_custom",
+])
 def test_overflowing_constants_are_one_numeric_abort_line(qhydro_process, tmp_path, command, text):
     done = qhydro_process(command, str(_ini(tmp_path, text)))
     assert (done.returncode, done.stdout) == (3, "")
     assert done.stderr.startswith("numeric abort: ") and done.stderr.count("\n") == 1
     assert "np.float64(" not in done.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_runs_load_no_openssl(tmp_path):
@@ -260,7 +277,41 @@ def test_pooled_workers_share_one_malloc_arena_in_a_qhydro_process(tmp_path, ent
     assert arenas == 1 if entry == "console_main" else arenas > 1
 
 
+# 1001 rows at N = 1024, pooled as in ARENA_CHILD, then the minor page faults
+# that main() took, on stderr
+FAULT_CHILD = """\
+import resource, sys
+from qhydro import cli, grid
+grid._WORKERS = 2
+entry, run = sys.argv.pop(1), cli.main
+def main(argv=None):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    code = run(argv)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, file=sys.stderr)
+    return code
+cli.main = main
+sys.exit(cli.console_main() if entry == "console_main" else cli.main())
+"""
+
+
+@pytest.mark.skipif(not _libc_has("mallopt"), reason="libc without mallopt")
+@pytest.mark.parametrize("entry", ["console_main", "main"])
+def test_block_arrays_are_faulted_in_once_in_a_qhydro_process(tmp_path, entry):
+    # Each block allocates its arrays afresh.  console_main keeps what a block
+    # frees in the one heap for the next block, so the run faults in fewer
+    # pages than one complex array of all its rows would take (measured ~1.4k
+    # against 4004).  Through main() alone glibc returns them to the kernel
+    # block after block and faults them in again (measured 10k-17k).
+    ini = _ini(tmp_path, POOLED_FREE.replace("L = 20.0\nN = 256", "L = 40.0\nN = 1024")
+               .replace("t_final = 0.5", "t_final = 1.0"))
+    done = _child("-c", FAULT_CHILD, entry, "run", str(ini))
+    assert done.returncode == 0
+    faults, bound = int(done.stderr.split()[-1]), 1001 * 1024 * 16 // resource.getpagesize()
+    assert faults < bound if entry == "console_main" else faults > bound
+
+
 def test_console_main_sets_one_arena_once_before_main(monkeypatch):
+    # one arena, a 256 MiB trim threshold and a 32 MiB mmap threshold, each once
     calls = []
 
     def mallopt(param, value):
@@ -270,7 +321,10 @@ def test_console_main_sets_one_arena_once_before_main(monkeypatch):
     monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 0)
     monkeypatch.setattr(os, "_exit", lambda code: calls.append(("exit", code)))
     cli.console_main()
-    assert calls == [("mallopt", -8, 1), "main", ("exit", 0)]
+    assert calls == [
+        ("mallopt", -8, 1), ("mallopt", -1, 256 << 20), ("mallopt", -3, 32 << 20),
+        "main", ("exit", 0),
+    ]
 
 
 def test_import_and_main_keep_the_allocator(tmp_path):

@@ -35,9 +35,10 @@ code is 0 when there is none and 1 otherwise.
 
 Each case's line also prints the peak RSS of its CLI child on both sides
 (`ru_maxrss` from os.wait4, MB as perfbench reports it, 1024 KiB) and the
-change, and a first line gives each tree's `qhydro/*.py` line count and the
-change.  That is information beside the byte-identity check, not a
-difference, and it does not move the exit code.
+change, the child's minor page faults on both sides (`ru_minflt`), and a
+first line gives each tree's `qhydro/*.py` line count and the change.  That
+is information beside the byte-identity check, not a difference, and it does
+not move the exit code.
 """
 from __future__ import annotations
 
@@ -149,7 +150,8 @@ def _run_case(src: Path, work: Path, case: str) -> dict:
     stderr = stderr.replace(str(src), "<src>").replace(str(work), "<work>")
     return {"exit": child.returncode, "stdout": stdout, "stderr": stderr, "files": files,
             "identities": identities, "config_hash": config_hash,
-            "peak_rss_mb": usage.ru_maxrss / 1024}  # ru_maxrss is in KiB on Linux
+            "peak_rss_mb": usage.ru_maxrss / 1024,  # ru_maxrss is in KiB on Linux
+            "minor_faults": usage.ru_minflt}
 
 
 def _src_lines(src: Path) -> int:
@@ -228,9 +230,11 @@ def main(argv=None) -> int:
             diffs = _differences(case, parent, change)
             status = "differs" if diffs else "identical"
             rss = parent["peak_rss_mb"], change["peak_rss_mb"]
+            faults = parent["minor_faults"], change["minor_faults"]
             print(f"{case}: exit {parent['exit']}, {len(parent['files'])} data files, "
                   f"{len(parent['identities'] or [])} identities: {status}; "
-                  f"peak RSS {rss[0]:.2f} -> {rss[1]:.2f} MB ({rss[1] - rss[0]:+.2f})", flush=True)
+                  f"peak RSS {rss[0]:.2f} -> {rss[1]:.2f} MB ({rss[1] - rss[0]:+.2f}); "
+                  f"minor faults {faults[0]} -> {faults[1]} ({faults[1] - faults[0]:+d})", flush=True)
             found += diffs
     finally:
         shutil.rmtree(root, ignore_errors=True)
