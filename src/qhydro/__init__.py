@@ -32,7 +32,6 @@ from .schrodinger import (
     propagate,
     step,
     superposition,
-    tabulated_potential,
 )
 from .diffusion import (
     DiffusionState,
@@ -54,18 +53,13 @@ from .entropy import (
     von_neumann_entropy,
 )
 from .analytic import (
-    DiffusionReference,
     GaussianParams,
     SigmaTrace,
     UncertaintyProduct,
-    diffusion_reference,
     free_divergence,
     free_entropy,
     free_sigma,
-    gaussian_action,
-    harmonic_entropy_linearized,
     harmonic_ground_width,
-    harmonic_production_linearized,
     harmonic_sigma,
     uncertainty_relation,
 )

@@ -2,8 +2,9 @@
 
 Everything here is independent of the spectral solvers and serves as the
 oracle side of the comparisons: free-particle spreading, the harmonic width
-equation, the similarity solution of diffusion, and the uncertainty-type
-product between diffusivity and mass.
+equation, the spreading of a diffusing Gaussian, and the uncertainty-type
+product between diffusivity and mass.  Every time argument is the time
+elapsed since the Gaussian had width sigma0.
 
 The harmonic width equation is integrated in the form
 
@@ -18,24 +19,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "GaussianParams",
     "SigmaTrace",
-    "DiffusionReference",
     "UncertaintyProduct",
     "free_sigma",
     "free_entropy",
     "free_divergence",
     "harmonic_ground_width",
     "harmonic_sigma",
-    "harmonic_entropy_linearized",
-    "harmonic_production_linearized",
-    "gaussian_action",
-    "diffusion_reference",
     "uncertainty_relation",
 ]
 
@@ -165,87 +161,10 @@ def harmonic_sigma(
     return SigmaTrace(t_grid.copy(), np.array(sigmas), np.array(rates))
 
 
-def harmonic_entropy_linearized(p: GaussianParams, t: float, k_B: float = 1.0) -> float:
-    """Ent0 + k_B (epsilon0/sigma0) cos(sqrt(2) omega0 t) for small epsilon0."""
-    if p.omega0 is None or p.epsilon0 is None:
-        raise ValueError("omega0 and epsilon0 are required for the linearized branch")
-    s0 = harmonic_ground_width(p)
-    return float(entropy_of_width(s0, k_B) + k_B * (p.epsilon0 / s0) * np.cos(np.sqrt(2) * p.omega0 * t))
-
-
-def harmonic_production_linearized(p: GaussianParams, t: float, k_B: float = 1.0) -> float:
-    """Companion rate -k_B (sqrt(2) omega0 epsilon0 / sigma0) sin(sqrt(2) omega0 t)."""
-    if p.omega0 is None or p.epsilon0 is None:
-        raise ValueError("omega0 and epsilon0 are required for the linearized branch")
-    s0 = harmonic_ground_width(p)
-    w = np.sqrt(2) * p.omega0
-    return float(-k_B * (w * p.epsilon0 / s0) * np.sin(w * t))
-
-
-def gaussian_action(p: GaussianParams, trace: SigmaTrace, x, t: float):
-    """Velocity potential per unit mass of the Gaussian family.
-
-    S/m = (x^2/2) dln(sigma)/dt + f(t) with
-    f(t) = -(hbar/2m)^2 * integral_{t0}^{t} dt'/sigma^2 accumulated by the
-    trapezoid rule along the trace; the additive constant is fixed by
-    f(t0) = 0.
-    """
-    times = trace.times
-    if t < times[0] or t > times[-1]:
-        raise ValueError(f"t={t} lies outside the trace range [{times[0]}, {times[-1]}]")
-    rate = np.interp(t, times, trace.dlnsigma_dt)
-    inv_s2 = 1.0 / trace.sigma**2
-    cumulative = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (inv_s2[1:] + inv_s2[:-1]) * np.diff(times))]
-    )
-    f_t = -((p.hbar / (2 * p.mass)) ** 2) * np.interp(t, times, cumulative)
-    return np.asarray(x) ** 2 / 2 * rate + f_t
-
-
-class DiffusionReference(NamedTuple):
-    sigma: float
-    u_d: Callable
-    production: float
-    acceleration: Callable
-
-
-def diffusive_sigma2(p: GaussianParams, t, t0: float = 0.0):
-    """sigma^2 = sigma0^2 + 2 D (t - t0) of a Gaussian of width sigma0 at t0
-    diffusing at D; t may be an array."""
-    return p.sigma0**2 + 2 * p.D * (t - t0)
-
-
-def diffusion_reference(p: GaussianParams, t: float, branch: str = "similarity") -> DiffusionReference:
-    """Reference fields of the diffusing Gaussian.
-
-    branch "similarity": sigma^2 = 2 D t (t > 0), the self-similar spreading
-    solution with u_d = x/2t, production 1/2t, acceleration -x/4t^2.
-    branch "offset": sigma^2 = sigma0^2 + 2 D t (t >= 0), which avoids the
-    t=0 singularity;  all fields generalize with sigma^2(t) in place of 2Dt.
-    """
-    if p.D is None:
-        raise ValueError("D is required for the diffusion branch")
-    D = p.D
-    if branch == "similarity":
-        if not t > 0:
-            raise ValueError("the similarity branch is singular at t <= 0")
-        s2 = 2 * D * t
-    elif branch == "offset":
-        if t < 0:
-            raise ValueError("t must be nonnegative on the offset branch")
-        s2 = diffusive_sigma2(p, t)
-    else:
-        raise ValueError(f"unknown branch {branch!r}")
-
-    def u_d(x):
-        return D * np.asarray(x) / s2
-
-    def acceleration(x):
-        return -(D**2) * np.asarray(x) / s2**2
-
-    return DiffusionReference(
-        sigma=math.sqrt(s2), u_d=u_d, production=D / s2, acceleration=acceleration
-    )
+def diffusive_sigma2(p: GaussianParams, t):
+    """sigma^2 = sigma0^2 + 2 D t of a Gaussian of width sigma0 diffusing at D for
+    a time t; t may be an array."""
+    return p.sigma0**2 + 2 * p.D * t
 
 
 class UncertaintyProduct(NamedTuple):

@@ -24,7 +24,7 @@ import sys
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import chain
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -558,16 +558,16 @@ def _compare_blocks(cfg: ScenarioConfig, grid, ev: EvolutionConfig, q_state, pot
 
 def _entropy_rate(cfg: ScenarioConfig, tab: dict) -> dict:
     # np.gradient handles the possibly shorter final stride interval; it needs 3 rows
-    rate = centered_difference(tab["t"], tab["ent_boltzmann"]) if len(tab["t"]) >= 3 else None
+    rate = centered_difference(tab["elapsed"], tab["ent_boltzmann"]) if len(tab["t"]) >= 3 else None
     return {"dEntB_dt_fd": rate}
 
 
 def _free_references(cfg: ScenarioConfig, tab: dict) -> dict:
     p = GaussianParams(cfg.sigma0, hbar=cfg.hbar, mass=cfg.mass)
     return dict(
-        ref_sigma2=free_sigma(p, tab["t"]) ** 2,
-        ref_entropy=free_entropy(p, tab["t"], cfg.k_B),
-        ref_divergence=free_divergence(p, tab["t"]),
+        ref_sigma2=free_sigma(p, tab["elapsed"]) ** 2,
+        ref_entropy=free_entropy(p, tab["elapsed"], cfg.k_B),
+        ref_divergence=free_divergence(p, tab["elapsed"]),
     )
 
 
@@ -607,7 +607,7 @@ def _perturbed_references(cfg: ScenarioConfig, tab: dict) -> dict:
     rows = np.append(np.array(steps[:-1]) // m, -1)
     sigma, rate = sigma[rows], rate[rows]
     s_init = s0 + cfg.epsilon0
-    wt = cfg.omega0 * tab["t"]
+    wt = cfg.omega0 * tab["elapsed"]
     return dict(
         ref_sigma2=sigma**2,
         ref_entropy=entropy_of_width(sigma, cfg.k_B),
@@ -617,7 +617,7 @@ def _perturbed_references(cfg: ScenarioConfig, tab: dict) -> dict:
 
 
 def _diffusion_references(cfg: ScenarioConfig, tab: dict) -> dict:
-    s2 = diffusive_sigma2(GaussianParams(cfg.sigma0, D=cfg.D), tab["t"], cfg.start_time)
+    s2 = diffusive_sigma2(GaussianParams(cfg.sigma0, D=cfg.D), tab["elapsed"])
     return dict(
         ref_sigma2=s2,
         ref_entropy=entropy_of_width(np.sqrt(s2), cfg.k_B),
@@ -628,8 +628,8 @@ def _diffusion_references(cfg: ScenarioConfig, tab: dict) -> dict:
 def _compare_references(cfg: ScenarioConfig, tab: dict) -> dict:
     p = GaussianParams(cfg.sigma0, cfg.hbar, cfg.mass, D=cfg.D)
     return dict(
-        ref_sigma2_quantum=free_sigma(p, tab["t"]) ** 2,
-        ref_sigma2_diffusive=diffusive_sigma2(p, tab["t"]),
+        ref_sigma2_quantum=free_sigma(p, tab["elapsed"]) ** 2,
+        ref_sigma2_diffusive=diffusive_sigma2(p, tab["elapsed"]),
     )
 
 
@@ -811,7 +811,10 @@ def _run(
         key: None if column is None else np.concatenate([part[key] for part in parts])
         for key, column in parts[0].items()
     }
-    if not np.all(np.diff(table["t"]) > 0):  # a time derivative needs distinct rows
+    # the kernels' clock, which the references and dS/dt read: t = start_time + elapsed
+    # is rounded to float64's spacing at start_time
+    table["elapsed"] = np.array(steps) * ev.dt
+    if not np.all(np.diff(table["t"]) > 0):  # the emitted t must tell the rows apart
         raise ConfigError([
             f"start_time = {cfg.start_time} and dt = {cfg.dt} give snapshot times "
             "that do not strictly increase in float64"
@@ -940,15 +943,7 @@ def write_report(report: RunReport, directory: str | Path) -> Path:
     payload = {
         "scenario": report.scenario,
         "provenance": report.provenance,
-        "identities": [
-            {
-                "name": c.name,
-                "tolerance": c.tolerance,
-                "measured": c.measured,
-                "passed": c.passed,
-            }
-            for c in report.identities
-        ],
+        "identities": [asdict(c) for c in report.identities],  # name, tolerance, measured, passed
         "exit_code": report.exit_code,
     }
     path = directory / "report.json"

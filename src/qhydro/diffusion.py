@@ -17,17 +17,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid, integrate, spectral_derivative
+from .grid import Field, Grid, spectral_derivative
 from .madelung import (
-    NORM_TOLERANCE,
     QuantumState,
     advective_velocity,
     density,
     diffusive_velocity,
     valid_mask,
+    _check_norm,
     _drift,
 )
-from .schrodinger import NumericsError, _check_rows, _exact_kernel, _normalized_state
+from .schrodinger import _check_rows, _exact_kernel, _unit_norm
 
 __all__ = [
     "DiffusionState",
@@ -56,9 +56,7 @@ class DiffusionState:
             raise TypeError("DiffusionState requires real samples")
         if self.rho.values.min() < 0:
             raise ValueError("density must be nonnegative")
-        norm = integrate(self.rho)
-        if abs(norm - 1.0) > NORM_TOLERANCE:
-            raise ValueError(f"density norm {norm!r} deviates from 1 by more than {NORM_TOLERANCE}")
+        _check_norm(self.rho, "density")
 
     @property
     def grid(self) -> Grid:
@@ -73,11 +71,7 @@ def gaussian_density(grid: Grid, sigma: float, D: float, center: float = 0.0, ti
     # sigma**2 underflowing to 0 is 0/0 at x = 0, which the norm check reports
     with np.errstate(all="ignore"):
         rho = np.exp(-(xc**2) / (2 * sigma**2))
-    norm = grid.dx * rho.sum()
-    if not 0 < norm < np.inf:
-        raise NumericsError(f"the density has no finite positive norm on the grid ({norm})")
-    rho = rho / norm
-    return DiffusionState(Field(grid, rho), D, time)
+    return DiffusionState(Field(grid, _unit_norm(grid, rho)), D, time)
 
 
 def _clipped(values: np.ndarray, steps) -> np.ndarray:
@@ -199,7 +193,8 @@ def entropy_equation_residual(
     ds_dt = (s_a - s_b) / gap
 
     psi_mid = 0.5 * (before.psi.values + after.psi.values)
-    mid = _normalized_state(grid, psi_mid, before.hbar, before.mass, 0.5 * (before.time + after.time))
+    t_mid = 0.5 * (before.time + after.time)
+    mid = QuantumState(Field(grid, _unit_norm(grid, psi_mid)), before.hbar, before.mass, t_mid)
     rho_m = 0.5 * (rho_b.values + rho_a.values)
     s_m = 0.5 * (s_b + s_a)
     u_a = advective_velocity(mid)

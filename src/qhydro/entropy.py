@@ -153,9 +153,9 @@ def production_correlation(state: QuantumState, k_B: float = 1.0) -> float:
     ))
 
 
-def _von_neumann(psi: np.ndarray, dx) -> np.ndarray:
-    # one BLAS dot per row, exactly as for a lone state
-    n = dx * np.array([np.vdot(row, row).real for row in psi])
+def _von_neumann(rho: np.ndarray, dx) -> np.ndarray:
+    """-n ln n of each row's grid norm n = dx * sum(rho), the kernel's `norm` column."""
+    n = dx * np.sum(rho, axis=-1)
     return -n * np.log(n)
 
 
@@ -167,7 +167,7 @@ def von_neumann_entropy(state: QuantumState) -> float:
     -n ln n: zero for a normalized pure state, and unchanged by any unitary
     evolution.  Costs O(N) and needs no phase unwrap.
     """
-    return float(_von_neumann(state.psi.values[None], state.grid.dx)[0])
+    return float(_von_neumann(np.abs(state.psi.values[None]) ** 2, state.grid.dx)[0])
 
 
 def kernel_log_functional(state: QuantumState) -> float:
@@ -239,7 +239,7 @@ def _quantum_rows(psi, grid, hbar, mass, k_B, include_von_neumann, times, rho=No
     columns.update(
         production_advective=advective,
         production_correlation=_correlation_rate(rho, v.real, v.imag, mask, dx, hbar, mass, k_B),
-        ent_von_neumann=_von_neumann(psi, dx) if include_von_neumann else None,
+        ent_von_neumann=_von_neumann(rho, dx) if include_von_neumann else None,
     )
     _require_finite(columns, times)
     if energy is not None:

@@ -65,13 +65,18 @@ class QuantumState:
             raise ValueError(f"mass must be positive, got {self.mass}")
         if not np.iscomplexobj(self.psi.values):
             raise TypeError("QuantumState requires complex samples")
-        norm = integrate(Field(self.psi.grid, np.abs(self.psi.values) ** 2))
-        if abs(norm - 1.0) > NORM_TOLERANCE:
-            raise ValueError(f"state norm {norm!r} deviates from 1 by more than {NORM_TOLERANCE}")
+        _check_norm(Field(self.psi.grid, np.abs(self.psi.values) ** 2), "state")
 
     @property
     def grid(self) -> Grid:
         return self.psi.grid
+
+
+def _check_norm(rho: Field, name: str):
+    """ValueError, naming the state, if its density's grid norm misses 1 by over NORM_TOLERANCE."""
+    norm = integrate(rho)
+    if abs(norm - 1.0) > NORM_TOLERANCE:
+        raise ValueError(f"{name} norm {norm!r} deviates from 1 by more than {NORM_TOLERANCE}")
 
 
 def _floor_mask(rho: np.ndarray, floor_ratio: float = DENSITY_FLOOR_RATIO) -> np.ndarray:

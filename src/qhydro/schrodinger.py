@@ -24,7 +24,6 @@ __all__ = [
     "NumericsError",
     "free_potential",
     "harmonic_potential",
-    "tabulated_potential",
     "step",
     "evolve",
     "propagate",
@@ -107,30 +106,22 @@ def _exact_kernel(initial: Field, rates, dt: float, unit: float = 1.0, vecs=None
 class Potential:
     """External potential, evaluated per unit mass: U/m as a function of x.
 
-    kind is one of "free", "harmonic" (U/m = (omega0 x)^2 / 2) or
-    "tabulated" (per-mass samples on the evolution grid).
+    kind is "free" or "harmonic" (U/m = (omega0 x)^2 / 2).
     """
 
     kind: str
     omega0: float | None = None
-    samples: Field | None = None
 
     def __post_init__(self):
-        if self.kind not in ("free", "harmonic", "tabulated"):
+        if self.kind not in ("free", "harmonic"):
             raise ValueError(f"unknown potential kind {self.kind!r}")
         if self.kind == "harmonic" and not (self.omega0 is not None and self.omega0 > 0):
             raise ValueError("harmonic potential requires omega0 > 0")
-        if self.kind == "tabulated" and self.samples is None:
-            raise ValueError("tabulated potential requires samples")
 
     def per_mass(self, grid: Grid) -> np.ndarray:
         if self.kind == "free":
             return np.zeros_like(grid.x)
-        if self.kind == "harmonic":
-            return 0.5 * (self.omega0 * grid.x) ** 2
-        if self.samples.grid != grid:
-            raise ValueError("tabulated potential sampled on a different grid")
-        return self.samples.values
+        return 0.5 * (self.omega0 * grid.x) ** 2
 
 
 def free_potential() -> Potential:
@@ -139,10 +130,6 @@ def free_potential() -> Potential:
 
 def harmonic_potential(omega0: float) -> Potential:
     return Potential("harmonic", omega0=omega0)
-
-
-def tabulated_potential(samples: Field) -> Potential:
-    return Potential("tabulated", samples=samples)
 
 
 @dataclass(frozen=True)
@@ -301,11 +288,15 @@ def energy(state: QuantumState, pot: Potential) -> float:
     return float(_energy_rows(psi, lap, state.grid, pot, state.hbar, state.mass)[0])
 
 
-def _normalized_state(grid: Grid, psi: np.ndarray, hbar: float, mass: float, time: float) -> QuantumState:
-    norm = np.sqrt(grid.dx * np.sum(np.abs(psi) ** 2))
-    if not (np.all(np.isfinite(psi)) and 0 < norm < np.inf):
-        raise NumericsError(f"the wavefunction has no finite positive norm on the grid ({norm})")
-    return QuantumState(Field(grid, psi / norm), hbar, mass, time)
+def _unit_norm(grid: Grid, samples: np.ndarray) -> np.ndarray:
+    """Samples over their grid norm n = dx * sum(density): a real density over n, a
+    wavefunction psi (density |psi|^2) over sqrt(n).  NumericsError unless 0 < n < inf."""
+    quantum = np.iscomplexobj(samples)
+    norm = grid.dx * np.sum(np.abs(samples) ** 2 if quantum else samples)
+    if not 0 < norm < np.inf:
+        name = "wavefunction" if quantum else "density"
+        raise NumericsError(f"the {name} has no finite positive norm on the grid ({norm})")
+    return samples / (np.sqrt(norm) if quantum else norm)
 
 
 def gaussian_packet(
@@ -332,7 +323,7 @@ def gaussian_packet(
         psi = np.exp(-(xc**2) / (4 * sigma0**2)).astype(np.result_type(grid.x.dtype, np.complex128))
         if width_rate != 0.0:
             psi = psi * np.exp(1j * mass * xc**2 * width_rate / (2 * hbar))
-    return _normalized_state(grid, psi, hbar, mass, time)
+    return QuantumState(Field(grid, _unit_norm(grid, psi)), hbar, mass, time)
 
 
 def plane_wave(grid: Grid, mode: int, hbar: float = 1.0, mass: float = 1.0, time: float = 0.0) -> QuantumState:
@@ -356,4 +347,4 @@ def superposition(
         if not -grid.num_points // 2 < mode < grid.num_points // 2:
             raise ValueError(f"mode {mode} is not resolvable on {grid.num_points} points")
         psi = psi + amp * np.exp(1j * (np.pi * mode / grid.half_width) * grid.x)
-    return _normalized_state(grid, psi, hbar, mass, time)
+    return QuantumState(Field(grid, _unit_norm(grid, psi)), hbar, mass, time)

@@ -3,18 +3,30 @@ import pytest
 from scipy import integrate as scipy_integrate
 
 from qhydro import (
+    EvolutionConfig,
     GaussianParams,
-    diffusion_reference,
+    action_per_mass,
+    advective_velocity,
+    bohm_potential,
+    density,
+    diffuse_step,
+    diffusive_acceleration,
+    diffusive_velocity,
     free_divergence,
     free_entropy,
+    free_potential,
     free_sigma,
-    gaussian_action,
-    harmonic_entropy_linearized,
+    gaussian_density,
+    gaussian_packet,
     harmonic_ground_width,
-    harmonic_production_linearized,
+    harmonic_potential,
     harmonic_sigma,
+    make_grid,
+    production_diffusive,
+    propagate,
     uncertainty_relation,
 )
+from qhydro.analytic import diffusive_sigma2
 
 ENT0 = 0.5 * np.log(2 * np.pi * np.e)  # 1.4189385332046727 for sigma = 1
 
@@ -22,6 +34,28 @@ ENT0 = 0.5 * np.log(2 * np.pi * np.e)  # 1.4189385332046727 for sigma = 1
 @pytest.fixture()
 def free_params():
     return GaussianParams(sigma0=1.0)
+
+
+@pytest.fixture(scope="module")
+def packet_grid():
+    # x = 0, 0.75, 1.75, 2 and 2.5 are grid points
+    return make_grid(16.0, 256)
+
+
+@pytest.fixture(scope="module")
+def heat_grid():
+    # x = 0 and 1 are grid points
+    return make_grid(16.0, 512)
+
+
+def at_x(grid, x):
+    (j,) = np.flatnonzero(grid.x == x)
+    return int(j)
+
+
+def propagate_to(state, potential, t):
+    """The exact snapshot at time t: one step of dt = t."""
+    return propagate(state, potential, EvolutionConfig(t, t))[-1]
 
 
 @pytest.fixture()
@@ -141,124 +175,113 @@ class TestHarmonicWidthEquation:
             harmonic_sigma(p, np.linspace(0, 1, 11))
 
 
-class TestHarmonicLinearized:
-    def test_entropy_at_origin(self, trap_params):
-        s0 = harmonic_ground_width(trap_params)
-        ent0 = np.log(s0 * np.sqrt(2 * np.pi * np.e))
-        expected = ent0 + trap_params.epsilon0 / s0
-        assert abs(harmonic_entropy_linearized(trap_params, 0.0) - expected) < 1e-12
-
-    def test_production_starts_at_zero(self, trap_params):
-        assert harmonic_production_linearized(trap_params, 0.0) == 0.0
-
-    def test_period_average_recovers_base(self, trap_params):
-        s0 = harmonic_ground_width(trap_params)
-        period = 2 * np.pi / (np.sqrt(2) * trap_params.omega0)
-        t = np.linspace(0.0, period, 10001)
-        vals = np.array([harmonic_entropy_linearized(trap_params, ti) for ti in t])
-        mean = scipy_integrate.trapezoid(vals, t) / period
-        assert abs(mean - np.log(s0 * np.sqrt(2 * np.pi * np.e))) < 1e-6
-
-
 class TestGaussianAction:
-    def build_free_trace(self, p, t_final=3.0, n=3001):
-        t = np.linspace(0.0, t_final, n)
-        sigma = np.array([free_sigma(p, ti) for ti in t])
-        rate = (t / (2 * p.sigma0) ** 2) / sigma**2
-        from qhydro import SigmaTrace
+    """S/m = (x^2/2) d(ln sigma)/dt + f(t) of the Gaussian family, against the
+    solver's velocity potential (`action_per_mass`, up to a constant)."""
 
-        return SigmaTrace(t, sigma, rate)
-
-    def test_spatial_gradient_is_velocity(self, free_params):
-        trace = self.build_free_trace(free_params)
+    def test_spatial_gradient_is_velocity(self, free_params, packet_grid):
+        # S/m is quadratic in x, so its centered difference on the grid is exact
         t = 1.5
-        h = 1e-4
-        grad = (
-            gaussian_action(free_params, trace, 2.0 + h, t)
-            - gaussian_action(free_params, trace, 2.0 - h, t)
-        ) / (2 * h)
-        rate = np.interp(t, trace.times, trace.dlnsigma_dt)
-        assert abs(grad - 2.0 * rate) < 1e-9
+        state = propagate_to(gaussian_packet(packet_grid, 1.0), free_potential(), t)
+        s = action_per_mass(state).values
+        j = at_x(packet_grid, 2.0)
+        grad = (s[j + 1] - s[j - 1]) / (2 * packet_grid.dx)
+        assert abs(grad - 2.0 * free_divergence(free_params, t)) < 1e-13
+        assert abs(grad - advective_velocity(state).values[j]) < 1e-13
 
-    def test_static_width_has_flat_spatial_part(self, free_params):
-        from qhydro import SigmaTrace
+    def test_static_width_has_flat_spatial_part(self):
+        # the trap ground state keeps its width and only turns its global phase
+        grid = make_grid(9.0, 128)
+        width = harmonic_ground_width(GaussianParams(sigma0=1.0, omega0=1.0))
+        state = propagate_to(gaussian_packet(grid, width), harmonic_potential(1.0), 1.0)
+        s = action_per_mass(state)
+        assert np.ptp(s.values[s.mask]) < 1e-8
 
-        t = np.linspace(0.0, 1.0, 101)
-        trace = SigmaTrace(t, np.ones_like(t), np.zeros_like(t))
-        s_vals = gaussian_action(free_params, trace, np.array([0.0, 1.0, 3.0]), 0.5)
-        assert np.abs(s_vals - s_vals[0]).max() < 1e-14
-
-    def test_hamilton_jacobi_residual(self, free_params):
-        # dS/dt + (1/2)(dS/dx)^2 + Q/m = 0 for the spreading packet
-        trace = self.build_free_trace(free_params, t_final=3.0, n=30001)
-        ht = 1e-4
+    def test_hamilton_jacobi_residual(self, packet_grid):
+        # dS/dt + (1/2)(dS/dx)^2 + Q/m = 0 for the spreading packet, taken relative
+        # to x = 0 so the unwrap constant cancels (u_a vanishes there)
+        packet, ht, zero = gaussian_packet(packet_grid, 1.0), 1e-4, at_x(packet_grid, 0.0)
         for t in (0.5, 1.0, 2.0):
-            s2 = free_sigma(free_params, t) ** 2
-            for x in (0.0, 0.7, 1.8):
-                dsdt = (
-                    gaussian_action(free_params, trace, x, t + ht)
-                    - gaussian_action(free_params, trace, x, t - ht)
-                ) / (2 * ht)
-                rate = (t / 4.0) / s2
-                dsdx = x * rate
-                bohm = 0.5 * (1.0 / (2 * s2) - x**2 / (4 * s2**2))
-                residual = dsdt + 0.5 * dsdx**2 + bohm
-                assert abs(residual) < 1e-4
-
-    def test_time_outside_trace_rejected(self, free_params):
-        trace = self.build_free_trace(free_params, t_final=1.0)
-        with pytest.raises(ValueError, match="outside"):
-            gaussian_action(free_params, trace, 0.0, 2.0)
+            before, mid, after = (
+                propagate_to(packet, free_potential(), tt) for tt in (t - ht, t, t + ht)
+            )
+            s_b, s_a = action_per_mass(before).values, action_per_mass(after).values
+            u = advective_velocity(mid).values
+            q = bohm_potential(density(mid)).values
+            for x in (0.75, 1.75, 2.5):
+                j = at_x(packet_grid, x)
+                dsdt = ((s_a[j] - s_a[zero]) - (s_b[j] - s_b[zero])) / (2 * ht)
+                residual = dsdt + 0.5 * (u[j] ** 2 - u[zero] ** 2) + q[j] - q[zero]
+                assert abs(residual) < 1e-8
 
 
 class TestDiffusionReference:
-    def test_similarity_values(self):
-        p = GaussianParams(sigma0=1.0, D=0.5)
-        ref = diffusion_reference(p, 1.0)
-        assert abs(ref.sigma - 1.0) < 1e-14
-        assert abs(ref.u_d(1.0) - 0.5) < 1e-14
-        assert abs(ref.production - 0.5) < 1e-14
-        assert abs(ref.acceleration(1.0) - (-0.25)) < 1e-14
+    """The diffusing Gaussian of the solver (`gaussian_density`, `diffuse_step`)
+    against the similarity branch sigma^2 = 2 D t (u_d = x/2t, production 1/2t,
+    acceleration -x/4t^2) and the offset branch sigma^2 = sigma0^2 + 2 D t."""
 
-    def test_center_is_still(self):
-        p = GaussianParams(sigma0=1.0, D=0.5)
-        ref = diffusion_reference(p, 1.0)
-        assert ref.u_d(0.0) == 0.0
-        assert ref.acceleration(0.0) == 0.0
+    @staticmethod
+    def similarity(grid, t, D=0.5):
+        return gaussian_density(grid, np.sqrt(2 * D * t), D=D, time=t)
 
-    def test_offset_branch(self):
-        p = GaussianParams(sigma0=1.0, D=0.5)
-        ref = diffusion_reference(p, 1.0, branch="offset")
-        assert abs(ref.sigma - np.sqrt(2.0)) < 1e-14
-        assert abs(ref.production - 0.25) < 1e-14
+    @staticmethod
+    def acceleration(grid, t, D=0.5, tau=1e-3):
+        before = TestDiffusionReference.similarity(grid, t - tau, D)
+        return diffusive_acceleration(before, diffuse_step(before, 2 * tau)).values
 
-    def test_similarity_singular_at_origin(self):
-        p = GaussianParams(sigma0=1.0, D=0.5)
-        with pytest.raises(ValueError):
-            diffusion_reference(p, 0.0)
+    def test_similarity_values(self, heat_grid):
+        state, one = self.similarity(heat_grid, 1.0), at_x(heat_grid, 1.0)
+        assert abs(heat_grid.dx * np.sum(heat_grid.x**2 * state.rho.values) - 1.0) < 1e-13
+        assert abs(diffusive_velocity(state.rho, 0.5).values[one] - 0.5) < 1e-13
+        assert abs(production_diffusive(state.rho, 0.5) - 0.5) < 1e-10
+        assert abs(self.acceleration(heat_grid, 1.0)[one] - (-0.25)) < 1e-9
 
-    def test_drift_matches_rk4_parcel_oracle(self):
-        # a parcel obeying dx/dt = u_d = x/(2t) reaches x0 sqrt(t/t0)
+    def test_center_is_still(self, heat_grid):
+        zero = at_x(heat_grid, 0.0)
+        state = self.similarity(heat_grid, 1.0)
+        assert abs(diffusive_velocity(state.rho, 0.5).values[zero]) < 1e-13
+        assert abs(self.acceleration(heat_grid, 1.0)[zero]) < 1e-11
+
+    def test_offset_branch(self, heat_grid):
         p = GaussianParams(sigma0=1.0, D=0.5)
-        x, t = 1.2, 0.5
-        h = 1e-4
-        target_t = 2.0
-        while t < target_t - h / 2:
-            u = lambda xx, tt: diffusion_reference(p, tt).u_d(xx)
+        state = diffuse_step(gaussian_density(heat_grid, 1.0, D=0.5), 1.0)
+        sigma2 = heat_grid.dx * np.sum(heat_grid.x**2 * state.rho.values)
+        assert diffusive_sigma2(p, 1.0) == 2.0
+        assert abs(sigma2 - 2.0) < 1e-13
+        assert abs(production_diffusive(state.rho, 0.5) - 0.25) < 1e-10
+
+    def test_similarity_singular_at_origin(self, heat_grid):
+        # the similarity width sqrt(2 D t) vanishes at t = 0: no density has it
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            self.similarity(heat_grid, 0.0)
+
+    def test_drift_matches_rk4_parcel_oracle(self, heat_grid):
+        # a parcel obeying dx/dt = u_d, read off the diffused density (u_d = x/(2t) is
+        # linear in x, so np.interp is exact), reaches x0 sqrt(t/t0)
+        seed, fields = self.similarity(heat_grid, 0.5), {}
+
+        def u(x, t):
+            if t not in fields:
+                state = seed if t == 0.5 else diffuse_step(seed, t - 0.5)
+                fields[t] = diffusive_velocity(state.rho, 0.5).values
+            return np.interp(x, heat_grid.x, fields[t])
+
+        x, h = 1.2, 0.05
+        for i in range(30):
+            t = 0.5 + i * h
             k1 = u(x, t)
             k2 = u(x + h / 2 * k1, t + h / 2)
             k3 = u(x + h / 2 * k2, t + h / 2)
             k4 = u(x + h * k3, t + h)
             x += h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            t += h
         assert abs(x - 1.2 * np.sqrt(2.0 / 0.5)) < 1e-6
 
-    def test_production_is_diffusivity_times_fisher(self):
+    def test_production_is_diffusivity_times_fisher(self, heat_grid):
         # for the Gaussian, Fisher information is 1/sigma^2
         p = GaussianParams(sigma0=1.0, D=0.7)
         for t in (0.5, 1.0, 2.0):
-            ref = diffusion_reference(p, t, branch="offset")
-            assert abs(ref.production - p.D / ref.sigma**2) < 1e-14
+            state = diffuse_step(gaussian_density(heat_grid, 1.0, D=0.7), t)
+            assert abs(production_diffusive(state.rho, 0.7) - p.D / diffusive_sigma2(p, t)) < 1e-10
 
 
 class TestUncertaintyRelation:

@@ -237,6 +237,28 @@ class TestRunScenario:
         assert len(report.table["t"]) == 81
         assert len(report.table["ent_von_neumann"]) == 81
 
+    @pytest.mark.parametrize(
+        "overrides", [dict(L=20.0, N=256, t_final=0.5, snapshot_stride=100),
+                      dict(N=512, snapshot_stride=5)], ids=["quick", "spread_vn"],
+    )
+    def test_von_neumann_column_is_minus_n_ln_n_of_the_norm_column(self, overrides):
+        # dx psi psi^dagger has one nonzero eigenvalue, the grid norm n of the norm column
+        cfg = replace(default_config("free_gaussian"), enable_von_neumann=True, **overrides)
+        table = run_scenario(cfg).table
+        norm = table["norm"]
+        assert table["ent_von_neumann"].tobytes() == (-norm * np.log(norm)).tobytes()
+
+    @pytest.mark.parametrize("start_time", [1e6, 1e13])
+    def test_diffusion_clock_far_from_zero_passes_every_identity(self, start_time):
+        # the references and dS/dt read the elapsed time steps * dt, the kernel's clock;
+        # the emitted t = start_time + elapsed keeps float64's spacing at start_time
+        # (at 1e13, steps of 0.0098 or 0.0117 where dt * snapshot_stride is 0.01)
+        report = run_scenario(replace(default_config("diffusion_gaussian"), start_time=start_time))
+        assert [c.name for c in report.identities if not c.passed] == []
+        assert len(report.identities) == 5
+        assert np.all(np.diff(report.table["t"]) > 0)
+        assert np.array_equal(report.table["elapsed"], np.arange(0, 2001, 10) * 1e-3)
+
     def test_four_transforms_per_row(self, monkeypatch):
         # rows transformed, not calls (a block is one call): psi0 once in
         # propagate, 1 per later snapshot, 3 per row for the entropy report

@@ -4,6 +4,7 @@ from scipy import integrate as scipy_integrate
 
 from qhydro import (
     EvolutionConfig,
+    Potential,
     advective_velocity,
     density,
     energy,
@@ -17,7 +18,6 @@ from qhydro import (
     propagate,
     step,
     superposition,
-    tabulated_potential,
 )
 from qhydro.grid import Field
 from qhydro.traces import dominant_mode
@@ -216,14 +216,6 @@ class TestBuildersAndValidation:
         expected = state.psi.values * np.exp(-1j * k**2 * 1e-3 / 2)
         assert np.abs(v.psi.values - expected).max() < 1e-13
 
-    def test_tabulated_matches_harmonic(self, trap_grid):
-        # per-mass samples of the harmonic well drive the same step
-        samples = Field(trap_grid, 0.5 * trap_grid.x**2)
-        state = gaussian_packet(trap_grid, 0.8)
-        via_table = step(state, tabulated_potential(samples), 1e-3)
-        via_kind = step(state, harmonic_potential(1.0), 1e-3)
-        assert np.abs(via_table.psi.values - via_kind.psi.values).max() < 1e-15
-
     def test_superposition_interferes(self, grid256):
         state = superposition(grid256, [(1, 1.0), (3, 0.5j)])
         rho = density(state)
@@ -245,11 +237,8 @@ class TestBuildersAndValidation:
         with pytest.raises(ValueError):
             EvolutionConfig(1e-3, 1.0, 0)
 
-    def test_potential_validation(self, grid256):
+    def test_potential_validation(self):
         with pytest.raises(ValueError):
             harmonic_potential(-1.0)
-        other = make_grid(5.0, 64)
-        pot = tabulated_potential(Field(other, np.zeros(64)))
-        state = plane_wave(grid256, 1)
-        with pytest.raises(ValueError, match="different grid"):
-            step(state, pot, 1e-3)
+        with pytest.raises(ValueError, match="unknown potential kind"):
+            Potential("tabulated")

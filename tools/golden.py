@@ -11,7 +11,9 @@ cores when unset, and the CPU affinity is the caller's (run the tool under
 scenarios, the default `compare`, `run` and `compare` at snapshot_stride 1
 (the spread_dense workload), the von Neumann workload (spread_vn) and the
 `emit_fields` + `--vn on` runs of free_gaussian, harmonic_ground,
-diffusion_gaussian and a `custom` trap, and eleven runs that exit nonzero: a
+diffusion_gaussian and a `custom` trap, the default diffusion_gaussian with its
+clock started at `start_time` = 1e6 and 1e13 (diffusion_clock_1e6 and
+diffusion_clock_1e13), and eleven runs that exit nonzero: a
 failing identity (1), a config error and a grid that cannot be allocated
 (2), and eight numeric aborts (3): extreme constants, a diffusion_gaussian
 whose sigma0**2 underflows, a free_gaussian whose width reference overflows,
@@ -73,6 +75,10 @@ CASES = {
         {"potential": "harmonic", "omega0": "1.0", "L": "12.0", "N": "256", "emit_fields": "true"},
         ["--vn", "on"],
     ),
+    # t = start_time + step * dt rounds to float64's spacing at start_time; the
+    # references and dS/dt read the elapsed time step * dt
+    **{f"diffusion_clock_{start}": ("run", "diffusion_gaussian", {"start_time": start}, [])
+       for start in ("1e6", "1e13")},
     "identity_failure": ("run", "free_gaussian", {"sigma0": "0.001"}, []),
     "config_error": ("run", "free_gaussian", {"N": "7"}, []),
     # 2**58 float64 samples are 2 EiB, beyond any 64-bit address space
