@@ -376,9 +376,9 @@ class _Identity(NamedTuple):
         return IdentityCheck(self.name, self.tolerance, measured, measured < self.tolerance)
 
 
-def _floored_rel(a, b, floor: float = 1e-3):
-    """|a-b| relative to max(|a|,|b|), floored so near-zero rates compare sanely."""
-    return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
+def _floored_rel(a, b):
+    """|a-b| relative to max(|a|,|b|), floored at 1e-3 so near-zero rates compare sanely."""
+    return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-3)
 
 
 def _max_rel(measured: np.ndarray, reference: np.ndarray) -> float:
@@ -505,9 +505,11 @@ def _quantum_blocks(cfg: ScenarioConfig, grid, ev: EvolutionConfig, state, pot):
         psi, rho, norm = later(steps)
         times = state.time + np.array(steps) * ev.dt
         ent, rho, mask, v = _quantum_rows(
-            psi, grid, cfg.hbar, cfg.mass, cfg.k_B, cfg.enable_von_neumann, times, rho,
+            psi, grid, cfg.hbar, cfg.mass, cfg.k_B, times, rho,
             lambda laplacian: _energy_rows(psi, laplacian, grid, pot, cfg.hbar, cfg.mass, steps),
         )
+        if not cfg.enable_von_neumann:
+            ent["ent_von_neumann"] = None
         ua_max = np.abs(v.real).max(axis=-1)
         rho_drift = np.abs(rho - rho0).max(axis=-1)
         columns = dict(_density_columns(times, rho, norm, grid, ent), ua_max=ua_max, rho_drift=rho_drift)
@@ -960,10 +962,6 @@ def main(argv=None) -> int:
     def add_run_flags(p):
         p.add_argument("config", help="path to an INI scenario file")
         p.add_argument("--output-dir", default=None, help="override the output directory")
-        p.add_argument("--format", choices=("csv", "json"), default=None,
-                       help="restrict data output to one format")
-        p.add_argument("--vn", choices=("on", "off"), default=None,
-                       help="toggle the von Neumann entropy column")
 
     add_run_flags(sub.add_parser("run", help="run one scenario"))
     add_run_flags(sub.add_parser("compare", help="run matched quantum and diffusive evolutions"))
@@ -985,10 +983,6 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config)
         if args.output_dir is not None:
             cfg = replace(cfg, directory=args.output_dir)
-        if args.format is not None:
-            cfg = replace(cfg, formats=(args.format,))
-        if args.vn is not None:
-            cfg = replace(cfg, enable_von_neumann=(args.vn == "on"))
         if args.command == "run":
             report = run_scenario(cfg)
         else:

@@ -63,14 +63,13 @@ class DiffusionState:
         return self.rho.grid
 
 
-def gaussian_density(grid: Grid, sigma: float, D: float, center: float = 0.0, time: float = 0.0) -> DiffusionState:
-    """Normalized Gaussian density of width sigma."""
+def gaussian_density(grid: Grid, sigma: float, D: float, time: float = 0.0) -> DiffusionState:
+    """Normalized Gaussian density of width sigma, centred at x = 0."""
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    xc = grid.x - center
     # sigma**2 underflowing to 0 is 0/0 at x = 0, which the norm check reports
     with np.errstate(all="ignore"):
-        rho = np.exp(-(xc**2) / (2 * sigma**2))
+        rho = np.exp(-(grid.x**2) / (2 * sigma**2))
     return DiffusionState(Field(grid, _unit_norm(grid, rho)), D, time)
 
 

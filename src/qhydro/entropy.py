@@ -61,8 +61,8 @@ __all__ = [
 class EntropyReport:
     """One state's scalar entropy diagnostics.
 
-    Fields that do not apply (advective terms for a diffusion state, the
-    von Neumann entropy unless requested) are None.
+    Fields that do not apply to a diffusion state (the advective terms and the
+    von Neumann entropy) are None.
     """
 
     ent_boltzmann: float
@@ -213,18 +213,17 @@ def _require_finite(columns: dict, times, kind: str = "entropy"):
 
 
 @np.errstate(all="ignore")
-def _quantum_rows(psi, grid, hbar, mass, k_B, include_von_neumann, times, rho=None, energy=None):
+def _quantum_rows(psi, grid, hbar, mass, k_B, times, rho=None, energy=None):
     """Entropy columns of a (rows, N) block of wavefunctions, one value per row.
 
     psi' and psi'' come from one forward transform and become the ratios
     r1 = psi'/psi and r2 = psi''/psi in place; `rho` is the block's |psi|^2
     when already computed.  div u_a = (hbar/m) Im(r2 - r1^2), rho'/rho =
     2 Re r1, and u_a + i u_d = -i (hbar/m) r1.  Returns the columns (keyed
-    like EntropyReport; None where a value does not apply) with rho, its
-    valid mask and u_a + i u_d, which the runners reuse.  Raises
-    NumericsError at the first row with a non-finite value; `times` names
-    it.  `energy`, if given, maps psi'' to an "energy" column, which is
-    added to the columns.
+    like EntropyReport) with rho, its valid mask and u_a + i u_d, which the
+    runners reuse.  Raises NumericsError at the first row with a non-finite
+    value; `times` names it.  `energy`, if given, maps psi'' to an "energy"
+    column, which is added to the columns.
     """
     derivatives = spectral_derivatives(psi, grid, (1, 2))
     # the only look at psi'' before _psi_ratios divides it by psi
@@ -239,9 +238,11 @@ def _quantum_rows(psi, grid, hbar, mass, k_B, include_von_neumann, times, rho=No
     columns.update(
         production_advective=advective,
         production_correlation=_correlation_rate(rho, v.real, v.imag, mask, dx, hbar, mass, k_B),
-        ent_von_neumann=_von_neumann(rho, dx) if include_von_neumann else None,
     )
     _require_finite(columns, times)
+    # left out of the check and its message: -n ln n is finite, since every row's
+    # grid norm n passed the norm check of its state or of its kernel
+    columns["ent_von_neumann"] = _von_neumann(rho, dx)
     if energy is not None:
         columns["energy"] = energy_column
     return columns, rho, mask, v
@@ -262,15 +263,12 @@ def _diffusion_rows(rho, grid, D, k_B, times):
     return columns, mask, grad
 
 
-def entropy_report(
-    state: QuantumState | DiffusionState,
-    k_B: float = 1.0,
-    include_von_neumann: bool = False,
-) -> EntropyReport:
+def entropy_report(state: QuantumState | DiffusionState, k_B: float = 1.0) -> EntropyReport:
     """Aggregate the entropy diagnostics that apply to the given state.
 
-    Quantum states report all production forms with D = hbar/2m, derived
-    from r1 = psi'/psi and r2 = psi''/psi of one forward transform:
+    Quantum states report the von Neumann entropy and all production forms
+    with D = hbar/2m, derived from r1 = psi'/psi and r2 = psi''/psi of one
+    forward transform:
     div u_a = (hbar/m) Im(r2 - r1^2), rho'/rho = 2 Re r1, and
     u_a + i u_d = -i (hbar/m) r1.  Diffusion states report the Boltzmann
     entropy and the diffusive production at their own D.  The Fisher
@@ -284,8 +282,7 @@ def entropy_report(
         )
     else:
         columns, *_ = _quantum_rows(
-            state.psi.values[None], state.grid, state.hbar, state.mass, k_B,
-            include_von_neumann, [state.time],
+            state.psi.values[None], state.grid, state.hbar, state.mass, k_B, [state.time]
         )
     first = {name: None if col is None else float(col[0]) for name, col in columns.items()}
     return EntropyReport(k_B=k_B, **first)

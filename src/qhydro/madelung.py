@@ -79,17 +79,17 @@ def _check_norm(rho: Field, name: str):
         raise ValueError(f"{name} norm {norm!r} deviates from 1 by more than {NORM_TOLERANCE}")
 
 
-def _floor_mask(rho: np.ndarray, floor_ratio: float = DENSITY_FLOOR_RATIO) -> np.ndarray:
-    """Row by row over the last axis: points at or above floor_ratio times the row's peak."""
+def _floor_mask(rho: np.ndarray) -> np.ndarray:
+    """Each row's points (last axis) at or above DENSITY_FLOOR_RATIO times its peak."""
     peak = rho.max(axis=-1, keepdims=True)
     if not np.all(peak > 0):
         raise ValueError("density is identically zero")
-    return rho >= floor_ratio * peak
+    return rho >= DENSITY_FLOOR_RATIO * peak
 
 
-def valid_mask(rho: Field, floor_ratio: float = DENSITY_FLOOR_RATIO) -> np.ndarray:
+def valid_mask(rho: Field) -> np.ndarray:
     """Points where the density is large enough for pointwise diagnostics."""
-    return _floor_mask(rho.values, floor_ratio) & rho.mask
+    return _floor_mask(rho.values) & rho.mask
 
 
 def _density_mask(rho: Field, D: float = 1.0) -> np.ndarray:

@@ -306,9 +306,8 @@ def gaussian_packet(
     mass: float = 1.0,
     width_rate: float = 0.0,
     center: float = 0.0,
-    time: float = 0.0,
 ) -> QuantumState:
-    """Gaussian density of width sigma0, normalized on the grid.
+    """Gaussian density of width sigma0, normalized on the grid, at time 0.
 
     width_rate is the initial d(ln sigma)/dt; it enters as the quadratic
     phase exp(i m x^2 width_rate / 2 hbar), the velocity potential of a
@@ -323,13 +322,13 @@ def gaussian_packet(
         psi = np.exp(-(xc**2) / (4 * sigma0**2)).astype(np.result_type(grid.x.dtype, np.complex128))
         if width_rate != 0.0:
             psi = psi * np.exp(1j * mass * xc**2 * width_rate / (2 * hbar))
-    return QuantumState(Field(grid, _unit_norm(grid, psi)), hbar, mass, time)
+    return QuantumState(Field(grid, _unit_norm(grid, psi)), hbar, mass)
 
 
-def plane_wave(grid: Grid, mode: int, hbar: float = 1.0, mass: float = 1.0, time: float = 0.0) -> QuantumState:
+def plane_wave(grid: Grid, mode: int, hbar: float = 1.0, mass: float = 1.0) -> QuantumState:
     """exp(i k x) / sqrt(2L) with the grid-commensurate k = pi * mode / L: the
     one-component `superposition`."""
-    return superposition(grid, [(mode, 1)], hbar, mass, time)
+    return superposition(grid, [(mode, 1)], hbar, mass)
 
 
 def superposition(
@@ -337,9 +336,8 @@ def superposition(
     components: list[tuple[int, complex]],
     hbar: float = 1.0,
     mass: float = 1.0,
-    time: float = 0.0,
 ) -> QuantumState:
-    """Normalized sum of plane waves given as (mode, amplitude) pairs."""
+    """Normalized sum of plane waves given as (mode, amplitude) pairs, at time 0."""
     if not components:
         raise ValueError("superposition needs at least one component")
     psi = np.zeros(grid.num_points, dtype=complex)
@@ -347,4 +345,4 @@ def superposition(
         if not -grid.num_points // 2 < mode < grid.num_points // 2:
             raise ValueError(f"mode {mode} is not resolvable on {grid.num_points} points")
         psi = psi + amp * np.exp(1j * (np.pi * mode / grid.half_width) * grid.x)
-    return QuantumState(Field(grid, _unit_norm(grid, psi)), hbar, mass, time)
+    return QuantumState(Field(grid, _unit_norm(grid, psi)), hbar, mass)

@@ -15,12 +15,13 @@ def centered_difference(times: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.gradient(values, times, edge_order=2)
 
 
-def dominant_mode(times: np.ndarray, values: np.ndarray, pad_factor: int = 64) -> tuple[float, float]:
+def dominant_mode(times: np.ndarray, values: np.ndarray) -> tuple[float, float]:
     """Angular frequency and amplitude of the strongest oscillation.
 
-    The detrended trace is Hann-windowed and zero-padded, the spectral peak
-    is refined by parabolic interpolation of log|X|, and the amplitude is
-    half the peak-to-peak swing of the detrended trace.
+    The detrended trace is Hann-windowed and zero-padded to 64 times its
+    length, the spectral peak is refined by parabolic interpolation of
+    log|X|, and the amplitude is half the peak-to-peak swing of the
+    detrended trace.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -30,8 +31,8 @@ def dominant_mode(times: np.ndarray, values: np.ndarray, pad_factor: int = 64) -
     if not np.allclose(dt, dt[0], rtol=1e-9, atol=0):
         raise ValueError("samples must be uniformly spaced")
     y = values - values.mean()
-    spectrum = np.abs(np.fft.rfft(y * np.hanning(len(y)), n=pad_factor * len(y)))
-    omega = 2 * np.pi * np.fft.rfftfreq(pad_factor * len(y), d=dt[0])
+    spectrum = np.abs(np.fft.rfft(y * np.hanning(len(y)), n=64 * len(y)))
+    omega = 2 * np.pi * np.fft.rfftfreq(64 * len(y), d=dt[0])
     i = int(np.argmax(spectrum))
     if 0 < i < len(spectrum) - 1 and spectrum[i - 1] > 0 and spectrum[i + 1] > 0:
         la, lb, lc = np.log(spectrum[i - 1 : i + 2])

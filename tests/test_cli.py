@@ -190,6 +190,24 @@ class TestConfig:
         with pytest.raises(ConfigError, match="cannot read"):
             parse_config(tmp_path / "nope.ini")
 
+    @pytest.mark.parametrize("text, message", [
+        ("[scenario]\nname = free_gaussian\n[output]\nformats = csv,xml\n",
+         "unknown output format 'xml'"),
+        ("[scenario]\nname = free_gaussian\n[evolution]\nsnapshot_stride = 0\n",
+         "snapshot_stride must be >= 1, got 0"),
+        ("[scenario]\nname = diffusion_gaussian\n[physics]\nstart_time = -1\n",
+         "start_time must be nonnegative, got -1.0"),
+        ("[grid]\nN = 64\n", "missing [scenario] section with a `name` key"),
+        ("[scenario]\nname = free_gaussian\n[diagnostics]\nemit_fields = maybe\n",
+         "[diagnostics] emit_fields: expected a boolean, got 'maybe'"),
+    ], ids=["unknown_format", "zero_stride", "negative_start_time", "no_scenario", "not_a_bool"])
+    def test_rejected_value_exits_2_with_its_message(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestRunScenario:
     def test_free_gaussian_passes(self, quick_free):
@@ -745,19 +763,38 @@ class TestMain:
         assert main(["run", str(path)]) == 3
         assert "numeric abort" in capsys.readouterr().err
 
-    def test_vn_flag_override(self, tmp_path, quick_free):
+    @staticmethod
+    def _refuses(argv, capsys):
+        # argparse's usage message and exit 2 for a flag the CLI does not define
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: qhydro") and "unrecognized arguments" in err
+
+    def test_von_neumann_key_fills_the_column(self, tmp_path, capsys, quick_free):
         path = tmp_path / "cfg.ini"
         out_dir = tmp_path / "out"
         path.write_text(render_config(replace(quick_free, directory=str(out_dir))))
-        assert main(["run", str(path), "--vn", "on"]) == 0
+        self._refuses(["run", str(path), "--vn", "on"], capsys)
+        assert not out_dir.exists()
+        path.write_text(render_config(
+            replace(quick_free, enable_von_neumann=True, directory=str(out_dir))
+        ))
+        assert main(["run", str(path)]) == 0
         payload = json.loads((out_dir / "timeseries.json").read_text())
         assert payload["rows"][0]["ent_von_neumann"] is not None
 
-    def test_format_flag_restricts_output(self, tmp_path, quick_free):
+    def test_formats_key_restricts_output(self, tmp_path, capsys, quick_free):
         path = tmp_path / "cfg.ini"
         out_dir = tmp_path / "out"
         path.write_text(render_config(replace(quick_free, directory=str(out_dir))))
-        assert main(["run", str(path), "--format", "json"]) == 0
+        self._refuses(["run", str(path), "--format", "json"], capsys)
+        assert not out_dir.exists()
+        path.write_text(render_config(
+            replace(quick_free, formats=("json",), directory=str(out_dir))
+        ))
+        assert main(["run", str(path)]) == 0
         assert (out_dir / "timeseries.json").exists()
         assert not (out_dir / "timeseries.csv").exists()
 

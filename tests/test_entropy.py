@@ -277,7 +277,7 @@ class TestEntropyReport:
         assert abs(report.production_advective) < 1e-10
         assert abs(report.production_correlation) < 1e-10
         assert abs(report.ent_boltzmann - np.log(s0 * np.sqrt(2 * np.pi * np.e))) < 1e-9
-        assert report.ent_von_neumann is None
+        assert abs(report.ent_von_neumann) < 1e-12  # a pure state
 
     def test_spreading_gaussian(self, grid1024):
         report = entropy_report(spread_gaussian_state(grid1024, 2.0))
@@ -292,9 +292,9 @@ class TestEntropyReport:
         assert abs(report.production_diffusive - 0.5) < 1e-9
         assert report.fisher_information >= 0.0
 
-    def test_von_neumann_included_on_request(self, grid256):
-        report = entropy_report(gaussian_packet(grid256, 1.0), include_von_neumann=True)
-        assert report.ent_von_neumann is not None
+    def test_von_neumann_always_reported(self, grid256):
+        state = gaussian_packet(grid256, 1.0)
+        assert entropy_report(state).ent_von_neumann == von_neumann_entropy(state)
 
     def test_diffusion_report_matches_standalone_bitwise(self, grid1024):
         state = DiffusionState(gaussian_rho(grid1024, 1.3), D=0.7, time=0.5)
@@ -329,7 +329,7 @@ def test_quantum_report_matches_standalone_functions(make_state):
     """The psi'/psi row path agrees with the independent per-quantity functions."""
     state = make_state()
     k_B = 1.5
-    report = entropy_report(state, k_B, include_von_neumann=True)
+    report = entropy_report(state, k_B)
     rho = density(state)
     half = state.hbar / (2 * state.mass)
     expected = {

@@ -82,7 +82,7 @@ def test_quantum_runner_matches_per_state_path(case, rows):
     assert len(tab["t"]) == len(snapshots) == rows
     for i, snap in enumerate(snapshots):
         rho = density(snap)
-        ent = entropy_report(snap, cfg.k_B, cfg.enable_von_neumann)
+        ent = entropy_report(snap, cfg.k_B)
         assert tab["t"][i] == snap.time
         assert tab["norm"][i] == integrate(rho)
         assert tab["energy"][i] == energy(snap, pot)
@@ -92,8 +92,10 @@ def test_quantum_runner_matches_per_state_path(case, rows):
         assert tab["production_diffusive"][i] == ent.production_diffusive
         assert tab["production_advective"][i] == ent.production_advective
         assert tab["production_correlation"][i] == ent.production_correlation
-        vn = tab["ent_von_neumann"]
-        assert (None if vn is None else vn[i]) == ent.ent_von_neumann
+        if cfg.enable_von_neumann:
+            assert tab["ent_von_neumann"][i] == ent.ent_von_neumann
+        else:
+            assert tab["ent_von_neumann"] is None
     u_a = [advective_velocity(s).values for s in snapshots]
     assert tab["ua_max"].tolist() == [float(np.abs(u).max()) for u in u_a]
     rho0 = density(snapshots[0]).values

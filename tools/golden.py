@@ -10,7 +10,7 @@ cores when unset, and the CPU affinity is the caller's (run the tool under
 `taskset` to pin both sides).  The golden set is the five default
 scenarios, the default `compare`, `run` and `compare` at snapshot_stride 1
 (the spread_dense workload), the von Neumann workload (spread_vn) and the
-`emit_fields` + `--vn on` runs of free_gaussian, harmonic_ground,
+`emit_fields` + `enable_von_neumann` runs of free_gaussian, harmonic_ground,
 diffusion_gaussian and a `custom` trap, the default diffusion_gaussian with its
 clock started at `start_time` = 1e6 and 1e13 (diffusion_clock_1e6 and
 diffusion_clock_1e13), and eleven runs that exit nonzero: a
@@ -32,8 +32,9 @@ under its own working directory, so both hash the same configuration.  In
 stderr, each side's resolved source and working directories read as <src>
 and <work>, since numpy's warnings name the source file by its path.  Every
 difference is printed, and for a CSV that differs, each column's count of
-moved rows and its largest relative move |a - b| / max(|a|, |b|); the exit
-code is 0 when there is none and 1 otherwise.
+moved rows, its largest absolute move |a - b| and its largest relative move
+|a - b| / max(|a|, |b|); the exit code is 0 when there is none and 1
+otherwise.
 
 Each case's line also prints the peak RSS of its CLI child on both sides
 (`ru_maxrss` from os.wait4, MB as perfbench reports it, 1024 KiB) and the
@@ -55,54 +56,54 @@ import sys
 import tempfile
 from pathlib import Path
 
-# name -> (command, scenario, INI overrides, extra CLI arguments)
+# name -> (command, scenario, INI overrides)
+FIELDS = {"emit_fields": "true", "enable_von_neumann": "true"}
 CASES = {
-    **{name: ("run", name, {}, []) for name in (
+    **{name: ("run", name, {}) for name in (
         "free_gaussian", "harmonic_ground", "harmonic_perturbed", "diffusion_gaussian", "custom",
     )},
-    "compare": ("compare", "free_gaussian", {}, []),
-    "spread_dense_run": ("run", "free_gaussian", {"snapshot_stride": "1"}, []),
-    "spread_dense_compare": ("compare", "free_gaussian", {"snapshot_stride": "1"}, []),
+    "compare": ("compare", "free_gaussian", {}),
+    "spread_dense_run": ("run", "free_gaussian", {"snapshot_stride": "1"}),
+    "spread_dense_compare": ("compare", "free_gaussian", {"snapshot_stride": "1"}),
     "spread_vn": (
         "run", "free_gaussian",
-        {"N": "512", "snapshot_stride": "5", "enable_von_neumann": "true"}, [],
+        {"N": "512", "snapshot_stride": "5", "enable_von_neumann": "true"},
     ),
-    **{f"{name}_fields": ("run", name, {"emit_fields": "true"}, ["--vn", "on"]) for name in (
+    **{f"{name}_fields": ("run", name, FIELDS) for name in (
         "free_gaussian", "harmonic_ground", "diffusion_gaussian",
     )},
     "custom_trap_fields": (
         "run", "custom",
-        {"potential": "harmonic", "omega0": "1.0", "L": "12.0", "N": "256", "emit_fields": "true"},
-        ["--vn", "on"],
+        {"potential": "harmonic", "omega0": "1.0", "L": "12.0", "N": "256", **FIELDS},
     ),
     # t = start_time + step * dt rounds to float64's spacing at start_time; the
     # references and dS/dt read the elapsed time step * dt
-    **{f"diffusion_clock_{start}": ("run", "diffusion_gaussian", {"start_time": start}, [])
+    **{f"diffusion_clock_{start}": ("run", "diffusion_gaussian", {"start_time": start})
        for start in ("1e6", "1e13")},
-    "identity_failure": ("run", "free_gaussian", {"sigma0": "0.001"}, []),
-    "config_error": ("run", "free_gaussian", {"N": "7"}, []),
+    "identity_failure": ("run", "free_gaussian", {"sigma0": "0.001"}),
+    "config_error": ("run", "free_gaussian", {"N": "7"}),
     # 2**58 float64 samples are 2 EiB, beyond any 64-bit address space
-    "grid_unallocatable": ("run", "harmonic_ground", {"N": str(2**58)}, []),
+    "grid_unallocatable": ("run", "harmonic_ground", {"N": str(2**58)}),
     "numeric_abort": (
-        "run", "custom", {"hbar": "1e300", "L": "4.0", "N": "8", "t_final": "0.0"}, [],
+        "run", "custom", {"hbar": "1e300", "L": "4.0", "N": "8", "t_final": "0.0"},
     ),
     # sigma0**2 underflows to 0, so the initial Gaussian is 0/0 at x = 0
-    "diffusion_numeric_abort": ("run", "diffusion_gaussian", {"sigma0": "1e-300"}, []),
+    "diffusion_numeric_abort": ("run", "diffusion_gaussian", {"sigma0": "1e-300"}),
     # (hbar t / 2 m sigma0)**2 overflows in ref_sigma2
-    "reference_overflow": ("run", "free_gaussian", {"sigma0": "1e-120"}, []),
+    "reference_overflow": ("run", "free_gaussian", {"sigma0": "1e-120"}),
     # (omega0 x)**2 overflows on the trap Hamiltonian's diagonal
     "trap_overflow": (
-        "run", "custom", {"potential": "harmonic", "omega0": "1e200", "N": "64"}, [],
+        "run", "custom", {"potential": "harmonic", "omega0": "1e200", "N": "64"},
     ),
     # the width-rate phase overflows in the initial packet
     "width_rate_overflow": (
-        "run", "custom", {"width_rate": "1.7e308", "L": "4.0", "N": "8", "t_final": "0.0"}, [],
+        "run", "custom", {"width_rate": "1.7e308", "L": "4.0", "N": "8", "t_final": "0.0"},
     ),
     # hbar/m overflows the velocities and the productions
-    "tiny_mass": ("run", "free_gaussian", {"mass": "1e-300"}, []),
+    "tiny_mass": ("run", "free_gaussian", {"mass": "1e-300"}),
     # k_B overflows the Boltzmann entropy and the diffusive production
-    "huge_k_B": ("run", "diffusion_gaussian", {"k_B": "1.7e308"}, []),
-    "compare_huge_k_B": ("compare", "free_gaussian", {"k_B": "1.7e308"}, []),
+    "huge_k_B": ("run", "diffusion_gaussian", {"k_B": "1.7e308"}),
+    "compare_huge_k_B": ("compare", "free_gaussian", {"k_B": "1.7e308"}),
 }
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
@@ -131,7 +132,7 @@ def _ini(src: Path, scenario: str, overrides: dict) -> str:
 
 def _run_case(src: Path, work: Path, case: str) -> dict:
     """Run one golden case on one side; its exit code, streams, data files and identities."""
-    command, scenario, overrides, extra = CASES[case]
+    command, scenario, overrides = CASES[case]
     work.mkdir(parents=True)
     ini = work / "config.ini"
     ini.write_text(_ini(src, scenario, overrides))
@@ -139,7 +140,7 @@ def _run_case(src: Path, work: Path, case: str) -> dict:
     with open(work / "stdout", "wb") as stdout, open(work / "stderr", "wb") as stderr:
         # a relative output directory, so that both sides hash the same configuration
         child = subprocess.Popen(
-            [sys.executable, "-m", "qhydro.cli", command, str(ini), "--output-dir", "out", *extra],
+            [sys.executable, "-m", "qhydro.cli", command, str(ini), "--output-dir", "out"],
             env=_environment(src), cwd=work, stdout=stdout, stderr=stderr,
         )
     # os.wait4 reaps the child with its own resource usage, peak RSS included
@@ -164,16 +165,17 @@ def _src_lines(src: Path) -> int:
     return sum(len(path.read_bytes().splitlines()) for path in (src / "qhydro").glob("*.py"))
 
 
-def _relative_move(x: str, y: str) -> float:
-    """|a - b| / max(|a|, |b|) of two differing CSV fields; inf when one is not a number."""
+def _move(x: str, y: str) -> tuple[float, float]:
+    """|a - b| and |a - b| / max(|a|, |b|) of two differing CSV fields; both inf when
+    one is not a number."""
     try:
         a, b = float(x), float(y)
     except ValueError:
-        return math.inf
+        return math.inf, math.inf
     if math.isnan(a) or math.isnan(b):
-        return math.inf
+        return math.inf, math.inf
     scale = max(abs(a), abs(b))
-    return abs(a - b) / scale if scale else 0.0
+    return abs(a - b), abs(a - b) / scale if scale else 0.0
 
 
 def _column_moves(a: bytes, b: bytes) -> list[str]:
@@ -185,9 +187,9 @@ def _column_moves(a: bytes, b: bytes) -> list[str]:
     for j, name in enumerate(table_a[0]):
         moved = [(x[j], y[j]) for x, y in zip(table_a[1:], table_b[1:]) if x[j] != y[j]]
         if moved:
-            largest = max(_relative_move(x, y) for x, y in moved)
+            absolute, relative = (max(m) for m in zip(*(_move(x, y) for x, y in moved)))
             moves.append(f"column {name}: {len(moved)} of {len(table_a) - 1} rows moved, "
-                         f"largest relative move {largest:.3g}")
+                         f"largest absolute move {absolute:.3g}, relative {relative:.3g}")
     return moves
 
 
