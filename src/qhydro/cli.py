@@ -504,7 +504,7 @@ def _quantum_blocks(cfg: ScenarioConfig, grid, ev: EvolutionConfig, state, pot):
     def block(steps):
         psi, rho, norm = later(steps)
         times = state.time + np.array(steps) * ev.dt
-        ent, rho, mask, v = _quantum_rows(
+        ent, rho, support, v = _quantum_rows(
             psi, grid, cfg.hbar, cfg.mass, cfg.k_B, times, rho,
             lambda laplacian: _energy_rows(psi, laplacian, grid, pot, cfg.hbar, cfg.mass, steps),
         )
@@ -513,7 +513,9 @@ def _quantum_blocks(cfg: ScenarioConfig, grid, ev: EvolutionConfig, state, pot):
         ua_max = np.abs(v.real).max(axis=-1)
         rho_drift = np.abs(rho - rho0).max(axis=-1)
         columns = dict(_density_columns(times, rho, norm, grid, ent), ua_max=ua_max, rho_drift=rho_drift)
-        fields = cfg.emit_fields and {"rho": rho, "u_advective": np.where(mask, v.real, 0.0)}
+        fields = cfg.emit_fields and {
+            "rho": rho, "u_advective": support.widen(np.where(support.mask, v.real, 0.0)),
+        }
         return columns, fields
 
     return block
@@ -526,9 +528,10 @@ def _diffusion_blocks(cfg: ScenarioConfig, grid, ev: EvolutionConfig, initial: D
     def block(steps):
         rho, _, norm = later(steps)
         times = initial.time + np.array(steps) * ev.dt
-        ent, mask, grad = _diffusion_rows(rho, grid, cfg.D, cfg.k_B, times)
+        ent, support, grad = _diffusion_rows(rho, grid, cfg.D, cfg.k_B, times)
         columns = _density_columns(times, rho, norm, grid, ent)
-        fields = cfg.emit_fields and {"rho": rho, "u_diffusive": _drift(rho, grad, mask, cfg.D)}
+        drift = cfg.emit_fields and _drift(rho[:, support.cols], grad, support.mask, cfg.D)
+        fields = cfg.emit_fields and {"rho": rho, "u_diffusive": support.widen(drift)}
         return columns, fields
 
     return block
@@ -540,7 +543,8 @@ def _compare_blocks(cfg: ScenarioConfig, grid, ev: EvolutionConfig, q_state, pot
     diffused = _kernel_blocks(DiffusionState(density(q_state), cfg.D, time=0.0), ev.dt)
 
     def block(steps):
-        (_, rho_q, _), (rho_d, _, _) = quantum(steps), diffused(steps)
+        _, rho_q, _ = quantum(steps)  # psi is dropped before the heat kernel runs
+        rho_d, _, _ = diffused(steps)
         times = q_state.time + np.array(steps) * ev.dt
         ent = dict(
             ent_boltzmann_quantum=_boltzmann_rows(rho_q, grid.dx, cfg.k_B),

@@ -77,14 +77,15 @@ def _clipped(values: np.ndarray, steps) -> np.ndarray:
     """The real part of a block of heat-kernel rows, rounding-level negatives
     clipped to 0.  NumericsError at the first row that goes negative beyond
     rounding."""
-    rho = values.real
+    rho = values.real.copy()  # contiguous: every reduction and the clip run on it
     floor = -NEGATIVITY_TOLERANCE * np.fmax(1.0, rho.max(axis=-1))
     worst = rho.min(axis=-1)
     _check_rows(
         worst >= floor, steps,
         lambda r: f"density went negative ({worst[r]:.3g}); the initial condition is unresolved",
     )
-    return np.where(rho < 0, 0.0, rho)
+    np.copyto(rho, 0.0, where=rho < 0)
+    return rho
 
 
 def _kernel_blocks(initial: DiffusionState, dt: float):

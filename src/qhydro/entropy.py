@@ -38,8 +38,8 @@ from .madelung import (
     density,
     diffusive_velocity,
     valid_mask,
-    _floor_mask,
-    _psi_ratios,
+    _Support,
+    _masked_ratios,
     _velocity_from_ratio,
 )
 from .schrodinger import NumericsError
@@ -74,18 +74,10 @@ class EntropyReport:
     k_B: float = 1.0
 
 
-def _masked_integral(dx, integrand: np.ndarray, mask: np.ndarray):
-    """dx * sum of the integrand over the valid points of each row (last axis).
-
-    The integrand, a temporary of the caller, is zeroed off the mask in place.
-    """
-    np.copyto(integrand, 0.0, where=~mask)
-    return dx * np.sum(integrand, axis=-1)
-
-
-def _boltzmann(rho: np.ndarray, mask: np.ndarray, dx, k_B: float):
-    """-k_B integral rho ln rho over the mask of each row; the log argument is 1 off it."""
-    return -k_B * _masked_integral(dx, rho * np.log(np.where(mask, rho, 1)), mask)
+def _boltzmann(rho: np.ndarray, support: _Support, dx, k_B: float):
+    """-k_B integral rho ln rho over the mask of each row, from rho on the
+    window; the log argument is 1 off the mask."""
+    return -k_B * support.integral(dx, np.multiply, rho, np.log(np.where(support.mask, rho, 1)))
 
 
 # each row function computes under one errstate: extreme constants overflow its
@@ -93,7 +85,8 @@ def _boltzmann(rho: np.ndarray, mask: np.ndarray, dx, k_B: float):
 @np.errstate(all="ignore")
 def _boltzmann_rows(rho: np.ndarray, dx, k_B: float) -> np.ndarray:
     """Boltzmann entropy of each row of a (rows, N) block of densities."""
-    return _boltzmann(rho, _floor_mask(rho), dx, k_B)
+    support = _Support(rho)
+    return _boltzmann(rho[:, support.cols], support, dx, k_B)
 
 
 def boltzmann_entropy(rho: Field, k_B: float = 1.0) -> float:
@@ -108,13 +101,14 @@ def production_advective(state: QuantumState, k_B: float = 1.0) -> float:
     return entropy_report(state, k_B).production_advective
 
 
-def _density_terms(rho, grad, mask, dx, D: float, k_B: float) -> dict:
+def _density_terms(rho, grad, support: _Support, dx, D: float, k_B: float) -> dict:
     """The Boltzmann entropy, the Fisher information (integral grad^2/rho over
     the mask) and k_B D Fisher of each row of a block of densities: the columns
-    that quantum and diffusive rows share; `grad` is rho'."""
-    fisher = _masked_integral(dx, grad * grad / np.where(mask, rho, 1), mask)
+    that quantum and diffusive rows share; `rho` and `grad` = rho' are given on
+    the window."""
+    fisher = support.integral(dx, np.divide, grad * grad, np.where(support.mask, rho, 1))
     return dict(
-        ent_boltzmann=_boltzmann(rho, mask, dx, k_B),
+        ent_boltzmann=_boltzmann(rho, support, dx, k_B),
         fisher_information=fisher,
         production_diffusive=k_B * D * fisher,
     )
@@ -134,9 +128,9 @@ def production_diffusive(rho: Field, D: float, k_B: float = 1.0) -> float:
     return k_B * D * fisher_information(rho)
 
 
-def _correlation_rate(rho, u_a, u_d, mask, dx, hbar: float, mass: float, k_B: float):
+def _correlation_rate(rho, u_a, u_d, support: _Support, dx, hbar: float, mass: float, k_B: float):
     half = hbar / (2 * mass)
-    return (k_B / half) * _masked_integral(dx, rho * u_a * u_d, mask)
+    return (k_B / half) * support.integral(dx, np.multiply, rho * u_a, u_d)
 
 
 def production_correlation(state: QuantumState, k_B: float = 1.0) -> float:
@@ -147,8 +141,9 @@ def production_correlation(state: QuantumState, k_B: float = 1.0) -> float:
     rho = density(state)
     u_a = advective_velocity(state)
     u_d = diffusive_velocity(rho, state.hbar / (2 * state.mass))
+    support = _Support(rho.values)  # the mask of u_a and of u_d
     return float(_correlation_rate(
-        rho.values, u_a.values, u_d.values, u_a.mask & u_d.mask,
+        *(f.values[support.cols] for f in (rho, u_a, u_d)), support,
         state.grid.dx, state.hbar, state.mass, k_B,
     ))
 
@@ -216,28 +211,41 @@ def _require_finite(columns: dict, times, kind: str = "entropy"):
 def _quantum_rows(psi, grid, hbar, mass, k_B, times, rho=None, energy=None):
     """Entropy columns of a (rows, N) block of wavefunctions, one value per row.
 
-    psi' and psi'' come from one forward transform and become the ratios
-    r1 = psi'/psi and r2 = psi''/psi in place; `rho` is the block's |psi|^2
-    when already computed.  div u_a = (hbar/m) Im(r2 - r1^2), rho'/rho =
-    2 Re r1, and u_a + i u_d = -i (hbar/m) r1.  Returns the columns (keyed
-    like EntropyReport) with rho, its valid mask and u_a + i u_d, which the
-    runners reuse.  Raises NumericsError at the first row with a non-finite
-    value; `times` names it.  `energy`, if given, maps psi'' to an "energy"
-    column, which is added to the columns.
+    psi' and psi'' come from one forward transform; `rho` is the block's
+    |psi|^2 when already computed.  Every term after the transforms is
+    computed on the block's valid column window (`madelung._Support`): the
+    ratios r1 = psi'/psi and r2 = psi''/psi, div u_a = (hbar/m) Im(r2 - r1^2),
+    rho'/rho = 2 Re r1 and u_a + i u_d = -i (hbar/m) r1.  Returns the columns
+    (keyed like EntropyReport) with rho, the window and u_a + i u_d on it,
+    which the runners reuse.  Raises NumericsError at the first row with a
+    non-finite value; `times` names it.  `energy`, if given, maps psi'' to an
+    "energy" column, which is added to the columns; it may overwrite psi''.
     """
-    derivatives = spectral_derivatives(psi, grid, (1, 2))
-    # the only look at psi'' before _psi_ratios divides it by psi
-    energy_column = None if energy is None else energy(derivatives[1])
-    rho, mask, (r1, r2) = _psi_ratios(psi, derivatives, rho)
+    if rho is None:
+        rho = np.abs(psi) ** 2
+    support = _Support(rho)
+    # psi' is made over the spectrum in place; the ratios need only the window
+    # of each derivative, and the energy integrand is built over psi'' in place
+    laplacian, gradient = spectral_derivatives(psi, grid, (2, 1))
+    r1 = gradient[:, support.cols].copy()
+    del gradient
+    r2 = laplacian[:, support.cols].copy()
+    energy_column = None if energy is None else energy(laplacian)
+    del laplacian
+    rho_w = rho[:, support.cols]
+    _masked_ratios([r1, r2], psi[:, support.cols], support.mask)
     dx = grid.dx
     r2 -= r1 * r1  # div u_a = (hbar/m) Im(r2 - r1^2)
-    advective = k_B * _masked_integral(dx, rho * (hbar / mass * r2.imag), mask)
+    advective = k_B * support.integral(dx, np.multiply, rho_w, hbar / mass * r2.imag)
+    del r2
     # rho' = 2 rho Re r1
-    columns = _density_terms(rho, 2.0 * rho * r1.real, mask, dx, hbar / (2 * mass), k_B)
+    columns = _density_terms(rho_w, 2.0 * rho_w * r1.real, support, dx, hbar / (2 * mass), k_B)
     v = _velocity_from_ratio(r1, hbar, mass)
     columns.update(
         production_advective=advective,
-        production_correlation=_correlation_rate(rho, v.real, v.imag, mask, dx, hbar, mass, k_B),
+        production_correlation=_correlation_rate(
+            rho_w, v.real, v.imag, support, dx, hbar, mass, k_B
+        ),
     )
     _require_finite(columns, times)
     # left out of the check and its message: -n ln n is finite, since every row's
@@ -245,7 +253,7 @@ def _quantum_rows(psi, grid, hbar, mass, k_B, times, rho=None, energy=None):
     columns["ent_von_neumann"] = _von_neumann(rho, dx)
     if energy is not None:
         columns["energy"] = energy_column
-    return columns, rho, mask, v
+    return columns, rho, support, v
 
 
 @np.errstate(all="ignore")
@@ -253,14 +261,16 @@ def _diffusion_rows(rho, grid, D, k_B, times):
     """Entropy columns of a (rows, N) block of densities diffusing at D.
 
     The Fisher information is computed once and scaled into the diffusive
-    production.  Returns the columns with the valid mask and grad(rho); raises
-    NumericsError at the first row with a non-finite value.
+    production, on the block's valid column window.  Returns the columns with
+    the window and grad(rho) on it; raises NumericsError at the first row with
+    a non-finite value.
     """
-    mask = _floor_mask(rho)
+    support = _Support(rho)
     (grad,) = spectral_derivatives(rho, grid, (1,))
-    columns = _density_terms(rho, grad, mask, grid.dx, D, k_B)
+    grad = grad[:, support.cols].copy()  # the spectrum it is the real part of is freed
+    columns = _density_terms(rho[:, support.cols], grad, support, grid.dx, D, k_B)
     _require_finite(columns, times)
-    return columns, mask, grad
+    return columns, support, grad
 
 
 def entropy_report(state: QuantumState | DiffusionState, k_B: float = 1.0) -> EntropyReport:

@@ -12,6 +12,8 @@ itself.  Points where rho falls below DENSITY_FLOOR_RATIO * max(rho) are
 excluded from every pointwise quantity (logarithms and the Bohm potential
 are singular in near-vacuum); each ratio, like the Bohm curvature
 laplacian(sqrt(rho))/sqrt(rho), is one masked division (`_masked_ratios`).
+Row blocks compute their pointwise terms on the columns where some row is
+valid (`_Support`).
 Each divided density is checked once (`_density_mask`); u_d has one body
 (`_drift`), and the Bohm potential is the diffusive one at D = hbar/2m.  The
 states, quantum or diffusive, come from one kernel (`schrodinger._exact_kernel`).
@@ -87,6 +89,44 @@ def _floor_mask(rho: np.ndarray) -> np.ndarray:
     return rho >= DENSITY_FLOOR_RATIO * peak
 
 
+class _Support:
+    """The valid column window of a (..., N) block of densities: `cols` runs
+    from the first to the last column where any row's `_floor_mask` holds, and
+    `mask` is each row's mask on it.  Every column outside the window is masked
+    in every row, so pointwise terms need only the window, with the mask still
+    applied there.
+    """
+
+    def __init__(self, rho: np.ndarray):
+        mask = _floor_mask(rho)
+        held = np.flatnonzero(np.atleast_2d(mask).any(axis=0))  # each row holds its peak
+        self.cols = slice(held[0], held[-1] + 1)
+        self.mask = mask[..., self.cols]
+        self.shape, self._dtype, self._rows = rho.shape, rho.dtype, None
+
+    def widen(self, window: np.ndarray) -> np.ndarray:
+        """Full-width rows: `window` on the window, 0 outside it."""
+        rows = np.zeros(self.shape, window.dtype)
+        rows[..., self.cols] = window
+        return rows
+
+    def integral(self, dx, ufunc, *operands: np.ndarray):
+        """dx * sum over each row's mask of the integrand ufunc(*operands),
+        computed on the window.
+
+        numpy's pairwise row sum groups the elements by position, so each row
+        is summed at full width, zero outside the window and off the mask:
+        exactly as its full-width integrand zeroed off the mask.  The integrand
+        is written into one row buffer, made at the first integral (not while
+        the derivatives are alive), which serves every integral of the block.
+        """
+        if self._rows is None:
+            self._rows = np.zeros(self.shape, self._dtype)
+        inside = ufunc(*operands, out=self._rows[..., self.cols])
+        np.copyto(inside, 0.0, where=~self.mask)
+        return dx * np.sum(self._rows, axis=-1)
+
+
 def valid_mask(rho: Field) -> np.ndarray:
     """Points where the density is large enough for pointwise diagnostics."""
     return _floor_mask(rho.values) & rho.mask
@@ -113,30 +153,16 @@ def density(state: QuantumState) -> Field:
 def _masked_ratios(numerators, denominator: np.ndarray, mask: np.ndarray) -> list[np.ndarray]:
     """Each numerator divided by the denominator in place, zeroed off the mask.
 
-    The one masked division behind every grad(f)/f: the divisor is the
-    denominator on the mask and 1 off it, so no invalid point is divided by a
-    vanishing sample.  Arrays of (..., N) rows divide alike.
+    The one masked division behind every grad(f)/f: only the points on the
+    mask are divided, so no invalid point is divided by a vanishing sample.
+    Arrays of (..., N) rows divide alike.
     """
-    safe = np.where(mask, denominator, 1)
     off = ~mask
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         for n in numerators:
-            n /= safe
+            np.divide(n, denominator, out=n, where=mask)
             np.copyto(n, 0, where=off)
     return list(numerators)
-
-
-def _psi_ratios(psi: np.ndarray, derivatives, rho: np.ndarray | None = None):
-    """rho = |psi|^2 (unless given), its valid mask, and each derivative of psi divided by psi.
-
-    psi is (..., N) and every row is masked against its own peak; the
-    derivatives come from one `spectral_derivatives` call and are divided by
-    psi in place, the ratios zeroed off the valid mask.
-    """
-    if rho is None:
-        rho = np.abs(psi) ** 2
-    mask = _floor_mask(rho)
-    return rho, mask, _masked_ratios(derivatives, psi, mask)
 
 
 def _velocity_from_ratio(ratio: np.ndarray, hbar: float, mass: float) -> np.ndarray:
@@ -153,7 +179,8 @@ def complex_velocity(state: QuantumState) -> Field:
     invalid and excluded from diagnostics.
     """
     psi = state.psi.values
-    _, mask, (ratio,) = _psi_ratios(psi, spectral_derivatives(psi, state.grid, (1,)))
+    mask = _floor_mask(np.abs(psi) ** 2)
+    (ratio,) = _masked_ratios(spectral_derivatives(psi, state.grid, (1,)), psi, mask)
     return Field(state.grid, _velocity_from_ratio(ratio, state.hbar, state.mass), mask)
 
 

@@ -77,7 +77,10 @@ def _exact_kernel(initial: Field, rates, dt: float, unit: float = 1.0, vecs=None
             return np.fft.ifft(product, out=product)
         # one matrix-vector product per row: a single matrix product over the
         # block would change the last bits of each row
-        return np.array([np.dot(vecs, row) for row in product])
+        values = np.empty_like(product)
+        for row, out in zip(product, values):
+            np.dot(vecs, row, out=out)
+        return values
 
     # a rate times t that overflows makes its row non-finite, which the checks report
     @np.errstate(all="ignore")
@@ -85,7 +88,8 @@ def _exact_kernel(initial: Field, rates, dt: float, unit: float = 1.0, vecs=None
         if steps == [0]:
             values = initial.values[None]
         else:
-            values = to_x(table(np.array(steps) * dt / unit).astype(coeffs.dtype, copy=False) * coeffs)
+            product = table(np.array(steps) * dt / unit).astype(coeffs.dtype, copy=False)
+            values = to_x(np.multiply(product, coeffs, out=product))
         if clip is None:
             rho = np.abs(values) ** 2
         else:
@@ -262,10 +266,11 @@ def propagate(state: QuantumState, pot: Potential, cfg: EvolutionConfig) -> list
 def _energy_rows(psi, laplacian, grid: Grid, pot: Potential, hbar: float, mass: float, steps=None):
     """Energy of each row of a (rows, N) block of wavefunctions, given their psi''.
 
-    Raises NumericsError at the first row whose integral keeps an imaginary
-    part above 1e-10 of max(1, |E|).  A free potential adds no u*psi term.
+    The integrand is built over `laplacian` in place.  Raises NumericsError at
+    the first row whose integral keeps an imaginary part above 1e-10 of
+    max(1, |E|).  A free potential adds no u*psi term.
     """
-    integrand = -(hbar**2) / (2 * mass) * laplacian
+    integrand = np.multiply(-(hbar**2) / (2 * mass), laplacian, out=laplacian)
     if pot.kind != "free":
         # u*psi a part at a time: a real u scales each part as the complex product would
         u = mass * pot.per_mass(grid)

@@ -1,14 +1,16 @@
 """Block and public results are never shared: a column, a field row, a
 `Field` or a `propagate` snapshot that aliased an array a later block or
-call writes would change under the caller.  How the allocator keeps block
+call writes would change under the caller.  A warm block holds a bounded
+number of (rows x N) arrays at its peak.  How the allocator keeps block
 arrays from faulting their pages in again is in `tests/test_process.py`.
 """
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from qhydro import cli
+from qhydro import cli, grid as grid_module
 from qhydro.grid import make_grid, spectral_derivatives
 from qhydro.madelung import complex_velocity
 from qhydro.schrodinger import (
@@ -77,3 +79,37 @@ def test_public_results_share_no_memory(unit_gaussian):
     for a in d1:
         for b in d2:
             assert not np.shares_memory(a, b)
+
+
+# a default scenario's block at the two-worker block size, and the most (rows x N)
+# complex arrays that its traced peak may reach: a `run` block makes psi'' from the
+# spectrum of psi and psi' over it in place, and computes every later term on the
+# density's column window; a `compare` block drops psi before the heat kernel
+# runs.  When every term was computed at full width, a free block read 5.07, a
+# trap block 5.144, a diffusion block 2.881 and a `compare` block 3.75.
+PEAK_CASES = {
+    "free": (cli._ENTRIES["free_gaussian"], "free_gaussian", 4.0),
+    "trap": (cli._ENTRIES["harmonic_ground"], "harmonic_ground", 5.15),
+    "diffusion": (cli._ENTRIES["diffusion_gaussian"], "diffusion_gaussian", 2.89),
+    "compare": (cli._COMPARE, "free_gaussian", 2.5),
+}
+
+
+@pytest.mark.parametrize("case", PEAK_CASES.values(), ids=PEAK_CASES.keys())
+def test_a_warm_block_holds_few_block_arrays(monkeypatch, case):
+    entry, scenario, most = case
+    monkeypatch.setattr(grid_module, "_WORKERS", 2)
+    cfg = cli.default_config(scenario)
+    grid = make_grid(cfg.L, cfg.N)
+    rows = len(grid_module._row_blocks(list(range(1 << 20)), cfg.N)[0])
+    steps = [i * cfg.snapshot_stride for i in range(1, 2 * rows + 1)]
+    block = entry.blocks(cfg, grid, cli._evolution(cfg), *entry.start(cfg, grid))
+    block(steps[:rows])  # the first block of a run is warmed by the initial row
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        block(steps[rows:])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / (16 * rows * cfg.N) <= most
