@@ -91,7 +91,8 @@ def _exact_kernel(initial: Field, rates, dt: float, unit: float = 1.0, vecs=None
             product = table(np.array(steps) * dt / unit).astype(coeffs.dtype, copy=False)
             values = to_x(np.multiply(product, coeffs, out=product))
         if clip is None:
-            rho = np.abs(values) ** 2
+            rho = np.abs(values)
+            np.square(rho, out=rho)  # |psi|**2 in place, bit for bit
         else:
             values = rho = clip(values, steps)
         norm = initial.grid.dx * np.sum(rho, axis=-1)

@@ -85,8 +85,8 @@ def test_public_results_share_no_memory(unit_gaussian):
 # complex arrays that its traced peak may reach: a `run` block makes psi'' from the
 # spectrum of psi and psi' over it in place, and computes every later term on the
 # density's column window; a `compare` block drops psi before the heat kernel
-# runs.  When every term was computed at full width, a free block read 5.07, a
-# trap block 5.144, a diffusion block 2.881 and a `compare` block 3.75.
+# runs.  With every term at full width the peaks are 5.07 (free), 5.144 (trap),
+# 2.881 (diffusion) and 3.75 (`compare`): the trap and diffusion bounds.
 PEAK_CASES = {
     "free": (cli._ENTRIES["free_gaussian"], "free_gaussian", 4.0),
     "trap": (cli._ENTRIES["harmonic_ground"], "harmonic_ground", 5.15),
