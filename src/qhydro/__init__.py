@@ -55,13 +55,11 @@ from .entropy import (
 from .analytic import (
     GaussianParams,
     SigmaTrace,
-    UncertaintyProduct,
     free_divergence,
     free_entropy,
     free_sigma,
     harmonic_ground_width,
     harmonic_sigma,
-    uncertainty_relation,
 )
 from .traces import centered_difference, dominant_mode
 

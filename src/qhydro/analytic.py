@@ -2,9 +2,8 @@
 
 Everything here is independent of the spectral solvers and serves as the
 oracle side of the comparisons: free-particle spreading, the harmonic width
-equation, the spreading of a diffusing Gaussian, and the uncertainty-type
-product between diffusivity and mass.  Every time argument is the time
-elapsed since the Gaussian had width sigma0.
+equation and the spreading of a diffusing Gaussian.  Every time argument is
+the time elapsed since the Gaussian had width sigma0.
 
 The harmonic width equation is integrated in the form
 
@@ -19,20 +18,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "GaussianParams",
     "SigmaTrace",
-    "UncertaintyProduct",
     "free_sigma",
     "free_entropy",
     "free_divergence",
     "harmonic_ground_width",
     "harmonic_sigma",
-    "uncertainty_relation",
 ]
 
 
@@ -125,10 +121,8 @@ def harmonic_sigma(
     # tolerate the ulp-level jitter of arange/linspace grids
     if not np.allclose(dt_grid, dt_grid.mean(), rtol=1e-9, atol=0):
         raise ValueError("t_grid must be uniform")
+    s0 = harmonic_ground_width(p)  # ValueError without omega0
     w0 = p.omega0
-    if w0 is None:
-        raise ValueError("omega0 is required for the harmonic branch")
-    s0 = harmonic_ground_width(p)
     if abs(p.sigma0 - s0) > 1e-9 * s0:
         raise ValueError(
             f"sigma0={p.sigma0} is inconsistent with the ground width {s0} set by omega0"
@@ -165,22 +159,3 @@ def diffusive_sigma2(p: GaussianParams, t):
     """sigma^2 = sigma0^2 + 2 D t of a Gaussian of width sigma0 diffusing at D for
     a time t; t may be an array."""
     return p.sigma0**2 + 2 * p.D * t
-
-
-class UncertaintyProduct(NamedTuple):
-    lx_px: float
-    is_bound: bool
-
-
-def uncertainty_relation(D: float, mass: float, hbar: float) -> UncertaintyProduct:
-    """Mean-free-path times Brownian-momentum product l_x p_x = m D.
-
-    Reports whether the product sits exactly on hbar/2, which happens iff
-    D = hbar/2m (the diffusivity that identifies the imaginary velocity with
-    a Fickian drift).
-    """
-    if not (D > 0 and mass > 0 and hbar > 0):
-        raise ValueError("D, mass and hbar must be positive")
-    product = mass * D
-    bound = hbar / 2.0
-    return UncertaintyProduct(product, math.isclose(product, bound, rel_tol=1e-12, abs_tol=0.0))

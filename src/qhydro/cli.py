@@ -222,9 +222,8 @@ def _positive(cfg: ScenarioConfig, *names: str) -> list[str]:
 
 def _trap_problems(cfg: ScenarioConfig, problems: list[str]) -> list[str]:
     found = _own_potential(cfg, problems) + _positive(cfg, "omega0")
-    if problems or found or 0 < _ground_width(cfg) < math.inf:
+    if problems or found or 0 < (width := _ground_width(cfg)) < math.inf:
         return found
-    width = _ground_width(cfg)
     return [f"ground width sqrt(hbar/(2 mass omega0)) is {width}, not a positive finite number"]
 
 
@@ -508,8 +507,8 @@ def _quantum_blocks(cfg: ScenarioConfig, grid, ev: EvolutionConfig, state, pot):
             psi, grid, cfg.hbar, cfg.mass, cfg.k_B, times, rho,
             lambda laplacian: _energy_rows(psi, laplacian, grid, pot, cfg.hbar, cfg.mass, steps),
         )
-        if not cfg.enable_von_neumann:
-            ent["ent_von_neumann"] = None
+        # -n ln n of the grid norm: the one nonzero eigenvalue of dx psi psi^dagger
+        ent["ent_von_neumann"] = -norm * np.log(norm) if cfg.enable_von_neumann else None
         ua_max = np.abs(v.real).max(axis=-1)
         rho_drift = np.abs(rho - rho0).max(axis=-1)
         columns = dict(_density_columns(times, rho, norm, grid, ent), ua_max=ua_max, rho_drift=rho_drift)

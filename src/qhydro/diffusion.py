@@ -163,23 +163,18 @@ def fokker_planck_residual(state: QuantumState) -> Field:
     return Field(grid, r)
 
 
-def entropy_equation_residual(
-    before: QuantumState, after: QuantumState, D: float | None = None
-) -> Field:
+def entropy_equation_residual(before: QuantumState, after: QuantumState) -> Field:
     """Residual of the entropy-density balance between two close snapshots.
 
     r = ds/dt + div[(s - rho) u_a] - (1/D) rho u_a u_d, with s = -rho ln rho,
     ds/dt the centered difference of the snapshots, and the spatial terms
-    evaluated on the averaged midpoint fields.  D defaults to hbar/2m; the
-    source term is independent of D since u_d scales linearly with it.
+    evaluated on the averaged midpoint fields, and D = hbar/2m.
     """
     if after.time <= before.time:
         raise ValueError("after must be later than before")
     if before.grid != after.grid:
         raise ValueError("snapshots live on different grids")
-    grid = before.grid
-    if D is None:
-        D = before.hbar / (2 * before.mass)
+    grid, D = before.grid, before.hbar / (2 * before.mass)
 
     def entropy_density(rho):
         mask = valid_mask(rho)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffusion import DiffusionState
-from .grid import Field, spectral_derivatives
+from .grid import Field, integrate, spectral_derivatives
 from .madelung import (
     QuantumState,
     action_per_mass,
@@ -42,7 +42,7 @@ from .madelung import (
     _masked_ratios,
     _velocity_from_ratio,
 )
-from .schrodinger import NumericsError
+from .schrodinger import _check_rows
 
 __all__ = [
     "EntropyReport",
@@ -148,12 +148,6 @@ def production_correlation(state: QuantumState, k_B: float = 1.0) -> float:
     ))
 
 
-def _von_neumann(rho: np.ndarray, dx) -> np.ndarray:
-    """-n ln n of each row's grid norm n = dx * sum(rho), the kernel's `norm` column."""
-    n = dx * np.sum(rho, axis=-1)
-    return -n * np.log(n)
-
-
 def von_neumann_entropy(state: QuantumState) -> float:
     """-Tr(rho_op ln rho_op) of the density operator rho_op = |psi><psi|.
 
@@ -162,7 +156,8 @@ def von_neumann_entropy(state: QuantumState) -> float:
     -n ln n: zero for a normalized pure state, and unchanged by any unitary
     evolution.  Costs O(N) and needs no phase unwrap.
     """
-    return float(_von_neumann(np.abs(state.psi.values[None]) ** 2, state.grid.dx)[0])
+    n = integrate(density(state))
+    return float(-n * np.log(n))
 
 
 def kernel_log_functional(state: QuantumState) -> float:
@@ -199,12 +194,11 @@ def kernel_log_functional(state: QuantumState) -> float:
 def _require_finite(columns: dict, times, kind: str = "entropy"):
     """NumericsError at the first row of the block with a non-finite value;
     `kind` names the columns."""
-    present = {name: col for name, col in columns.items() if col is not None}
-    finite = np.logical_and.reduce([np.isfinite(col) for col in present.values()])
-    if not finite.all():
-        row = int(np.argmin(finite))
-        values = ", ".join(f"{name}={float(col[row])!r}" for name, col in present.items())
-        raise NumericsError(f"non-finite {kind} diagnostics at t = {times[row]}: {values}")
+    _check_rows(
+        np.logical_and.reduce([np.isfinite(col) for col in columns.values()]), None,
+        lambda row: f"non-finite {kind} diagnostics at t = {times[row]}: "
+        + ", ".join(f"{name}={float(col[row])!r}" for name, col in columns.items()),
+    )
 
 
 @np.errstate(all="ignore")
@@ -248,9 +242,6 @@ def _quantum_rows(psi, grid, hbar, mass, k_B, times, rho=None, energy=None):
         ),
     )
     _require_finite(columns, times)
-    # left out of the check and its message: -n ln n is finite, since every row's
-    # grid norm n passed the norm check of its state or of its kernel
-    columns["ent_von_neumann"] = _von_neumann(rho, dx)
     if energy is not None:
         columns["energy"] = energy_column
     return columns, rho, support, v
@@ -294,5 +285,6 @@ def entropy_report(state: QuantumState | DiffusionState, k_B: float = 1.0) -> En
         columns, *_ = _quantum_rows(
             state.psi.values[None], state.grid, state.hbar, state.mass, k_B, [state.time]
         )
-    first = {name: None if col is None else float(col[0]) for name, col in columns.items()}
+        columns["ent_von_neumann"] = [von_neumann_entropy(state)]
+    first = {name: float(col[0]) for name, col in columns.items()}
     return EntropyReport(k_B=k_B, **first)

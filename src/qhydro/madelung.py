@@ -132,7 +132,7 @@ def valid_mask(rho: Field) -> np.ndarray:
     return _floor_mask(rho.values) & rho.mask
 
 
-def _density_mask(rho: Field, D: float = 1.0) -> np.ndarray:
+def _density_mask(rho: Field, D: float) -> np.ndarray:
     """`valid_mask` of a density that a pointwise quantity at diffusivity D
     divides by; ValueError for D <= 0, a negative density, or a field whose own
     mask excludes every point.  The mask holds at least the peak."""

@@ -24,7 +24,6 @@ from qhydro import (
     make_grid,
     production_diffusive,
     propagate,
-    uncertainty_relation,
 )
 from qhydro.analytic import diffusive_sigma2
 
@@ -282,27 +281,6 @@ class TestDiffusionReference:
         for t in (0.5, 1.0, 2.0):
             state = diffuse_step(gaussian_density(heat_grid, 1.0, D=0.7), t)
             assert abs(production_diffusive(state.rho, 0.7) - p.D / diffusive_sigma2(p, t)) < 1e-10
-
-
-class TestUncertaintyRelation:
-    def test_bound_hit(self):
-        result = uncertainty_relation(0.5, 1.0, 1.0)
-        assert result.lx_px == 0.5
-        assert result.is_bound
-
-    def test_bound_missed(self):
-        result = uncertainty_relation(1.0, 1.0, 1.0)
-        assert result.lx_px == 1.0
-        assert not result.is_bound
-
-    def test_identified_diffusivity_always_on_bound(self):
-        rng = np.random.default_rng(42)
-        for _ in range(10):
-            hbar = rng.uniform(0.1, 10.0)
-            mass = rng.uniform(0.1, 10.0)
-            result = uncertainty_relation(hbar / (2 * mass), mass, hbar)
-            assert result.is_bound
-            assert result.lx_px == pytest.approx(hbar / 2, rel=1e-12)
 
 
 class TestGaussianParamsValidation:

@@ -150,6 +150,25 @@ class TestFisherInformation:
         rho = Field(grid256, bumps / (grid256.dx * bumps.sum()))
         assert fisher_information(rho) >= 0.0
 
+    def test_cramer_rao_bound_is_strict_off_a_gaussian(self, grid1024):
+        # variance * Fisher >= 1, with equality only for a Gaussian: the measured
+        # reading of the bound l_x p_x >= m D (criterion 12).  Two counter-
+        # propagating packets (hbar = m = 1) sit far above it before, between
+        # and at their collision (t = 2.1), where the density has nodes.
+        x = grid1024.x
+
+        def product(state):
+            rho = density(state)
+            mean = integrate(Field(grid1024, x * rho.values))
+            return integrate(Field(grid1024, (x - mean) ** 2 * rho.values)) * fisher_information(rho)
+
+        psi = np.exp(-((x - 6) ** 2) / 4 - 3j * x) + np.exp(-((x + 6) ** 2) / 4 + 3j * x)
+        state = QuantumState(Field(grid1024, psi / np.sqrt(integrate(Field(grid1024, np.abs(psi) ** 2)))))
+        snapshots = propagate(state, free_potential(), EvolutionConfig(1.05, 2.1, 1))
+        products = [product(snapshot) for snapshot in snapshots]
+        np.testing.assert_allclose(products, [37.0, 11.476, 62.715], rtol=1e-4)
+        assert abs(product(gaussian_packet(grid1024, 1.0)) - 1.0) < 1e-10
+
 
 class TestProductionDiffusive:
     def test_similarity_profile_rate(self, grid1024):
