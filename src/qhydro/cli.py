@@ -27,7 +27,7 @@ from collections import deque
 from dataclasses import asdict, dataclass, replace
 from itertools import chain
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -45,8 +45,8 @@ from .analytic import (
 from .diffusion import DiffusionState, gaussian_density, _kernel_blocks
 from .entropy import _boltzmann_rows, _diffusion_rows, _quantum_rows, _require_finite
 from . import grid as grid_module
-from .grid import _row_blocks, make_grid
-from .madelung import density, _drift
+from .grid import Field, _row_blocks, make_grid
+from .madelung import QuantumState, advective_velocity, density, diffusive_velocity
 from .schrodinger import (
     EvolutionConfig,
     NumericsError,
@@ -337,14 +337,15 @@ class IdentityCheck:
 @dataclass
 class RunReport:
     """`table` maps each column to one value per snapshot (absent or None: not
-    applicable); `columns` names the emitted ones, in order."""
+    applicable); `columns` names the emitted ones, in order; `field_tables()`
+    recomputes the `emit_fields` tables, one per snapshot, at each call."""
 
     scenario: str
     columns: list[str]
     table: dict[str, np.ndarray | None]
     identities: list[IdentityCheck]
     provenance: dict
-    field_tables: list[dict] | None = None
+    field_tables: Callable[[], Iterator[dict]] | None = None
 
     @property
     def exit_code(self) -> int:
@@ -496,14 +497,13 @@ def _density_columns(times, rho, norm, grid, ent: dict) -> dict:
 
 
 def _quantum_blocks(cfg: ScenarioConfig, grid, ev: EvolutionConfig, state, pot):
-    """steps -> the block's `run` columns (and max|u_a|, max|rho - rho0|), and its fields
-    if emitted."""
+    """steps -> the block's `run` columns (and max|u_a|, max|rho - rho0|)."""
     later, rho0 = _snapshot_blocks(state, pot, ev.dt), np.abs(state.psi.values) ** 2
 
     def block(steps):
         psi, rho, norm = later(steps)
         times = state.time + np.array(steps) * ev.dt
-        ent, rho, support, v = _quantum_rows(
+        ent, rho, _, v = _quantum_rows(
             psi, grid, cfg.hbar, cfg.mass, cfg.k_B, times, rho,
             lambda laplacian: _energy_rows(psi, laplacian, grid, pot, cfg.hbar, cfg.mass, steps),
         )
@@ -511,27 +511,20 @@ def _quantum_blocks(cfg: ScenarioConfig, grid, ev: EvolutionConfig, state, pot):
         ent["ent_von_neumann"] = -norm * np.log(norm) if cfg.enable_von_neumann else None
         ua_max = np.abs(v.real).max(axis=-1)
         rho_drift = np.abs(rho - rho0).max(axis=-1)
-        columns = dict(_density_columns(times, rho, norm, grid, ent), ua_max=ua_max, rho_drift=rho_drift)
-        fields = cfg.emit_fields and {
-            "rho": rho, "u_advective": support.widen(np.where(support.mask, v.real, 0.0)),
-        }
-        return columns, fields
+        return dict(_density_columns(times, rho, norm, grid, ent), ua_max=ua_max, rho_drift=rho_drift)
 
     return block
 
 
 def _diffusion_blocks(cfg: ScenarioConfig, grid, ev: EvolutionConfig, initial: DiffusionState, _):
-    """steps -> the block's `run` columns, and its fields if emitted."""
+    """steps -> the block's `run` columns."""
     later = _kernel_blocks(initial, ev.dt)
 
     def block(steps):
         rho, _, norm = later(steps)
         times = initial.time + np.array(steps) * ev.dt
-        ent, support, grad = _diffusion_rows(rho, grid, cfg.D, cfg.k_B, times)
-        columns = _density_columns(times, rho, norm, grid, ent)
-        drift = cfg.emit_fields and _drift(rho[:, support.cols], grad, support.mask, cfg.D)
-        fields = cfg.emit_fields and {"rho": rho, "u_diffusive": support.widen(drift)}
-        return columns, fields
+        ent = _diffusion_rows(rho, grid, cfg.D, cfg.k_B, times)
+        return _density_columns(times, rho, norm, grid, ent)
 
     return block
 
@@ -556,7 +549,7 @@ def _compare_blocks(cfg: ScenarioConfig, grid, ev: EvolutionConfig, q_state, pot
             rho_l2_divergence=_l2_distance(rho_q, rho_d, grid.dx),
         )
         _require_finite(widths, times, "width and distance")
-        return dict(t=times, **widths, **ent), None
+        return dict(t=times, **widths, **ent)
 
     return block
 
@@ -640,8 +633,8 @@ def _compare_references(cfg: ScenarioConfig, tab: dict) -> dict:
 
 class _Entry(NamedTuple):
     """A scenario as data: blocks(cfg, grid, ev, *start(cfg, grid)) is the function from a
-    block's steps to its (columns, fields); references derive columns; identities check
-    the table; validate adds config problems."""
+    block's steps to its columns; references derive columns; identities check the table;
+    validate adds config problems."""
 
     description: str
     defaults: dict
@@ -786,6 +779,29 @@ def _pooled(block, blocks: list[list[int]]):
             thread.join()
 
 
+def _blockwise(block, steps: list[int], grid):
+    """block(steps) for the initial row, then for each later row block on the pool."""
+    return chain([block(steps[:1])], _pooled(block, _row_blocks(steps[1:], grid.num_points)))
+
+
+def _field_tables(cfg: ScenarioConfig, grid, ev: EvolutionConfig, start, pot, steps):
+    """Each snapshot's `emit_fields` table, recomputed a row block at a time on the pool:
+    x, the kernel's rho, and `diffusive_velocity` of a density (no potential) or
+    `advective_velocity` of a wavefunction."""
+    later = _kernel_blocks(start, ev.dt) if pot is None else _snapshot_blocks(start, pot, ev.dt)
+
+    def block(steps):
+        values, rho, _ = later(steps)
+        if pot is None:
+            name, u = "u_diffusive", [diffusive_velocity(Field(grid, r), cfg.D) for r in rho]
+        else:
+            states = (QuantumState(Field(grid, v), cfg.hbar, cfg.mass) for v in values)
+            name, u = "u_advective", map(advective_velocity, states)
+        return [{"x": grid.x, "rho": r, name: f.values} for r, f in zip(rho, u)]
+
+    return chain.from_iterable(_blockwise(block, steps, grid))
+
+
 def _run(
     entry: _Entry, cfg: ScenarioConfig, name: str, columns: list[str], problems: list[str]
 ) -> RunReport:
@@ -805,25 +821,21 @@ def _run(
         grid = make_grid(cfg.L, cfg.N)
     except MemoryError:
         raise ConfigError([_GRID_TOO_LARGE.format(cfg.N)]) from None
-    block = entry.blocks(cfg, grid, ev, *entry.start(cfg, grid))
-    parts, tables = [], ([] if cfg.emit_fields else None)
-    blocks = _pooled(block, _row_blocks(steps[1:], grid.num_points))
-    for part, fields in chain([block(steps[:1])], blocks):
-        parts.append(part)
-        if tables is not None and fields:
-            tables += [{"x": grid.x, **dict(zip(fields, row))} for row in zip(*fields.values())]
-    table = {
-        key: None if column is None else np.concatenate([part[key] for part in parts])
-        for key, column in parts[0].items()
-    }
+    start = entry.start(cfg, grid)
     # the kernels' clock, which the references and dS/dt read: t = start_time + elapsed
     # is rounded to float64's spacing at start_time
-    table["elapsed"] = np.array(steps) * ev.dt
-    if not np.all(np.diff(table["t"]) > 0):  # the emitted t must tell the rows apart
+    elapsed = np.array(steps) * ev.dt
+    if not np.all(np.diff(start[0].time + elapsed) > 0):  # the emitted t must tell the rows apart
         raise ConfigError([
             f"start_time = {cfg.start_time} and dt = {cfg.dt} give snapshot times "
             "that do not strictly increase in float64"
         ])
+    parts = list(_blockwise(entry.blocks(cfg, grid, ev, *start), steps, grid))
+    table = {
+        key: None if column is None else np.concatenate([part[key] for part in parts])
+        for key, column in parts[0].items()
+    }
+    table["elapsed"] = elapsed
     with np.errstate(over="raise"):  # an overflowing reference is a numeric abort
         for derive in entry.references:
             table.update(derive(cfg, table))
@@ -838,7 +850,9 @@ def _run(
         "workers": grid_module._WORKERS,
         **{var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
     }
-    return RunReport(name, columns, table, identities, provenance, tables)
+    dumps = cfg.emit_fields and entry is not _COMPARE  # compare dumps no fields
+    fields = (lambda: _field_tables(cfg, grid, ev, *start, steps)) if dumps else None
+    return RunReport(name, columns, table, identities, provenance, fields)
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunReport:
@@ -936,7 +950,7 @@ def emit_timeseries(report: RunReport, directory: str | Path, formats=("csv", "j
         written.append(_write_csv(directory / f"{stem}.csv", report.columns, columns, rows))
     if "json" in formats:
         written.append(_write_json(directory / f"{stem}.json", report.columns, columns, rows))
-    for i, table in enumerate(report.field_tables or ()):
+    for i, table in enumerate(report.field_tables() if report.field_tables else ()):
         path = directory / f"fields_{i:04d}.csv"
         written.append(_write_csv(path, list(table), list(table.values()), len(table["x"])))
     return written

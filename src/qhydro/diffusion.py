@@ -25,7 +25,7 @@ from .madelung import (
     diffusive_velocity,
     valid_mask,
     _check_norm,
-    _drift,
+    _masked_ratios,
 )
 from .schrodinger import _check_rows, _exact_kernel, _unit_norm
 
@@ -109,7 +109,7 @@ def diffuse_step(state: DiffusionState, dt: float) -> DiffusionState:
 def _velocity_and_slope(state: DiffusionState):
     """u_d and du_d/dx = -D rho''/rho + u_d^2/D, on the state's valid mask."""
     rho, u = state.rho.values, diffusive_velocity(state.rho, state.D)
-    curvature = _drift(rho, spectral_derivative(rho, state.grid, 2), u.mask, state.D)
+    (curvature,) = _masked_ratios([-state.D * spectral_derivative(rho, state.grid, 2)], rho, u.mask)
     return u.mask, u.values, curvature + u.values * u.values / state.D
 
 

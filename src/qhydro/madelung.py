@@ -15,7 +15,7 @@ laplacian(sqrt(rho))/sqrt(rho), is one masked division (`_masked_ratios`).
 Row blocks compute their pointwise terms on the columns where some row is
 valid (`_Support`).
 Each divided density is checked once (`_density_mask`); u_d has one body
-(`_drift`), and the Bohm potential is the diffusive one at D = hbar/2m.  The
+(`diffusive_velocity`), and the Bohm potential is the diffusive one at D = hbar/2m.  The
 states, quantum or diffusive, come from one kernel (`schrodinger._exact_kernel`).
 Fields are `grid.Field`s: complex for psi and u_a + i u_d, real otherwise.
 """
@@ -104,12 +104,6 @@ class _Support:
         self.mask = mask[..., self.cols]
         self.shape, self._dtype, self._rows = rho.shape, rho.dtype, None
 
-    def widen(self, window: np.ndarray) -> np.ndarray:
-        """Full-width rows: `window` on the window, 0 outside it."""
-        rows = np.zeros(self.shape, window.dtype)
-        rows[..., self.cols] = window
-        return rows
-
     def integral(self, dx, ufunc, *operands: np.ndarray):
         """dx * sum over each row's mask of the integrand ufunc(*operands),
         computed on the window.
@@ -193,15 +187,8 @@ def advective_velocity(state: QuantumState) -> Field:
 def diffusive_velocity(rho: Field, D: float) -> Field:
     """Fick's-law drift u_d = -D grad(ln rho), via grad(rho)/rho."""
     mask = _density_mask(rho, D)
-    grad = spectral_derivative(rho.values, rho.grid)
-    return Field(rho.grid, _drift(rho.values, grad, mask, D), mask)
-
-
-def _drift(rho: np.ndarray, grad: np.ndarray, mask: np.ndarray, D: float) -> np.ndarray:
-    """-D grad/rho on the mask, 0 elsewhere, rows of (..., N) blocks alike; with
-    grad = rho' the one u_d of every path."""
-    (drift,) = _masked_ratios([-D * grad], rho, mask)
-    return drift
+    (drift,) = _masked_ratios([-D * spectral_derivative(rho.values, rho.grid)], rho.values, mask)
+    return Field(rho.grid, drift, mask)
 
 
 def bohm_potential(rho: Field, hbar: float = 1.0, mass: float = 1.0) -> Field:

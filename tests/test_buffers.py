@@ -6,6 +6,7 @@ arrays from faulting their pages in again is in `tests/test_process.py`.
 """
 import tracemalloc
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -18,11 +19,12 @@ from qhydro.schrodinger import (
 )
 
 
-def _arrays(result):
-    """Every array of a block's (columns, fields), keyed by where it sits."""
-    columns, fields = result
+def _arrays(columns, tables):
+    """Every array of a block's columns and of its field tables but the grid's x,
+    keyed by where it sits."""
     found = {f"column {k}": v for k, v in columns.items() if v is not None}
-    found.update({f"field {k}": v for k, v in (fields or {}).items()})
+    for i, table in enumerate(tables):
+        found.update({f"field {k} {i}": v for k, v in table.items() if k != "x"})
     return found
 
 
@@ -38,19 +40,28 @@ BLOCK_CASES = {
 
 
 @pytest.mark.parametrize("case", BLOCK_CASES.values(), ids=BLOCK_CASES.keys())
-def test_a_block_result_outlives_the_next_block(case):
+def test_a_block_result_outlives_the_next_block(monkeypatch, case):
     entry, overrides = case
     cfg = replace(cli.default_config(overrides["scenario"]),
                   **dict(L=10.0, N=64, dt=0.01, t_final=0.1, snapshot_stride=1,
                          emit_fields=True), **overrides)
     grid = make_grid(cfg.L, cfg.N)
-    block = entry.blocks(cfg, grid, cli._evolution(cfg), *entry.start(cfg, grid))
-    first = _arrays(block([1, 2, 3]))
+    ev, start = cli._evolution(cfg), entry.start(cfg, grid)
+    block = entry.blocks(cfg, grid, ev, *start)
+    # the field tables of steps 0 to 5 come in blocks [0], [1, 2, 3] and [4, 5], the
+    # later two in this thread, one at a time; `compare` dumps no fields
+    monkeypatch.setattr(grid_module, "_WORKERS", 2)
+    monkeypatch.setattr(grid_module, "_BLOCK_BYTES", 3 * 16 * cfg.N * 2)
+    dumped = entry is not cli._COMPARE
+    tables = cli._field_tables(cfg, grid, ev, *start, list(range(6))) if dumped else iter(())
+    next(tables, None)
+    first = _arrays(block([1, 2, 3]), islice(tables, 3))
     kept = {key: value.copy() for key, value in first.items()}
     # a shorter block, as the last one of a run, reuses the leading rows
-    second = _arrays(block([4, 5]))
-    assert first.keys() == second.keys()
-    assert ("field rho" in first) == (entry is not cli._COMPARE)
+    second = _arrays(block([4, 5]), tables)
+    # the same columns, and the field tables of all but the first block's third row
+    assert second.keys() == first.keys() - {key for key in first if key.endswith(" 2")}
+    assert ("field rho 0" in first) == ("field rho 1" in second) == dumped
     for key, value in first.items():
         assert value.tobytes() == kept[key].tobytes(), key
         for other in second.values():

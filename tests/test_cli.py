@@ -2,6 +2,7 @@ import functools
 import hashlib
 import json
 import math
+import shutil
 import tempfile
 import tracemalloc
 from dataclasses import replace
@@ -277,6 +278,15 @@ class TestRunScenario:
         assert np.all(np.diff(report.table["t"]) > 0)
         assert np.array_equal(report.table["elapsed"], np.arange(0, 2001, 10) * 1e-3)
 
+    def test_a_clock_that_stalls_is_refused_before_any_block_runs(self, monkeypatch):
+        # 1e14 + step * 1e-3 rounds to equal neighbours; it is known from the start state
+        def no_kernel(*args):
+            raise AssertionError("a kernel block ran")
+
+        monkeypatch.setattr(cli, "_kernel_blocks", no_kernel)
+        with pytest.raises(ConfigError, match="do not strictly increase in float64"):
+            run_scenario(replace(default_config("diffusion_gaussian"), start_time=1e14))
+
     def test_four_transforms_per_row(self, monkeypatch):
         # rows transformed, not calls (a block is one call): psi0 once in
         # propagate, 1 per later snapshot, 3 per row for the entropy report
@@ -477,7 +487,7 @@ def _oracle(names, columns):
 @given(drawn=emitted_tables())
 def test_writer_matches_the_per_value_oracle(drawn):
     names, table, fields = drawn
-    report = cli.RunReport("free_gaussian", names, table, [], {}, [fields])
+    report = cli.RunReport("free_gaussian", names, table, [], {}, lambda: iter([fields]))
     rows = len(table["t"])
     columns = [[None] * rows if table[n] is None else table[n].tolist() for n in names]
     csv, text = _oracle(names, columns)
@@ -504,6 +514,34 @@ def test_output_memory_does_not_grow_with_rows(tmp_path):
         tracemalloc.stop()
     assert peak < 4e6
     assert len((tmp_path / "timeseries.csv").read_text().splitlines()) == rows + 1
+
+
+def test_field_output_memory_does_not_grow_with_rows(tmp_path, monkeypatch):
+    # one-row blocks on two workers: the pool holds at most five rows ahead, far
+    # below both row counts.  A run that kept every field row until it was written
+    # traced ~4.7 kB more per added row here; the list of written paths (~0.3 kB a
+    # file) stays below the run's own per-block overhead
+    n = 256
+    monkeypatch.setattr(cli.grid_module, "_WORKERS", 2)
+    monkeypatch.setattr(cli.grid_module, "_BLOCK_BYTES", 16 * n * 2)
+
+    def peak(rows, fields):
+        cfg = replace(default_config("free_gaussian"), L=20.0, N=n, dt=1e-3,
+                      t_final=(rows - 1) * 1e-3, snapshot_stride=1, emit_fields=fields)
+        out = tmp_path / f"{rows}_{fields}"
+        tracemalloc.start()
+        try:
+            emit_timeseries(run_scenario(cfg), out, formats=("csv",))
+            traced = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(list(out.iterdir())) == 1 + fields * rows
+        shutil.rmtree(out)
+        return traced
+
+    peak(50, False)  # the first run in a process also traces one-time allocations
+    above = [peak(rows, True) - peak(rows, False) for rows in (50, 350)]
+    assert (above[1] - above[0]) / 300 < (2 * n * 8) / 8  # an eighth of a field row's rho and u
 
 
 class TestCompare:
@@ -539,6 +577,12 @@ class TestCompare:
         assert (tmp_path / "compare.csv").exists()
         header = (tmp_path / "compare.csv").read_text().splitlines()[0]
         assert header.startswith("t,sigma2_quantum,ref_sigma2_quantum")
+
+    def test_compare_writes_no_field_files(self, tmp_path, quick_free):
+        report = compare_quantum_diffusion(replace(quick_free, emit_fields=True))
+        assert report.field_tables is None
+        emit_timeseries(report, tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["compare.csv", "compare.json"]
 
 
 class TestMain:

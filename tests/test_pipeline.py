@@ -100,7 +100,7 @@ def test_quantum_runner_matches_per_state_path(case, rows):
     assert tab["ua_max"].tolist() == [float(np.abs(u).max()) for u in u_a]
     rho0 = density(snapshots[0]).values
     assert tab["rho_drift"].tolist() == [float(np.abs(density(s).values - rho0).max()) for s in snapshots]
-    for table, snap, u in zip(report.field_tables, snapshots, u_a):
+    for table, snap, u in zip(report.field_tables(), snapshots, u_a, strict=True):
         assert np.array_equal(table["rho"], density(snap).values)
         assert np.array_equal(table["u_advective"], u)
         assert not np.signbit(table["u_advective"][~advective_velocity(snap).mask]).any()
@@ -121,7 +121,7 @@ def test_diffusion_runner_matches_per_state_path(rows):
     assert len(tab["t"]) == len(snapshots) == rows
     assert tab.get("energy") is None
     assert tab.get("production_advective") is None
-    for i, (snap, table) in enumerate(zip(snapshots, report.field_tables)):
+    for i, (snap, table) in enumerate(zip(snapshots, report.field_tables(), strict=True)):
         ent = entropy_report(snap, cfg.k_B)
         assert tab["t"][i] == snap.time
         assert tab["norm"][i] == integrate(snap.rho)
@@ -168,6 +168,11 @@ def test_propagate_does_not_depend_on_the_block_size(monkeypatch, pot):
         assert np.array_equal(a.psi.values, b.psi.values)
 
 
+def _dumped(report):
+    """The report's field tables, recomputed now: with the workers set at the call."""
+    return list(report.field_tables()) if report.field_tables else []
+
+
 def _tables_equal(a, b):
     assert a.keys() == b.keys()
     for key in a:
@@ -191,12 +196,29 @@ def test_tables_do_not_depend_on_the_worker_count(monkeypatch, case, workers):
     cfg = _config(rows=27, **overrides)
     _workers(monkeypatch, 1)
     serial = runner(cfg)
+    serial_fields = _dumped(serial)
     _workers(monkeypatch, workers)
     pooled = runner(cfg)
     _tables_equal(serial.table, pooled.table)
     assert [c.measured for c in serial.identities] == [c.measured for c in pooled.identities]
-    for a, b in zip(serial.field_tables or (), pooled.field_tables or (), strict=True):
+    assert len(serial_fields) == (0 if runner is compare_quantum_diffusion else 27)
+    for a, b in zip(serial_fields, _dumped(pooled), strict=True):
         _tables_equal(a, b)
+
+
+FIELD_CASES = {**QUANTUM_CASES, "diffusion": POOLED_CASES["diffusion"][1]}
+
+
+@pytest.mark.parametrize("case", FIELD_CASES.values(), ids=FIELD_CASES.keys())
+def test_field_tables_read_twice_give_the_same_bytes(monkeypatch, case):
+    # each read recomputes the 27 rows, in 9 pooled blocks; nothing is kept between reads
+    _workers(monkeypatch, 2)
+    report = run_scenario(_config(rows=27, **case))
+    first, again = _dumped(report), _dumped(report)
+    assert len(first) == len(again) == 27
+    for a, b in zip(first, again):
+        _tables_equal(a, b)
+        assert all(not np.shares_memory(a[key], b[key]) for key in a if key != "x")
 
 
 def test_blocks_reach_the_diagnostics_c_contiguous(monkeypatch):

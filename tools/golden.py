@@ -11,7 +11,8 @@ cores when unset, and the CPU affinity is the caller's (run the tool under
 scenarios, the default `compare`, `run` and `compare` at snapshot_stride 1
 (the spread_dense workload), the von Neumann workload (spread_vn) and the
 `emit_fields` + `enable_von_neumann` runs of free_gaussian, harmonic_ground,
-diffusion_gaussian and a `custom` trap, the default diffusion_gaussian with its
+harmonic_perturbed (446 rows in four pooled row blocks, the one trap field dump
+on the pool), diffusion_gaussian and a `custom` trap, the default diffusion_gaussian with its
 clock started at `start_time` = 1e6 and 1e13 (diffusion_clock_1e6 and
 diffusion_clock_1e13), and eleven runs that exit nonzero: a
 failing identity (1), a config error and a grid that cannot be allocated
@@ -70,7 +71,7 @@ CASES = {
         {"N": "512", "snapshot_stride": "5", "enable_von_neumann": "true"},
     ),
     **{f"{name}_fields": ("run", name, FIELDS) for name in (
-        "free_gaussian", "harmonic_ground", "diffusion_gaussian",
+        "free_gaussian", "harmonic_ground", "harmonic_perturbed", "diffusion_gaussian",
     )},
     "custom_trap_fields": (
         "run", "custom",
