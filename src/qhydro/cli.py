@@ -169,9 +169,6 @@ def default_config(scenario: str) -> ScenarioConfig:
     return ScenarioConfig(scenario=scenario, **_ENTRIES[scenario].defaults)
 
 
-_GRID_TOO_LARGE = "N = {} asks for a grid larger than memory holds"
-
-
 def validate_config(cfg: ScenarioConfig) -> list[str]:
     problems = [
         f"{name} must be finite, got {value}"
@@ -185,7 +182,7 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
     if cfg.N % 2 != 0 or cfg.N < 8:
         problems.append(f"N must be an even integer >= 8, got {cfg.N}")
     elif cfg.N > sys.maxsize // 16:  # numpy cannot even size a complex grid array
-        problems.append(_GRID_TOO_LARGE.format(cfg.N))
+        problems.append(f"N = {cfg.N} asks for a grid larger than memory holds")
     elif 0 < cfg.L < math.inf and not math.isfinite(2 * cfg.L + math.pi / cfg.L * cfg.N):
         problems.append(f"L = {cfg.L} on N = {cfg.N} points overflows the grid span or wavenumbers")
     if cfg.t_final < 0:
@@ -363,16 +360,16 @@ class RunReport:
 
 
 class _Identity(NamedTuple):
-    """Passes when measure(table, cfg), a numpy reduction that a NaN row
-    turns to NaN, is below the tolerance; asserted only where it applies."""
+    """Passes when the largest of errors(table, cfg), one error per checked row,
+    is below the tolerance, so a NaN row fails it; asserted only where it applies."""
 
     name: str
     tolerance: float
-    measure: Callable[[dict, ScenarioConfig], float]
+    errors: Callable[[dict, ScenarioConfig], np.ndarray]
     applies: Callable[[dict, ScenarioConfig], bool] = lambda tab, cfg: True
 
     def check(self, tab: dict, cfg: ScenarioConfig) -> IdentityCheck:
-        measured = self.measure(tab, cfg)
+        measured = np.max(self.errors(tab, cfg))
         return IdentityCheck(self.name, self.tolerance, measured, measured < self.tolerance)
 
 
@@ -381,18 +378,18 @@ def _floored_rel(a, b):
     return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-3)
 
 
-def _max_rel(measured: np.ndarray, reference: np.ndarray) -> float:
-    return np.max(np.abs(measured - reference) / reference)
+def _rel(measured: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    return np.abs(measured - reference) / reference
 
 
 def _relative(name: str, tolerance: float, measured: str, reference: str) -> _Identity:
-    """max |measured - reference| / reference over the rows."""
-    return _Identity(name, tolerance, lambda tab, cfg: _max_rel(tab[measured], tab[reference]))
+    """|measured - reference| / reference on each row."""
+    return _Identity(name, tolerance, lambda tab, cfg: _rel(tab[measured], tab[reference]))
 
 
 def _deviation(name: str, tolerance: float, column: str, reference) -> _Identity:
-    """max |column - reference(table)| over the rows."""
-    return _Identity(name, tolerance, lambda tab, cfg: np.max(np.abs(tab[column] - reference(tab))))
+    """|column - reference(table)| on each row."""
+    return _Identity(name, tolerance, lambda tab, cfg: np.abs(tab[column] - reference(tab)))
 
 
 def _rate_matches(production: str) -> _Identity:
@@ -401,26 +398,24 @@ def _rate_matches(production: str) -> _Identity:
     def kept(tab):
         return ~(np.abs(tab[production][1:-1]) <= 1e-3)
 
-    def measure(tab, cfg):
+    def errors(tab, cfg):
         p, fd = tab[production][1:-1], tab["dEntB_dt_fd"][1:-1]
-        return np.max((np.abs(fd - p) / np.abs(p))[kept(tab)])
+        return (np.abs(fd - p) / np.abs(p))[kept(tab)]
 
     name = "entropy_rate_matches_production"
-    return _Identity(name, 1e-2, measure, lambda tab, cfg: kept(tab).any())
+    return _Identity(name, 1e-2, errors, lambda tab, cfg: kept(tab).any())
 
 
 _QUANTUM_IDENTITIES = (
     _deviation("norm_conservation", 1e-10, "norm", lambda tab: 1.0),
     _Identity(
         "energy_conservation", 1e-5,
-        lambda tab, cfg: np.max(np.abs(tab["energy"] - tab["energy"][0]))
+        lambda tab, cfg: np.abs(tab["energy"] - tab["energy"][0])
         / np.maximum(np.abs(tab["energy"][0]), 1e-300),
     ),
     _Identity(
         "production_advective_equals_correlation", 1e-6,
-        lambda tab, cfg: np.max(
-            _floored_rel(tab["production_advective"], tab["production_correlation"])
-        ),
+        lambda tab, cfg: _floored_rel(tab["production_advective"], tab["production_correlation"]),
     ),
     _rate_matches("production_advective"),
 )
@@ -430,20 +425,18 @@ _DIFFUSION_IDENTITIES = (
     _relative("sigma2_exact_kernel", 1e-12, "sigma2_measured", "ref_sigma2"),
     _Identity(
         "production_is_kB_D_fisher", 1e-12,
-        lambda tab, cfg: np.max(
-            np.abs(tab["production_diffusive"] - cfg.k_B * cfg.D * tab["fisher"])
-            / np.maximum(np.abs(tab["production_diffusive"]), 1e-300)
-        ),
+        lambda tab, cfg: np.abs(tab["production_diffusive"] - cfg.k_B * cfg.D * tab["fisher"])
+        / np.maximum(np.abs(tab["production_diffusive"]), 1e-300),
     ),
     _Identity(
         "entropy_nondecreasing", 1e-12,
-        lambda tab, cfg: -np.min(np.diff(tab["ent_boltzmann"])),
+        lambda tab, cfg: -np.diff(tab["ent_boltzmann"]),
         lambda tab, cfg: len(tab["t"]) >= 2,
     ),
     _rate_matches("production_diffusive"),
     _Identity(
         "production_matches_half_inverse_time", 1e-3,
-        lambda tab, cfg: _max_rel(tab["production_diffusive"], cfg.k_B / (2 * tab["t"])),
+        lambda tab, cfg: _rel(tab["production_diffusive"], cfg.k_B / (2 * tab["t"])),
         # on the similarity branch, sigma0^2 = 2 D start_time
         lambda tab, cfg: cfg.start_time > 0
         and abs(cfg.sigma0**2 - 2 * cfg.D * cfg.start_time) < 1e-9,
@@ -451,12 +444,12 @@ _DIFFUSION_IDENTITIES = (
 )
 
 _COMPARE_IDENTITIES = (
-    _Identity("matched_initial_density", 1e-13, lambda tab, cfg: tab["rho_l2_divergence"][0]),
+    _Identity("matched_initial_density", 1e-13, lambda tab, cfg: tab["rho_l2_divergence"][:1]),
     _relative("quantum_width_quadratic_in_time", 1e-3, "sigma2_quantum", "ref_sigma2_quantum"),
     _relative("diffusive_width_linear_in_time", 1e-12, "sigma2_diffusive", "ref_sigma2_diffusive"),
     _Identity(
         "quantum_entropy_overtakes_diffusive", 0.0,
-        lambda tab, cfg: tab["ent_boltzmann_diffusive"][-1] - tab["ent_boltzmann_quantum"][-1],
+        lambda tab, cfg: tab["ent_boltzmann_diffusive"][-1:] - tab["ent_boltzmann_quantum"][-1:],
         # past 1.05x the crossover time t = 2 D (2 m sigma0 / hbar)^2
         lambda tab, cfg: cfg.t_final
         > 1.05 * (2 * cfg.D * (2 * cfg.mass * cfg.sigma0 / cfg.hbar) ** 2),
@@ -810,31 +803,28 @@ def _run(
         raise ConfigError(problems)
     started = time.perf_counter()
     ev = _evolution(cfg)
-    try:
+    try:  # the step list, the grid, a trap's N x N Hamiltonian, the row blocks, the table
         steps = ev.snapshot_steps()
-    except MemoryError:
-        raise ConfigError([
-            f"t_final = {cfg.t_final}, dt = {cfg.dt} and snapshot_stride = {cfg.snapshot_stride} "
-            "ask for more snapshots than memory holds"
-        ]) from None
-    try:
         grid = make_grid(cfg.L, cfg.N)
+        start = entry.start(cfg, grid)
+        # the kernels' clock, which the references and dS/dt read: t = start_time + elapsed
+        # is rounded to float64's spacing at start_time, and must still tell the rows apart
+        elapsed = np.array(steps) * ev.dt
+        if not np.all(np.diff(start[0].time + elapsed) > 0):
+            raise ConfigError([
+                f"start_time = {cfg.start_time} and dt = {cfg.dt} give snapshot times "
+                "that do not strictly increase in float64"
+            ])
+        parts = list(_blockwise(entry.blocks(cfg, grid, ev, *start), steps, grid))
+        table = {
+            key: None if column is None else np.concatenate([part[key] for part in parts])
+            for key, column in parts[0].items()
+        }
     except MemoryError:
-        raise ConfigError([_GRID_TOO_LARGE.format(cfg.N)]) from None
-    start = entry.start(cfg, grid)
-    # the kernels' clock, which the references and dS/dt read: t = start_time + elapsed
-    # is rounded to float64's spacing at start_time
-    elapsed = np.array(steps) * ev.dt
-    if not np.all(np.diff(start[0].time + elapsed) > 0):  # the emitted t must tell the rows apart
         raise ConfigError([
-            f"start_time = {cfg.start_time} and dt = {cfg.dt} give snapshot times "
-            "that do not strictly increase in float64"
-        ])
-    parts = list(_blockwise(entry.blocks(cfg, grid, ev, *start), steps, grid))
-    table = {
-        key: None if column is None else np.concatenate([part[key] for part in parts])
-        for key, column in parts[0].items()
-    }
+            f"N = {cfg.N}, t_final = {cfg.t_final}, dt = {cfg.dt} and snapshot_stride = "
+            f"{cfg.snapshot_stride} ask for more memory than the machine holds"
+        ]) from None
     table["elapsed"] = elapsed
     with np.errstate(over="raise"):  # an overflowing reference is a numeric abort
         for derive in entry.references:

@@ -1,9 +1,11 @@
 import functools
 import hashlib
+import itertools
 import json
 import math
 import shutil
 import tempfile
+import threading
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -695,6 +697,47 @@ class TestMain:
         assert main([command, str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_trap_hamiltonian_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        # N = 1048576 passes validate_config and asks for an 8 TiB index array;
+        # patching eigh refuses the trap's Hamiltonian without allocating it
+        def refused(h):
+            raise MemoryError
+
+        monkeypatch.setattr(np.linalg, "eigh", refused)
+        path = tmp_path / "cfg.ini"
+        path.write_text(
+            "[scenario]\nname = harmonic_ground\n[grid]\nN = 64\n"
+            f"[output]\ndirectory = {tmp_path / 'out'}\n"
+        )
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: N = 64, ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_out_of_memory_in_a_pooled_block_exits_2(self, tmp_path, capsys, monkeypatch):
+        # 501 rows: the initial row, then four pooled blocks of 128 rows on two workers
+        monkeypatch.setattr(cli.grid_module, "_WORKERS", 2)
+        calls = itertools.count()
+        rows = cli._quantum_rows
+
+        def third_refused(*args, **kwargs):
+            if next(calls) == 2:
+                raise MemoryError
+            return rows(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_quantum_rows", third_refused)
+        path = tmp_path / "cfg.ini"
+        path.write_text(
+            "[scenario]\nname = free_gaussian\n[grid]\nL = 20.0\nN = 256\n"
+            "[evolution]\nt_final = 0.5\nsnapshot_stride = 1\n"
+            f"[output]\ndirectory = {tmp_path / 'out'}\n"
+        )
+        before = set(threading.enumerate())
+        assert main(["run", str(path)]) == 2
+        assert set(threading.enumerate()) == before
+        assert capsys.readouterr().err.startswith("config error: N = 256, ")
         assert not (tmp_path / "out").exists()
 
     def test_single_row_diffusion_run(self, tmp_path, capsys):
