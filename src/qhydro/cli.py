@@ -203,12 +203,11 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
     return problems
 
 
-def _own_potential(cfg: ScenarioConfig, problems: list[str]) -> list[str]:
-    """Every scenario but `custom` runs its own potential, whatever the `potential` key says."""
-    own = default_config(cfg.scenario).potential
-    if cfg.potential == own:
-        return []
-    return [f"{cfg.scenario} runs potential = {own}, got potential = {cfg.potential}"]
+def _own_physics(cfg: ScenarioConfig, problems: list[str]) -> list[str]:
+    """Every scenario but `custom` runs its own `potential` and `width_rate`."""
+    own = default_config(cfg.scenario)
+    return [f"{cfg.scenario} runs {key} = {getattr(own, key)}, got {key} = {getattr(cfg, key)}"
+            for key in ("potential", "width_rate") if getattr(cfg, key) != getattr(own, key)]
 
 
 def _positive(cfg: ScenarioConfig, *names: str) -> list[str]:
@@ -218,7 +217,7 @@ def _positive(cfg: ScenarioConfig, *names: str) -> list[str]:
 
 
 def _trap_problems(cfg: ScenarioConfig, problems: list[str]) -> list[str]:
-    found = _own_potential(cfg, problems) + _positive(cfg, "omega0")
+    found = _own_physics(cfg, problems) + _positive(cfg, "omega0")
     if problems or found or 0 < (width := _ground_width(cfg)) < math.inf:
         return found
     return [f"ground width sqrt(hbar/(2 mass omega0)) is {width}, not a positive finite number"]
@@ -238,7 +237,7 @@ def _perturbed_problems(cfg: ScenarioConfig, problems: list[str]) -> list[str]:
 
 
 def _diffusion_problems(cfg: ScenarioConfig, problems: list[str]) -> list[str]:
-    found = _own_potential(cfg, problems) + _positive(cfg, "D")
+    found = _own_physics(cfg, problems) + _positive(cfg, "D")
     if cfg.start_time < 0:
         found.append(f"start_time must be nonnegative, got {cfg.start_time}")
     return found
@@ -335,7 +334,7 @@ class IdentityCheck:
 class RunReport:
     """`table` maps each column to one value per snapshot (absent or None: not
     applicable); `columns` names the emitted ones, in order; `field_tables()`
-    recomputes the `emit_fields` tables, one per snapshot, at each call."""
+    recomputes the `emit_fields` tables, one per snapshot, on the run's kernel."""
 
     scenario: str
     columns: list[str]
@@ -490,13 +489,14 @@ def _density_columns(times, rho, norm, grid, ent: dict) -> dict:
 
 
 def _quantum_blocks(cfg: ScenarioConfig, grid, ev: EvolutionConfig, state, pot):
-    """steps -> the block's `run` columns (and max|u_a|, max|rho - rho0|)."""
+    """steps -> the block's `run` columns (and max|u_a|, max|rho - rho0|), and
+    steps -> its field tables: x, rho and `advective_velocity` of each row."""
     later, rho0 = _snapshot_blocks(state, pot, ev.dt), np.abs(state.psi.values) ** 2
 
     def block(steps):
         psi, rho, norm = later(steps)
         times = state.time + np.array(steps) * ev.dt
-        ent, rho, _, v = _quantum_rows(
+        ent, v = _quantum_rows(
             psi, grid, cfg.hbar, cfg.mass, cfg.k_B, times, rho,
             lambda laplacian: _energy_rows(psi, laplacian, grid, pot, cfg.hbar, cfg.mass, steps),
         )
@@ -506,11 +506,17 @@ def _quantum_blocks(cfg: ScenarioConfig, grid, ev: EvolutionConfig, state, pot):
         rho_drift = np.abs(rho - rho0).max(axis=-1)
         return dict(_density_columns(times, rho, norm, grid, ent), ua_max=ua_max, rho_drift=rho_drift)
 
-    return block
+    def fields(steps):
+        psi, rho, _ = later(steps)
+        u = (advective_velocity(QuantumState(Field(grid, v), cfg.hbar, cfg.mass)) for v in psi)
+        return [{"x": grid.x, "rho": r, "u_advective": f.values} for r, f in zip(rho, u)]
+
+    return block, fields
 
 
 def _diffusion_blocks(cfg: ScenarioConfig, grid, ev: EvolutionConfig, initial: DiffusionState, _):
-    """steps -> the block's `run` columns."""
+    """steps -> the block's `run` columns, and steps -> its field tables: x, rho
+    and `diffusive_velocity` of each row."""
     later = _kernel_blocks(initial, ev.dt)
 
     def block(steps):
@@ -519,7 +525,12 @@ def _diffusion_blocks(cfg: ScenarioConfig, grid, ev: EvolutionConfig, initial: D
         ent = _diffusion_rows(rho, grid, cfg.D, cfg.k_B, times)
         return _density_columns(times, rho, norm, grid, ent)
 
-    return block
+    def fields(steps):
+        rho, _, _ = later(steps)
+        u = (diffusive_velocity(Field(grid, r), cfg.D) for r in rho)
+        return [{"x": grid.x, "rho": r, "u_diffusive": f.values} for r, f in zip(rho, u)]
+
+    return block, fields
 
 
 def _compare_blocks(cfg: ScenarioConfig, grid, ev: EvolutionConfig, q_state, pot):
@@ -544,7 +555,7 @@ def _compare_blocks(cfg: ScenarioConfig, grid, ev: EvolutionConfig, q_state, pot
         _require_finite(widths, times, "width and distance")
         return dict(t=times, **widths, **ent)
 
-    return block
+    return block, None
 
 
 def _entropy_rate(cfg: ScenarioConfig, tab: dict) -> dict:
@@ -625,9 +636,10 @@ def _compare_references(cfg: ScenarioConfig, tab: dict) -> dict:
 
 
 class _Entry(NamedTuple):
-    """A scenario as data: blocks(cfg, grid, ev, *start(cfg, grid)) is the function from a
-    block's steps to its columns; references derive columns; identities check the table;
-    validate adds config problems."""
+    """A scenario as data: blocks(cfg, grid, ev, *start(cfg, grid)) builds one kernel and
+    returns the functions from a block's steps to its columns and to its field tables (None:
+    no fields); references derive columns; identities check the table; validate adds config
+    problems."""
 
     description: str
     defaults: dict
@@ -635,7 +647,7 @@ class _Entry(NamedTuple):
     blocks: Callable
     references: tuple
     identities: tuple
-    validate: Callable = _own_potential
+    validate: Callable = _own_physics
 
 
 def _packet(cfg: ScenarioConfig, grid):
@@ -777,24 +789,6 @@ def _blockwise(block, steps: list[int], grid):
     return chain([block(steps[:1])], _pooled(block, _row_blocks(steps[1:], grid.num_points)))
 
 
-def _field_tables(cfg: ScenarioConfig, grid, ev: EvolutionConfig, start, pot, steps):
-    """Each snapshot's `emit_fields` table, recomputed a row block at a time on the pool:
-    x, the kernel's rho, and `diffusive_velocity` of a density (no potential) or
-    `advective_velocity` of a wavefunction."""
-    later = _kernel_blocks(start, ev.dt) if pot is None else _snapshot_blocks(start, pot, ev.dt)
-
-    def block(steps):
-        values, rho, _ = later(steps)
-        if pot is None:
-            name, u = "u_diffusive", [diffusive_velocity(Field(grid, r), cfg.D) for r in rho]
-        else:
-            states = (QuantumState(Field(grid, v), cfg.hbar, cfg.mass) for v in values)
-            name, u = "u_advective", map(advective_velocity, states)
-        return [{"x": grid.x, "rho": r, name: f.values} for r, f in zip(rho, u)]
-
-    return chain.from_iterable(_blockwise(block, steps, grid))
-
-
 def _run(
     entry: _Entry, cfg: ScenarioConfig, name: str, columns: list[str], problems: list[str]
 ) -> RunReport:
@@ -815,7 +809,8 @@ def _run(
                 f"start_time = {cfg.start_time} and dt = {cfg.dt} give snapshot times "
                 "that do not strictly increase in float64"
             ])
-        parts = list(_blockwise(entry.blocks(cfg, grid, ev, *start), steps, grid))
+        block, fields = entry.blocks(cfg, grid, ev, *start)
+        parts = list(_blockwise(block, steps, grid))
         table = {
             key: None if column is None else np.concatenate([part[key] for part in parts])
             for key, column in parts[0].items()
@@ -840,9 +835,9 @@ def _run(
         "workers": grid_module._WORKERS,
         **{var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
     }
-    dumps = cfg.emit_fields and entry is not _COMPARE  # compare dumps no fields
-    fields = (lambda: _field_tables(cfg, grid, ev, *start, steps)) if dumps else None
-    return RunReport(name, columns, table, identities, provenance, fields)
+    dumps = cfg.emit_fields and fields is not None  # each read recomputes them on the run's kernel
+    tables = (lambda: chain.from_iterable(_blockwise(fields, steps, grid))) if dumps else None
+    return RunReport(name, columns, table, identities, provenance, tables)
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunReport:

@@ -210,8 +210,8 @@ def _quantum_rows(psi, grid, hbar, mass, k_B, times, rho=None, energy=None):
     computed on the block's valid column window (`madelung._Support`): the
     ratios r1 = psi'/psi and r2 = psi''/psi, div u_a = (hbar/m) Im(r2 - r1^2),
     rho'/rho = 2 Re r1 and u_a + i u_d = -i (hbar/m) r1.  Returns the columns
-    (keyed like EntropyReport) with rho, the window and u_a + i u_d on it;
-    the runner reads rho and max|u_a|.  Raises NumericsError at the first row with a
+    (keyed like EntropyReport) and u_a + i u_d on the window, of which the
+    runner reads max|u_a|.  Raises NumericsError at the first row with a
     non-finite value; `times` names it.  `energy`, if given, maps psi'' to an
     "energy" column, which is added to the columns; it may overwrite psi''.
     """
@@ -244,7 +244,7 @@ def _quantum_rows(psi, grid, hbar, mass, k_B, times, rho=None, energy=None):
     _require_finite(columns, times)
     if energy is not None:
         columns["energy"] = energy_column
-    return columns, rho, support, v
+    return columns, v
 
 
 @np.errstate(all="ignore")
@@ -279,7 +279,7 @@ def entropy_report(state: QuantumState | DiffusionState, k_B: float = 1.0) -> En
     if isinstance(state, DiffusionState):
         columns = _diffusion_rows(state.rho.values[None], state.grid, state.D, k_B, [state.time])
     else:
-        columns, *_ = _quantum_rows(
+        columns, _ = _quantum_rows(
             state.psi.values[None], state.grid, state.hbar, state.mass, k_B, [state.time]
         )
         columns["ent_von_neumann"] = [von_neumann_entropy(state)]

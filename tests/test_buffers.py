@@ -6,7 +6,6 @@ arrays from faulting their pages in again is in `tests/test_process.py`.
 """
 import tracemalloc
 from dataclasses import replace
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -29,8 +28,8 @@ def _arrays(columns, tables):
 
 
 BLOCK_CASES = {
-    "free": (cli._ENTRIES["free_gaussian"], dict(scenario="free_gaussian", width_rate=0.2,
-                                                 enable_von_neumann=True)),
+    "free": (cli._ENTRIES["custom"], dict(scenario="custom", width_rate=0.2,
+                                          enable_von_neumann=True)),
     "trap": (cli._ENTRIES["custom"], dict(scenario="custom", potential="harmonic", omega0=2.0,
                                           sigma0=0.6, width_rate=0.1, enable_von_neumann=True)),
     "diffusion": (cli._ENTRIES["diffusion_gaussian"], dict(scenario="diffusion_gaussian",
@@ -40,28 +39,22 @@ BLOCK_CASES = {
 
 
 @pytest.mark.parametrize("case", BLOCK_CASES.values(), ids=BLOCK_CASES.keys())
-def test_a_block_result_outlives_the_next_block(monkeypatch, case):
+def test_a_block_result_outlives_the_next_block(case):
     entry, overrides = case
     cfg = replace(cli.default_config(overrides["scenario"]),
                   **dict(L=10.0, N=64, dt=0.01, t_final=0.1, snapshot_stride=1,
                          emit_fields=True), **overrides)
     grid = make_grid(cfg.L, cfg.N)
-    ev, start = cli._evolution(cfg), entry.start(cfg, grid)
-    block = entry.blocks(cfg, grid, ev, *start)
-    # the field tables of steps 0 to 5 come in blocks [0], [1, 2, 3] and [4, 5], the
-    # later two in this thread, one at a time; `compare` dumps no fields
-    monkeypatch.setattr(grid_module, "_WORKERS", 2)
-    monkeypatch.setattr(grid_module, "_BLOCK_BYTES", 3 * 16 * cfg.N * 2)
-    dumped = entry is not cli._COMPARE
-    tables = cli._field_tables(cfg, grid, ev, *start, list(range(6))) if dumped else iter(())
-    next(tables, None)
-    first = _arrays(block([1, 2, 3]), islice(tables, 3))
+    block, fields = entry.blocks(cfg, grid, cli._evolution(cfg), *entry.start(cfg, grid))
+    # a block's field tables come from the kernel of its columns; `compare` dumps none
+    tables = fields or (lambda steps: [])
+    first = _arrays(block([1, 2, 3]), tables([1, 2, 3]))
     kept = {key: value.copy() for key, value in first.items()}
     # a shorter block, as the last one of a run, reuses the leading rows
-    second = _arrays(block([4, 5]), tables)
+    second = _arrays(block([4, 5]), tables([4, 5]))
     # the same columns, and the field tables of all but the first block's third row
     assert second.keys() == first.keys() - {key for key in first if key.endswith(" 2")}
-    assert ("field rho 0" in first) == ("field rho 1" in second) == dumped
+    assert ("field rho 0" in first) == ("field rho 1" in second) == (fields is not None)
     for key, value in first.items():
         assert value.tobytes() == kept[key].tobytes(), key
         for other in second.values():
@@ -114,7 +107,7 @@ def test_a_warm_block_holds_few_block_arrays(monkeypatch, case):
     grid = make_grid(cfg.L, cfg.N)
     rows = len(grid_module._row_blocks(list(range(1 << 20)), cfg.N)[0])
     steps = [i * cfg.snapshot_stride for i in range(1, 2 * rows + 1)]
-    block = entry.blocks(cfg, grid, cli._evolution(cfg), *entry.start(cfg, grid))
+    block, _ = entry.blocks(cfg, grid, cli._evolution(cfg), *entry.start(cfg, grid))
     block(steps[:rows])  # the first block of a run is warmed by the initial row
     tracemalloc.start()
     try:

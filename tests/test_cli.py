@@ -182,6 +182,20 @@ class TestConfig:
             f"{scenario} runs potential = harmonic, got potential = free"
         ]
 
+    @pytest.mark.parametrize(
+        "scenario", ["free_gaussian", "harmonic_ground", "harmonic_perturbed", "diffusion_gaussian"]
+    )
+    def test_scenario_runs_its_own_width_rate(self, tmp_path, capsys, scenario):
+        # only `custom` chirps its packet; no other scenario's references model a chirp
+        path = tmp_path / "cfg.ini"
+        path.write_text(f"[scenario]\nname = {scenario}\n[physics]\nwidth_rate = 0.2\n")
+        assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {scenario} runs width_rate = 0.0, got width_rate = 0.2\n"
+        )
+        assert not (tmp_path / "out").exists()
+        assert cli.validate_config(replace(default_config("custom"), width_rate=0.2)) == []
+
     @pytest.mark.parametrize("scenario", ["harmonic_ground", "harmonic_perturbed", "custom"])
     def test_compare_refuses_a_trap(self, scenario):
         cfg = replace(default_config(scenario), potential="harmonic")

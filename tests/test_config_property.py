@@ -53,12 +53,12 @@ def ini_text(draw):
     def value(key, good):
         return draw(BAD_FLOATS if key in bad else good)
 
+    # only `custom` reads width_rate and the potential; every other scenario runs its own
     physics = {
         key: value(key, good)
         for key, good in PHYSICS.items()
-        if key in bad or draw(st.booleans())
+        if key in bad or (key != "width_rate" or scenario == "custom") and draw(st.booleans())
     }
-    # only `custom` reads the potential; every other scenario runs its own
     if "potential" in bad:
         potentials = ["quartic"]
     elif scenario == "custom":

@@ -1,0 +1,124 @@
+"""The library's refusals, each with its exception and message.
+
+Every public constructor and function that checks its input names what it
+refused; a refusal that no run reaches is pinned here, one case each.
+"""
+import re
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from qhydro import (
+    DiffusionState, EvolutionConfig, Field, GaussianParams, NumericsError, QuantumState,
+    SigmaTrace, density, diffuse_step, diffusive_acceleration, dominant_mode,
+    entropy_equation_residual, evolve, gaussian_packet, harmonic_potential, harmonic_sigma,
+    make_grid, production_diffusive, step, superposition,
+)
+from qhydro.cli import SCENARIOS, ConfigError, default_config, validate_config
+
+GRID = make_grid(20.0, 256)
+GROUND = GaussianParams(float(np.sqrt(0.5)), omega0=1.0)
+
+
+def _spike(index: int, D: float = 0.5, time: float = 0.0) -> DiffusionState:
+    """A unit mass on one grid point: its valid mask is that point alone."""
+    rho = np.zeros(GRID.num_points)
+    rho[index] = 1 / GRID.dx
+    return DiffusionState(Field(GRID, rho), D, time)
+
+
+def _packet(time: float = 0.0, grid=GRID) -> QuantumState:
+    return replace(gaussian_packet(grid, 1.0), time=time)
+
+
+def _overflowing_trap(advance):
+    """`advance` of a packet in a trap whose (omega0 x)^2 overflows: the kick is NaN."""
+    with np.errstate(all="ignore"):
+        advance(_packet(), harmonic_potential(1e200))
+
+
+def _nan_on_a_valid_point():
+    values = np.ones(GRID.num_points)
+    values[3] = np.nan
+    return Field(GRID, values, np.ones(GRID.num_points, bool))
+
+
+REFUSALS = {
+    "gaussian_params_hbar": (
+        lambda: GaussianParams(1.0, hbar=0.0), ValueError, "hbar and mass must be positive"),
+    "gaussian_params_mass": (
+        lambda: GaussianParams(1.0, mass=-1.0), ValueError, "hbar and mass must be positive"),
+    "sigma_trace_positive": (
+        lambda: SigmaTrace(np.arange(2.0), np.array([1.0, 0.0]), np.zeros(2)),
+        ValueError, "sigma must stay positive along the trace"),
+    "harmonic_sigma_one_time": (
+        lambda: harmonic_sigma(GROUND, [0.0]), ValueError,
+        "t_grid must contain at least two times"),
+    "harmonic_sigma_decreasing": (
+        lambda: harmonic_sigma(GROUND, [0.0, 1.0, 0.5]), ValueError,
+        "t_grid must be strictly increasing"),
+    "harmonic_sigma_nonuniform": (
+        lambda: harmonic_sigma(GROUND, [0.0, 1.0, 3.0]), ValueError, "t_grid must be uniform"),
+    "acceleration_disjoint_masks": (
+        lambda: diffusive_acceleration(_spike(40), _spike(200, time=0.1)), ValueError,
+        "no jointly valid points"),
+    "residual_order": (
+        lambda: entropy_equation_residual(_packet(0.1), _packet(0.1)), ValueError,
+        "after must be later than before"),
+    "residual_grids": (
+        lambda: entropy_equation_residual(_packet(), _packet(0.1, make_grid(20.0, 128))),
+        ValueError, "snapshots live on different grids"),
+    "production_diffusive_D": (
+        lambda: production_diffusive(density(_packet()), 0.0), ValueError,
+        "diffusivity must be positive, got 0.0"),
+    "field_mask_shape": (
+        lambda: Field(GRID, np.ones(GRID.num_points), np.ones(3, bool)), ValueError,
+        "valid mask shape mismatch"),
+    "field_nan_on_valid_point": (
+        _nan_on_a_valid_point, ValueError, "non-finite values on valid points"),
+    # D k^2 overflows at the largest wavenumbers
+    "kernel_rates": (
+        lambda: diffuse_step(_spike(40, D=1.7e308), 0.1), NumericsError,
+        "non-finite rates in the density kernel"),
+    "step_non_finite": (
+        lambda: _overflowing_trap(lambda state, pot: step(state, pot, 0.01)), NumericsError,
+        "non-finite wavefunction after one step"),
+    "evolve_non_finite": (
+        lambda: _overflowing_trap(
+            lambda state, pot: evolve(state, pot, EvolutionConfig(0.01, 0.02))
+        ), NumericsError, "non-finite wavefunction at step 1"),
+    "packet_width": (
+        lambda: gaussian_packet(GRID, 0.0), ValueError, "sigma0 must be positive, got 0.0"),
+    "superposition_empty": (
+        lambda: superposition(GRID, []), ValueError, "superposition needs at least one component"),
+    "mode_seven_samples": (
+        lambda: dominant_mode(np.arange(7.0), np.zeros(7)), ValueError,
+        "need at least eight samples to estimate a mode"),
+    "default_config_unknown": (
+        lambda: default_config("quartic"), ConfigError,
+        f"unknown scenario 'quartic'; choose from {sorted(SCENARIOS)}"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refusal_names_what_it_refused(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_validate_config_lists_an_unknown_scenario():
+    assert validate_config(replace(default_config("custom"), scenario="quartic")) == [
+        "unknown scenario 'quartic'"
+    ]
+
+
+def test_a_grid_is_not_equal_to_another_type():
+    other = object()
+    assert GRID.__eq__(other) is NotImplemented and GRID != other
+
+
+def test_a_mode_at_the_spectrum_edge_is_not_refined():
+    # an alternating trace peaks at the Nyquist bin, which has no right neighbour
+    omega, amplitude = dominant_mode(np.arange(8.0), (-1.0) ** np.arange(8))
+    assert (omega, amplitude) == (np.pi, 1.0)

@@ -14,7 +14,7 @@ import pytest
 from qhydro import cli
 from qhydro.entropy import _quantum_rows
 from qhydro.grid import Field, make_grid, spectral_derivatives
-from qhydro.madelung import DENSITY_FLOOR_RATIO, QuantumState
+from qhydro.madelung import DENSITY_FLOOR_RATIO, QuantumState, _Support
 from qhydro.schrodinger import EvolutionConfig, free_potential, gaussian_packet, propagate
 
 HBAR, MASS, K_B = 0.7, 1.3, 1.1
@@ -74,7 +74,8 @@ BLOCKS = {"different_supports": _rows_of_different_supports, "two_packets": _two
 def test_windowed_columns_match_full_width(rows):
     grid = make_grid(40.0, 1024)
     psi = rows(grid)
-    columns, rho, support, v = _quantum_rows(psi, grid, HBAR, MASS, K_B, list(range(len(psi))))
+    columns, _ = _quantum_rows(psi, grid, HBAR, MASS, K_B, list(range(len(psi))))
+    support = _Support(np.abs(psi) ** 2)
     expected, mask = _full_width(psi, grid)
     lo, hi = _window(mask)
     assert (support.cols.start, support.cols.stop) == (lo, hi)
@@ -88,7 +89,7 @@ def test_windowed_columns_match_full_width(rows):
 
 
 FIELD_CASES = {
-    "u_advective": dict(scenario="free_gaussian", width_rate=0.4),
+    "u_advective": dict(scenario="custom", width_rate=0.4),
     "u_diffusive": dict(scenario="diffusion_gaussian", start_time=0.3),
 }
 
