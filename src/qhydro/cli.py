@@ -588,32 +588,13 @@ def _perturbed_references(cfg: ScenarioConfig, tab: dict) -> dict:
     sigma^2(t) = s^2 cos^2(w t) + (s0^4/s^2) sin^2(w t)."""
     s0 = _ground_width(cfg)
     p = GaussianParams(s0, omega0=cfg.omega0, epsilon0=cfg.epsilon0, hbar=cfg.hbar, mass=cfg.mass)
-    steps = _evolution(cfg).snapshot_steps()
-    # RK4 on a grid of m*dt that hits every snapshot but the last, which continues
-    # from the grid's end: m is the largest divisor of snapshot_stride, at most the
-    # step count, with omega0*m*dt <= 2e-3 (m = 10 by default).  The model is
-    # scale-free in omega0*t.  Over the default run (omega0*m*dt = 2e-3, 5 model
-    # periods) sigma stays within 1.8e-13 relative and d ln(sigma)/dt within 2.7e-13
-    # absolute of the trace integrated at every dt; the gap grows with the periods run.
-    n, stride = steps[-1], cfg.snapshot_stride
-    most = int(min(stride, n, 2e-3 / cfg.omega0 / cfg.dt + 1))
-    m = max(
-        (d for d in range(1, most + 1) if stride % d == 0 and cfg.omega0 * d * cfg.dt <= 2e-3),
-        default=1,
-    )
-    trace = harmonic_sigma(p, np.arange(n // m + 1) * (m * cfg.dt))
-    sigma, rate = trace.sigma, trace.dlnsigma_dt
-    if n % m:
-        tail = harmonic_sigma(p, [0.0, n % m * cfg.dt], sigma[-1], rate[-1] * sigma[-1])
-        sigma, rate = np.append(sigma, tail.sigma[1:]), np.append(rate, tail.dlnsigma_dt[1:])
-    rows = np.append(np.array(steps[:-1]) // m, -1)
-    sigma, rate = sigma[rows], rate[rows]
+    trace = harmonic_sigma(p, tab["elapsed"])  # which picks its own RK4 steps
     s_init = s0 + cfg.epsilon0
     wt = cfg.omega0 * tab["elapsed"]
     return dict(
-        ref_sigma2=sigma**2,
-        ref_entropy=entropy_of_width(sigma, cfg.k_B),
-        ref_divergence=rate,
+        ref_sigma2=trace.sigma**2,
+        ref_entropy=entropy_of_width(trace.sigma, cfg.k_B),
+        ref_divergence=trace.dlnsigma_dt,
         oscillator_sigma2=s_init**2 * np.cos(wt) ** 2 + (s0**4 / s_init**2) * np.sin(wt) ** 2,
     )
 
@@ -867,6 +848,10 @@ def compare_quantum_diffusion(cfg: ScenarioConfig) -> RunReport:
         problems += _positive(cfg, "D")
     if cfg.potential != "free":
         problems.append(f"compare evolves a free packet, got potential = {cfg.potential}")
+    if cfg.width_rate != 0:
+        problems.append(f"compare evolves an unchirped packet, got width_rate = {cfg.width_rate}")
+    if cfg.start_time != 0:
+        problems.append(f"compare starts at t = 0, got start_time = {cfg.start_time}")
     return _run(_COMPARE, cfg, "compare_quantum_diffusion", COMPARE_COLUMNS, problems)
 
 

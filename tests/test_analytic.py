@@ -140,11 +140,24 @@ class TestHarmonicWidthEquation:
         assert np.abs(trace.sigma - linearized).max() < 1e-4 * s0
 
     def test_step_halving_converged(self, trap_params):
-        t = np.linspace(0.0, 10.0, 501)
+        # grid spacings of 1e-3 and 5e-4, below the 2e-3/omega0 cap, are the RK4 steps
+        t = np.linspace(0.0, 10.0, 10001)
         coarse = harmonic_sigma(trap_params, t)
-        t_fine = np.linspace(0.0, 10.0, 1001)
+        t_fine = np.linspace(0.0, 10.0, 20001)
         fine = harmonic_sigma(trap_params, t_fine)
         assert np.abs(fine.sigma[::2] - coarse.sigma).max() < 1e-8
+
+    def test_short_last_interval_matches_the_fine_trace(self, trap_params):
+        # snapshot clocks are arange-built strides and a shorter last interval: 37
+        # intervals of 0.0662 (34 steps each), then one of 0.0144 (8 steps), against
+        # the trace stepped at 2e-4 through every time of the clock
+        dt, stride, n = 2e-4, 331, 12319
+        fine_t = np.arange(n + 1) * dt
+        fine = harmonic_sigma(trap_params, fine_t)
+        rows = [*range(0, n, stride), n]
+        trace = harmonic_sigma(trap_params, fine_t[rows])
+        assert np.abs(trace.sigma - fine.sigma[rows]).max() <= 1e-12
+        assert np.abs(trace.dlnsigma_dt - fine.dlnsigma_dt[rows]).max() <= 1e-12
 
     def test_first_integral_conserved(self, trap_params):
         # v^2 + w0^2 s^2 - 2 w0^2 s0^2 ln s is exactly conserved by the

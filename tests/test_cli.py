@@ -196,6 +196,23 @@ class TestConfig:
         assert not (tmp_path / "out").exists()
         assert cli.validate_config(replace(default_config("custom"), width_rate=0.2)) == []
 
+    @pytest.mark.parametrize("scenario, physics, message", [
+        ("custom", "width_rate = 0.2", "compare evolves an unchirped packet, got width_rate = 0.2"),
+        ("diffusion_gaussian", "start_time = 1.0", "compare starts at t = 0, got start_time = 1.0"),
+    ], ids=["width_rate", "start_time"])
+    def test_compare_refuses_what_it_does_not_run(self, tmp_path, capsys, scenario, physics, message):
+        # compare evolves an unchirped free packet and a density from t = 0; it ran
+        # both of these without the key and exited 0
+        path = tmp_path / "cfg.ini"
+        path.write_text(
+            f"[scenario]\nname = {scenario}\n[physics]\n{physics}\n"
+            f"[output]\ndirectory = {tmp_path / 'out'}\n"
+        )
+        assert main(["compare", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+        assert parse_config(path).scenario == scenario  # valid for `run`, which reads the key
+
     @pytest.mark.parametrize("scenario", ["harmonic_ground", "harmonic_perturbed", "custom"])
     def test_compare_refuses_a_trap(self, scenario):
         cfg = replace(default_config(scenario), potential="harmonic")
@@ -324,11 +341,14 @@ class TestRunScenario:
         assert rows[0] == 1 + 80 + 3 * 81 == 324
 
     @pytest.mark.parametrize(
-        "overrides", [None, dict(snapshot_stride=7, t_final=1.0)], ids=["default", "stride_7"]
+        "overrides",
+        [None, dict(snapshot_stride=7, t_final=1.0), dict(snapshot_stride=331)],
+        ids=["default", "stride_7", "stride_331"],
     )
     def test_width_model_columns_track_the_every_step_trace(self, perturbed_report, overrides):
-        # the ref_* columns integrate the width model on a grid of m*dt (m = 10, then 7)
-        # and one ragged last step; the trace integrated at every dt is the oracle
+        # the ref_* columns step the width model through the snapshot clock, each interval
+        # in steps of at most 2e-3/omega0 (25 of 2e-3, then 1 of 1.4e-3, then 34 of
+        # ~1.95e-3) and a shorter last interval; the trace integrated at every dt is the oracle
         cfg = replace(default_config("harmonic_perturbed"), **(overrides or {}))
         report = perturbed_report if overrides is None else run_scenario(cfg)
         s0 = cli._ground_width(cfg)

@@ -41,23 +41,34 @@ QUICK_FREE = (
 POOLED_FREE = QUICK_FREE.replace("snapshot_stride = 100", "snapshot_stride = 1")
 
 
-def _child(*args, stdout=subprocess.PIPE):
-    """Run the interpreter with `args` in a child that imports this tree's qhydro."""
+@pytest.fixture(scope="session")
+def child(tmp_path_factory):
+    """Run the interpreter with `args` in a child that imports this tree's qhydro.
+
+    The children write and share compiled bytecode in one session directory, so
+    only the first compiles `src/` and the modules it imports.
+    """
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, PYTHONPATH=path)
+    cache = str(tmp_path_factory.mktemp("pycache"))
+    env = dict(os.environ, PYTHONPATH=path, PYTHONPYCACHEPREFIX=cache)
     env.pop("PYTHONUNBUFFERED", None)
-    return subprocess.run(
-        [sys.executable, *args],
-        env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
-    )
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+
+    def run(*args, stdout=subprocess.PIPE):
+        return subprocess.run(
+            [sys.executable, *args],
+            env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+
+    return run
 
 
 @pytest.fixture(params=sorted(LAUNCHERS))
-def qhydro_process(request):
+def qhydro_process(request, child):
     """Run the CLI in a child process with the given arguments; returns the CompletedProcess."""
 
     def run(*args, stdout=subprocess.PIPE):
-        return _child(*LAUNCHERS[request.param], *args, stdout=stdout)
+        return child(*LAUNCHERS[request.param], *args, stdout=stdout)
 
     return run
 
@@ -170,7 +181,7 @@ def test_overflowing_constants_are_one_numeric_abort_line(qhydro_process, tmp_pa
     assert not (tmp_path / "out").exists()
 
 
-def test_runs_load_no_openssl(tmp_path):
+def test_runs_load_no_openssl(child, tmp_path):
     # config_hash takes CPython's built-in SHA-256, so neither command maps libcrypto
     ini = _ini(tmp_path, QUICK_FREE)
     code = (
@@ -178,12 +189,12 @@ def test_runs_load_no_openssl(tmp_path):
         f"codes = main(['run', {str(ini)!r}]), main(['compare', {str(ini)!r}]); "
         "print(codes, '_hashlib' in sys.modules)"
     )
-    done = _child("-c", code)
+    done = child("-c", code)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.splitlines()[-1] == "(0, 0) False"
 
 
-def test_pooled_runs_load_no_executor_or_logging(tmp_path):
+def test_pooled_runs_load_no_executor_or_logging(child, tmp_path):
     # 501 rows at N = 256 are four blocks on two workers, run on threads from
     # `threading`: neither concurrent.futures nor the logging it imports is
     # loaded, and the data files are the one-worker run's
@@ -196,14 +207,14 @@ def test_pooled_runs_load_no_executor_or_logging(tmp_path):
         f"grid._WORKERS = 1; alone = {run(str(ini), str(tmp_path / 'alone'))}; "
         "print(blocks, pooled, alone, 'concurrent.futures' in sys.modules, 'logging' in sys.modules)"
     )
-    done = _child("-c", code)
+    done = child("-c", code)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.splitlines()[-1] == "4 0 0 False False"
     for name in ("timeseries.csv", "timeseries.json"):
         assert (tmp_path / "pooled" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
 
 
-def test_config_hash_without_the_builtin_modules():
+def test_config_hash_without_the_builtin_modules(child):
     # a build without _sha2 and _sha256 hashes with hashlib, to the same digest
     code = (
         "import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None; "
@@ -211,7 +222,7 @@ def test_config_hash_without_the_builtin_modules():
         "assert cli._sha256 is hashlib.sha256; "
         "print(*(cli.config_hash(cli.default_config(name)) for name in sorted(cli.SCENARIOS)))"
     )
-    done = _child("-c", code)
+    done = child("-c", code)
     assert (done.returncode, done.stderr) == (0, "")
     digests = [
         hashlib.sha256(render_config(default_config(name)).encode()).hexdigest()
@@ -267,11 +278,11 @@ sys.exit(cli.console_main() if entry == "console_main" else cli.main())
 @pytest.mark.skipif(grid._WORKERS < 2, reason="fewer than two usable cores")
 @pytest.mark.skipif(not _libc_has("mallopt", "malloc_stats"), reason="libc without mallopt or malloc_stats")
 @pytest.mark.parametrize("entry", ["console_main", "main"])
-def test_pooled_workers_share_one_malloc_arena_in_a_qhydro_process(tmp_path, entry):
+def test_pooled_workers_share_one_malloc_arena_in_a_qhydro_process(child, tmp_path, entry):
     # four blocks on two workers: each worker takes a malloc arena of its own
     # unless console_main has limited glibc to one before main() runs
     ini = _ini(tmp_path, POOLED_FREE)
-    done = _child("-c", ARENA_CHILD, entry, "run", str(ini))
+    done = child("-c", ARENA_CHILD, entry, "run", str(ini))
     assert done.returncode == 0
     arenas = sum(line.startswith("Arena ") for line in done.stderr.splitlines())
     assert arenas == 1 if entry == "console_main" else arenas > 1
@@ -296,7 +307,7 @@ sys.exit(cli.console_main() if entry == "console_main" else cli.main())
 
 @pytest.mark.skipif(not _libc_has("mallopt"), reason="libc without mallopt")
 @pytest.mark.parametrize("entry", ["console_main", "main"])
-def test_block_arrays_are_faulted_in_once_in_a_qhydro_process(tmp_path, entry):
+def test_block_arrays_are_faulted_in_once_in_a_qhydro_process(child, tmp_path, entry):
     # Each block allocates its arrays afresh.  console_main keeps what a block
     # frees in the one heap for the next block, so the run faults in fewer
     # pages than one complex array of all its rows would take (measured ~1.4k
@@ -304,7 +315,7 @@ def test_block_arrays_are_faulted_in_once_in_a_qhydro_process(tmp_path, entry):
     # block after block and faults them in again (measured 10k-17k).
     ini = _ini(tmp_path, POOLED_FREE.replace("L = 20.0\nN = 256", "L = 40.0\nN = 1024")
                .replace("t_final = 0.5", "t_final = 1.0"))
-    done = _child("-c", FAULT_CHILD, entry, "run", str(ini))
+    done = child("-c", FAULT_CHILD, entry, "run", str(ini))
     assert done.returncode == 0
     faults, bound = int(done.stderr.split()[-1]), 1001 * 1024 * 16 // resource.getpagesize()
     assert faults < bound if entry == "console_main" else faults > bound
@@ -327,7 +338,7 @@ def test_console_main_sets_one_arena_once_before_main(monkeypatch):
     ]
 
 
-def test_import_and_main_keep_the_allocator(tmp_path):
+def test_import_and_main_keep_the_allocator(child, tmp_path):
     # no C library is opened while qhydro is imported or main() runs the pool
     ini = _ini(tmp_path, POOLED_FREE)
     code = (
@@ -336,12 +347,12 @@ def test_import_and_main_keep_the_allocator(tmp_path):
         "import qhydro; from qhydro import grid; from qhydro.cli import main; grid._WORKERS = 2; "
         f"print(main(['run', {str(ini)!r}]), opened)"
     )
-    done = _child("-c", code)
+    done = child("-c", code)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.splitlines()[-1] == "0 []"
 
 
-def test_a_libc_without_mallopt_changes_no_output(tmp_path):
+def test_a_libc_without_mallopt_changes_no_output(child, tmp_path):
     # console_main skips the arena policy where the lookup fails, silently
     ini = _ini(tmp_path, QUICK_FREE)
     libcs = {
@@ -352,7 +363,7 @@ def test_a_libc_without_mallopt_changes_no_output(tmp_path):
     runs = {}
     for name, patch in libcs.items():
         code = f"import ctypes, sys\nfrom qhydro.cli import console_main\n{patch}sys.exit(console_main())"
-        done = _child("-c", code, "run", str(ini), "--output-dir", str(tmp_path / name))
+        done = child("-c", code, "run", str(ini), "--output-dir", str(tmp_path / name))
         files = [(tmp_path / name / f).read_bytes() for f in ("timeseries.csv", "timeseries.json")]
         runs[name] = done.returncode, done.stdout, done.stderr, files
     code, stdout, stderr, _ = runs["glibc"]

@@ -58,8 +58,6 @@ REFUSALS = {
     "harmonic_sigma_decreasing": (
         lambda: harmonic_sigma(GROUND, [0.0, 1.0, 0.5]), ValueError,
         "t_grid must be strictly increasing"),
-    "harmonic_sigma_nonuniform": (
-        lambda: harmonic_sigma(GROUND, [0.0, 1.0, 3.0]), ValueError, "t_grid must be uniform"),
     "acceleration_disjoint_masks": (
         lambda: diffusive_acceleration(_spike(40), _spike(200, time=0.1)), ValueError,
         "no jointly valid points"),

@@ -14,10 +14,14 @@ scenarios, the default `compare`, `run` and `compare` at snapshot_stride 1
 harmonic_perturbed (446 rows in four pooled row blocks, the one trap field dump
 on the pool), diffusion_gaussian and a `custom` trap, the default diffusion_gaussian with its
 clock started at `start_time` = 1e6 and 1e13 (diffusion_clock_1e6 and
-diffusion_clock_1e13), and thirteen runs that exit nonzero: a
+diffusion_clock_1e13), harmonic_perturbed at the prime snapshot_stride 331
+(perturbed_prime_stride), and fifteen runs that exit nonzero: a
 failing identity (1), a config error, a free_gaussian given a `width_rate`
-(width_rate_refused: only `custom` runs a chirped packet), a grid that cannot
-be allocated and a snapshot list that cannot be built (2), and eight numeric
+(width_rate_refused: only `custom` runs a chirped packet), a `compare` of a
+`custom` packet given a `width_rate` and of a diffusion_gaussian given a
+`start_time` (compare_width_rate_refused and compare_start_time_refused:
+`compare` evolves an unchirped packet and a density from t = 0), a grid that
+cannot be allocated and a snapshot list that cannot be built (2), and eight numeric
 aborts (3): extreme constants, a diffusion_gaussian
 whose sigma0**2 underflows, a free_gaussian whose width reference overflows,
 a `custom` trap whose potential overflows, a `custom` packet whose width-rate
@@ -83,10 +87,15 @@ CASES = {
     # references and dS/dt read the elapsed time step * dt
     **{f"diffusion_clock_{start}": ("run", "diffusion_gaussian", {"start_time": start})
        for start in ("1e6", "1e13")},
+    # a prime stride: the width model's steps cut each 0.0662 interval into 34
+    "perturbed_prime_stride": ("run", "harmonic_perturbed", {"snapshot_stride": "331"}),
     "identity_failure": ("run", "free_gaussian", {"sigma0": "0.001"}),
     "config_error": ("run", "free_gaussian", {"N": "7"}),
     # free_gaussian's references model an unchirped packet
     "width_rate_refused": ("run", "free_gaussian", {"width_rate": "0.2"}),
+    # compare evolves an unchirped free packet and a density from t = 0
+    "compare_width_rate_refused": ("compare", "custom", {"width_rate": "0.2"}),
+    "compare_start_time_refused": ("compare", "diffusion_gaussian", {"start_time": "1.0"}),
     # 2**58 float64 samples are 2 EiB, beyond any 64-bit address space
     "grid_unallocatable": ("run", "harmonic_ground", {"N": str(2**58)}),
     # 1e18 + 1 steps, one int each: a list beyond any 64-bit address space
