@@ -137,8 +137,7 @@ def harmonic_sigma(
     sigmas = [sig]
     rates = [vel / sig]
     for gap in gaps.tolist():
-        # 1e-9 absorbs the ulp-level jitter of an arange-built clock's intervals
-        substeps = max(1, math.ceil(gap * w0 / 2e-3 * (1 - 1e-9)))
+        substeps = int(_rk4_steps(gap, w0))
         h = gap / substeps
         for _ in range(substeps):
             k1 = rhs(sig, vel)
@@ -152,6 +151,13 @@ def harmonic_sigma(
         sigmas.append(sig)
         rates.append(vel / sig)
     return SigmaTrace(t_grid.copy(), np.array(sigmas), np.array(rates))
+
+
+def _rk4_steps(gap: float, omega0: float) -> float:
+    """The fewest equal RK4 steps of at most 2e-3/omega0 that cover `gap`, inf
+    past float range; 1e-9 absorbs the ulp-level jitter of an arange-built
+    clock's intervals."""
+    return max(1.0, float(np.ceil(gap * omega0 / 2e-3 * (1 - 1e-9))))
 
 
 def diffusive_sigma2(p: GaussianParams, t):

@@ -41,6 +41,7 @@ from .analytic import (
     free_sigma,
     harmonic_ground_width,
     harmonic_sigma,
+    _rk4_steps,
 )
 from .diffusion import DiffusionState, gaussian_density, _kernel_blocks
 from .entropy import _boltzmann_rows, _diffusion_rows, _quantum_rows, _require_finite
@@ -178,15 +179,19 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
     entry = _ENTRIES.get(cfg.scenario)
     if entry is None:
         problems.append(f"unknown scenario {cfg.scenario!r}")
-    problems += _positive(cfg, "hbar", "mass", "k_B", "sigma0", "L", "dt")
+    # a key a run does not read keeps its default, so every key is held to its range
+    problems += [f"{name} must be positive, got {getattr(cfg, name)}"
+                 for name in ("hbar", "mass", "k_B", "sigma0", "omega0", "D", "L", "dt")
+                 if not getattr(cfg, name) > 0]
     if cfg.N % 2 != 0 or cfg.N < 8:
         problems.append(f"N must be an even integer >= 8, got {cfg.N}")
     elif cfg.N > sys.maxsize // 16:  # numpy cannot even size a complex grid array
         problems.append(f"N = {cfg.N} asks for a grid larger than memory holds")
     elif 0 < cfg.L < math.inf and not math.isfinite(2 * cfg.L + math.pi / cfg.L * cfg.N):
         problems.append(f"L = {cfg.L} on N = {cfg.N} points overflows the grid span or wavenumbers")
-    if cfg.t_final < 0:
-        problems.append(f"t_final must be nonnegative, got {cfg.t_final}")
+    for name in ("start_time", "t_final"):
+        if getattr(cfg, name) < 0:
+            problems.append(f"{name} must be nonnegative, got {getattr(cfg, name)}")
     if cfg.dt > 0 and math.isfinite(cfg.t_final):
         ratio = cfg.t_final / cfg.dt
         if not (math.isfinite(ratio) and round(ratio) <= sys.maxsize):
@@ -203,43 +208,32 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
     return problems
 
 
-def _own_physics(cfg: ScenarioConfig, problems: list[str]) -> list[str]:
-    """Every scenario but `custom` runs its own `potential` and `width_rate`."""
-    own = default_config(cfg.scenario)
-    return [f"{cfg.scenario} runs {key} = {getattr(own, key)}, got {key} = {getattr(cfg, key)}"
-            for key in ("potential", "width_rate") if getattr(cfg, key) != getattr(own, key)]
-
-
-def _positive(cfg: ScenarioConfig, *names: str) -> list[str]:
-    """The one positivity check, of every key that a run needs positive."""
-    return [f"{name} must be positive, got {getattr(cfg, name)}" for name in names
-            if not getattr(cfg, name) > 0]
-
-
 def _trap_problems(cfg: ScenarioConfig, problems: list[str]) -> list[str]:
-    found = _own_physics(cfg, problems) + _positive(cfg, "omega0")
-    if problems or found or 0 < (width := _ground_width(cfg)) < math.inf:
-        return found
+    if problems or 0 < (width := _ground_width(cfg)) < math.inf:
+        return []
     return [f"ground width sqrt(hbar/(2 mass omega0)) is {width}, not a positive finite number"]
+
+
+_RK4_CAP = 1e8  # the most RK4 steps the width model may take: minutes of Python
 
 
 def _perturbed_problems(cfg: ScenarioConfig, problems: list[str]) -> list[str]:
     found = _trap_problems(cfg, problems)
     if problems or found:
         return found
-    # the width-equation reference needs one step and a linearized start
-    if round(cfg.t_final / cfg.dt) < 1:
+    # the width-equation reference needs one step, a linearized start and a bounded RK4 count
+    n, stride = round(cfg.t_final / cfg.dt), cfg.snapshot_stride
+    if n < 1:
         found.append(f"harmonic_perturbed needs at least one step of dt={cfg.dt}")
     ratio = abs(cfg.epsilon0) / _ground_width(cfg)
     if not ratio < 0.05:
         found.append(f"|epsilon0|/sigma_ground must be < 0.05, got {ratio:.3g}")
-    return found
-
-
-def _diffusion_problems(cfg: ScenarioConfig, problems: list[str]) -> list[str]:
-    found = _own_physics(cfg, problems) + _positive(cfg, "D")
-    if cfg.start_time < 0:
-        found.append(f"start_time must be nonnegative, got {cfg.start_time}")
+    # harmonic_sigma's steps over n // stride snapshot intervals of stride * dt and a tail
+    intervals = ((n // stride, stride), (n % stride > 0, n % stride))
+    rk4 = sum(count * _rk4_steps(m * cfg.dt, cfg.omega0) for count, m in intervals if count)
+    if not rk4 <= _RK4_CAP:
+        found.append(f"harmonic_perturbed's width model needs {rk4:.3g} RK4 steps, "
+                     f"more than the cap of {_RK4_CAP:.0e}")
     return found
 
 
@@ -619,8 +613,9 @@ def _compare_references(cfg: ScenarioConfig, tab: dict) -> dict:
 class _Entry(NamedTuple):
     """A scenario as data: blocks(cfg, grid, ev, *start(cfg, grid)) builds one kernel and
     returns the functions from a block's steps to its columns and to its field tables (None:
-    no fields); references derive columns; identities check the table; validate adds config
-    problems."""
+    no fields); references derive columns; identities check the table; reads(cfg) names the
+    keys the run reads, and any other key away from the defaults (the scenario's, then the
+    entry's own) is refused; validate adds config problems."""
 
     description: str
     defaults: dict
@@ -628,7 +623,13 @@ class _Entry(NamedTuple):
     blocks: Callable
     references: tuple
     identities: tuple
-    validate: Callable = _own_physics
+    reads: Callable
+    validate: Callable = lambda cfg, problems: []
+
+
+# the keys every run reads, and every quantum run
+_READ = frozenset(("k_B", "L", "N", "dt", "t_final", "snapshot_stride", "directory", "formats"))
+_QUANTUM_READ = _READ | {"hbar", "mass", "enable_von_neumann", "emit_fields"}
 
 
 def _packet(cfg: ScenarioConfig, grid):
@@ -652,6 +653,7 @@ _ENTRIES = {
                 "entropy_matches_reference", 1e-3, "ent_boltzmann", lambda tab: tab["ref_entropy"]
             ),
         ),
+        lambda cfg: _QUANTUM_READ | {"sigma0"},
     ),
     # snapshots are exact, so dt and snapshot_stride only place the rows
     "harmonic_ground": _Entry(
@@ -670,6 +672,7 @@ _ENTRIES = {
             _deviation("advective_velocity_zero", 1e-6, "ua_max", lambda tab: 0.0),
             _deviation("density_stationary", 1e-10, "rho_drift", lambda tab: 0.0),
         ),
+        lambda cfg: _QUANTUM_READ | {"omega0"},
         _trap_problems,
     ),
     "harmonic_perturbed": _Entry(
@@ -685,6 +688,7 @@ _ENTRIES = {
         _QUANTUM_IDENTITIES + (
             _relative("sigma2_matches_oscillator", 1e-3, "sigma2_measured", "oscillator_sigma2"),
         ),
+        lambda cfg: _QUANTUM_READ | {"omega0", "epsilon0"},
         _perturbed_problems,
     ),
     "diffusion_gaussian": _Entry(
@@ -697,7 +701,7 @@ _ENTRIES = {
         _diffusion_blocks,
         (_entropy_rate, _diffusion_references),
         _DIFFUSION_IDENTITIES,
-        _diffusion_problems,
+        lambda cfg: _READ | {"sigma0", "D", "start_time", "emit_fields"},
     ),
     "custom": _Entry(
         "Gaussian initial state with a free or harmonic potential",
@@ -709,17 +713,20 @@ _ENTRIES = {
         _quantum_blocks,
         (_entropy_rate,),
         _QUANTUM_IDENTITIES,
-        lambda cfg, problems: _positive(cfg, "omega0") if cfg.potential == "harmonic" else [],
+        lambda cfg: _QUANTUM_READ | {"sigma0", "width_rate", "potential"}
+        | ({"omega0"} if cfg.potential == "harmonic" else set()),
     ),
 }
 
+# a free, unchirped packet from t = 0, whatever the scenario's own defaults
 _COMPARE = _Entry(
     "unitary and Fickian evolutions from the same initial density",
-    {},
+    dict(potential="free", width_rate=0.0, start_time=0.0),
     lambda cfg, grid: (gaussian_packet(grid, cfg.sigma0, cfg.hbar, cfg.mass), free_potential()),
     _compare_blocks,
     (_compare_references,),
     _COMPARE_IDENTITIES,
+    lambda cfg: _READ | {"hbar", "mass", "sigma0", "D"},
 )
 
 SCENARIOS = {name: entry.description for name, entry in _ENTRIES.items()}
@@ -774,6 +781,12 @@ def _run(
     entry: _Entry, cfg: ScenarioConfig, name: str, columns: list[str], problems: list[str]
 ) -> RunReport:
     """The runner loop: the entry's blocks into one table, its references and identities."""
+    if not problems:  # the one read-or-refuse rule: a key the run does not read keeps its default
+        own, reads = replace(default_config(cfg.scenario), **entry.defaults), entry.reads(cfg)
+        problems = [
+            f"{name} does not read {key}, which must stay {getattr(own, key)}, got {value}"
+            for key, value in vars(cfg).items() if key not in reads and value != getattr(own, key)
+        ]
     if problems:
         raise ConfigError(problems)
     started = time.perf_counter()
@@ -816,7 +829,7 @@ def _run(
         "workers": grid_module._WORKERS,
         **{var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
     }
-    dumps = cfg.emit_fields and fields is not None  # each read recomputes them on the run's kernel
+    dumps = cfg.emit_fields  # each read recomputes them on the run's kernel
     tables = (lambda: chain.from_iterable(_blockwise(fields, steps, grid))) if dumps else None
     return RunReport(name, columns, table, identities, provenance, tables)
 
@@ -842,17 +855,7 @@ def compare_quantum_diffusion(cfg: ScenarioConfig) -> RunReport:
     t > 2 D (2 m sigma0 / hbar)^2, which is asserted when the run reaches
     1.05x that time.
     """
-    problems = validate_config(cfg)
-    # every comparison diffuses at D, which only the diffusion scenario checks itself
-    if cfg.scenario != "diffusion_gaussian":
-        problems += _positive(cfg, "D")
-    if cfg.potential != "free":
-        problems.append(f"compare evolves a free packet, got potential = {cfg.potential}")
-    if cfg.width_rate != 0:
-        problems.append(f"compare evolves an unchirped packet, got width_rate = {cfg.width_rate}")
-    if cfg.start_time != 0:
-        problems.append(f"compare starts at t = 0, got start_time = {cfg.start_time}")
-    return _run(_COMPARE, cfg, "compare_quantum_diffusion", COMPARE_COLUMNS, problems)
+    return _run(_COMPARE, cfg, "compare_quantum_diffusion", COMPARE_COLUMNS, validate_config(cfg))
 
 
 _CHUNK_ROWS = 256  # rows converted, formatted and written at a time

@@ -1,5 +1,7 @@
+import contextlib
 import functools
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -169,17 +171,22 @@ class TestConfig:
     @pytest.mark.parametrize("scenario", ["free_gaussian", "diffusion_gaussian"])
     def test_scenario_runs_its_own_potential(self, scenario):
         cfg = replace(default_config(scenario), potential="harmonic", omega0=5.0)
-        assert cli.validate_config(cfg) == [
-            f"{scenario} runs potential = free, got potential = harmonic"
+        with pytest.raises(ConfigError) as err:
+            run_scenario(cfg)
+        assert err.value.problems == [
+            f"{scenario} does not read omega0, which must stay 1.0, got 5.0",
+            f"{scenario} does not read potential, which must stay free, got harmonic",
         ]
-        # an unused key keeps its default INI parseable
-        assert cli.validate_config(replace(cfg, potential="free")) == []
+        # the command refuses the unread keys; the file alone is valid
+        assert cli.validate_config(cfg) == []
 
     @pytest.mark.parametrize("scenario", ["harmonic_ground", "harmonic_perturbed"])
     def test_trap_runs_its_own_potential(self, scenario):
         cfg = replace(default_config(scenario), potential="free")
-        assert cli.validate_config(cfg) == [
-            f"{scenario} runs potential = harmonic, got potential = free"
+        with pytest.raises(ConfigError) as err:
+            run_scenario(cfg)
+        assert err.value.problems == [
+            f"{scenario} does not read potential, which must stay harmonic, got free"
         ]
 
     @pytest.mark.parametrize(
@@ -191,14 +198,16 @@ class TestConfig:
         path.write_text(f"[scenario]\nname = {scenario}\n[physics]\nwidth_rate = 0.2\n")
         assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == (
-            f"config error: {scenario} runs width_rate = 0.0, got width_rate = 0.2\n"
+            f"config error: {scenario} does not read width_rate, which must stay 0.0, got 0.2\n"
         )
         assert not (tmp_path / "out").exists()
         assert cli.validate_config(replace(default_config("custom"), width_rate=0.2)) == []
 
     @pytest.mark.parametrize("scenario, physics, message", [
-        ("custom", "width_rate = 0.2", "compare evolves an unchirped packet, got width_rate = 0.2"),
-        ("diffusion_gaussian", "start_time = 1.0", "compare starts at t = 0, got start_time = 1.0"),
+        ("custom", "width_rate = 0.2",
+         "compare_quantum_diffusion does not read width_rate, which must stay 0.0, got 0.2"),
+        ("diffusion_gaussian", "start_time = 1.0",
+         "compare_quantum_diffusion does not read start_time, which must stay 0.0, got 1.0"),
     ], ids=["width_rate", "start_time"])
     def test_compare_refuses_what_it_does_not_run(self, tmp_path, capsys, scenario, physics, message):
         # compare evolves an unchirped free packet and a density from t = 0; it ran
@@ -218,7 +227,9 @@ class TestConfig:
         cfg = replace(default_config(scenario), potential="harmonic")
         with pytest.raises(ConfigError) as err:
             compare_quantum_diffusion(cfg)
-        assert err.value.problems == ["compare evolves a free packet, got potential = harmonic"]
+        assert err.value.problems == [
+            "compare_quantum_diffusion does not read potential, which must stay free, got harmonic"
+        ]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -241,6 +252,86 @@ class TestConfig:
         assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "out").exists()
+
+
+# the oracle of the read-or-refuse rule: small runs of each (command, scenario), a trap on
+# its own box, and `custom` both free and in a trap
+SCAN_RUNS = {
+    "free_gaussian": ("free_gaussian", dict(L=20.0)),
+    "harmonic_ground": ("harmonic_ground", {}),
+    "harmonic_perturbed": ("harmonic_perturbed", {}),
+    "diffusion_gaussian": ("diffusion_gaussian", dict(L=20.0)),
+    "custom": ("custom", dict(L=20.0)),
+    "custom_trap": ("custom", dict(L=12.0, potential="harmonic")),
+}
+SCAN_AWAY = {
+    "hbar": 1.25, "mass": 1.25, "k_B": 2.0, "sigma0": 0.8, "omega0": 1.5, "D": 0.75,
+    "epsilon0": 0.003, "start_time": 0.5, "width_rate": 0.2, "L": 14.0, "N": 96, "dt": 8e-3,
+    "t_final": 0.3, "snapshot_stride": 4, "enable_von_neumann": True, "emit_fields": True,
+    "directory": "elsewhere", "formats": ("csv",),
+}
+# the keys each command accepted and read by nothing in a scan of each physics key away from
+# its default, and the ones already refused then (potential, width_rate, compare's start_time);
+# compare also dropped emit_fields
+NOT_RUN = {"start_time", "width_rate", "potential"}
+SCAN_REFUSED = {
+    ("run", "free_gaussian"): {"omega0", "D", "epsilon0", *NOT_RUN},
+    ("run", "harmonic_ground"): {"sigma0", "D", "epsilon0", *NOT_RUN},
+    ("run", "harmonic_perturbed"): {"sigma0", "D", *NOT_RUN},
+    ("run", "diffusion_gaussian"): {
+        "hbar", "mass", "omega0", "epsilon0", "enable_von_neumann", "width_rate", "potential",
+    },
+    ("run", "custom"): {"omega0", "D", "epsilon0", "start_time"},
+    ("run", "custom_trap"): {"D", "epsilon0", "start_time"},
+    **{("compare", name): {"omega0", "epsilon0", "enable_von_neumann", "emit_fields", *NOT_RUN}
+       for name in SCAN_RUNS if name != "custom_trap"},
+}
+
+
+def _scan_config(command, name, **changed):
+    scenario, overrides = SCAN_RUNS[name]
+    # compare evolves a free packet whatever the scenario
+    own = dict(potential="free") if command == "compare" else {}
+    small = dict(N=128, dt=1e-2, t_final=0.2, snapshot_stride=5, directory="out")
+    return replace(default_config(scenario), **{**small, **overrides, **own, **changed})
+
+
+def _emitted(command, cfg, root: Path):
+    """main()'s exit code and stderr on `cfg` written under `root`, and every file it wrote
+    but report.json (which holds the wall time), by path under `root`."""
+    path = root / "cfg.ini"
+    path.write_text(render_config(replace(cfg, directory=str(root / cfg.directory))))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main([command, str(path)])
+    files = {str(f.relative_to(root)): f.read_bytes() for f in root.rglob("*")
+             if f.is_file() and f != path and f.name != "report.json"}
+    return code, err.getvalue(), files
+
+
+@functools.cache
+def _scan_baseline(command, name):
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err, files = _emitted(command, _scan_config(command, name), Path(tmp))
+    assert code in (0, 1) and err == "" and files
+    return files
+
+
+@pytest.mark.parametrize("command, name, key", [
+    pytest.param(command, name, key, id=f"{command}-{name}-{key}")
+    for command, name in SCAN_REFUSED for keys in cli._SECTIONS.values() for key in keys
+])
+def test_each_key_is_read_or_refused(tmp_path, command, name, key):
+    base = _scan_config(command, name)
+    away = SCAN_AWAY.get(key, "harmonic" if base.potential == "free" else "free")
+    code, err, files = _emitted(command, replace(base, **{key: away}), tmp_path)
+    if key in SCAN_REFUSED[command, name]:
+        assert code == 2 and files == {}
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert f" does not read {key}, " in err
+    else:  # the key moves at least one emitted byte
+        assert code in (0, 1) and err == ""
+        assert files != _scan_baseline(command, name)
 
 
 class TestRunScenario:
@@ -615,7 +706,13 @@ class TestCompare:
         assert header.startswith("t,sigma2_quantum,ref_sigma2_quantum")
 
     def test_compare_writes_no_field_files(self, tmp_path, quick_free):
-        report = compare_quantum_diffusion(replace(quick_free, emit_fields=True))
+        # compare has no field tables: it refuses emit_fields, where it dropped the key before
+        with pytest.raises(ConfigError) as err:
+            compare_quantum_diffusion(replace(quick_free, emit_fields=True))
+        assert err.value.problems == [
+            "compare_quantum_diffusion does not read emit_fields, which must stay False, got True"
+        ]
+        report = compare_quantum_diffusion(quick_free)
         assert report.field_tables is None
         emit_timeseries(report, tmp_path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["compare.csv", "compare.json"]

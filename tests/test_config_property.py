@@ -3,7 +3,9 @@
 Finite in-range draws are bounded (N <= 64, at most 200 steps) so that every
 example runs in milliseconds.  Non-finite, zero, negative and overflowing
 values are drawn from their own pool, for up to two keys per example, so
-that most examples are valid configurations that run to the end.
+that most examples are valid configurations that run to the end.  A good
+value is drawn only for a key that the command reads for the scenario; any
+other key keeps its default, since a command refuses a key it does not read.
 
 A second test puts one structural fault into a valid default INI (a
 misspelt or miscased section, a duplicate key or section, a stray
@@ -17,6 +19,7 @@ from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
 
+from qhydro import cli
 from qhydro.cli import SCENARIOS, default_config, main, parse_config, render_config
 
 BAD_FLOATS = st.sampled_from(
@@ -45,27 +48,31 @@ GRID_AND_EVOLUTION = ("L", "N", "dt", "t_final", "snapshot_stride")
 
 
 @st.composite
-def ini_text(draw):
+def config_case(draw):
+    """(command, INI text)."""
+    command = draw(st.sampled_from(["run", "compare"]))
     scenario = draw(st.sampled_from(sorted(SCENARIOS)))
+    entry = cli._COMPARE if command == "compare" else cli._ENTRIES[scenario]
+    own = replace(default_config(scenario), **entry.defaults)
     # most examples are valid configs; up to two keys take a bad value
     bad = draw(st.sets(st.sampled_from([*PHYSICS, "potential", *GRID_AND_EVOLUTION]), max_size=2))
 
     def value(key, good):
         return draw(BAD_FLOATS if key in bad else good)
 
-    # only `custom` reads width_rate and the potential; every other scenario runs its own
+    # only a `custom` run reads the potential, and it reads omega0 only in a trap
+    if "potential" in bad:
+        potential = "quartic"
+    else:
+        potential = draw(st.sampled_from(["free", "harmonic"] if "potential" in entry.reads(own)
+                                         else [own.potential]))
+    reads = entry.reads(replace(own, potential=potential))
     physics = {
         key: value(key, good)
         for key, good in PHYSICS.items()
-        if key in bad or (key != "width_rate" or scenario == "custom") and draw(st.booleans())
+        if key in bad or key in reads and draw(st.booleans())
     }
-    if "potential" in bad:
-        potentials = ["quartic"]
-    elif scenario == "custom":
-        potentials = ["free", "harmonic"]
-    else:
-        potentials = [default_config(scenario).potential]
-    physics["potential"] = draw(st.sampled_from(potentials))
+    physics["potential"] = potential
     # an in-range dt and t_final give at most 200 steps; a bad dt or t_final
     # either fails validation or leaves at most 200 steps too
     dt = value("dt", _in_range(1e-3, 0.1))
@@ -84,15 +91,14 @@ def ini_text(draw):
                                     else st.integers(1, 50)),
         },
         "diagnostics": {
-            "enable_von_neumann": draw(st.booleans()),
-            "emit_fields": draw(st.booleans()),
+            key: draw(st.booleans()) for key in ("enable_von_neumann", "emit_fields") if key in reads
         },
     }
     lines = ["[scenario]", f"name = {scenario}"]
     for section, values in sections.items():
         lines.append(f"[{section}]")
         lines += [f"{key} = {value}" for key, value in values.items()]
-    return "\n".join(lines) + "\n"
+    return command, "\n".join(lines) + "\n"
 
 
 def _underflowing_width(test):
@@ -102,14 +108,15 @@ def _underflowing_width(test):
         text = (f"[scenario]\nname = {scenario}\n[physics]\nsigma0 = 1e-300\n[grid]\nN = 16\n"
                 "[evolution]\ndt = 0.01\nt_final = 0.1\nsnapshot_stride = 1\n")
         for command in ("run", "compare"):
-            test = example(text=text, command=command)(test)
+            test = example(case=(command, text))(test)
     return test
 
 
 @settings(max_examples=120, derandomize=True, deadline=None, database=None)
-@given(text=ini_text(), command=st.sampled_from(["run", "compare"]))
+@given(case=config_case())
 @_underflowing_width
-def test_any_config_exits_with_a_documented_code(text, command):
+def test_any_config_exits_with_a_documented_code(case):
+    command, text = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.ini"
         path.write_text(text + f"[output]\ndirectory = {Path(tmp) / 'out'}\n")

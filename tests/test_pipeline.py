@@ -135,7 +135,7 @@ def test_diffusion_runner_matches_per_state_path(rows):
 
 @pytest.mark.parametrize("rows", ROW_COUNTS.values(), ids=ROW_COUNTS.keys())
 def test_compare_matches_per_state_path(rows):
-    cfg = _config("free_gaussian", rows)
+    cfg = _config("free_gaussian", rows, emit_fields=False)  # compare has no field tables
     report = compare_quantum_diffusion(cfg)
     grid = make_grid(cfg.L, cfg.N)
     q_state = gaussian_packet(grid, cfg.sigma0, cfg.hbar, cfg.mass)
@@ -184,7 +184,7 @@ POOLED_CASES = {
     "free": (run_scenario, QUANTUM_CASES["free"]),
     "trap": (run_scenario, QUANTUM_CASES["trap"]),
     "diffusion": (run_scenario, dict(scenario="diffusion_gaussian", start_time=0.3)),
-    "compare": (compare_quantum_diffusion, dict(scenario="free_gaussian")),
+    "compare": (compare_quantum_diffusion, dict(scenario="free_gaussian", emit_fields=False)),
 }
 
 

@@ -1,7 +1,9 @@
 """The library's refusals, each with its exception and message.
 
 Every public constructor and function that checks its input names what it
-refused; a refusal that no run reaches is pinned here, one case each.
+refused; a refusal that no run reaches is pinned here, one case each.  The
+width model's RK4 cap, which `harmonic_perturbed` checks before any block
+runs, is pinned here too.
 """
 import re
 from dataclasses import replace
@@ -15,7 +17,9 @@ from qhydro import (
     entropy_equation_residual, evolve, gaussian_packet, harmonic_potential, harmonic_sigma,
     make_grid, production_diffusive, step, superposition,
 )
-from qhydro.cli import SCENARIOS, ConfigError, default_config, validate_config
+from qhydro import cli
+from qhydro.analytic import _rk4_steps
+from qhydro.cli import SCENARIOS, ConfigError, default_config, main, validate_config
 
 GRID = make_grid(20.0, 256)
 GROUND = GaussianParams(float(np.sqrt(0.5)), omega0=1.0)
@@ -108,6 +112,39 @@ def test_refusal_names_what_it_refused(call, error, message):
 def test_validate_config_lists_an_unknown_scenario():
     assert validate_config(replace(default_config("custom"), scenario="quartic")) == [
         "unknown scenario 'quartic'"
+    ]
+
+
+def test_a_width_model_past_the_rk4_cap_is_refused(tmp_path, capsys):
+    # epsilon0 at 1% of the ground width; harmonic_sigma would take 1.11e10 RK4 steps
+    path = tmp_path / "cfg.ini"
+    path.write_text(
+        "[scenario]\nname = harmonic_perturbed\n[physics]\nomega0 = 1e6\nepsilon0 = 7.07e-6\n"
+        f"[output]\ndirectory = {tmp_path / 'out'}\n"
+    )
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: harmonic_perturbed's width model needs 1.11e+10 RK4 steps, "
+        "more than the cap of 1e+08\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+# the default (~11.1k steps), a prime stride with a short last interval, and omega0 = 100
+@pytest.mark.parametrize("overrides", [{}, dict(snapshot_stride=331), dict(omega0=100.0)],
+                         ids=["default", "prime_stride", "omega0_100"])
+def test_the_rk4_cap_counts_the_steps_harmonic_sigma_takes(monkeypatch, overrides):
+    cfg = replace(default_config("harmonic_perturbed"), **overrides)
+    cfg = replace(cfg, epsilon0=0.01 * np.sqrt(0.5 / cfg.omega0))
+    clock = np.array(cli._evolution(cfg).snapshot_steps()) * cfg.dt
+    steps = sum(_rk4_steps(gap, cfg.omega0) for gap in np.diff(clock))
+    assert validate_config(cfg) == []
+    monkeypatch.setattr(cli, "_RK4_CAP", steps)
+    assert validate_config(cfg) == []
+    monkeypatch.setattr(cli, "_RK4_CAP", steps - 1)
+    assert validate_config(cfg) == [
+        f"harmonic_perturbed's width model needs {steps:.3g} RK4 steps, more than the cap of "
+        f"{steps - 1:.0e}"
     ]
 
 

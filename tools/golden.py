@@ -12,17 +12,19 @@ scenarios, the default `compare`, `run` and `compare` at snapshot_stride 1
 (the spread_dense workload), the von Neumann workload (spread_vn) and the
 `emit_fields` + `enable_von_neumann` runs of free_gaussian, harmonic_ground,
 harmonic_perturbed (446 rows in four pooled row blocks, the one trap field dump
-on the pool), diffusion_gaussian and a `custom` trap, the default diffusion_gaussian with its
-clock started at `start_time` = 1e6 and 1e13 (diffusion_clock_1e6 and
-diffusion_clock_1e13), harmonic_perturbed at the prime snapshot_stride 331
-(perturbed_prime_stride), and fifteen runs that exit nonzero: a
-failing identity (1), a config error, a free_gaussian given a `width_rate`
-(width_rate_refused: only `custom` runs a chirped packet), a `compare` of a
-`custom` packet given a `width_rate` and of a diffusion_gaussian given a
-`start_time` (compare_width_rate_refused and compare_start_time_refused:
-`compare` evolves an unchirped packet and a density from t = 0), a grid that
-cannot be allocated and a snapshot list that cannot be built (2), and eight numeric
-aborts (3): extreme constants, a diffusion_gaussian
+on the pool) and a `custom` trap, the `emit_fields` run of diffusion_gaussian
+(which does not read `enable_von_neumann`), the default diffusion_gaussian
+with its clock started at `start_time` = 1e6 and 1e13 (diffusion_clock_1e6
+and diffusion_clock_1e13), harmonic_perturbed at the prime snapshot_stride
+331 (perturbed_prime_stride), and eighteen runs that exit nonzero: a
+failing identity (1), a config error, five keys that the command does not
+read (2: a free_gaussian given a `width_rate` or a `start_time`, a `compare`
+of a `custom` packet given a `width_rate`, of a diffusion_gaussian given a
+`start_time` and of a free_gaussian given `emit_fields`), a
+harmonic_perturbed at omega0 = 1e6 whose width model would take 1.11e10 RK4
+steps (perturbed_rk4_cap), a grid that cannot be allocated and a snapshot
+list that cannot be built (2), and eight numeric aborts (3): extreme
+constants, a diffusion_gaussian
 whose sigma0**2 underflows, a free_gaussian whose width reference overflows,
 a `custom` trap whose potential overflows, a `custom` packet whose width-rate
 phase overflows, a free_gaussian whose tiny mass overflows the productions,
@@ -30,7 +32,9 @@ and a diffusion_gaussian `run` and a `compare` whose k_B overflows the
 entropy.  PYTHONUNBUFFERED is removed
 from the children's environment, so their stdout is block-buffered and
 output that a process does not flush before it ends shows as a stdout
-difference.
+difference.  A child still running after TIMEOUT_S (60) seconds is killed
+and its exit reads -9, since a tree without a refusal may run a case for
+hours.
 
 Every data file must be byte-identical; from report.json, the config hash
 and each identity's name, tolerance, `measured` value and outcome must be
@@ -61,6 +65,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 # name -> (command, scenario, INI overrides)
@@ -77,8 +82,9 @@ CASES = {
         {"N": "512", "snapshot_stride": "5", "enable_von_neumann": "true"},
     ),
     **{f"{name}_fields": ("run", name, FIELDS) for name in (
-        "free_gaussian", "harmonic_ground", "harmonic_perturbed", "diffusion_gaussian",
+        "free_gaussian", "harmonic_ground", "harmonic_perturbed",
     )},
+    "diffusion_gaussian_fields": ("run", "diffusion_gaussian", {"emit_fields": "true"}),
     "custom_trap_fields": (
         "run", "custom",
         {"potential": "harmonic", "omega0": "1.0", "L": "12.0", "N": "256", **FIELDS},
@@ -91,11 +97,15 @@ CASES = {
     "perturbed_prime_stride": ("run", "harmonic_perturbed", {"snapshot_stride": "331"}),
     "identity_failure": ("run", "free_gaussian", {"sigma0": "0.001"}),
     "config_error": ("run", "free_gaussian", {"N": "7"}),
-    # free_gaussian's references model an unchirped packet
+    # keys the command does not read: free_gaussian runs an unchirped packet from t = 0,
+    # and compare evolves one and a density from t = 0, and has no field tables
     "width_rate_refused": ("run", "free_gaussian", {"width_rate": "0.2"}),
-    # compare evolves an unchirped free packet and a density from t = 0
+    "quantum_start_time_refused": ("run", "free_gaussian", {"start_time": "1.0"}),
     "compare_width_rate_refused": ("compare", "custom", {"width_rate": "0.2"}),
     "compare_start_time_refused": ("compare", "diffusion_gaussian", {"start_time": "1.0"}),
+    "compare_fields_refused": ("compare", "free_gaussian", {"emit_fields": "true"}),
+    # epsilon0 at 1% of the ground width; the width model would take 1.11e10 RK4 steps
+    "perturbed_rk4_cap": ("run", "harmonic_perturbed", {"omega0": "1e6", "epsilon0": "7.07e-6"}),
     # 2**58 float64 samples are 2 EiB, beyond any 64-bit address space
     "grid_unallocatable": ("run", "harmonic_ground", {"N": str(2**58)}),
     # 1e18 + 1 steps, one int each: a list beyond any 64-bit address space
@@ -125,6 +135,7 @@ CASES = {
 }
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+TIMEOUT_S = 60
 
 
 def _environment(src: Path) -> dict:
@@ -162,7 +173,10 @@ def _run_case(src: Path, work: Path, case: str) -> dict:
             env=_environment(src), cwd=work, stdout=stdout, stderr=stderr,
         )
     # os.wait4 reaps the child with its own resource usage, peak RSS included
+    timer = threading.Timer(TIMEOUT_S, child.kill)
+    timer.start()
     _, status, usage = os.wait4(child.pid, 0)
+    timer.cancel()
     child.returncode = os.waitstatus_to_exitcode(status)
     stdout, stderr = ((work / name).read_text() for name in ("stdout", "stderr"))
     files, identities, config_hash = {}, None, None
