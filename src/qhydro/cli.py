@@ -1,10 +1,10 @@
 """Config-driven scenario runner with CSV/JSON time-series output.
 
-Scenarios are described by an INI file (sections: scenario, physics, grid,
-evolution, diagnostics, output) and declared as entries of `_ENTRIES`;
-`compare` is one more entry.  One loop runs any entry: it builds one table
-of column arrays from the snapshot blocks, derives the reference columns,
-reduces every identity over the table, writes the data files from it, and
+Scenarios are described by an INI file (sections: scenario, physics, grid, evolution,
+diagnostics, output) and declared as entries of `_ENTRIES`; `compare` is one more entry.
+One loop runs any entry: it builds one table of column arrays from the snapshot blocks,
+derives the reference columns, reduces every identity over the table, writes the data
+files from it (the field dumps from each block's own rho and u_a + i u_d, or rho'), and
 exits nonzero when an asserted identity misses its tolerance.
 
 Exit codes: 0 all identities pass, 1 identity failure, 2 configuration
@@ -46,8 +46,8 @@ from .analytic import (
 from .diffusion import DiffusionState, gaussian_density, _kernel_blocks
 from .entropy import _boltzmann_rows, _diffusion_rows, _quantum_rows, _require_finite
 from . import grid as grid_module
-from .grid import Field, _row_blocks, make_grid
-from .madelung import QuantumState, advective_velocity, density, diffusive_velocity
+from .grid import _row_blocks, make_grid
+from .madelung import density, _masked_ratios
 from .schrodinger import (
     EvolutionConfig,
     NumericsError,
@@ -327,8 +327,8 @@ class IdentityCheck:
 @dataclass
 class RunReport:
     """`table` maps each column to one value per snapshot (absent or None: not
-    applicable); `columns` names the emitted ones, in order; `field_tables()`
-    recomputes the `emit_fields` tables, one per snapshot, on the run's kernel."""
+    applicable); `columns` names the emitted ones, in order; `field_tables()` runs
+    the row blocks again and yields their `emit_fields` tables, one per snapshot."""
 
     scenario: str
     columns: list[str]
@@ -482,53 +482,52 @@ def _density_columns(times, rho, norm, grid, ent: dict) -> dict:
     return dict(t=times, norm=norm, **width, fisher=ent.pop("fisher_information"), **ent)
 
 
+def _field_tables(grid, rho, support, name: str, window) -> list[dict]:
+    """x, rho and `name` of each row of a block: `window` on the support's columns, +0.0 off."""
+    velocity = np.zeros(rho.shape)
+    velocity[:, support.cols] = window
+    return [{"x": grid.x, "rho": r, name: u} for r, u in zip(rho, velocity)]
+
+
 def _quantum_blocks(cfg: ScenarioConfig, grid, ev: EvolutionConfig, state, pot):
-    """steps -> the block's `run` columns (and max|u_a|, max|rho - rho0|), and
-    steps -> its field tables: x, rho and `advective_velocity` of each row."""
+    """steps -> the block's `run` columns (and max|u_a|, max|rho - rho0|), and the
+    function that dumps u_a of each row: the real part of the block's own u_a + i u_d."""
     later, rho0 = _snapshot_blocks(state, pot, ev.dt), np.abs(state.psi.values) ** 2
 
     def block(steps):
         psi, rho, norm = later(steps)
         times = state.time + np.array(steps) * ev.dt
-        ent, v = _quantum_rows(
+        ent, v, support = _quantum_rows(
             psi, grid, cfg.hbar, cfg.mass, cfg.k_B, times, rho,
             lambda laplacian: _energy_rows(psi, laplacian, grid, pot, cfg.hbar, cfg.mass, steps),
         )
         # -n ln n of the grid norm: the one nonzero eigenvalue of dx psi psi^dagger
         ent["ent_von_neumann"] = -norm * np.log(norm) if cfg.enable_von_neumann else None
-        ua_max = np.abs(v.real).max(axis=-1)
-        rho_drift = np.abs(rho - rho0).max(axis=-1)
-        return dict(_density_columns(times, rho, norm, grid, ent), ua_max=ua_max, rho_drift=rho_drift)
+        columns = _density_columns(times, rho, norm, grid, ent)
+        columns.update(ua_max=np.abs(v.real).max(-1), rho_drift=np.abs(rho - rho0).max(-1))
+        return columns, lambda: _field_tables(grid, rho, support, "u_advective", v.real)
 
-    def fields(steps):
-        psi, rho, _ = later(steps)
-        u = (advective_velocity(QuantumState(Field(grid, v), cfg.hbar, cfg.mass)) for v in psi)
-        return [{"x": grid.x, "rho": r, "u_advective": f.values} for r, f in zip(rho, u)]
-
-    return block, fields
+    return block
 
 
 def _diffusion_blocks(cfg: ScenarioConfig, grid, ev: EvolutionConfig, initial: DiffusionState, _):
-    """steps -> the block's `run` columns, and steps -> its field tables: x, rho
-    and `diffusive_velocity` of each row."""
+    """steps -> the block's `run` columns, and the function that dumps u_d = -D rho'/rho
+    of each row from the block's own rho'."""
     later = _kernel_blocks(initial, ev.dt)
 
     def block(steps):
         rho, _, norm = later(steps)
         times = initial.time + np.array(steps) * ev.dt
-        ent = _diffusion_rows(rho, grid, cfg.D, cfg.k_B, times)
-        return _density_columns(times, rho, norm, grid, ent)
+        ent, grad, support = _diffusion_rows(rho, grid, cfg.D, cfg.k_B, times)
+        drift = lambda: _masked_ratios([-cfg.D * grad], rho[:, support.cols], support.mask)[0]
+        fields = lambda: _field_tables(grid, rho, support, "u_diffusive", drift())
+        return _density_columns(times, rho, norm, grid, ent), fields
 
-    def fields(steps):
-        rho, _, _ = later(steps)
-        u = (diffusive_velocity(Field(grid, r), cfg.D) for r in rho)
-        return [{"x": grid.x, "rho": r, "u_diffusive": f.values} for r, f in zip(rho, u)]
-
-    return block, fields
+    return block
 
 
 def _compare_blocks(cfg: ScenarioConfig, grid, ev: EvolutionConfig, q_state, pot):
-    """steps -> the block's `compare` columns: the packet and its density diffused at D."""
+    """steps -> the block's `compare` columns (the packet and its density diffused at D), None."""
     quantum = _snapshot_blocks(q_state, pot, ev.dt)
     diffused = _kernel_blocks(DiffusionState(density(q_state), cfg.D, time=0.0), ev.dt)
 
@@ -547,9 +546,9 @@ def _compare_blocks(cfg: ScenarioConfig, grid, ev: EvolutionConfig, q_state, pot
             rho_l2_divergence=_l2_distance(rho_q, rho_d, grid.dx),
         )
         _require_finite(widths, times, "width and distance")
-        return dict(t=times, **widths, **ent)
+        return dict(t=times, **widths, **ent), None
 
-    return block, None
+    return block
 
 
 def _entropy_rate(cfg: ScenarioConfig, tab: dict) -> dict:
@@ -612,10 +611,10 @@ def _compare_references(cfg: ScenarioConfig, tab: dict) -> dict:
 
 class _Entry(NamedTuple):
     """A scenario as data: blocks(cfg, grid, ev, *start(cfg, grid)) builds one kernel and
-    returns the functions from a block's steps to its columns and to its field tables (None:
-    no fields); references derive columns; identities check the table; reads(cfg) names the
-    keys the run reads, and any other key away from the defaults (the scenario's, then the
-    entry's own) is refused; validate adds config problems."""
+    returns steps -> (the block's columns, the function that makes its field tables from the
+    block's own arrays, or None); references derive columns; identities check the table;
+    reads(cfg) names the keys the run reads, and any other key away from the defaults (the
+    scenario's, then the entry's own) is refused; validate adds config problems."""
 
     description: str
     defaults: dict
@@ -803,8 +802,9 @@ def _run(
                 f"start_time = {cfg.start_time} and dt = {cfg.dt} give snapshot times "
                 "that do not strictly increase in float64"
             ])
-        block, fields = entry.blocks(cfg, grid, ev, *start)
-        parts = list(_blockwise(block, steps, grid))
+        block = entry.blocks(cfg, grid, ev, *start)
+        # each worker drops its block's field tables' function, and the arrays it holds
+        parts = list(_blockwise(lambda rows: block(rows)[0], steps, grid))
         table = {
             key: None if column is None else np.concatenate([part[key] for part in parts])
             for key, column in parts[0].items()
@@ -829,9 +829,8 @@ def _run(
         "workers": grid_module._WORKERS,
         **{var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
     }
-    dumps = cfg.emit_fields  # each read recomputes them on the run's kernel
-    tables = (lambda: chain.from_iterable(_blockwise(fields, steps, grid))) if dumps else None
-    return RunReport(name, columns, table, identities, provenance, tables)
+    dumps = lambda: chain.from_iterable(_blockwise(lambda rows: block(rows)[1](), steps, grid))
+    return RunReport(name, columns, table, identities, provenance, dumps if cfg.emit_fields else None)
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunReport:
@@ -903,7 +902,8 @@ def _write_json(
 
 
 def emit_timeseries(report: RunReport, directory: str | Path, formats=("csv", "json")) -> list[Path]:
-    """Write the per-snapshot table; CSV is ASCII with 17 significant digits.
+    """Write the per-snapshot table, and field table i to fields_{i:04d}.csv; CSV is
+    ASCII with 17 significant digits.  Returns the table files' paths, not the field files'.
 
     Identical configurations produce byte-identical data files; provenance
     (which includes wall time) goes to report.json, written separately.  Each
@@ -925,7 +925,7 @@ def emit_timeseries(report: RunReport, directory: str | Path, formats=("csv", "j
         written.append(_write_json(directory / f"{stem}.json", report.columns, columns, rows))
     for i, table in enumerate(report.field_tables() if report.field_tables else ()):
         path = directory / f"fields_{i:04d}.csv"
-        written.append(_write_csv(path, list(table), list(table.values()), len(table["x"])))
+        _write_csv(path, list(table), list(table.values()), len(table["x"]))
     return written
 
 

@@ -117,7 +117,7 @@ def _density_terms(rho, grad, support: _Support, dx, D: float, k_B: float) -> di
 def fisher_information(rho: Field) -> float:
     """integral (grad rho)^2 / rho dx over the valid mask; nonnegative.  The
     one-row case of `_diffusion_rows`."""
-    columns = _diffusion_rows(rho.values[None], rho.grid, 1.0, 1.0, [None])
+    columns = _diffusion_rows(rho.values[None], rho.grid, 1.0, 1.0, [None])[0]
     return float(columns["fisher_information"][0])
 
 
@@ -210,10 +210,10 @@ def _quantum_rows(psi, grid, hbar, mass, k_B, times, rho=None, energy=None):
     computed on the block's valid column window (`madelung._Support`): the
     ratios r1 = psi'/psi and r2 = psi''/psi, div u_a = (hbar/m) Im(r2 - r1^2),
     rho'/rho = 2 Re r1 and u_a + i u_d = -i (hbar/m) r1.  Returns the columns
-    (keyed like EntropyReport) and u_a + i u_d on the window, of which the
-    runner reads max|u_a|.  Raises NumericsError at the first row with a
-    non-finite value; `times` names it.  `energy`, if given, maps psi'' to an
-    "energy" column, which is added to the columns; it may overwrite psi''.
+    (keyed like EntropyReport), u_a + i u_d on the window and the support; the
+    runner dumps u_a.  Raises NumericsError at the first row with a non-finite
+    value; `times` names it.  `energy`, if given, maps psi'' to an "energy"
+    column, which is added to the columns; it may overwrite psi''.
     """
     if rho is None:
         rho = np.abs(psi) ** 2
@@ -244,23 +244,23 @@ def _quantum_rows(psi, grid, hbar, mass, k_B, times, rho=None, energy=None):
     _require_finite(columns, times)
     if energy is not None:
         columns["energy"] = energy_column
-    return columns, v
+    return columns, v, support
 
 
 @np.errstate(all="ignore")
 def _diffusion_rows(rho, grid, D, k_B, times):
     """Entropy columns of a (rows, N) block of densities diffusing at D.
 
-    The Fisher information is computed once and scaled into the diffusive
-    production, on the block's valid column window.  Raises NumericsError at
-    the first row with a non-finite value.
+    The Fisher information is computed once and scaled into the diffusive production,
+    on the block's valid column window.  Returns the columns, rho' on the window and
+    the support.  Raises NumericsError at the first row with a non-finite value.
     """
     support = _Support(rho)
     (grad,) = spectral_derivatives(rho, grid, (1,))
     grad = grad[:, support.cols].copy()  # the spectrum it is the real part of is freed
     columns = _density_terms(rho[:, support.cols], grad, support, grid.dx, D, k_B)
     _require_finite(columns, times)
-    return columns
+    return columns, grad, support
 
 
 def entropy_report(state: QuantumState | DiffusionState, k_B: float = 1.0) -> EntropyReport:
@@ -277,11 +277,11 @@ def entropy_report(state: QuantumState | DiffusionState, k_B: float = 1.0) -> En
     Raises NumericsError if any reported value is not finite.
     """
     if isinstance(state, DiffusionState):
-        columns = _diffusion_rows(state.rho.values[None], state.grid, state.D, k_B, [state.time])
+        columns = _diffusion_rows(state.rho.values[None], state.grid, state.D, k_B, [state.time])[0]
     else:
-        columns, _ = _quantum_rows(
+        columns = _quantum_rows(
             state.psi.values[None], state.grid, state.hbar, state.mass, k_B, [state.time]
-        )
+        )[0]
         columns["ent_von_neumann"] = [von_neumann_entropy(state)]
     first = {name: float(col[0]) for name, col in columns.items()}
     return EntropyReport(k_B=k_B, **first)

@@ -45,13 +45,14 @@ def test_a_block_result_outlives_the_next_block(case):
                   **dict(L=10.0, N=64, dt=0.01, t_final=0.1, snapshot_stride=1,
                          emit_fields=True), **overrides)
     grid = make_grid(cfg.L, cfg.N)
-    block, fields = entry.blocks(cfg, grid, cli._evolution(cfg), *entry.start(cfg, grid))
-    # a block's field tables come from the kernel of its columns; `compare` dumps none
-    tables = fields or (lambda steps: [])
-    first = _arrays(block([1, 2, 3]), tables([1, 2, 3]))
+    block = entry.blocks(cfg, grid, cli._evolution(cfg), *entry.start(cfg, grid))
+    # a block's field tables come from the arrays of its columns; `compare` dumps none
+    columns, fields = block([1, 2, 3])
+    first = _arrays(columns, fields() if fields else [])
     kept = {key: value.copy() for key, value in first.items()}
     # a shorter block, as the last one of a run, reuses the leading rows
-    second = _arrays(block([4, 5]), tables([4, 5]))
+    columns, later = block([4, 5])
+    second = _arrays(columns, later() if later else [])
     # the same columns, and the field tables of all but the first block's third row
     assert second.keys() == first.keys() - {key for key in first if key.endswith(" 2")}
     assert ("field rho 0" in first) == ("field rho 1" in second) == (fields is not None)
@@ -107,7 +108,7 @@ def test_a_warm_block_holds_few_block_arrays(monkeypatch, case):
     grid = make_grid(cfg.L, cfg.N)
     rows = len(grid_module._row_blocks(list(range(1 << 20)), cfg.N)[0])
     steps = [i * cfg.snapshot_stride for i in range(1, 2 * rows + 1)]
-    block, _ = entry.blocks(cfg, grid, cli._evolution(cfg), *entry.start(cfg, grid))
+    block = entry.blocks(cfg, grid, cli._evolution(cfg), *entry.start(cfg, grid))
     block(steps[:rows])  # the first block of a run is warmed by the initial row
     tracemalloc.start()
     try:

@@ -568,7 +568,10 @@ class TestEmit:
         cfg = replace(quick_free, emit_fields=True)
         report = run_scenario(cfg)
         paths = emit_timeseries(report, tmp_path)
-        field_files = [p for p in paths if p.name.startswith("fields_")]
+        # only the table files are returned: field table i is fields_{i:04d}.csv
+        assert [p.name for p in paths] == ["timeseries.csv", "timeseries.json"]
+        field_files = sorted(p for p in tmp_path.iterdir() if p.name.startswith("fields_"))
+        assert [p.name for p in field_files] == [f"fields_{i:04d}.csv" for i in range(6)]
         assert len(field_files) == len(report.table["t"])
         header = field_files[0].read_text().splitlines()[0]
         assert header == "x,rho,u_advective"
@@ -646,8 +649,7 @@ def test_output_memory_does_not_grow_with_rows(tmp_path):
 def test_field_output_memory_does_not_grow_with_rows(tmp_path, monkeypatch):
     # one-row blocks on two workers: the pool holds at most five rows ahead, far
     # below both row counts.  A run that kept every field row until it was written
-    # traced ~4.7 kB more per added row here; the list of written paths (~0.3 kB a
-    # file) stays below the run's own per-block overhead
+    # traced ~4.7 kB more per added row here
     n = 256
     monkeypatch.setattr(cli.grid_module, "_WORKERS", 2)
     monkeypatch.setattr(cli.grid_module, "_BLOCK_BYTES", 16 * n * 2)
@@ -669,6 +671,32 @@ def test_field_output_memory_does_not_grow_with_rows(tmp_path, monkeypatch):
     peak(50, False)  # the first run in a process also traces one-time allocations
     above = [peak(rows, True) - peak(rows, False) for rows in (50, 350)]
     assert (above[1] - above[0]) / 300 < (2 * n * 8) / 8  # an eighth of a field row's rho and u
+
+
+def test_field_dumps_hold_nothing_per_written_file(tmp_path, monkeypatch):
+    # the field dumps alone, in 16-row blocks on one worker, so that no thread timing
+    # moves the peak.  Returning every written path traced 478-502 B more per added row
+    # here; returning only the table files' paths, 73-88 B (the row lists of the blocks)
+    n = 128
+    monkeypatch.setattr(cli.grid_module, "_WORKERS", 1)
+    monkeypatch.setattr(cli.grid_module, "_BLOCK_BYTES", 16 * n * 16)
+
+    def peak(rows):
+        cfg = replace(default_config("free_gaussian"), L=20.0, N=n, dt=1e-3,
+                      t_final=(rows - 1) * 1e-3, snapshot_stride=1, emit_fields=True)
+        report, out = run_scenario(cfg), tmp_path / str(rows)
+        tracemalloc.start()
+        try:
+            emit_timeseries(report, out, formats=())
+            traced = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(list(out.iterdir())) == rows
+        shutil.rmtree(out)
+        return traced
+
+    peak(100)  # the first dumps in a process also trace one-time allocations
+    assert (peak(400) - peak(100)) / 300 < 160
 
 
 class TestCompare:

@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qhydro import cli, grid as grid_module, schrodinger
+from qhydro import cli, grid as grid_module, madelung, schrodinger
 from qhydro.cli import compare_quantum_diffusion, default_config, main, render_config, run_scenario
 from qhydro.diffusion import DiffusionState, diffuse_step, gaussian_density
 from qhydro.entropy import boltzmann_entropy, entropy_report
@@ -223,6 +223,26 @@ def test_field_tables_read_twice_give_the_same_bytes(monkeypatch, case):
     for a, b in zip(first, again):
         _tables_equal(a, b)
         assert all(not np.shares_memory(a[key], b[key]) for key in a if key != "x")
+
+
+@pytest.mark.parametrize("case", FIELD_CASES.values(), ids=FIELD_CASES.keys())
+def test_field_tables_take_no_per_state_path(monkeypatch, case):
+    # the dumps come from each row block's own rho and u_a + i u_d (or rho'), so the
+    # per-state functions above stay an independent oracle for them
+    report, calls = run_scenario(_config(rows=7, **case)), []
+
+    def recording(name, function):
+        return lambda *args, **kwargs: calls.append(name) or function(*args, **kwargs)
+
+    built = madelung.QuantumState.__post_init__
+    monkeypatch.setattr(madelung.QuantumState, "__post_init__",
+                        recording("QuantumState", built))
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "qhydro"]:
+        for name in ("advective_velocity", "diffusive_velocity"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
+    assert len(list(report.field_tables())) == 7
+    assert calls == []
 
 
 def test_blocks_reach_the_diagnostics_c_contiguous(monkeypatch):

@@ -12,8 +12,10 @@ scenarios, the default `compare`, `run` and `compare` at snapshot_stride 1
 (the spread_dense workload), the von Neumann workload (spread_vn) and the
 `emit_fields` + `enable_von_neumann` runs of free_gaussian, harmonic_ground,
 harmonic_perturbed (446 rows in four pooled row blocks, the one trap field dump
-on the pool) and a `custom` trap, the `emit_fields` run of diffusion_gaussian
-(which does not read `enable_von_neumann`), the default diffusion_gaussian
+on the pool) and a `custom` trap, the `emit_fields` run of a free `custom`
+packet chirped at `width_rate` = 0.2 (custom_chirp_fields, whose u_a fills
+the column window), the `emit_fields` run of diffusion_gaussian (which does
+not read `enable_von_neumann`), the default diffusion_gaussian
 with its clock started at `start_time` = 1e6 and 1e13 (diffusion_clock_1e6
 and diffusion_clock_1e13), harmonic_perturbed at the prime snapshot_stride
 331 (perturbed_prime_stride), and eighteen runs that exit nonzero: a
@@ -89,6 +91,8 @@ CASES = {
         "run", "custom",
         {"potential": "harmonic", "omega0": "1.0", "L": "12.0", "N": "256", **FIELDS},
     ),
+    # a free chirped packet: its u_a is nonzero across the whole column window
+    "custom_chirp_fields": ("run", "custom", {"width_rate": "0.2", "emit_fields": "true"}),
     # t = start_time + step * dt rounds to float64's spacing at start_time; the
     # references and dS/dt read the elapsed time step * dt
     **{f"diffusion_clock_{start}": ("run", "diffusion_gaussian", {"start_time": start})
