@@ -25,7 +25,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import asdict, dataclass, replace
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
@@ -280,13 +280,10 @@ def parse_config(path: str | Path) -> ScenarioConfig:
 def _parse_value(key: str, raw: str):
     """`raw` as the type of the key's `ScenarioConfig` default (a bool is an int too)."""
     raw, default = raw.strip(), getattr(ScenarioConfig, key)
-    if isinstance(default, bool):
-        low = raw.lower()
-        if low in ("true", "yes", "on", "1"):
-            return True
-        if low in ("false", "no", "off", "0"):
-            return False
-        raise ValueError(f"expected a boolean, got {raw!r}")
+    if isinstance(default, bool):  # configparser's words: 1/yes/true/on, 0/no/false/off
+        if raw.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+            raise ValueError(f"expected a boolean, got {raw!r}")
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
     if isinstance(default, tuple):
         return tuple(part.strip() for part in raw.split(",") if part.strip())
     return type(default)(raw)
@@ -450,8 +447,8 @@ _COMPARE_IDENTITIES = (
 )
 
 
-# the width and distance columns are computed under one errstate: an x**2 that
-# overflows makes them non-finite, which `_require_finite` reports, without numpy warnings
+# the width and distance columns are computed under one errstate: an x**2 that overflows
+# makes them non-finite, which the runner's `_require_finite` reports, without numpy warnings
 @np.errstate(all="ignore")
 def _sigma2(rho: np.ndarray, grid) -> np.ndarray:
     """Second moment about x = 0 of each row of a (rows, N) block of densities."""
@@ -466,20 +463,17 @@ def _l2_distance(a: np.ndarray, b: np.ndarray, dx) -> np.ndarray:
 
 def _ground_width(cfg: ScenarioConfig) -> float:
     # harmonic scenarios derive the width from omega0; cfg.sigma0 is not used
-    return harmonic_ground_width(
-        GaussianParams(max(cfg.sigma0, 1e-300), cfg.hbar, cfg.mass, omega0=cfg.omega0)
-    )
+    return harmonic_ground_width(GaussianParams(cfg.sigma0, cfg.hbar, cfg.mass, omega0=cfg.omega0))
 
 
 def _evolution(cfg: ScenarioConfig) -> EvolutionConfig:
     return EvolutionConfig(cfg.dt, cfg.t_final, cfg.snapshot_stride)
 
 
-def _density_columns(times, rho, norm, grid, ent: dict) -> dict:
-    """A `run` block's time, norm and width columns, and its entropy columns `ent`."""
-    width = dict(sigma2_measured=_sigma2(rho, grid))
-    _require_finite(width, times, "width")
-    return dict(t=times, norm=norm, **width, fisher=ent.pop("fisher_information"), **ent)
+def _density_columns(rho, norm, grid, ent: dict) -> dict:
+    """A `run` block's norm and width columns, and its entropy columns `ent`."""
+    fisher = ent.pop("fisher_information")
+    return dict(norm=norm, sigma2_measured=_sigma2(rho, grid), fisher=fisher, **ent)
 
 
 def _field_tables(grid, rho, support, name: str, window) -> list[dict]:
@@ -489,22 +483,22 @@ def _field_tables(grid, rho, support, name: str, window) -> list[dict]:
     return [{"x": grid.x, "rho": r, name: u} for r, u in zip(rho, velocity)]
 
 
-def _quantum_blocks(cfg: ScenarioConfig, grid, ev: EvolutionConfig, state, pot):
-    """steps -> the block's `run` columns (and max|u_a|, max|rho - rho0|), and the
-    function that dumps u_a of each row: the real part of the block's own u_a + i u_d."""
+def _quantum_blocks(cfg: ScenarioConfig, grid, ev: EvolutionConfig, state, pot, stationary=False):
+    """steps -> the block's `run` columns (`stationary`: also max|u_a| and max|rho - rho0|),
+    and the function that dumps u_a of each row: the real part of the block's own u_a + i u_d."""
     later, rho0 = _snapshot_blocks(state, pot, ev.dt), np.abs(state.psi.values) ** 2
 
     def block(steps):
         psi, rho, norm = later(steps)
-        times = state.time + np.array(steps) * ev.dt
         ent, v, support = _quantum_rows(
-            psi, grid, cfg.hbar, cfg.mass, cfg.k_B, times, rho,
+            psi, grid, cfg.hbar, cfg.mass, cfg.k_B, rho,
             lambda laplacian: _energy_rows(psi, laplacian, grid, pot, cfg.hbar, cfg.mass, steps),
         )
         # -n ln n of the grid norm: the one nonzero eigenvalue of dx psi psi^dagger
         ent["ent_von_neumann"] = -norm * np.log(norm) if cfg.enable_von_neumann else None
-        columns = _density_columns(times, rho, norm, grid, ent)
-        columns.update(ua_max=np.abs(v.real).max(-1), rho_drift=np.abs(rho - rho0).max(-1))
+        columns = _density_columns(rho, norm, grid, ent)
+        if stationary:  # the maxima that a stationary state's identities read
+            columns.update(ua_max=np.abs(v.real).max(-1), rho_drift=np.abs(rho - rho0).max(-1))
         return columns, lambda: _field_tables(grid, rho, support, "u_advective", v.real)
 
     return block
@@ -517,11 +511,10 @@ def _diffusion_blocks(cfg: ScenarioConfig, grid, ev: EvolutionConfig, initial: D
 
     def block(steps):
         rho, _, norm = later(steps)
-        times = initial.time + np.array(steps) * ev.dt
-        ent, grad, support = _diffusion_rows(rho, grid, cfg.D, cfg.k_B, times)
+        ent, grad, support = _diffusion_rows(rho, grid, cfg.D, cfg.k_B)
         drift = lambda: _masked_ratios([-cfg.D * grad], rho[:, support.cols], support.mask)[0]
         fields = lambda: _field_tables(grid, rho, support, "u_diffusive", drift())
-        return _density_columns(times, rho, norm, grid, ent), fields
+        return _density_columns(rho, norm, grid, ent), fields
 
     return block
 
@@ -534,19 +527,12 @@ def _compare_blocks(cfg: ScenarioConfig, grid, ev: EvolutionConfig, q_state, pot
     def block(steps):
         _, rho_q, _ = quantum(steps)  # psi is dropped before the heat kernel runs
         rho_d, _, _ = diffused(steps)
-        times = q_state.time + np.array(steps) * ev.dt
-        ent = dict(
+        return dict(
+            sigma2_quantum=_sigma2(rho_q, grid), sigma2_diffusive=_sigma2(rho_d, grid),
+            rho_l2_divergence=_l2_distance(rho_q, rho_d, grid.dx),
             ent_boltzmann_quantum=_boltzmann_rows(rho_q, grid.dx, cfg.k_B),
             ent_boltzmann_diffusive=_boltzmann_rows(rho_d, grid.dx, cfg.k_B),
-        )
-        _require_finite(ent, times)  # as a `run` row's entropy columns
-        widths = dict(
-            sigma2_quantum=_sigma2(rho_q, grid),
-            sigma2_diffusive=_sigma2(rho_d, grid),
-            rho_l2_divergence=_l2_distance(rho_q, rho_d, grid.dx),
-        )
-        _require_finite(widths, times, "width and distance")
-        return dict(t=times, **widths, **ent), None
+        ), None
 
     return block
 
@@ -611,10 +597,10 @@ def _compare_references(cfg: ScenarioConfig, tab: dict) -> dict:
 
 class _Entry(NamedTuple):
     """A scenario as data: blocks(cfg, grid, ev, *start(cfg, grid)) builds one kernel and
-    returns steps -> (the block's columns, the function that makes its field tables from the
-    block's own arrays, or None); references derive columns; identities check the table;
-    reads(cfg) names the keys the run reads, and any other key away from the defaults (the
-    scenario's, then the entry's own) is refused; validate adds config problems."""
+    returns steps -> (the block's columns but t, unchecked, and the function that makes its
+    field tables from the block's own arrays, or None); references derive columns; identities
+    check the table; reads(cfg) names the keys the run reads, and any other key away from the
+    defaults (the scenario's, then the entry's own) is refused; validate adds config problems."""
 
     description: str
     defaults: dict
@@ -662,7 +648,7 @@ _ENTRIES = {
             L=9.0, N=128, dt=3.2e-5, t_final=float(5 * 2 * np.pi), snapshot_stride=6545,
         ),
         lambda cfg, grid: _trapped(cfg, grid, _ground_width(cfg)),
-        _quantum_blocks,
+        lambda *start: _quantum_blocks(*start, stationary=True),
         (_entropy_rate, _ground_references),
         _QUANTUM_IDENTITIES + (
             _deviation(
@@ -734,39 +720,46 @@ SCENARIOS = {name: entry.description for name, entry in _ENTRIES.items()}
 def _pooled(block, blocks: list[list[int]]):
     """block(steps) for each of `blocks`, in order, on one worker thread per usable core.
 
-    At most two blocks per worker start ahead of the one consumed.  The first
-    failing block raises its error (so the earliest bad step is the one
-    reported), no queued block starts once it is raised, and the workers are
-    joined.  A run with no more blocks than workers runs them in the calling
-    thread: a worker thread would pay the start-up of the BLAS for no overlap.
+    At most two blocks per worker wait or run ahead of the one consumed, each
+    with a result slot made as it joins them.  The first failing block raises
+    its error (so the earliest bad step is the one reported), no queued block
+    starts once it is raised, and the workers are joined.  A run with no more
+    blocks than workers runs them in the calling thread, sparing a worker the BLAS start-up.
     """
     workers = grid_module._WORKERS
     if workers < 2 or len(blocks) <= workers:
         yield from map(block, blocks)
         return
-    ahead, slots = threading.Semaphore(2 * workers), [queue.SimpleQueue() for _ in blocks]
-    tasks = deque([*range(len(blocks)), *[None] * workers])  # a None ends a worker
+    later, queued, tasks, slots = iter(blocks), threading.Semaphore(0), deque(), deque()
 
-    def work():  # block i puts (result, error) in slots[i]
-        while ahead.acquire() and (i := tasks.popleft()) is not None:
+    def enter(count):  # the next `count` blocks, if any, join the look-ahead, each with a slot
+        for steps in islice(later, count):
+            slots.append(queue.SimpleQueue())  # the slots of the look-ahead, in step order
+            tasks.append((steps, slots[-1]))  # the blocks to start; a None ends a worker
+            queued.release()
+
+    def work():  # a block puts (result, error) in its slot
+        while queued.acquire() and (task := tasks.popleft()) is not None:
+            steps, slot = task
             try:
-                slots[i].put((block(blocks[i]), None))
+                slot.put((block(steps), None))
             except BaseException as error:  # raised in the consuming thread
-                slots[i].put((None, error))
+                slot.put((None, error))
 
+    enter(2 * workers)
     threads = [threading.Thread(target=work, daemon=True) for _ in range(workers)]
     for thread in threads:
         thread.start()
     try:
-        for slot in slots:
-            done, error = slot.get()
+        while slots:
+            done, error = slots.popleft().get()
             if error is not None:
                 raise error
-            ahead.release()
+            enter(1)
             yield done
     finally:
         tasks.extendleft([None] * workers)  # the queued blocks do not start
-        ahead.release(workers)
+        queued.release(workers)
         for thread in threads:
             thread.join()
 
@@ -794,17 +787,18 @@ def _run(
         steps = ev.snapshot_steps()
         grid = make_grid(cfg.L, cfg.N)
         start = entry.start(cfg, grid)
-        # the kernels' clock, which the references and dS/dt read: t = start_time + elapsed
-        # is rounded to float64's spacing at start_time, and must still tell the rows apart
-        elapsed = np.array(steps) * ev.dt
-        if not np.all(np.diff(start[0].time + elapsed) > 0):
+        # the kernels' clock, which the references and dS/dt read; the t column, rounded to
+        # float64's spacing at start_time, must still tell the rows apart
+        t = start[0].time + (elapsed := (at := np.array(steps)) * ev.dt)
+        if not np.all(np.diff(t) > 0):
             raise ConfigError([
                 f"start_time = {cfg.start_time} and dt = {cfg.dt} give snapshot times "
                 "that do not strictly increase in float64"
             ])
         block = entry.blocks(cfg, grid, ev, *start)
-        # each worker drops its block's field tables' function, and the arrays it holds
-        parts = list(_blockwise(lambda rows: block(rows)[0], steps, grid))
+        # in the worker: the block's columns checked (t from its first row), its fields dropped
+        checked = lambda rows: _require_finite(block(rows)[0], t[np.searchsorted(at, rows[0]):])
+        parts = list(_blockwise(checked, steps, grid))
         table = {
             key: None if column is None else np.concatenate([part[key] for part in parts])
             for key, column in parts[0].items()
@@ -814,7 +808,7 @@ def _run(
             f"N = {cfg.N}, t_final = {cfg.t_final}, dt = {cfg.dt} and snapshot_stride = "
             f"{cfg.snapshot_stride} ask for more memory than the machine holds"
         ]) from None
-    table["elapsed"] = elapsed
+    table.update(t=t, elapsed=elapsed)
     with np.errstate(over="raise"):  # an overflowing reference is a numeric abort
         for derive in entry.references:
             table.update(derive(cfg, table))

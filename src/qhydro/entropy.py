@@ -117,8 +117,8 @@ def _density_terms(rho, grad, support: _Support, dx, D: float, k_B: float) -> di
 def fisher_information(rho: Field) -> float:
     """integral (grad rho)^2 / rho dx over the valid mask; nonnegative.  The
     one-row case of `_diffusion_rows`."""
-    columns = _diffusion_rows(rho.values[None], rho.grid, 1.0, 1.0, [None])[0]
-    return float(columns["fisher_information"][0])
+    columns = _diffusion_rows(rho.values[None], rho.grid, 1.0, 1.0)[0]
+    return float(_require_finite(columns, [None])["fisher_information"][0])
 
 
 def production_diffusive(rho: Field, D: float, k_B: float = 1.0) -> float:
@@ -191,18 +191,21 @@ def kernel_log_functional(state: QuantumState) -> float:
     return float(-2.0 * (np.conj(total) * weighted).real)
 
 
-def _require_finite(columns: dict, times, kind: str = "entropy"):
-    """NumericsError at the first row of the block with a non-finite value;
-    `kind` names the columns."""
+def _require_finite(columns: dict, times) -> dict:
+    """`columns`, or NumericsError at the first row of a block where any present (not
+    None) column is not finite; the message gives the row's time `times[row]` and
+    every present column's value in it."""
+    present = {name: col for name, col in columns.items() if col is not None}
     _check_rows(
-        np.logical_and.reduce([np.isfinite(col) for col in columns.values()]), None,
-        lambda row: f"non-finite {kind} diagnostics at t = {times[row]}: "
-        + ", ".join(f"{name}={float(col[row])!r}" for name, col in columns.items()),
+        np.logical_and.reduce([np.isfinite(col) for col in present.values()]), None,
+        lambda row: f"non-finite diagnostics at t = {times[row]}: "
+        + ", ".join(f"{name}={float(col[row])!r}" for name, col in present.items()),
     )
+    return columns
 
 
 @np.errstate(all="ignore")
-def _quantum_rows(psi, grid, hbar, mass, k_B, times, rho=None, energy=None):
+def _quantum_rows(psi, grid, hbar, mass, k_B, rho=None, energy=None):
     """Entropy columns of a (rows, N) block of wavefunctions, one value per row.
 
     psi' and psi'' come from one forward transform; `rho` is the block's
@@ -211,9 +214,8 @@ def _quantum_rows(psi, grid, hbar, mass, k_B, times, rho=None, energy=None):
     ratios r1 = psi'/psi and r2 = psi''/psi, div u_a = (hbar/m) Im(r2 - r1^2),
     rho'/rho = 2 Re r1 and u_a + i u_d = -i (hbar/m) r1.  Returns the columns
     (keyed like EntropyReport), u_a + i u_d on the window and the support; the
-    runner dumps u_a.  Raises NumericsError at the first row with a non-finite
-    value; `times` names it.  `energy`, if given, maps psi'' to an "energy"
-    column, which is added to the columns; it may overwrite psi''.
+    runner dumps u_a and checks the columns.  `energy`, if given, maps psi'' to
+    an "energy" column, which is added to the columns; it may overwrite psi''.
     """
     if rho is None:
         rho = np.abs(psi) ** 2
@@ -241,25 +243,23 @@ def _quantum_rows(psi, grid, hbar, mass, k_B, times, rho=None, energy=None):
             rho_w, v.real, v.imag, support, dx, hbar, mass, k_B
         ),
     )
-    _require_finite(columns, times)
     if energy is not None:
         columns["energy"] = energy_column
     return columns, v, support
 
 
 @np.errstate(all="ignore")
-def _diffusion_rows(rho, grid, D, k_B, times):
+def _diffusion_rows(rho, grid, D, k_B):
     """Entropy columns of a (rows, N) block of densities diffusing at D.
 
     The Fisher information is computed once and scaled into the diffusive production,
     on the block's valid column window.  Returns the columns, rho' on the window and
-    the support.  Raises NumericsError at the first row with a non-finite value.
+    the support; a non-finite value is returned as it is, for the caller to check.
     """
     support = _Support(rho)
     (grad,) = spectral_derivatives(rho, grid, (1,))
     grad = grad[:, support.cols].copy()  # the spectrum it is the real part of is freed
     columns = _density_terms(rho[:, support.cols], grad, support, grid.dx, D, k_B)
-    _require_finite(columns, times)
     return columns, grad, support
 
 
@@ -277,11 +277,9 @@ def entropy_report(state: QuantumState | DiffusionState, k_B: float = 1.0) -> En
     Raises NumericsError if any reported value is not finite.
     """
     if isinstance(state, DiffusionState):
-        columns = _diffusion_rows(state.rho.values[None], state.grid, state.D, k_B, [state.time])[0]
+        columns = _diffusion_rows(state.rho.values[None], state.grid, state.D, k_B)[0]
     else:
-        columns = _quantum_rows(
-            state.psi.values[None], state.grid, state.hbar, state.mass, k_B, [state.time]
-        )[0]
+        columns = _quantum_rows(state.psi.values[None], state.grid, state.hbar, state.mass, k_B)[0]
         columns["ent_von_neumann"] = [von_neumann_entropy(state)]
-    first = {name: float(col[0]) for name, col in columns.items()}
-    return EntropyReport(k_B=k_B, **first)
+    _require_finite(columns, [state.time])
+    return EntropyReport(k_B=k_B, **{name: float(col[0]) for name, col in columns.items()})

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qhydro import cli
+from qhydro import cli, entropy
 from qhydro.analytic import GaussianParams, entropy_of_width, harmonic_sigma
 from qhydro.cli import (
     CSV_COLUMNS,
@@ -494,10 +494,29 @@ class TestNanIdentities:
             return values
 
         monkeypatch.setattr(cli, "_sigma2", poisoned)
-        # the block checks its width columns, so the row is a numeric abort
-        with pytest.raises(NumericsError, match="^non-finite width and distance diagnostics "
+        # the runner checks every column of each block, so the row is a numeric abort
+        with pytest.raises(NumericsError, match="^non-finite diagnostics "
                                                 "at t = 0.1: sigma2_quantum=nan, "):
             compare_quantum_diffusion(quick_free)
+
+    def test_first_bad_row_of_a_block_is_named_whatever_its_column(self, quick_free, monkeypatch):
+        # rows at t = 0, 0.1, ..., 0.5: [0] and [0.1 ... 0.5].  In the second block the
+        # width of row 1 (t = 0.2) and the Boltzmann entropy of row 3 (t = 0.4) are NaN
+        sigma2, boltzmann = cli._sigma2, entropy._boltzmann
+
+        def poisoned(function, row):
+            def poison(*args):
+                values = function(*args)
+                if len(values) > row:
+                    values[row] = math.nan
+                return values
+            return poison
+
+        monkeypatch.setattr(cli, "_sigma2", poisoned(sigma2, 1))
+        monkeypatch.setattr(entropy, "_boltzmann", poisoned(boltzmann, 3))
+        with pytest.raises(NumericsError, match=r"^non-finite diagnostics at t = 0.2: "
+                                                r"norm=[^,]+, sigma2_measured=nan, "):
+            run_scenario(quick_free)
 
 
 class TestIdentityTable:
@@ -673,13 +692,11 @@ def test_field_output_memory_does_not_grow_with_rows(tmp_path, monkeypatch):
     assert (above[1] - above[0]) / 300 < (2 * n * 8) / 8  # an eighth of a field row's rho and u
 
 
-def test_field_dumps_hold_nothing_per_written_file(tmp_path, monkeypatch):
-    # the field dumps alone, in 16-row blocks on one worker, so that no thread timing
-    # moves the peak.  Returning every written path traced 478-502 B more per added row
-    # here; returning only the table files' paths, 73-88 B (the row lists of the blocks)
-    n = 128
-    monkeypatch.setattr(cli.grid_module, "_WORKERS", 1)
-    monkeypatch.setattr(cli.grid_module, "_BLOCK_BYTES", 16 * n * 16)
+def _dump_growth(tmp_path, monkeypatch, n, workers, block_rows, rows):
+    """The traced peak of writing the field dumps alone, per row added from rows[0] to
+    rows[1], in blocks of `block_rows` rows on `workers` workers (a pool from two)."""
+    monkeypatch.setattr(cli.grid_module, "_WORKERS", workers)
+    monkeypatch.setattr(cli.grid_module, "_BLOCK_BYTES", 16 * n * workers * block_rows)
 
     def peak(rows):
         cfg = replace(default_config("free_gaussian"), L=20.0, N=n, dt=1e-3,
@@ -695,8 +712,22 @@ def test_field_dumps_hold_nothing_per_written_file(tmp_path, monkeypatch):
         shutil.rmtree(out)
         return traced
 
-    peak(100)  # the first dumps in a process also trace one-time allocations
-    assert (peak(400) - peak(100)) / 300 < 160
+    peak(rows[0])  # the first dumps in a process also trace one-time allocations
+    return (peak(rows[1]) - peak(rows[0])) / (rows[1] - rows[0])
+
+
+def test_field_dumps_hold_nothing_per_written_file(tmp_path, monkeypatch):
+    # the field dumps alone, in 16-row blocks on one worker, so that no thread timing
+    # moves the peak.  Returning every written path traced 478-502 B more per added row
+    # here; returning only the table files' paths, 73-88 B (the row lists of the blocks)
+    assert _dump_growth(tmp_path, monkeypatch, 128, 1, 16, (100, 400)) < 160
+
+
+def test_pooled_field_dumps_hold_nothing_per_block(tmp_path, monkeypatch):
+    # one-row blocks on two workers, all pooled.  A pool that made every block's result
+    # slot before the first block started traced 301-345 B more per added row here; one
+    # that makes it as the block enters the look-ahead, 128-147 B (the one-row step lists)
+    assert _dump_growth(tmp_path, monkeypatch, 256, 2, 1, (50, 350)) < 200
 
 
 class TestCompare:

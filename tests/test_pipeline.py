@@ -57,13 +57,17 @@ QUANTUM_CASES = {
     "free": dict(scenario="custom", width_rate=0.2, enable_von_neumann=True),
     "trap": dict(scenario="custom", potential="harmonic", omega0=2.0, sigma0=0.6,
                  width_rate=0.1),
+    # the one scenario whose identities read max|u_a| and max|rho - rho0| of each row
+    "ground": dict(scenario="harmonic_ground", potential="harmonic", omega0=2.0),
 }
 
 
 def _quantum_start(cfg):
     grid = make_grid(cfg.L, cfg.N)
     pot = harmonic_potential(cfg.omega0) if cfg.potential == "harmonic" else free_potential()
-    state = gaussian_packet(grid, cfg.sigma0, cfg.hbar, cfg.mass, width_rate=cfg.width_rate)
+    ground = cfg.scenario == "harmonic_ground"  # which starts at its ground width
+    sigma0 = np.sqrt(cfg.hbar / (2 * cfg.mass * cfg.omega0)) if ground else cfg.sigma0
+    state = gaussian_packet(grid, sigma0, cfg.hbar, cfg.mass, width_rate=cfg.width_rate)
     return grid, pot, state
 
 
@@ -97,9 +101,13 @@ def test_quantum_runner_matches_per_state_path(case, rows):
         else:
             assert tab["ent_von_neumann"] is None
     u_a = [advective_velocity(s).values for s in snapshots]
-    assert tab["ua_max"].tolist() == [float(np.abs(u).max()) for u in u_a]
-    rho0 = density(snapshots[0]).values
-    assert tab["rho_drift"].tolist() == [float(np.abs(density(s).values - rho0).max()) for s in snapshots]
+    if cfg.scenario == "harmonic_ground":
+        assert tab["ua_max"].tolist() == [float(np.abs(u).max()) for u in u_a]
+        rho0 = density(snapshots[0]).values
+        drift = [float(np.abs(density(s).values - rho0).max()) for s in snapshots]
+        assert tab["rho_drift"].tolist() == drift
+    else:
+        assert "ua_max" not in tab and "rho_drift" not in tab
     for table, snap, u in zip(report.field_tables(), snapshots, u_a, strict=True):
         assert np.array_equal(table["rho"], density(snap).values)
         assert np.array_equal(table["u_advective"], u)

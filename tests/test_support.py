@@ -74,7 +74,7 @@ BLOCKS = {"different_supports": _rows_of_different_supports, "two_packets": _two
 def test_windowed_columns_match_full_width(rows):
     grid = make_grid(40.0, 1024)
     psi = rows(grid)
-    columns, _, _ = _quantum_rows(psi, grid, HBAR, MASS, K_B, list(range(len(psi))))
+    columns, _, _ = _quantum_rows(psi, grid, HBAR, MASS, K_B)
     support = _Support(np.abs(psi) ** 2)
     expected, mask = _full_width(psi, grid)
     lo, hi = _window(mask)

@@ -18,19 +18,20 @@ the column window), the `emit_fields` run of diffusion_gaussian (which does
 not read `enable_von_neumann`), the default diffusion_gaussian
 with its clock started at `start_time` = 1e6 and 1e13 (diffusion_clock_1e6
 and diffusion_clock_1e13), harmonic_perturbed at the prime snapshot_stride
-331 (perturbed_prime_stride), and eighteen runs that exit nonzero: a
+331 (perturbed_prime_stride), and nineteen runs that exit nonzero: a
 failing identity (1), a config error, five keys that the command does not
 read (2: a free_gaussian given a `width_rate` or a `start_time`, a `compare`
 of a `custom` packet given a `width_rate`, of a diffusion_gaussian given a
 `start_time` and of a free_gaussian given `emit_fields`), a
 harmonic_perturbed at omega0 = 1e6 whose width model would take 1.11e10 RK4
 steps (perturbed_rk4_cap), a grid that cannot be allocated and a snapshot
-list that cannot be built (2), and eight numeric aborts (3): extreme
-constants, a diffusion_gaussian
-whose sigma0**2 underflows, a free_gaussian whose width reference overflows,
-a `custom` trap whose potential overflows, a `custom` packet whose width-rate
-phase overflows, a free_gaussian whose tiny mass overflows the productions,
-and a diffusion_gaussian `run` and a `compare` whose k_B overflows the
+list that cannot be built (2), and nine numeric aborts (3): extreme
+constants, a diffusion_gaussian whose sigma0**2 underflows, a free_gaussian
+whose width reference overflows, a free_gaussian on so wide a grid that its
+measured width overflows (width_overflow), a `custom` trap whose potential
+overflows, a `custom` packet whose width-rate phase overflows, a
+free_gaussian whose tiny mass overflows the productions, and a
+diffusion_gaussian `run` and a `compare` whose k_B overflows the
 entropy.  PYTHONUNBUFFERED is removed
 from the children's environment, so their stdout is block-buffered and
 output that a process does not flush before it ends shows as a stdout
@@ -123,6 +124,8 @@ CASES = {
     "diffusion_numeric_abort": ("run", "diffusion_gaussian", {"sigma0": "1e-300"}),
     # (hbar t / 2 m sigma0)**2 overflows in ref_sigma2
     "reference_overflow": ("run", "free_gaussian", {"sigma0": "1e-120"}),
+    # x**2 overflows in the measured width of the first row
+    "width_overflow": ("run", "free_gaussian", {"L": "1e160", "N": "64", "t_final": "0.01"}),
     # (omega0 x)**2 overflows on the trap Hamiltonian's diagonal
     "trap_overflow": (
         "run", "custom", {"potential": "harmonic", "omega0": "1e200", "N": "64"},
