@@ -2,10 +2,11 @@
 
 Scenarios are described by an INI file (sections: scenario, physics, grid, evolution,
 diagnostics, output) and declared as entries of `_ENTRIES`; `compare` is one more entry.
-One loop runs any entry: it builds one table of column arrays from the snapshot blocks,
-derives the reference columns, reduces every identity over the table, writes the data
-files from it (the field dumps from each block's own rho and u_a + i u_d, or rho'), and
-exits nonzero when an asserted identity misses its tolerance.
+One loop runs any entry: it holds every key to its range, applies the entry's own checks and
+the read-or-refuse rule, builds the start state and kernel from (cfg, grid), then one table of
+column arrays from the snapshot blocks, derives the reference columns, reduces every identity
+over the table, writes the data files from it (the field dumps from each block's own rho and
+u_a + i u_d, or rho'), and exits nonzero when an asserted identity misses its tolerance.
 
 Exit codes: 0 all identities pass, 1 identity failure, 2 configuration
 error, 3 numeric abort.  Data files are byte-identical across runs with the
@@ -171,13 +172,13 @@ def default_config(scenario: str) -> ScenarioConfig:
 
 
 def validate_config(cfg: ScenarioConfig) -> list[str]:
+    """Every key held to its range, whatever the command; the runner checks the rest."""
     problems = [
         f"{name} must be finite, got {value}"
         for name, value in vars(cfg).items()
         if isinstance(value, float) and not math.isfinite(value)
     ]
-    entry = _ENTRIES.get(cfg.scenario)
-    if entry is None:
+    if cfg.scenario not in _ENTRIES:
         problems.append(f"unknown scenario {cfg.scenario!r}")
     # a key a run does not read keeps its default, so every key is held to its range
     problems += [f"{name} must be positive, got {getattr(cfg, name)}"
@@ -198,8 +199,6 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
             problems.append(f"t_final/dt overflows the step count, got {cfg.t_final}/{cfg.dt}")
     if cfg.snapshot_stride < 1:
         problems.append(f"snapshot_stride must be >= 1, got {cfg.snapshot_stride}")
-    if entry is not None:
-        problems += entry.validate(cfg, problems)
     if cfg.potential not in ("free", "harmonic"):
         problems.append(f"potential must be free or harmonic, got {cfg.potential!r}")
     for fmt in cfg.formats:
@@ -208,8 +207,8 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
     return problems
 
 
-def _trap_problems(cfg: ScenarioConfig, problems: list[str]) -> list[str]:
-    if problems or 0 < (width := _ground_width(cfg)) < math.inf:
+def _trap_problems(cfg: ScenarioConfig) -> list[str]:
+    if 0 < (width := _ground_width(cfg)) < math.inf:
         return []
     return [f"ground width sqrt(hbar/(2 mass omega0)) is {width}, not a positive finite number"]
 
@@ -217,9 +216,8 @@ def _trap_problems(cfg: ScenarioConfig, problems: list[str]) -> list[str]:
 _RK4_CAP = 1e8  # the most RK4 steps the width model may take: minutes of Python
 
 
-def _perturbed_problems(cfg: ScenarioConfig, problems: list[str]) -> list[str]:
-    found = _trap_problems(cfg, problems)
-    if problems or found:
+def _perturbed_problems(cfg: ScenarioConfig) -> list[str]:
+    if found := _trap_problems(cfg):
         return found
     # the width-equation reference needs one step, a linearized start and a bounded RK4 count
     n, stride = round(cfg.t_final / cfg.dt), cfg.snapshot_stride
@@ -238,7 +236,7 @@ def _perturbed_problems(cfg: ScenarioConfig, problems: list[str]) -> list[str]:
 
 
 def parse_config(path: str | Path) -> ScenarioConfig:
-    """Read and validate an INI scenario file; all violations are reported."""
+    """Read an INI scenario file and hold every key to its range; every problem is listed."""
     parser = configparser.ConfigParser(default_section="")  # [DEFAULT] is one more section
     parser.optionxform = str  # keys are case-sensitive (k_B, L, N)
     try:
@@ -466,10 +464,6 @@ def _ground_width(cfg: ScenarioConfig) -> float:
     return harmonic_ground_width(GaussianParams(cfg.sigma0, cfg.hbar, cfg.mass, omega0=cfg.omega0))
 
 
-def _evolution(cfg: ScenarioConfig) -> EvolutionConfig:
-    return EvolutionConfig(cfg.dt, cfg.t_final, cfg.snapshot_stride)
-
-
 def _density_columns(rho, norm, grid, ent: dict) -> dict:
     """A `run` block's norm and width columns, and its entropy columns `ent`."""
     fisher = ent.pop("fisher_information")
@@ -483,10 +477,10 @@ def _field_tables(grid, rho, support, name: str, window) -> list[dict]:
     return [{"x": grid.x, "rho": r, name: u} for r, u in zip(rho, velocity)]
 
 
-def _quantum_blocks(cfg: ScenarioConfig, grid, ev: EvolutionConfig, state, pot, stationary=False):
-    """steps -> the block's `run` columns (`stationary`: also max|u_a| and max|rho - rho0|),
-    and the function that dumps u_a of each row: the real part of the block's own u_a + i u_d."""
-    later, rho0 = _snapshot_blocks(state, pot, ev.dt), np.abs(state.psi.values) ** 2
+def _quantum_blocks(cfg: ScenarioConfig, grid, state, pot, stationary=False):
+    """The packet `state` in `pot`: steps -> the block's `run` columns (`stationary`: also max|u_a|
+    and max|rho - rho0|), and the function that dumps u_a: the real part of its own u_a + i u_d."""
+    later, rho0 = _snapshot_blocks(state, pot, cfg.dt), np.abs(state.psi.values) ** 2
 
     def block(steps):
         psi, rho, norm = later(steps)
@@ -504,10 +498,10 @@ def _quantum_blocks(cfg: ScenarioConfig, grid, ev: EvolutionConfig, state, pot, 
     return block
 
 
-def _diffusion_blocks(cfg: ScenarioConfig, grid, ev: EvolutionConfig, initial: DiffusionState, _):
-    """steps -> the block's `run` columns, and the function that dumps u_d = -D rho'/rho
-    of each row from the block's own rho'."""
-    later = _kernel_blocks(initial, ev.dt)
+def _diffusion_blocks(cfg: ScenarioConfig, grid):
+    """A Gaussian diffused from start_time: steps -> the block's `run` columns, and the
+    function that dumps u_d = -D rho'/rho of each row from the block's own rho'."""
+    later = _kernel_blocks(gaussian_density(grid, cfg.sigma0, cfg.D, time=cfg.start_time), cfg.dt)
 
     def block(steps):
         rho, _, norm = later(steps)
@@ -519,10 +513,11 @@ def _diffusion_blocks(cfg: ScenarioConfig, grid, ev: EvolutionConfig, initial: D
     return block
 
 
-def _compare_blocks(cfg: ScenarioConfig, grid, ev: EvolutionConfig, q_state, pot):
-    """steps -> the block's `compare` columns (the packet and its density diffused at D), None."""
-    quantum = _snapshot_blocks(q_state, pot, ev.dt)
-    diffused = _kernel_blocks(DiffusionState(density(q_state), cfg.D, time=0.0), ev.dt)
+def _compare_blocks(cfg: ScenarioConfig, grid):
+    """A free unchirped packet and its density diffused at D: steps -> their columns, None."""
+    q_state = gaussian_packet(grid, cfg.sigma0, cfg.hbar, cfg.mass)
+    quantum = _snapshot_blocks(q_state, free_potential(), cfg.dt)
+    diffused = _kernel_blocks(DiffusionState(density(q_state), cfg.D, time=0.0), cfg.dt)
 
     def block(steps):
         _, rho_q, _ = quantum(steps)  # psi is dropped before the heat kernel runs
@@ -596,20 +591,20 @@ def _compare_references(cfg: ScenarioConfig, tab: dict) -> dict:
 
 
 class _Entry(NamedTuple):
-    """A scenario as data: blocks(cfg, grid, ev, *start(cfg, grid)) builds one kernel and
+    """A scenario as data: blocks(cfg, grid) builds its start state and one kernel and
     returns steps -> (the block's columns but t, unchecked, and the function that makes its
     field tables from the block's own arrays, or None); references derive columns; identities
-    check the table; reads(cfg) names the keys the run reads, and any other key away from the
-    defaults (the scenario's, then the entry's own) is refused; validate adds config problems."""
+    check the table; validate(cfg) lists the entry's own problems with a config whose every
+    key is in range; reads(cfg) names the keys the run reads, and any other key away from the
+    defaults (the scenario's, then the entry's own) is refused."""
 
     description: str
     defaults: dict
-    start: Callable
     blocks: Callable
     references: tuple
     identities: tuple
     reads: Callable
-    validate: Callable = lambda cfg, problems: []
+    validate: Callable = lambda cfg: []
 
 
 # the keys every run reads, and every quantum run
@@ -621,16 +616,16 @@ def _packet(cfg: ScenarioConfig, grid):
     return gaussian_packet(grid, cfg.sigma0, cfg.hbar, cfg.mass, width_rate=cfg.width_rate)
 
 
-def _trapped(cfg: ScenarioConfig, grid, width: float):
-    return gaussian_packet(grid, width, cfg.hbar, cfg.mass), harmonic_potential(cfg.omega0)
+def _trapped(cfg: ScenarioConfig, grid, width: float, stationary=False):
+    packet = gaussian_packet(grid, width, cfg.hbar, cfg.mass)
+    return _quantum_blocks(cfg, grid, packet, harmonic_potential(cfg.omega0), stationary)
 
 
 _ENTRIES = {
     "free_gaussian": _Entry(
         "spreading Gaussian packet, no potential",
         dict(sigma0=1.0, L=40.0, N=1024, dt=1e-3, t_final=4.0, snapshot_stride=50),
-        lambda cfg, grid: (_packet(cfg, grid), free_potential()),
-        _quantum_blocks,
+        lambda cfg, grid: _quantum_blocks(cfg, grid, _packet(cfg, grid), free_potential()),
         (_entropy_rate, _free_references),
         _QUANTUM_IDENTITIES + (
             _relative("sigma2_matches_reference", 1e-3, "sigma2_measured", "ref_sigma2"),
@@ -647,8 +642,7 @@ _ENTRIES = {
             omega0=1.0, sigma0=float(np.sqrt(0.5)), potential="harmonic",
             L=9.0, N=128, dt=3.2e-5, t_final=float(5 * 2 * np.pi), snapshot_stride=6545,
         ),
-        lambda cfg, grid: _trapped(cfg, grid, _ground_width(cfg)),
-        lambda *start: _quantum_blocks(*start, stationary=True),
+        lambda cfg, grid: _trapped(cfg, grid, _ground_width(cfg), stationary=True),
         (_entropy_rate, _ground_references),
         _QUANTUM_IDENTITIES + (
             _deviation(
@@ -668,7 +662,6 @@ _ENTRIES = {
             t_final=float(5 * 2 * np.pi / np.sqrt(2)), snapshot_stride=250,
         ),
         lambda cfg, grid: _trapped(cfg, grid, _ground_width(cfg) + cfg.epsilon0),
-        _quantum_blocks,
         (_entropy_rate, _perturbed_references),
         _QUANTUM_IDENTITIES + (
             _relative("sigma2_matches_oscillator", 1e-3, "sigma2_measured", "oscillator_sigma2"),
@@ -682,7 +675,6 @@ _ENTRIES = {
             D=0.5, sigma0=1.0, start_time=0.0,
             L=40.0, N=1024, dt=1e-3, t_final=2.0, snapshot_stride=10,
         ),
-        lambda cfg, grid: (gaussian_density(grid, cfg.sigma0, cfg.D, time=cfg.start_time), None),
         _diffusion_blocks,
         (_entropy_rate, _diffusion_references),
         _DIFFUSION_IDENTITIES,
@@ -691,11 +683,10 @@ _ENTRIES = {
     "custom": _Entry(
         "Gaussian initial state with a free or harmonic potential",
         dict(potential="free"),
-        lambda cfg, grid: (
-            _packet(cfg, grid),
+        lambda cfg, grid: _quantum_blocks(
+            cfg, grid, _packet(cfg, grid),
             harmonic_potential(cfg.omega0) if cfg.potential == "harmonic" else free_potential(),
         ),
-        _quantum_blocks,
         (_entropy_rate,),
         _QUANTUM_IDENTITIES,
         lambda cfg: _QUANTUM_READ | {"sigma0", "width_rate", "potential"}
@@ -707,7 +698,6 @@ _ENTRIES = {
 _COMPARE = _Entry(
     "unitary and Fickian evolutions from the same initial density",
     dict(potential="free", width_rate=0.0, start_time=0.0),
-    lambda cfg, grid: (gaussian_packet(grid, cfg.sigma0, cfg.hbar, cfg.mass), free_potential()),
     _compare_blocks,
     (_compare_references,),
     _COMPARE_IDENTITIES,
@@ -717,20 +707,22 @@ _COMPARE = _Entry(
 SCENARIOS = {name: entry.description for name, entry in _ENTRIES.items()}
 
 
-def _pooled(block, blocks: list[list[int]]):
-    """block(steps) for each of `blocks`, in order, on one worker thread per usable core.
+def _pooled(block, blocks):
+    """block(steps) for each of the iterable `blocks`, in order, on one worker thread per core.
 
     At most two blocks per worker wait or run ahead of the one consumed, each
     with a result slot made as it joins them.  The first failing block raises
     its error (so the earliest bad step is the one reported), no queued block
-    starts once it is raised, and the workers are joined.  A run with no more
-    blocks than workers runs them in the calling thread, sparing a worker the BLAS start-up.
+    starts once it is raised, and the workers are joined.  A run of no more blocks than workers
+    (read workers + 1 ahead) runs in the calling thread, sparing a worker the BLAS start-up.
     """
-    workers = grid_module._WORKERS
-    if workers < 2 or len(blocks) <= workers:
-        yield from map(block, blocks)
+    workers, later = grid_module._WORKERS, iter(blocks)
+    head = list(islice(later, workers + 1))
+    later = chain(head, later)
+    if workers < 2 or len(head) <= workers:
+        yield from map(block, later)
         return
-    later, queued, tasks, slots = iter(blocks), threading.Semaphore(0), deque(), deque()
+    queued, tasks, slots = threading.Semaphore(0), deque(), deque()
 
     def enter(count):  # the next `count` blocks, if any, join the look-ahead, each with a slot
         for steps in islice(later, count):
@@ -766,13 +758,12 @@ def _pooled(block, blocks: list[list[int]]):
 
 def _blockwise(block, steps: list[int], grid):
     """block(steps) for the initial row, then for each later row block on the pool."""
-    return chain([block(steps[:1])], _pooled(block, _row_blocks(steps[1:], grid.num_points)))
+    return chain([block(steps[:1])], _pooled(block, _row_blocks(steps, grid.num_points)))
 
 
-def _run(
-    entry: _Entry, cfg: ScenarioConfig, name: str, columns: list[str], problems: list[str]
-) -> RunReport:
+def _run(entry: _Entry, cfg: ScenarioConfig, name: str, columns: list[str]) -> RunReport:
     """The runner loop: the entry's blocks into one table, its references and identities."""
+    problems = validate_config(cfg) or entry.validate(cfg)  # every key's range, then the entry's
     if not problems:  # the one read-or-refuse rule: a key the run does not read keeps its default
         own, reads = replace(default_config(cfg.scenario), **entry.defaults), entry.reads(cfg)
         problems = [
@@ -782,20 +773,18 @@ def _run(
     if problems:
         raise ConfigError(problems)
     started = time.perf_counter()
-    ev = _evolution(cfg)
-    try:  # the step list, the grid, a trap's N x N Hamiltonian, the row blocks, the table
-        steps = ev.snapshot_steps()
+    try:  # the steps, the grid, the start state and kernel (a trap's N x N eigh), the table
+        steps = EvolutionConfig(cfg.dt, cfg.t_final, cfg.snapshot_stride).snapshot_steps()
         grid = make_grid(cfg.L, cfg.N)
-        start = entry.start(cfg, grid)
-        # the kernels' clock, which the references and dS/dt read; the t column, rounded to
-        # float64's spacing at start_time, must still tell the rows apart
-        t = start[0].time + (elapsed := (at := np.array(steps)) * ev.dt)
+        # t from start_time (held at 0 but for diffusion_gaussian) and the elapsed time that the
+        # references and dS/dt read; rounded to float64's spacing, t must tell the rows apart
+        t = cfg.start_time + (elapsed := (at := np.array(steps)) * cfg.dt)
         if not np.all(np.diff(t) > 0):
             raise ConfigError([
                 f"start_time = {cfg.start_time} and dt = {cfg.dt} give snapshot times "
                 "that do not strictly increase in float64"
             ])
-        block = entry.blocks(cfg, grid, ev, *start)
+        block = entry.blocks(cfg, grid)
         # in the worker: the block's columns checked (t from its first row), its fields dropped
         checked = lambda rows: _require_finite(block(rows)[0], t[np.searchsorted(at, rows[0]):])
         parts = list(_blockwise(checked, steps, grid))
@@ -835,7 +824,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     error, and provenance (config hash, package version, wall time, the
     number of block workers and the BLAS/OpenMP thread variables).
     """
-    return _run(_ENTRIES.get(cfg.scenario), cfg, cfg.scenario, CSV_COLUMNS, validate_config(cfg))
+    return _run(_ENTRIES.get(cfg.scenario), cfg, cfg.scenario, CSV_COLUMNS)
 
 
 def compare_quantum_diffusion(cfg: ScenarioConfig) -> RunReport:
@@ -848,7 +837,7 @@ def compare_quantum_diffusion(cfg: ScenarioConfig) -> RunReport:
     t > 2 D (2 m sigma0 / hbar)^2, which is asserted when the run reaches
     1.05x that time.
     """
-    return _run(_COMPARE, cfg, "compare_quantum_diffusion", COMPARE_COLUMNS, validate_config(cfg))
+    return _run(_COMPARE, cfg, "compare_quantum_diffusion", COMPARE_COLUMNS)
 
 
 _CHUNK_ROWS = 256  # rows converted, formatted and written at a time

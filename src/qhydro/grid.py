@@ -40,10 +40,10 @@ else:
     _WORKERS = os.cpu_count() or 1
 
 
-def _row_blocks(steps: list[int], num_points: int) -> list[list[int]]:
-    """`steps` cut into consecutive runs of complex rows, _BLOCK_BYTES split among the workers."""
+def _row_blocks(steps: list[int], num_points: int):
+    """steps[1:] cut, as taken, into runs of complex rows, _BLOCK_BYTES split among the workers."""
     rows = max(1, _BLOCK_BYTES // (16 * num_points * _WORKERS))
-    return [steps[i:i + rows] for i in range(0, len(steps), rows)]
+    return (steps[i:i + rows] for i in range(1, len(steps), rows))
 
 
 def _exponentials(rates: np.ndarray):

@@ -255,7 +255,7 @@ def propagate(state: QuantumState, pot: Potential, cfg: EvolutionConfig) -> list
     grid, hbar, mass = state.grid, state.hbar, state.mass
     rows = _snapshot_blocks(state, pot, cfg.dt)
     snapshots = [state]
-    for steps in _row_blocks(cfg.snapshot_steps()[1:], grid.num_points):
+    for steps in _row_blocks(cfg.snapshot_steps(), grid.num_points):
         psi = rows(steps)[0]
         snapshots += [
             QuantumState(Field(grid, row), hbar, mass, state.time + i * cfg.dt)

@@ -45,7 +45,7 @@ def test_a_block_result_outlives_the_next_block(case):
                   **dict(L=10.0, N=64, dt=0.01, t_final=0.1, snapshot_stride=1,
                          emit_fields=True), **overrides)
     grid = make_grid(cfg.L, cfg.N)
-    block = entry.blocks(cfg, grid, cli._evolution(cfg), *entry.start(cfg, grid))
+    block = entry.blocks(cfg, grid)
     # a block's field tables come from the arrays of its columns; `compare` dumps none
     columns, fields = block([1, 2, 3])
     first = _arrays(columns, fields() if fields else [])
@@ -106,9 +106,9 @@ def test_a_warm_block_holds_few_block_arrays(monkeypatch, case):
     monkeypatch.setattr(grid_module, "_WORKERS", 2)
     cfg = cli.default_config(scenario)
     grid = make_grid(cfg.L, cfg.N)
-    rows = len(grid_module._row_blocks(list(range(1 << 20)), cfg.N)[0])
+    rows = len(next(grid_module._row_blocks(list(range(1 << 20)), cfg.N)))
     steps = [i * cfg.snapshot_stride for i in range(1, 2 * rows + 1)]
-    block = entry.blocks(cfg, grid, cli._evolution(cfg), *entry.start(cfg, grid))
+    block = entry.blocks(cfg, grid)
     block(steps[:rows])  # the first block of a run is warmed by the initial row
     tracemalloc.start()
     try:

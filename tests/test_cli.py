@@ -33,7 +33,7 @@ from qhydro.cli import (
     run_scenario,
     write_report,
 )
-from qhydro.schrodinger import NumericsError
+from qhydro.schrodinger import EvolutionConfig, NumericsError
 
 EXPECTED_HEADER = (
     "t,norm,energy,sigma2_measured,ent_boltzmann,dEntB_dt_fd,"
@@ -444,7 +444,7 @@ class TestRunScenario:
         report = perturbed_report if overrides is None else run_scenario(cfg)
         s0 = cli._ground_width(cfg)
         p = GaussianParams(s0, omega0=cfg.omega0, epsilon0=cfg.epsilon0, hbar=cfg.hbar, mass=cfg.mass)
-        steps = cli._evolution(cfg).snapshot_steps()
+        steps = EvolutionConfig(cfg.dt, cfg.t_final, cfg.snapshot_stride).snapshot_steps()
         trace = harmonic_sigma(p, np.arange(steps[-1] + 1) * cfg.dt)
         sigma, rate = trace.sigma[steps], trace.dlnsigma_dt[steps]
         entropy = entropy_of_width(sigma, cfg.k_B)

@@ -71,6 +71,10 @@ def _quantum_start(cfg):
     return grid, pot, state
 
 
+def _evolution(cfg):
+    return EvolutionConfig(cfg.dt, cfg.t_final, cfg.snapshot_stride)
+
+
 def _sigma2(rho):
     return float(rho.grid.dx * np.sum(rho.grid.x**2 * rho.values))
 
@@ -82,7 +86,7 @@ def test_quantum_runner_matches_per_state_path(case, rows):
     report = run_scenario(cfg)
     tab = report.table
     grid, pot, state = _quantum_start(cfg)
-    snapshots = propagate(state, pot, cli._evolution(cfg))
+    snapshots = propagate(state, pot, _evolution(cfg))
     assert len(tab["t"]) == len(snapshots) == rows
     for i, snap in enumerate(snapshots):
         rho = density(snap)
@@ -115,7 +119,7 @@ def test_quantum_runner_matches_per_state_path(case, rows):
 
 
 def _diffused(initial, cfg):
-    ev = cli._evolution(cfg)
+    ev = _evolution(cfg)
     return [initial] + [diffuse_step(initial, i * ev.dt) for i in ev.snapshot_steps()[1:]]
 
 
@@ -147,7 +151,7 @@ def test_compare_matches_per_state_path(rows):
     report = compare_quantum_diffusion(cfg)
     grid = make_grid(cfg.L, cfg.N)
     q_state = gaussian_packet(grid, cfg.sigma0, cfg.hbar, cfg.mass)
-    q_snaps = propagate(q_state, free_potential(), cli._evolution(cfg))
+    q_snaps = propagate(q_state, free_potential(), _evolution(cfg))
     d_snaps = _diffused(DiffusionState(density(q_state), cfg.D, time=0.0), cfg)
     tab = report.table
     assert len(tab["t"]) == rows
@@ -329,17 +333,24 @@ def test_nan_in_two_blocks_aborts_at_the_earlier_step(tmp_path, capsys, monkeypa
 
 
 def test_pool_runs_at_most_two_blocks_per_worker_ahead(monkeypatch):
+    # the blocks come from a generator, as `_row_blocks` cuts them: the pool pulls
+    # at most two per worker beyond the one consumed, and starts no block it has not pulled
     _workers(monkeypatch, 2)
-    started = []
+    started, pulled = [], []
 
     def block(steps):
         started.append(steps[0])
         return steps[0]
 
-    for consumed, value in enumerate(cli._pooled(block, [[i] for i in range(1, 41)]), 1):
+    def blocks():
+        for i in range(1, 41):
+            pulled.append(i)
+            yield [i]
+
+    for consumed, value in enumerate(cli._pooled(block, blocks()), 1):
         assert value == consumed
-        assert len(started) <= consumed + 2 * 2
-    assert sorted(started) == list(range(1, 41))
+        assert len(started) <= len(pulled) <= consumed + 2 * 2
+    assert sorted(started) == pulled == list(range(1, 41))
 
 
 def _finishes(target, seconds=60) -> bool:

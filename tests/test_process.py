@@ -202,7 +202,7 @@ def test_pooled_runs_load_no_executor_or_logging(child, tmp_path):
     run = "main(['run', {!r}, '--output-dir', {!r}])".format
     code = (
         "import sys; from qhydro import grid; from qhydro.cli import main; "
-        "grid._WORKERS = 2; blocks = len(grid._row_blocks(list(range(500)), 256)); "
+        "grid._WORKERS = 2; blocks = len(list(grid._row_blocks(list(range(501)), 256))); "
         f"pooled = {run(str(ini), str(tmp_path / 'pooled'))}; "
         f"grid._WORKERS = 1; alone = {run(str(ini), str(tmp_path / 'alone'))}; "
         "print(blocks, pooled, alone, 'concurrent.futures' in sys.modules, 'logging' in sys.modules)"

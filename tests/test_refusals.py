@@ -3,7 +3,9 @@
 Every public constructor and function that checks its input names what it
 refused; a refusal that no run reaches is pinned here, one case each.  The
 width model's RK4 cap, which `harmonic_perturbed` checks before any block
-runs, is pinned here too.
+runs, is pinned here too, as is the order of a command's checks: every key's
+range, then the command's own entry's checks, then the read-or-refuse rule,
+then the clock, before any start state is built.
 """
 import re
 from dataclasses import replace
@@ -136,16 +138,70 @@ def test_a_width_model_past_the_rk4_cap_is_refused(tmp_path, capsys):
 def test_the_rk4_cap_counts_the_steps_harmonic_sigma_takes(monkeypatch, overrides):
     cfg = replace(default_config("harmonic_perturbed"), **overrides)
     cfg = replace(cfg, epsilon0=0.01 * np.sqrt(0.5 / cfg.omega0))
-    clock = np.array(cli._evolution(cfg).snapshot_steps()) * cfg.dt
-    steps = sum(_rk4_steps(gap, cfg.omega0) for gap in np.diff(clock))
-    assert validate_config(cfg) == []
+    snapshots = np.array(EvolutionConfig(cfg.dt, cfg.t_final, cfg.snapshot_stride).snapshot_steps())
+    steps = sum(_rk4_steps(gap, cfg.omega0) for gap in np.diff(snapshots * cfg.dt))
+    validate = cli._ENTRIES["harmonic_perturbed"].validate
+    assert validate(cfg) == []
     monkeypatch.setattr(cli, "_RK4_CAP", steps)
-    assert validate_config(cfg) == []
+    assert validate(cfg) == []
     monkeypatch.setattr(cli, "_RK4_CAP", steps - 1)
-    assert validate_config(cfg) == [
+    assert validate(cfg) == [
         f"harmonic_perturbed's width model needs {steps:.3g} RK4 steps, more than the cap of "
         f"{steps - 1:.0e}"
     ]
+    assert validate_config(cfg) == []  # the cap is the run's own check, not a key's range
+
+
+def _refused(tmp_path, capsys, command, text, output=""):
+    """main()'s exit code and stderr lines on the INI `text` and `output` lines, and whether
+    it wrote anything."""
+    path = tmp_path / "cfg.ini"
+    path.write_text(text + f"[output]\n{output}directory = {tmp_path / 'out'}\n")
+    code = main([command, str(path)])
+    return code, capsys.readouterr().err.splitlines(), (tmp_path / "out").exists()
+
+
+PERTURBED_FREE = "[scenario]\nname = harmonic_perturbed\n[physics]\npotential = free\n"
+
+
+def test_compare_does_not_check_what_only_run_computes(tmp_path, capsys):
+    # one row: `run harmonic_perturbed` needs a step for its width model; compare models none
+    text = PERTURBED_FREE + "[evolution]\nt_final = 0.0\n"
+    assert _refused(tmp_path, capsys, "compare", text) == (0, [], True)
+
+
+def test_compare_refuses_the_width_model_keys_by_the_read_rule(tmp_path, capsys):
+    # the RK4 cap of `run harmonic_perturbed` named neither key
+    text = PERTURBED_FREE + "omega0 = 1e6\nepsilon0 = 7.07e-6\n"
+    assert _refused(tmp_path, capsys, "compare", text) == (2, [
+        "config error: compare_quantum_diffusion does not read omega0, "
+        "which must stay 1.0, got 1000000.0",
+        "config error: compare_quantum_diffusion does not read epsilon0, "
+        f"which must stay {0.01 * np.sqrt(0.5)}, got 7.07e-06",
+    ], False)
+
+
+def test_a_key_out_of_range_is_refused_before_the_entry_checks(tmp_path, capsys):
+    # epsilon0 = 0.1 is 0.14 of the ground width, past the linearized start
+    text = "[scenario]\nname = harmonic_perturbed\n[physics]\nepsilon0 = 0.1\n"
+    assert _refused(tmp_path, capsys, "run", text, "formats = xml\n") == (
+        2, ["config error: unknown output format 'xml'"], False,
+    )
+    assert _refused(tmp_path, capsys, "run", text) == (
+        2, ["config error: |epsilon0|/sigma_ground must be < 0.05, got 0.141"], False,
+    )
+
+
+def test_the_clock_is_refused_before_the_start_state_is_built(tmp_path, capsys):
+    # sigma0**2 underflows, so the initial density has no finite norm: a numeric abort
+    text = "[scenario]\nname = diffusion_gaussian\n[physics]\nsigma0 = 1e-300\n"
+    assert _refused(tmp_path, capsys, "run", text + "start_time = 1e18\n") == (2, [
+        "config error: start_time = 1e+18 and dt = 0.001 give snapshot times "
+        "that do not strictly increase in float64"
+    ], False)
+    assert _refused(tmp_path, capsys, "run", text)[:2] == (3, [
+        "numeric abort: the density has no finite positive norm on the grid (nan)"
+    ])
 
 
 def test_a_grid_is_not_equal_to_another_type():

@@ -18,14 +18,19 @@ the column window), the `emit_fields` run of diffusion_gaussian (which does
 not read `enable_von_neumann`), the default diffusion_gaussian
 with its clock started at `start_time` = 1e6 and 1e13 (diffusion_clock_1e6
 and diffusion_clock_1e13), harmonic_perturbed at the prime snapshot_stride
-331 (perturbed_prime_stride), and nineteen runs that exit nonzero: a
-failing identity (1), a config error, five keys that the command does not
-read (2: a free_gaussian given a `width_rate` or a `start_time`, a `compare`
-of a `custom` packet given a `width_rate`, of a diffusion_gaussian given a
-`start_time` and of a free_gaussian given `emit_fields`), a
-harmonic_perturbed at omega0 = 1e6 whose width model would take 1.11e10 RK4
-steps (perturbed_rk4_cap), a grid that cannot be allocated and a snapshot
-list that cannot be built (2), and nine numeric aborts (3): extreme
+331 (perturbed_prime_stride), a one-row `compare` of a harmonic_perturbed
+config with a free potential, which does not check the width model that only
+`run` computes (compare_perturbed_no_step), and twenty runs that exit
+nonzero: a failing identity (1), a config error, five keys that the command
+does not read (2: a free_gaussian given a `width_rate` or a `start_time`, a
+`compare` of a `custom` packet given a `width_rate`, of a
+diffusion_gaussian given a `start_time` and of a free_gaussian given
+`emit_fields`), a harmonic_perturbed at omega0 = 1e6 whose width model would
+take 1.11e10 RK4 steps (perturbed_rk4_cap), a grid that cannot be allocated
+and a snapshot list that cannot be built (2), a diffusion_gaussian whose
+clock stalls at start_time = 1e18 and whose sigma0**2 underflows, refused
+for the clock before its start state is built (clock_before_start, 2), and
+nine numeric aborts (3): extreme
 constants, a diffusion_gaussian whose sigma0**2 underflows, a free_gaussian
 whose width reference overflows, a free_gaussian on so wide a grid that its
 measured width overflows (width_overflow), a `custom` trap whose potential
@@ -100,6 +105,10 @@ CASES = {
        for start in ("1e6", "1e13")},
     # a prime stride: the width model's steps cut each 0.0662 interval into 34
     "perturbed_prime_stride": ("run", "harmonic_perturbed", {"snapshot_stride": "331"}),
+    # one row: compare models no width, so it needs no step of one
+    "compare_perturbed_no_step": (
+        "compare", "harmonic_perturbed", {"potential": "free", "t_final": "0.0"},
+    ),
     "identity_failure": ("run", "free_gaussian", {"sigma0": "0.001"}),
     "config_error": ("run", "free_gaussian", {"N": "7"}),
     # keys the command does not read: free_gaussian runs an unchirped packet from t = 0,
@@ -116,6 +125,10 @@ CASES = {
     # 1e18 + 1 steps, one int each: a list beyond any 64-bit address space
     "snapshot_list_unbuildable": (
         "run", "free_gaussian", {"t_final": "1e18", "dt": "1", "snapshot_stride": "1"},
+    ),
+    # 1e18 + step * 1e-3 rounds to equal neighbours; the clock is checked first
+    "clock_before_start": (
+        "run", "diffusion_gaussian", {"sigma0": "1e-300", "start_time": "1e18"},
     ),
     "numeric_abort": (
         "run", "custom", {"hbar": "1e300", "L": "4.0", "N": "8", "t_final": "0.0"},
