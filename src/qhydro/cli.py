@@ -1,12 +1,13 @@
 """Config-driven scenario runner with CSV/JSON time-series output.
 
 Scenarios are described by an INI file (sections: scenario, physics, grid, evolution,
-diagnostics, output) and declared as entries of `_ENTRIES`; `compare` is one more entry.
-One loop runs any entry: it holds every key to its range, applies the entry's own checks and
-the read-or-refuse rule, builds the start state and kernel from (cfg, grid), then one table of
-column arrays from the snapshot blocks, derives the reference columns, reduces every identity
-over the table, writes the data files from it (the field dumps from each block's own rho and
-u_a + i u_d, or rho'), and exits nonzero when an asserted identity misses its tolerance.
+diagnostics, output) and declared as entries of `_ENTRIES`; `compare` is one more entry. One
+loop runs any entry: it holds every key to its range, applies the entry's own checks and the
+read-or-refuse rule, builds the start state and kernel from (cfg, grid) (a quantum run's
+Gaussian as its config states it, in the config's potential), then one table of column arrays
+from the snapshot blocks, derives the reference columns, reduces every identity over the table,
+writes the data files from it (the field dumps from each block's own rho and u_a + i u_d, or
+rho'), and exits nonzero when an asserted identity misses its tolerance.
 
 Exit codes: 0 all identities pass, 1 identity failure, 2 configuration
 error, 3 numeric abort.  Data files are byte-identical across runs with the
@@ -52,9 +53,8 @@ from .madelung import density, _masked_ratios
 from .schrodinger import (
     EvolutionConfig,
     NumericsError,
-    free_potential,
+    Potential,
     gaussian_packet,
-    harmonic_potential,
     _energy_rows,
     _snapshot_blocks,
 )
@@ -464,6 +464,10 @@ def _ground_width(cfg: ScenarioConfig) -> float:
     return harmonic_ground_width(GaussianParams(cfg.sigma0, cfg.hbar, cfg.mass, omega0=cfg.omega0))
 
 
+def _packet(cfg: ScenarioConfig, grid, width: float):
+    return gaussian_packet(grid, width, cfg.hbar, cfg.mass, width_rate=cfg.width_rate)
+
+
 def _density_columns(rho, norm, grid, ent: dict) -> dict:
     """A `run` block's norm and width columns, and its entropy columns `ent`."""
     fisher = ent.pop("fisher_information")
@@ -477,9 +481,10 @@ def _field_tables(grid, rho, support, name: str, window) -> list[dict]:
     return [{"x": grid.x, "rho": r, name: u} for r, u in zip(rho, velocity)]
 
 
-def _quantum_blocks(cfg: ScenarioConfig, grid, state, pot, stationary=False):
-    """The packet `state` in `pot`: steps -> the block's `run` columns (`stationary`: also max|u_a|
-    and max|rho - rho0|), and the function that dumps u_a: the real part of its own u_a + i u_d."""
+def _quantum_blocks(cfg: ScenarioConfig, grid, state, stationary=False):
+    """`state` in the config's potential: steps -> the block's `run` columns (`stationary`: also
+    max|u_a| and max|rho - rho0|), and the function that dumps u_a, the real part of u_a + i u_d."""
+    pot = Potential(cfg.potential, cfg.omega0)
     later, rho0 = _snapshot_blocks(state, pot, cfg.dt), np.abs(state.psi.values) ** 2
 
     def block(steps):
@@ -514,10 +519,10 @@ def _diffusion_blocks(cfg: ScenarioConfig, grid):
 
 
 def _compare_blocks(cfg: ScenarioConfig, grid):
-    """A free unchirped packet and its density diffused at D: steps -> their columns, None."""
-    q_state = gaussian_packet(grid, cfg.sigma0, cfg.hbar, cfg.mass)
-    quantum = _snapshot_blocks(q_state, free_potential(), cfg.dt)
-    diffused = _kernel_blocks(DiffusionState(density(q_state), cfg.D, time=0.0), cfg.dt)
+    """The config's packet and its density diffused from start_time: steps -> columns, None."""
+    q_state = _packet(cfg, grid, cfg.sigma0)
+    quantum = _snapshot_blocks(q_state, Potential(cfg.potential, cfg.omega0), cfg.dt)
+    diffused = _kernel_blocks(DiffusionState(density(q_state), cfg.D, time=cfg.start_time), cfg.dt)
 
     def block(steps):
         _, rho_q, _ = quantum(steps)  # psi is dropped before the heat kernel runs
@@ -591,12 +596,12 @@ def _compare_references(cfg: ScenarioConfig, tab: dict) -> dict:
 
 
 class _Entry(NamedTuple):
-    """A scenario as data: blocks(cfg, grid) builds its start state and one kernel and
-    returns steps -> (the block's columns but t, unchecked, and the function that makes its
-    field tables from the block's own arrays, or None); references derive columns; identities
-    check the table; validate(cfg) lists the entry's own problems with a config whose every
-    key is in range; reads(cfg) names the keys the run reads, and any other key away from the
-    defaults (the scenario's, then the entry's own) is refused."""
+    """A scenario as data: blocks(cfg, grid) builds its start state and one kernel and returns
+    steps -> (the block's columns but t, unchecked, and the function that makes its field tables
+    from the block's own arrays, or None); references derive columns; identities check the
+    table; validate(cfg) lists the entry's own problems with a config whose every key is in
+    range; reads(cfg) names the keys a run may move from its defaults (the scenario's, then the
+    entry's own), and any other key away from them is refused; a factory may read any key."""
 
     description: str
     defaults: dict
@@ -612,20 +617,11 @@ _READ = frozenset(("k_B", "L", "N", "dt", "t_final", "snapshot_stride", "directo
 _QUANTUM_READ = _READ | {"hbar", "mass", "enable_von_neumann", "emit_fields"}
 
 
-def _packet(cfg: ScenarioConfig, grid):
-    return gaussian_packet(grid, cfg.sigma0, cfg.hbar, cfg.mass, width_rate=cfg.width_rate)
-
-
-def _trapped(cfg: ScenarioConfig, grid, width: float, stationary=False):
-    packet = gaussian_packet(grid, width, cfg.hbar, cfg.mass)
-    return _quantum_blocks(cfg, grid, packet, harmonic_potential(cfg.omega0), stationary)
-
-
 _ENTRIES = {
     "free_gaussian": _Entry(
         "spreading Gaussian packet, no potential",
         dict(sigma0=1.0, L=40.0, N=1024, dt=1e-3, t_final=4.0, snapshot_stride=50),
-        lambda cfg, grid: _quantum_blocks(cfg, grid, _packet(cfg, grid), free_potential()),
+        lambda cfg, grid: _quantum_blocks(cfg, grid, _packet(cfg, grid, cfg.sigma0)),
         (_entropy_rate, _free_references),
         _QUANTUM_IDENTITIES + (
             _relative("sigma2_matches_reference", 1e-3, "sigma2_measured", "ref_sigma2"),
@@ -642,7 +638,8 @@ _ENTRIES = {
             omega0=1.0, sigma0=float(np.sqrt(0.5)), potential="harmonic",
             L=9.0, N=128, dt=3.2e-5, t_final=float(5 * 2 * np.pi), snapshot_stride=6545,
         ),
-        lambda cfg, grid: _trapped(cfg, grid, _ground_width(cfg), stationary=True),
+        lambda cfg, grid: _quantum_blocks(
+            cfg, grid, _packet(cfg, grid, _ground_width(cfg)), stationary=True),
         (_entropy_rate, _ground_references),
         _QUANTUM_IDENTITIES + (
             _deviation(
@@ -661,7 +658,8 @@ _ENTRIES = {
             potential="harmonic", L=12.0, N=256, dt=2e-4,
             t_final=float(5 * 2 * np.pi / np.sqrt(2)), snapshot_stride=250,
         ),
-        lambda cfg, grid: _trapped(cfg, grid, _ground_width(cfg) + cfg.epsilon0),
+        lambda cfg, grid: _quantum_blocks(
+            cfg, grid, _packet(cfg, grid, _ground_width(cfg) + cfg.epsilon0)),
         (_entropy_rate, _perturbed_references),
         _QUANTUM_IDENTITIES + (
             _relative("sigma2_matches_oscillator", 1e-3, "sigma2_measured", "oscillator_sigma2"),
@@ -683,10 +681,7 @@ _ENTRIES = {
     "custom": _Entry(
         "Gaussian initial state with a free or harmonic potential",
         dict(potential="free"),
-        lambda cfg, grid: _quantum_blocks(
-            cfg, grid, _packet(cfg, grid),
-            harmonic_potential(cfg.omega0) if cfg.potential == "harmonic" else free_potential(),
-        ),
+        lambda cfg, grid: _quantum_blocks(cfg, grid, _packet(cfg, grid, cfg.sigma0)),
         (_entropy_rate,),
         _QUANTUM_IDENTITIES,
         lambda cfg: _QUANTUM_READ | {"sigma0", "width_rate", "potential"}
@@ -694,7 +689,7 @@ _ENTRIES = {
     ),
 }
 
-# a free, unchirped packet from t = 0, whatever the scenario's own defaults
+# the defaults the read rule holds: a free, unchirped packet from t = 0, whatever the scenario
 _COMPARE = _Entry(
     "unitary and Fickian evolutions from the same initial density",
     dict(potential="free", width_rate=0.0, start_time=0.0),

@@ -59,14 +59,24 @@ QUANTUM_CASES = {
                  width_rate=0.1),
     # the one scenario whose identities read max|u_a| and max|rho - rho0| of each row
     "ground": dict(scenario="harmonic_ground", potential="harmonic", omega0=2.0),
+    "free_gaussian": dict(scenario="free_gaussian"),
+    "perturbed": dict(scenario="harmonic_perturbed", potential="harmonic", omega0=2.0),
 }
+# (case, rows) pairs; harmonic_perturbed refuses a run with no step, so it has no one-row case
+QUANTUM_RUNS = [
+    pytest.param(case, rows, id=f"{name}-{rows_id}")
+    for name, case in QUANTUM_CASES.items()
+    for rows_id, rows in ROW_COUNTS.items()
+    if not (name == "perturbed" and rows == 1)
+]
 
 
 def _quantum_start(cfg):
     grid = make_grid(cfg.L, cfg.N)
     pot = harmonic_potential(cfg.omega0) if cfg.potential == "harmonic" else free_potential()
-    ground = cfg.scenario == "harmonic_ground"  # which starts at its ground width
-    sigma0 = np.sqrt(cfg.hbar / (2 * cfg.mass * cfg.omega0)) if ground else cfg.sigma0
+    # both traps start at their ground width plus epsilon0 (held at 0 for harmonic_ground)
+    trap = cfg.scenario in ("harmonic_ground", "harmonic_perturbed")
+    sigma0 = np.sqrt(cfg.hbar / (2 * cfg.mass * cfg.omega0)) + cfg.epsilon0 if trap else cfg.sigma0
     state = gaussian_packet(grid, sigma0, cfg.hbar, cfg.mass, width_rate=cfg.width_rate)
     return grid, pot, state
 
@@ -79,8 +89,7 @@ def _sigma2(rho):
     return float(rho.grid.dx * np.sum(rho.grid.x**2 * rho.values))
 
 
-@pytest.mark.parametrize("rows", ROW_COUNTS.values(), ids=ROW_COUNTS.keys())
-@pytest.mark.parametrize("case", QUANTUM_CASES.values(), ids=QUANTUM_CASES.keys())
+@pytest.mark.parametrize("case, rows", QUANTUM_RUNS)
 def test_quantum_runner_matches_per_state_path(case, rows):
     cfg = _config(rows=rows, **case)
     report = run_scenario(cfg)

@@ -4,7 +4,8 @@
 
 PARENT_SRC and CHANGE_SRC are `src/` directories (each holding the `qhydro`
 package).  Both sides run the same golden set of CLI invocations, one
-subprocess at a time, with the same environment: OPENBLAS_NUM_THREADS and
+subprocess at a time, each case REPEATS (3) times per side with parent and
+change alternating, with the same environment: OPENBLAS_NUM_THREADS and
 OMP_NUM_THREADS are taken from the caller, or set to the number of usable
 cores when unset, and the CPU affinity is the caller's (run the tool under
 `taskset` to pin both sides).  The golden set is the five default
@@ -42,11 +43,17 @@ from the children's environment, so their stdout is block-buffered and
 output that a process does not flush before it ends shows as a stdout
 difference.  A child still running after TIMEOUT_S (60) seconds is killed
 and its exit reads -9, since a tree without a refusal may run a case for
-hours.
+hours.  Each case's INI is the scenario's `print-default-config` with each
+override's line replaced; an override key that matches no line of it, or more
+than one, stops the tool with a message that names the case and the key, so a
+misspelt key cannot run the default.
 
-Every data file must be byte-identical; from report.json, the config hash
-and each identity's name, tolerance, `measured` value and outcome must be
-equal, as must the exit code, stdout and stderr.  Each side writes to `out`
+Every repeat must match its own side's first run in exit code, stdout,
+stderr, data files, identity values and config hash, since identical
+configurations must give byte-identical runs; a mismatch is a difference.
+Between the sides, every data file must be byte-identical; from report.json,
+the config hash and each identity's name, tolerance, `measured` value and
+outcome must be equal, as must the exit code, stdout and stderr.  Each side writes to `out`
 under its own working directory, so both hash the same configuration.  In
 stderr, each side's resolved source and working directories read as <src>
 and <work>, since numpy's warnings name the source file by its path.  Every
@@ -55,21 +62,29 @@ moved rows, its largest absolute move |a - b| and its largest relative move
 |a - b| / max(|a|, |b|); the exit code is 0 when there is none and 1
 otherwise.
 
-Each case's line also prints the peak RSS of its CLI child on both sides
-(`ru_maxrss` from os.wait4, MB as perfbench reports it, 1024 KiB) and the
-change, the child's minor page faults on both sides (`ru_minflt`), and a
+Each case's line also prints the median over the repeats of the peak RSS of
+its CLI child on both sides (`ru_maxrss` from os.wait4, MB as perfbench
+reports it, 1024 KiB) and the change, the median of the child's minor page
+faults on both sides (`ru_minflt`), and a
 first line gives each tree's `qhydro/*.py` line count and the change.  That
 is information beside the byte-identity check, not a difference, and it does
-not move the exit code.
+not move the exit code.  Linux carries a process's peak RSS into the children
+it starts (through fork and exec), so a child's `ru_maxrss` is never below
+this tool's own peak: the tool keeps a SHA-256 of each data file rather than
+its bytes, reads two files back only when their digests differ, removes each
+case's outputs once it is compared, and prints its own peak on the last line.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import math
 import os
+import resource
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -156,6 +171,8 @@ CASES = {
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 TIMEOUT_S = 60
+REPEATS = 3  # runs of each case per side, parent and change alternating
+SIDES = ("parent", "change")
 
 
 def _environment(src: Path) -> dict:
@@ -167,24 +184,28 @@ def _environment(src: Path) -> dict:
     return env
 
 
-def _ini(src: Path, scenario: str, overrides: dict) -> str:
-    text = subprocess.run(
+def _ini(src: Path, case: str) -> str:
+    """The case's INI on one side: each override replaces the one line of its key."""
+    _, scenario, overrides = CASES[case]
+    lines = subprocess.run(
         [sys.executable, "-m", "qhydro.cli", "print-default-config", scenario],
         env=_environment(src), check=True, capture_output=True, text=True,
-    ).stdout
-    lines = []
-    for line in text.splitlines():
-        key = line.split("=")[0].strip()
-        lines.append(f"{key} = {overrides[key]}" if key in overrides else line)
+    ).stdout.splitlines()
+    for key, value in overrides.items():
+        at = [i for i, line in enumerate(lines) if line.split("=")[0].strip() == key]
+        if len(at) != 1:
+            raise SystemExit(f"golden case {case}: override key {key!r} matches {len(at)} lines "
+                             f"of the default {scenario} config, not one")
+        lines[at[0]] = f"{key} = {value}"
     return "\n".join(lines) + "\n"
 
 
-def _run_case(src: Path, work: Path, case: str) -> dict:
+def _run_case(src: Path, work: Path, case: str, ini_text: str) -> dict:
     """Run one golden case on one side; its exit code, streams, data files and identities."""
-    command, scenario, overrides = CASES[case]
+    command = CASES[case][0]
     work.mkdir(parents=True)
     ini = work / "config.ini"
-    ini.write_text(_ini(src, scenario, overrides))
+    ini.write_text(ini_text)
     out = work / "out"
     with open(work / "stdout", "wb") as stdout, open(work / "stderr", "wb") as stderr:
         # a relative output directory, so that both sides hash the same configuration
@@ -204,11 +225,11 @@ def _run_case(src: Path, work: Path, case: str) -> dict:
         if path.name == "report.json":
             report = json.loads(path.read_text())
             identities, config_hash = report["identities"], report["provenance"]["config_hash"]
-        else:
-            files[path.name] = path.read_bytes()
+        else:  # a digest: the tool's own peak RSS must stay below its children's
+            files[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
     stderr = stderr.replace(str(src), "<src>").replace(str(work), "<work>")
-    return {"exit": child.returncode, "stdout": stdout, "stderr": stderr, "files": files,
-            "identities": identities, "config_hash": config_hash,
+    return {"exit": child.returncode, "stdout": stdout, "stderr": stderr, "out": out,
+            "files": files, "identities": identities, "config_hash": config_hash,
             "peak_rss_mb": usage.ru_maxrss / 1024,  # ru_maxrss is in KiB on Linux
             "minor_faults": usage.ru_minflt}
 
@@ -245,7 +266,8 @@ def _column_moves(a: bytes, b: bytes) -> list[str]:
     return moves
 
 
-def _differences(case: str, parent: dict, change: dict) -> list[str]:
+def _differences(case: str, parent: dict, change: dict, sides=SIDES) -> list[str]:
+    """What differs between two runs of a case; `sides` names them in the messages."""
     found = []
     for key in ("exit", "stdout", "stderr", "config_hash"):
         if parent[key] != change[key]:
@@ -253,8 +275,9 @@ def _differences(case: str, parent: dict, change: dict) -> list[str]:
     for name in sorted(parent["files"].keys() | change["files"].keys()):
         a, b = parent["files"].get(name), change["files"].get(name)
         if a is None or b is None:
-            found.append(f"{case}: {name} only in the {'change' if a is None else 'parent'}")
+            found.append(f"{case}: {name} only in the {sides[1] if a is None else sides[0]}")
         elif a != b:
+            a, b = ((run["out"] / name).read_bytes() for run in (parent, change))
             lines = zip(a.decode().splitlines(), b.decode().splitlines())
             first = next((i for i, (x, y) in enumerate(lines) if x != y), None)
             moves = _column_moves(a, b) if name.endswith(".csv") else []
@@ -282,25 +305,43 @@ def main(argv=None) -> int:
     print(f"qhydro/*.py lines {lines[0]} -> {lines[1]} ({lines[1] - lines[0]:+d})", flush=True)
     root = Path(tempfile.mkdtemp(prefix="qhydro-golden-"))
     found, total = [], 0
+    trees = dict(zip(SIDES, (args.parent.resolve(), args.change.resolve())))
     try:
         for case in CASES:
-            parent = _run_case(args.parent.resolve(), root / "parent" / case, case)
-            change = _run_case(args.change.resolve(), root / "change" / case, case)
+            inis = {side: _ini(src, case) for side, src in trees.items()}
+            runs = {side: [] for side in SIDES}
+            for repeat in range(REPEATS):  # parent, change, parent, change, ...
+                for side, src in trees.items():
+                    work = root / side / case / str(repeat)
+                    runs[side].append(_run_case(src, work, case, inis[side]))
+            parent, change = runs["parent"][0], runs["change"][0]
             total += len(parent["files"])
-            diffs = _differences(case, parent, change)
+            diffs = []
+            for side in SIDES:  # each repeat against its side's first run
+                for repeat, again in enumerate(runs[side][1:], 2):
+                    label = f"{case} ({side} run {repeat} against run 1)"
+                    diffs += _differences(label, runs[side][0], again, ("run 1", f"run {repeat}"))
+            diffs += _differences(case, parent, change)
             status = "differs" if diffs else "identical"
-            rss = parent["peak_rss_mb"], change["peak_rss_mb"]
-            faults = parent["minor_faults"], change["minor_faults"]
+            rss, faults = (
+                [statistics.median(run[key] for run in runs[side]) for side in SIDES]
+                for key in ("peak_rss_mb", "minor_faults")
+            )
             print(f"{case}: exit {parent['exit']}, {len(parent['files'])} data files, "
-                  f"{len(parent['identities'] or [])} identities: {status}; "
-                  f"peak RSS {rss[0]:.2f} -> {rss[1]:.2f} MB ({rss[1] - rss[0]:+.2f}); "
-                  f"minor faults {faults[0]} -> {faults[1]} ({faults[1] - faults[0]:+d})", flush=True)
+                  f"{len(parent['identities'] or [])} identities: {status}; medians of "
+                  f"{REPEATS}: peak RSS {rss[0]:.2f} -> {rss[1]:.2f} MB ({rss[1] - rss[0]:+.2f}); "
+                  f"minor faults {faults[0]:.0f} -> {faults[1]:.0f} ({faults[1] - faults[0]:+.0f})",
+                  flush=True)
             found += diffs
+            for side in SIDES:
+                shutil.rmtree(root / side / case)
     finally:
         shutil.rmtree(root, ignore_errors=True)
     for line in found:
         print(f"DIFF {line}")
-    print(f"{len(found)} differences over {total} data files")
+    # a child's ru_maxrss is at least this: Linux carries the peak across fork and exec
+    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"{len(found)} differences over {total} data files; this tool's peak RSS {own:.2f} MB")
     return 1 if found else 0
 
 
