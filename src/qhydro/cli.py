@@ -366,12 +366,13 @@ def _floored_rel(a, b):
     return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-3)
 
 
-def _rel(measured: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    return np.abs(measured - reference) / reference
+def _rel(measured, reference):
+    """|measured - reference| / max(|reference|, 1e-300), the identities' relative error."""
+    return np.abs(measured - reference) / np.maximum(np.abs(reference), 1e-300)
 
 
 def _relative(name: str, tolerance: float, measured: str, reference: str) -> _Identity:
-    """|measured - reference| / reference on each row."""
+    """_rel of two columns on each row."""
     return _Identity(name, tolerance, lambda tab, cfg: _rel(tab[measured], tab[reference]))
 
 
@@ -387,8 +388,7 @@ def _rate_matches(production: str) -> _Identity:
         return ~(np.abs(tab[production][1:-1]) <= 1e-3)
 
     def errors(tab, cfg):
-        p, fd = tab[production][1:-1], tab["dEntB_dt_fd"][1:-1]
-        return (np.abs(fd - p) / np.abs(p))[kept(tab)]
+        return _rel(tab["dEntB_dt_fd"][1:-1], tab[production][1:-1])[kept(tab)]
 
     name = "entropy_rate_matches_production"
     return _Identity(name, 1e-2, errors, lambda tab, cfg: kept(tab).any())
@@ -396,11 +396,7 @@ def _rate_matches(production: str) -> _Identity:
 
 _QUANTUM_IDENTITIES = (
     _deviation("norm_conservation", 1e-10, "norm", lambda tab: 1.0),
-    _Identity(
-        "energy_conservation", 1e-5,
-        lambda tab, cfg: np.abs(tab["energy"] - tab["energy"][0])
-        / np.maximum(np.abs(tab["energy"][0]), 1e-300),
-    ),
+    _Identity("energy_conservation", 1e-5, lambda tab, cfg: _rel(tab["energy"], tab["energy"][0])),
     _Identity(
         "production_advective_equals_correlation", 1e-6,
         lambda tab, cfg: _floored_rel(tab["production_advective"], tab["production_correlation"]),
@@ -413,8 +409,7 @@ _DIFFUSION_IDENTITIES = (
     _relative("sigma2_exact_kernel", 1e-12, "sigma2_measured", "ref_sigma2"),
     _Identity(
         "production_is_kB_D_fisher", 1e-12,
-        lambda tab, cfg: np.abs(tab["production_diffusive"] - cfg.k_B * cfg.D * tab["fisher"])
-        / np.maximum(np.abs(tab["production_diffusive"]), 1e-300),
+        lambda tab, cfg: _rel(cfg.k_B * cfg.D * tab["fisher"], tab["production_diffusive"]),
     ),
     _Identity(
         "entropy_nondecreasing", 1e-12,
@@ -793,7 +788,7 @@ def _run(entry: _Entry, cfg: ScenarioConfig, name: str, columns: list[str]) -> R
             f"{cfg.snapshot_stride} ask for more memory than the machine holds"
         ]) from None
     table.update(t=t, elapsed=elapsed)
-    with np.errstate(over="raise"):  # an overflowing reference is a numeric abort
+    with np.errstate(all="raise", under="ignore"):  # an overflow or a 0/0 is a numeric abort
         for derive in entry.references:
             table.update(derive(cfg, table))
     with np.errstate(all="ignore"):  # a measure that overflows is non-finite, and fails

@@ -972,6 +972,44 @@ class TestMain:
         assert main(["run", str(path)]) == 3
         assert capsys.readouterr().err.startswith("numeric abort: ")
 
+    @pytest.mark.parametrize("command, physics", [
+        # 2 m sigma0^2 / hbar underflows: free_divergence divides 0/0 at t = 0
+        ("run", "hbar = 1.532433770076865e+105\nsigma0 = 3.732955387138587e-72"),
+        # 2 m sigma0 underflows: free_sigma divides 0/0 at t = 0
+        ("compare", "mass = 7.53506115320154e-286\nsigma0 = 2.338621637729937e-134\n"
+                    "k_B = 2.80867773725623e-277"),
+    ], ids=["divergence_reference", "width_reference"])
+    def test_a_reference_that_divides_0_by_0_exits_3(self, tmp_path, capsys, command, physics):
+        # it printed a numpy warning, wrote nan to the reference column and exited 1
+        path = tmp_path / "cfg.ini"
+        path.write_text(
+            f"[scenario]\nname = free_gaussian\n[physics]\n{physics}\n[grid]\nN = 32\n"
+            "[evolution]\nt_final = 0.0\ndt = 0.01\nsnapshot_stride = 1\n"
+            f"[output]\ndirectory = {tmp_path / 'out'}\n"
+        )
+        assert main([command, str(path)]) == 3
+        assert capsys.readouterr().err == "numeric abort: invalid value encountered in divide\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("scenario", ["harmonic_ground", "harmonic_perturbed"])
+    @pytest.mark.parametrize("physics", [
+        "mass = 1e-300\nomega0 = 1e-300",  # 2 mass omega0 underflows to 0
+        "hbar = 1e300\nmass = 1e-10\nomega0 = 1e-10",  # hbar / (2 mass omega0) overflows
+    ], ids=["denominator_underflows", "width_overflows"])
+    def test_an_infinite_ground_width_is_one_config_error(self, tmp_path, capsys, scenario, physics):
+        # the underflow let a ZeroDivisionError out, a numeric abort that exited 3
+        path = tmp_path / "cfg.ini"
+        path.write_text(
+            f"[scenario]\nname = {scenario}\n[physics]\n{physics}\n"
+            f"[output]\ndirectory = {tmp_path / 'out'}\n"
+        )
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: ground width sqrt(hbar/(2 mass omega0)) is inf, "
+            "not a positive finite number\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("name, L, code", [
         # rate * t overflows in the phase table: a non-finite row
         ("free_gaussian", "1e-152", 3),

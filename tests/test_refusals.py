@@ -56,7 +56,7 @@ REFUSALS = {
     "gaussian_params_mass": (
         lambda: GaussianParams(1.0, mass=-1.0), ValueError, "hbar and mass must be positive"),
     "sigma_trace_positive": (
-        lambda: SigmaTrace(np.arange(2.0), np.array([1.0, 0.0]), np.zeros(2)),
+        lambda: SigmaTrace(np.array([1.0, 0.0]), np.zeros(2)),
         ValueError, "sigma must stay positive along the trace"),
     "harmonic_sigma_one_time": (
         lambda: harmonic_sigma(GROUND, [0.0]), ValueError,

@@ -21,7 +21,7 @@ with its clock started at `start_time` = 1e6 and 1e13 (diffusion_clock_1e6
 and diffusion_clock_1e13), harmonic_perturbed at the prime snapshot_stride
 331 (perturbed_prime_stride), a one-row `compare` of a harmonic_perturbed
 config with a free potential, which does not check the width model that only
-`run` computes (compare_perturbed_no_step), and twenty runs that exit
+`run` computes (compare_perturbed_no_step), and twenty-three runs that exit
 nonzero: a failing identity (1), a config error, five keys that the command
 does not read (2: a free_gaussian given a `width_rate` or a `start_time`, a
 `compare` of a `custom` packet given a `width_rate`, of a
@@ -30,15 +30,18 @@ diffusion_gaussian given a `start_time` and of a free_gaussian given
 take 1.11e10 RK4 steps (perturbed_rk4_cap), a grid that cannot be allocated
 and a snapshot list that cannot be built (2), a diffusion_gaussian whose
 clock stalls at start_time = 1e18 and whose sigma0**2 underflows, refused
-for the clock before its start state is built (clock_before_start, 2), and
-nine numeric aborts (3): extreme
+for the clock before its start state is built (clock_before_start, 2), a
+harmonic_ground whose 2 mass omega0 underflows to 0, so that its ground width
+is inf (ground_width_denominator_underflows, 2), and eleven numeric aborts
+(3): extreme
 constants, a diffusion_gaussian whose sigma0**2 underflows, a free_gaussian
 whose width reference overflows, a free_gaussian on so wide a grid that its
 measured width overflows (width_overflow), a `custom` trap whose potential
 overflows, a `custom` packet whose width-rate phase overflows, a
-free_gaussian whose tiny mass overflows the productions, and a
-diffusion_gaussian `run` and a `compare` whose k_B overflows the
-entropy.  PYTHONUNBUFFERED is removed
+free_gaussian whose tiny mass overflows the productions, a
+diffusion_gaussian `run` and a `compare` whose k_B overflows the entropy,
+and a one-row free_gaussian `run` and `compare` whose references divide 0/0
+(reference_0_over_0_run and reference_0_over_0_compare).  PYTHONUNBUFFERED is removed
 from the children's environment, so their stdout is block-buffered and
 output that a process does not flush before it ends shows as a stdout
 difference.  A child still running after TIMEOUT_S (60) seconds is killed
@@ -53,7 +56,7 @@ stderr, data files, identity values and config hash, since identical
 configurations must give byte-identical runs; a mismatch is a difference.
 Between the sides, every data file must be byte-identical; from report.json,
 the config hash and each identity's name, tolerance, `measured` value and
-outcome must be equal, as must the exit code, stdout and stderr.  Each side writes to `out`
+outcome must be equal (by repr, so a NaN equals a NaN), as must the exit code, stdout and stderr.  Each side writes to `out`
 under its own working directory, so both hash the same configuration.  In
 stderr, each side's resolved source and working directories read as <src>
 and <work>, since numpy's warnings name the source file by its path.  Every
@@ -93,6 +96,7 @@ from pathlib import Path
 
 # name -> (command, scenario, INI overrides)
 FIELDS = {"emit_fields": "true", "enable_von_neumann": "true"}
+ONE_ROW = {"N": "32", "t_final": "0.0", "dt": "0.01", "snapshot_stride": "1"}
 CASES = {
     **{name: ("run", name, {}) for name in (
         "free_gaussian", "harmonic_ground", "harmonic_perturbed", "diffusion_gaussian", "custom",
@@ -167,6 +171,16 @@ CASES = {
     # k_B overflows the Boltzmann entropy and the diffusive production
     "huge_k_B": ("run", "diffusion_gaussian", {"k_B": "1.7e308"}),
     "compare_huge_k_B": ("compare", "free_gaussian", {"k_B": "1.7e308"}),
+    # 2 m sigma0^2 / hbar underflows: ref_divergence is 0/0 at t = 0
+    "reference_0_over_0_run": ("run", "free_gaussian", {
+        "hbar": "1.532433770076865e+105", "sigma0": "3.732955387138587e-72", **ONE_ROW}),
+    # 2 m sigma0 underflows: ref_sigma2_quantum is 0/0 at t = 0
+    "reference_0_over_0_compare": ("compare", "free_gaussian", {
+        "mass": "7.53506115320154e-286", "sigma0": "2.338621637729937e-134",
+        "k_B": "2.80867773725623e-277", **ONE_ROW}),
+    "ground_width_denominator_underflows": (
+        "run", "harmonic_ground", {"mass": "1e-300", "omega0": "1e-300"},
+    ),
 }
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
@@ -288,7 +302,7 @@ def _differences(case: str, parent: dict, change: dict, sides=SIDES) -> list[str
         found.append(f"{case}: identity names differ")
     for x, y in zip(a, b):
         for key in ("tolerance", "measured", "passed"):
-            if x.get(key) != y.get(key):
+            if repr(x.get(key)) != repr(y.get(key)):  # so that a NaN matches a NaN
                 found.append(f"{case}: identity {x['name']} {key} {x.get(key)!r} -> {y.get(key)!r}")
     return found
 
